@@ -12,20 +12,16 @@ from .geometry import (
     B,
     CollisionError,
     DomainError,
-    Family,
-    FamilyParam,
     FreePoint,
-    RangeError,
     StarRadii,
     close_center_of_mass,
     closure_r2,
     closure_r4,
-    family_to_point,
     in_domain,
     mutual_distances,
-    nd,
     nz,
     positions,
+    quasi_points,
 )
 from .forces import (
     HESSIAN_CLOSED_FORM,
@@ -96,10 +92,9 @@ from .solver import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "A", "B", "CollisionError", "DomainError", "Family", "FamilyParam",
-    "FreePoint", "RangeError", "StarRadii", "close_center_of_mass",
-    "closure_r2", "closure_r4", "family_to_point", "in_domain",
-    "mutual_distances", "nd", "nz", "positions",
+    "A", "B", "CollisionError", "DomainError", "FreePoint", "StarRadii",
+    "close_center_of_mass", "closure_r2", "closure_r4", "in_domain",
+    "mutual_distances", "nz", "positions", "quasi_points",
     "HESSIAN_CLOSED_FORM", "HESSIAN_CLOSED_FORM_DET", "LAMBDA_STAR",
     "NearZeroDenominator", "ResidualVector", "config_measure",
     "gradient_measure", "hessian_measure", "lambda_component", "moment_I",

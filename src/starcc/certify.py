@@ -40,7 +40,7 @@ import numpy as np
 
 from . import kernel
 from .forces import residual_vector
-from .geometry import DomainError
+from .geometry import DomainError, quasi_points
 from .intervals import (
     Box2,
     Dual,
@@ -115,7 +115,6 @@ class RunConfig:
     truncation: float = TRUNCATION_R5
     max_depth: int = 48
     threads: int = 4
-    seed: int = 0
     output_dir: Optional[str] = None
     spread_tol: float = 1e-12
     y1_tol: float = 1e-13
@@ -891,11 +890,9 @@ def verify_certificate(cert, coverage_samples: int = 4096, seed: int = 7) -> boo
 
 
 def _coverage_audit(c: Certificate, samples: int, seed: int) -> None:
-    from scipy.stats import qmc
-
     reg = region_def(c.region)
     r3lo, r3hi, r5lo, r5hi = reg.bbox(c.truncation)
-    pts = qmc.Sobol(d=2, scramble=True, seed=seed).random(samples)
+    pts = quasi_points(samples, seed)
     x = r3lo + pts[:, 0] * (r3hi - r3lo)
     y = r5lo + pts[:, 1] * (r5hi - r5lo)
     inside = np.array([reg.contains((a, b)) for a, b in zip(x, y)])
@@ -966,9 +963,7 @@ def verify_local_certificate(cert, coverage_samples: int = 4096, seed: int = 11)
         )
 
     # coverage: sampled window points outside the inner box must be in a leaf
-    from scipy.stats import qmc
-
-    pts = qmc.Sobol(d=2, scramble=True, seed=seed).random(coverage_samples)
+    pts = quasi_points(coverage_samples, seed)
     x = 1.0 - cert.delta + pts[:, 0] * (2 * cert.delta)
     y = 1.0 - cert.delta + pts[:, 1] * (2 * cert.delta)
     inner = (

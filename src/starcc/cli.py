@@ -49,7 +49,13 @@ from .forces import (
     residual_vector,
 )
 from .geometry import DomainError
-from .regions import REGION_IDS, TRUNCATION_R5, region_def, region_plan
+from .regions import (
+    REGION_IDS,
+    TRUNCATION_R5,
+    region_def,
+    region_excises_b0,
+    region_plan,
+)
 from .solver import grid_scan
 
 OUTPUT_DIR_ENV = "STARCC_OUTPUT_DIR"
@@ -62,7 +68,7 @@ EXIT_VERIFY = 5
 
 _CONFIG_KEYS = (
     "max_box_width", "delta_b0", "truncation", "max_depth",
-    "threads", "seed", "output_dir", "spread_tol", "y1_tol",
+    "threads", "output_dir", "spread_tol", "y1_tol",
     "posteriori_tol",
 )
 
@@ -92,7 +98,7 @@ def _load_run_config(args) -> RunConfig:
     for key, flag in (
         ("max_box_width", "width"), ("delta_b0", "delta"),
         ("truncation", "truncate_r5"), ("max_depth", "max_depth"),
-        ("threads", "threads"), ("seed", "seed"), ("output_dir", "output"),
+        ("threads", "threads"), ("output_dir", "output"),
     ):
         v = getattr(args, flag, None)
         if v is not None:
@@ -280,6 +286,41 @@ def _verify_file(path: str) -> str:
     raise MalformedCertificate(f"{path}: unknown certificate kind {kind!r}")
 
 
+def _manifest_cuts(manifest_path: str, summary: dict):
+    """The (delta_b0, truncation) pair every piece of the bundle must share."""
+    config = summary.get("config")
+    try:
+        return float(config["delta_b0"]), float(config["truncation"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedCertificate(
+            f"{manifest_path}: config must give numeric delta_b0 and truncation"
+        ) from exc
+
+
+def _check_composition(path: str, cert: Certificate, delta: float,
+                       truncation: float) -> None:
+    """A region certificate must excise the manifest's square exactly when
+    its region meets it, and must cut an unbounded region at the
+    manifest's truncation: otherwise the pieces prove different claims."""
+    rid = cert.region
+    if region_excises_b0(rid, delta):
+        square = (1.0 - delta, 1.0 + delta, 1.0 - delta, 1.0 + delta)
+        if cert.delta_b0 != delta or cert.excluded != square:
+            raise MalformedCertificate(
+                f"{path}: {rid} must excise the manifest's square with delta"
+                f" {delta!r}; it records delta_b0 {cert.delta_b0!r},"
+                f" excluded {cert.excluded!r}")
+    elif cert.delta_b0 is not None or cert.excluded is not None:
+        raise MalformedCertificate(
+            f"{path}: {rid} does not meet the manifest's square but records"
+            f" delta_b0 {cert.delta_b0!r}, excluded {cert.excluded!r}")
+    want = truncation if region_def(rid).unbounded else None
+    if cert.truncation != want:
+        raise MalformedCertificate(
+            f"{path}: {rid} records truncation {cert.truncation!r}; the"
+            f" manifest requires {want!r}")
+
+
 def _verify_bundle(dirpath: str) -> List[str]:
     manifest_path = os.path.join(dirpath, "manifest.json")
     if not os.path.exists(manifest_path):
@@ -287,12 +328,16 @@ def _verify_bundle(dirpath: str) -> List[str]:
     summary = _load_payload(manifest_path)
     if summary.get("kind") != "manifest":
         raise MalformedCertificate(f"{manifest_path}: not a manifest")
+    delta, truncation = _manifest_cuts(manifest_path, summary)
     lines = []
     for rid in REGION_IDS:
         if rid not in summary.get("regions", {}):
             raise MalformedCertificate(f"{manifest_path}: region {rid} missing")
         path = os.path.join(dirpath, f"{rid}.json")
         cert = Certificate.from_payload(_load_payload(path))
+        if cert.region != rid:
+            raise MalformedCertificate(f"{path}: holds region {cert.region}")
+        _check_composition(path, cert, delta, truncation)
         verify_certificate(cert)
         claimed = summary["regions"][rid]["min_bound"]
         if claimed != cert.min_bound:
@@ -304,8 +349,12 @@ def _verify_bundle(dirpath: str) -> List[str]:
                 f"{path}: fingerprint differs from the manifest")
         lines.append(f"ACCEPT {rid}: min_gap {cert.min_bound:.6e},"
                      f" {cert.n_leaves()} leaves")
-    local = LocalUniquenessCertificate.from_payload(
-        _load_payload(os.path.join(dirpath, "local.json")))
+    local_path = os.path.join(dirpath, "local.json")
+    local = LocalUniquenessCertificate.from_payload(_load_payload(local_path))
+    if local.delta != delta:
+        raise MalformedCertificate(
+            f"{local_path}: window half-width {local.delta!r} differs from"
+            f" the manifest's delta_b0 {delta!r}")
     verify_local_certificate(local)
     lines.append(f"ACCEPT local: margin {local.containment_margin:.4e},"
                  f" {local.ann_lo3.size} annulus leaves")
@@ -490,7 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="truncation for unbounded regions (default 10)")
     p.add_argument("--max-depth", dest="max_depth", type=int)
     p.add_argument("--threads", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--output", help=f"output directory (or ${OUTPUT_DIR_ENV})")
     p.set_defaults(func=cmd_certify)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -50,13 +50,6 @@ HESSIAN_CLOSED_FORM_DET = 125.0 * (85.0 + 31.0 * _S5) / 32.0
 
 class NearZeroDenominator(ArithmeticError):
     """|q_ik| below 1e-12; the quotient is numerically meaningless."""
-
-
-class LambdaIndex(NamedTuple):
-    """Names one lambda function: body 1..5, component 1 (x) or 2 (y)."""
-
-    body: int
-    component: int
 
 
 def _check_index(idx) -> Tuple[int, int]:

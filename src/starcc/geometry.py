@@ -20,7 +20,6 @@ and the two slanted constraints are exactly the r2 > 0 and r4 > 0 loci
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -46,10 +45,6 @@ COLLISION_TOL = 1e-12
 
 class DomainError(ValueError):
     """Point outside the admissible open domain S (r2 or r4 not positive)."""
-
-
-class RangeError(ValueError):
-    """Family parameter outside its declared range."""
 
 
 class CollisionError(ValueError):
@@ -136,74 +131,26 @@ def in_domain(p) -> bool:
     )
 
 
-class Family(enum.Enum):
-    """The five one-parameter slicing families used by the region proofs."""
-
-    ETA = "eta"
-    ZETA = "zeta"
-    MU = "mu"
-    IOTA = "iota"
-    XI = "xi"
-
-
-# Upper bounds for the MU and IOTA parameter ranges; both equal (3-sqrt(5))/2.
-MU_SUP = 2.0 / B - B
-IOTA_SUP = 1.0 - B / 2.0
-
-
-@dataclass(frozen=True)
-class FamilyParam:
-    """A family member: which family, its parameter, and the free coordinate."""
-
-    family: Family
-    value: float
-    free_coordinate: float
-
-
-def nd(zeta: float) -> float:
-    """The r3 bound nd(zeta) = (b/2) * (4 + zeta) / (2 + zeta).
-
-    Strictly decreasing for zeta >= 0, from nd(0) = b down to b/2.
-    """
-    if zeta < 0.0:
-        raise RangeError(f"nd requires zeta >= 0, got {zeta}")
-    return (B / 2.0) * (4.0 + zeta) / (2.0 + zeta)
-
-
 def nz() -> float:
     """The distinguished zeta value 4(b-1)/(2-b); algebraically equal to b."""
     return 4.0 * (B - 1.0) / (2.0 - B)
 
 
-def family_to_point(f: FamilyParam) -> FreePoint:
-    """Map a family parameter to the (r3, r5) point it denotes.
+# The plastic number, the real root of x^3 = x + 1.  Its reciprocal powers
+# (1/rho, 1/rho^2) are the increments of the R2 sequence, the 2-D Kronecker
+# sequence with the best known uniformity.
+PLASTIC = 1.32471795724474602596
+_R2_STEP = np.array([1.0 / PLASTIC, 1.0 / PLASTIC**2])
 
-    eta  -> (b/(2+eta), free)      eta >= 0
-    zeta -> (free, b/(2+zeta))     zeta >= 0
-    mu   -> (b+mu, free)           0 <= mu < 2/b - b
-    iota -> (free, 1-iota)         0 < iota < 1 - b/2
-    xi   -> (free, 1+xi)           xi >= 0
+
+def quasi_points(n: int, seed: int) -> np.ndarray:
+    """The first n points of the seeded R2 sequence in [0, 1)^2, shape (n, 2).
+
+    Point k (k = 1..n) is frac(shift + k * (1/rho, 1/rho^2)) with rho the
+    plastic number and shift = np.random.default_rng(seed).random(2).  The
+    points depend only on (k, seed), so a longer run extends a shorter one.
+    Scan starts and the partition and coverage audits all draw from here.
     """
-    v = f.value
-    free = f.free_coordinate
-    if f.family is Family.ETA:
-        if v < 0.0:
-            raise RangeError(f"eta >= 0 required, got {v}")
-        return FreePoint(B / (2.0 + v), free)
-    if f.family is Family.ZETA:
-        if v < 0.0:
-            raise RangeError(f"zeta >= 0 required, got {v}")
-        return FreePoint(free, B / (2.0 + v))
-    if f.family is Family.MU:
-        if not 0.0 <= v < MU_SUP:
-            raise RangeError(f"mu in [0, {MU_SUP}) required, got {v}")
-        return FreePoint(B + v, free)
-    if f.family is Family.IOTA:
-        if not 0.0 < v < IOTA_SUP:
-            raise RangeError(f"iota in (0, {IOTA_SUP}) required, got {v}")
-        return FreePoint(free, 1.0 - v)
-    if f.family is Family.XI:
-        if v < 0.0:
-            raise RangeError(f"xi >= 0 required, got {v}")
-        return FreePoint(free, 1.0 + v)
-    raise RangeError(f"unknown family {f.family!r}")
+    shift = np.random.default_rng(seed).random(2)
+    k = np.arange(1, int(n) + 1, dtype=float)[:, None]
+    return (shift + k * _R2_STEP) % 1.0

@@ -33,7 +33,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .geometry import A, B, in_domain
+from .geometry import A, B, in_domain, quasi_points
 from .intervals import Box2, Interval, VInterval, pentagon_constants
 
 # Default geometry knobs shared with the certifier.
@@ -591,25 +591,17 @@ def _membership_matrix(r3: np.ndarray, r5: np.ndarray) -> np.ndarray:
 
 
 def partition_audit(samples: int, window=None, seed: int = 0) -> PartitionReport:
-    """Quasi-random audit of disjointness and coverage over window ∩ S.
+    """R2 quasi-random audit of disjointness and coverage over window ∩ S.
 
     Multi-membership points within BOUNDARY_FUZZ of a region boundary are
     expected (shared closed edges); interior multiples indicate a genuine
     region overlap and are surfaced as anomalies.
     """
-    import warnings
-
-    from scipy.stats import qmc
-
     if window is None:
         t = TRUNCATION_R5
         window = (0.0, (2 / A) * t + 1.0, 0.0, t)
     r3lo, r3hi, r5lo, r5hi = window
-    eng = qmc.Sobol(d=2, scramble=True, seed=seed)
-    with warnings.catch_warnings():
-        # Balance only matters for integration; audits take any count.
-        warnings.filterwarnings("ignore", message="The balance properties")
-        pts = eng.random(int(samples))
+    pts = quasi_points(samples, seed)
     r3 = r3lo + pts[:, 0] * (r3hi - r3lo)
     r5 = r5lo + pts[:, 1] * (r5hi - r5lo)
     dom = (

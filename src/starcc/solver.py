@@ -23,16 +23,14 @@ from __future__ import annotations
 
 import json
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import kernel
 from .forces import residual_vector
-from .geometry import A, B, DomainError, in_domain
+from .geometry import A, B, DomainError, in_domain, quasi_points
 
 # Same pair as certify.LOCAL_PAIRS: well-conditioned at (1,1) and already
 # the subject of the Krawczyk contraction, so solver and certificate talk
@@ -315,10 +313,10 @@ def grid_scan(window, n_starts: int, tol: float = 1e-10, seed: int = 0,
               max_iter: int = 60) -> RootReport:
     """Multi-start Newton over window ∩ S with deduplicated roots.
 
-    window is ((r3_lo, r3_hi), (r5_lo, r5_hi)).  Starts are scrambled
-    Sobol points scaled into the window; starts falling outside S are
-    skipped (counted in stats).  Every reported root passed the
-    full-system gate, and distinct roots are > MERGE_RADIUS apart.
+    window is ((r3_lo, r3_hi), (r5_lo, r5_hi)).  Starts are seeded R2
+    points (geometry.quasi_points) scaled into the window; starts falling
+    outside S are skipped (counted in stats).  Every reported root passed
+    the full-system gate, and distinct roots are > MERGE_RADIUS apart.
     """
     (lo3, hi3), (lo5, hi5) = (
         (float(window[0][0]), float(window[0][1])),
@@ -338,11 +336,7 @@ def grid_scan(window, n_starts: int, tol: float = 1e-10, seed: int = 0,
         stats["wall_seconds"] = round(time.perf_counter() - t0, 6)
         return RootReport(((lo3, hi3), (lo5, hi5)), 0, tol, seed, (), stats)
 
-    with warnings.catch_warnings():
-        # The balance property only matters for integration; arbitrary
-        # start counts (the acceptance scan uses 10^4) are fine here.
-        warnings.filterwarnings("ignore", message="The balance properties")
-        pts = qmc.Sobol(d=2, scramble=True, seed=seed).random(n_starts)
+    pts = quasi_points(n_starts, seed)
     s3 = lo3 + pts[:, 0] * (hi3 - lo3)
     s5 = lo5 + pts[:, 1] * (hi5 - lo5)
     keep = _domain_mask(s3, s5)

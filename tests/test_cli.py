@@ -1,10 +1,17 @@
 import csv
 import io
 import json
+import shutil
 
 import pytest
 
 from starcc import cli
+from starcc.certify import (
+    certify_inequality,
+    certify_local_uniqueness,
+    verify_certificate,
+    verify_local_certificate,
+)
 
 
 def run(argv, capsys):
@@ -176,6 +183,14 @@ def test_config_file_with_unknown_key_exits_2(tmp_path, capsys):
     assert code == cli.EXIT_DOMAIN
 
 
+def test_config_file_with_seed_exits_2(tmp_path, capsys):
+    # certification is deterministic; a seed key is a stale config
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"max_box_width": 0.1, "seed": 3}))
+    code, _ = run(["certify", "J4", "--config", cfg], capsys)
+    assert code == cli.EXIT_DOMAIN
+
+
 # ---------------------------------------------------------------------------
 # scan
 
@@ -269,3 +284,65 @@ def test_bundle_certify_verify_round_trip(tmp_path, capsys):
     code, out = run(["verify", bundle], capsys)
     assert code == cli.EXIT_VERIFY
     assert "REJECT" in out
+
+
+# ---------------------------------------------------------------------------
+# bundle composition: forgeries whose every file verifies on its own
+
+
+@pytest.fixture(scope="module")
+def coarse_bundle(tmp_path_factory):
+    out = tmp_path_factory.mktemp("genuine") / "certs"
+    code = cli.main(["certify", "all", "--width", "0.1", "--threads", "2",
+                     "--output", str(out)])
+    assert code == 0
+    return out
+
+
+def _copy(bundle, tmp_path):
+    forged = tmp_path / "forged"
+    shutil.copytree(bundle, forged)
+    return forged
+
+
+def test_bundle_rejects_local_certificate_for_a_smaller_window(
+        coarse_bundle, tmp_path, capsys):
+    # leaves 0.005 < |r - 1| < 0.02 proved by nobody
+    forged = _copy(coarse_bundle, tmp_path)
+    local = certify_local_uniqueness(delta=0.005)
+    assert verify_local_certificate(local)
+    (forged / "local.json").write_text(local.to_json())
+    code, out = run(["verify", forged], capsys)
+    assert code == cli.EXIT_VERIFY
+    assert "REJECT" in out and "local.json" in out
+
+
+def test_bundle_rejects_region_truncated_below_the_manifest(
+        coarse_bundle, tmp_path, capsys):
+    # J9 above r5 = 1.5 proved by nobody; the forger keeps the manifest in step
+    forged = _copy(coarse_bundle, tmp_path)
+    manifest = json.loads((forged / "manifest.json").read_text())
+    cfg = manifest["config"]
+    cert = certify_inequality("J9", max_box_width=cfg["max_box_width"],
+                              truncation=1.5, delta=cfg["delta_b0"])
+    assert verify_certificate(cert)
+    (forged / "J9.json").write_text(cert.to_json())
+    manifest["regions"]["J9"]["min_bound"] = cert.min_bound
+    manifest["regions"]["J9"]["leaves"] = cert.n_leaves()
+    (forged / "manifest.json").write_text(json.dumps(manifest))
+    code, out = run(["verify", forged], capsys)
+    assert code == cli.EXIT_VERIFY
+    assert "REJECT" in out and "truncation" in out
+
+
+def test_bundle_rejects_region_file_holding_another_region(
+        coarse_bundle, tmp_path, capsys):
+    # J1 proved by nobody; J2 verified twice
+    forged = _copy(coarse_bundle, tmp_path)
+    shutil.copy(forged / "J2.json", forged / "J1.json")
+    manifest = json.loads((forged / "manifest.json").read_text())
+    manifest["regions"]["J1"] = manifest["regions"]["J2"]
+    (forged / "manifest.json").write_text(json.dumps(manifest))
+    code, out = run(["verify", forged], capsys)
+    assert code == cli.EXIT_VERIFY
+    assert "REJECT" in out and "J1.json" in out

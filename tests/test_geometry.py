@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from starcc.geometry import (
     in_domain,
     mutual_distances,
     positions,
+    quasi_points,
 )
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -97,3 +101,62 @@ def test_collision_detected():
 def test_in_domain_iff_closure_radii_positive(r3, r5):
     member = in_domain((r3, r5))
     assert member == (closure_r2(r3, r5) > 0.0 and closure_r4(r3, r5) > 0.0)
+
+
+# ---------------------------------------------------------------------------
+# quasi_points: the R2 sequence behind scans and audits
+
+
+def test_quasi_points_shape_and_range():
+    pts = quasi_points(1000, 0)
+    assert pts.shape == (1000, 2)
+    assert pts.min() >= 0.0 and pts.max() < 1.0
+    assert quasi_points(0, 0).shape == (0, 2)
+
+
+def test_quasi_points_are_seeded():
+    assert np.array_equal(quasi_points(500, 3), quasi_points(500, 3))
+    assert not np.array_equal(quasi_points(500, 3), quasi_points(500, 4))
+
+
+def test_quasi_points_longer_run_extends_shorter():
+    # grid_scan relies on this: more starts only add starts
+    for seed in (0, 5, 7, 11):
+        assert np.array_equal(quasi_points(800, seed)[:200], quasi_points(200, seed))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_quasi_points_fill_a_grid_evenly(seed):
+    pts = quasi_points(4096, seed)
+    counts, _, _ = np.histogram2d(pts[:, 0], pts[:, 1], bins=16,
+                                  range=[[0.0, 1.0], [0.0, 1.0]])
+    # 16 expected per cell; i.i.d. uniform points would stray much further
+    assert counts.min() >= 12 and counts.max() <= 20
+
+
+_NO_SCIPY_SCRIPT = """
+import sys
+import starcc
+import starcc.cli
+from starcc.certify import (certify_inequality, certify_local_uniqueness,
+                            verify_certificate, verify_local_certificate)
+from starcc.regions import partition_audit
+from starcc.solver import grid_scan
+
+partition_audit(2000)
+grid_scan(((0.8, 1.2), (0.8, 1.2)), 64)
+verify_certificate(certify_inequality("J5", max_box_width=0.1))
+verify_local_certificate(certify_local_uniqueness())
+print(" ".join(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_pipeline_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(geometry.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""
