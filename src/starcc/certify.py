@@ -24,13 +24,16 @@ and aborts with CertificationRefuted — this is what the reversed-
 orientation negative control exercises.
 
 Certificates serialize every leaf with float.hex() endpoints so that
-verification can recompute each bound bit-for-bit.
+verification can recompute each bound bit-for-bit, and can replay the
+bisection from the cover the header implies to check that the leaves
+tile it exactly (_replay).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -40,7 +43,7 @@ import numpy as np
 
 from . import kernel
 from .forces import residual_vector
-from .geometry import DomainError, quasi_points
+from .geometry import DomainError
 from .intervals import (
     Box2,
     Dual,
@@ -59,6 +62,7 @@ from .regions import (
     NonvanishingY1Check,
     PairCheck,
     RegionPlan,
+    _snap_edges,
     cover_arrays,
     region_def,
     region_excises_b0,
@@ -98,7 +102,10 @@ class LeafBoundViolation(ValueError):
 
 
 class CoverageGap(ValueError):
-    """A sampled region point is outside every leaf and the excision."""
+    """The leaves are not exactly the terminal boxes of a bisection of the
+    cover that the certificate header implies: a kept box holds no leaf, a
+    leaf nests in no box or in a box the bisection drops, or a terminal
+    box holds two leaves."""
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +417,24 @@ class Certificate:
 _BOX_CAP = 4_000_000
 
 
+def _bisect(l3, h3, l5, h5):
+    """Split every box at the midpoint of its wider side (r3 on ties).
+
+    Returns the children as (lo3, hi3, lo5, hi5): the lower halves of all
+    boxes first, then the upper halves in the same order.  The certifier
+    and the verifier's replay share this rule, so a replayed tree reaches
+    the certified leaves bit for bit."""
+    split3 = (h3 - l3) >= (h5 - l5)
+    m3 = 0.5 * (l3 + h3)
+    m5 = 0.5 * (l5 + h5)
+    return (
+        np.concatenate([l3, np.where(split3, m3, l3)]),
+        np.concatenate([np.where(split3, m3, h3), h3]),
+        np.concatenate([l5, np.where(split3, l5, m5)]),
+        np.concatenate([np.where(split3, h5, m5), h5]),
+    )
+
+
 def certify_inequality(
     region_id: str,
     max_box_width: float = 0.02,
@@ -465,16 +490,9 @@ def certify_inequality(
         rest = ~ok
         if not np.any(rest):
             break
-        l3, h3, l5, h5 = lo3[rest], hi3[rest], lo5[rest], hi5[rest]
-        w3 = h3 - l3
-        w5 = h5 - l5
-        split3 = w3 >= w5
-        m3 = 0.5 * (l3 + h3)
-        m5 = 0.5 * (l5 + h5)
-        c_lo3 = np.concatenate([l3, np.where(split3, m3, l3)])
-        c_hi3 = np.concatenate([np.where(split3, m3, h3), h3])
-        c_lo5 = np.concatenate([l5, np.where(split3, l5, m5)])
-        c_hi5 = np.concatenate([np.where(split3, h5, m5), h5])
+        c_lo3, c_hi3, c_lo5, c_hi5 = _bisect(
+            lo3[rest], hi3[rest], lo5[rest], hi5[rest]
+        )
         keep = ~reg.boxes_outside_closure(c_lo3, c_hi3, c_lo5, c_hi5)
         lo3, hi3, lo5, hi5 = c_lo3[keep], c_hi3[keep], c_lo5[keep], c_hi5[keep]
         total_boxes += int(lo3.size)
@@ -526,6 +544,16 @@ LOCAL_PAIRS = (((1, 1), (3, 1)), ((1, 1), (5, 1)))
 # already 0.92 there).
 INNER_DELTA = 0.002
 ANNULUS_BOX_WIDTH = 0.002
+# Jacobian sub-boxes per axis; all subdivision^2 of them are one lane
+# array, so the cap bounds what a certificate can make the verifier hold.
+_MAX_SUBDIVISION = 64
+
+
+def _pair_labels() -> Tuple[str, str]:
+    """The pair_map a local certificate records for LOCAL_PAIRS."""
+    return tuple(
+        f"lambda_{a[0]}{a[1]} - lambda_{b[0]}{b[1]}" for a, b in LOCAL_PAIRS
+    )
 
 
 def _gap_jets(box: Box2):
@@ -658,16 +686,17 @@ def _contraction_evidence(inner_delta: float, subdivision: int):
 
     f_center = tuple((g.v.lo, g.v.hi) for g in _gap_jets(Box2.point(*center)))
 
-    # Jacobian enclosure over the inner box: hull over a subdivision grid.
+    # Jacobian enclosure over the inner box: hull over a subdivision grid,
+    # one VInterval lane per sub-box (endpoint-identical to scalar jets).
     edges = np.linspace(inner.r3.lo, inner.r3.hi, subdivision + 1)
-    J: List[List[Optional[Interval]]] = [[None, None], [None, None]]
-    for i0 in range(subdivision):
-        for j0 in range(subdivision):
-            sub = Box2.from_bounds(edges[i0], edges[i0 + 1], edges[j0], edges[j0 + 1])
-            g1, g2 = _gap_jets(sub)
-            for r, g in enumerate((g1, g2)):
-                for c, dv in enumerate((g.d3, g.d5)):
-                    J[r][c] = dv if J[r][c] is None else J[r][c].hull(dv)
+    i0, j0 = np.divmod(np.arange(subdivision * subdivision), subdivision)
+    subs = Box2(
+        VInterval(edges[i0], edges[i0 + 1]), VInterval(edges[j0], edges[j0 + 1])
+    )
+    J = [
+        [Interval(float(dv.lo.min()), float(dv.hi.max())) for dv in (g.d3, g.d5)]
+        for g in _gap_jets(subs)
+    ]
 
     det = J[0][0] * J[1][1] - J[0][1] * J[1][0]
 
@@ -733,13 +762,14 @@ def _annulus_batch(lo3, hi3, lo5, hi5):
     return comp, bound
 
 
-def _annulus_exclusion(delta, inner_delta, box_width, max_depth=30):
-    """Cover the window minus the inner box and certify a nonzero gap
-    component on every box."""
-    from .regions import _snap_edges
-
+def _annulus_cover(delta, inner_delta):
+    """Grid boxes of width <= ANNULUS_BOX_WIDTH covering the window
+    [1-delta, 1+delta]^2 minus the inner box, as (lo3, hi3, lo5, hi5)."""
     edges = _snap_edges(
-        1.0 - delta, 1.0 + delta, box_width, (1.0 - inner_delta, 1.0 + inner_delta)
+        1.0 - delta,
+        1.0 + delta,
+        ANNULUS_BOX_WIDTH,
+        (1.0 - inner_delta, 1.0 + inner_delta),
     )
     lo3, lo5 = np.meshgrid(edges[:-1], edges[:-1], indexing="ij")
     hi3, hi5 = np.meshgrid(edges[1:], edges[1:], indexing="ij")
@@ -750,8 +780,13 @@ def _annulus_exclusion(delta, inner_delta, box_width, max_depth=30):
         & (lo5 >= 1.0 - inner_delta)
         & (hi5 <= 1.0 + inner_delta)
     )
-    lo3, hi3, lo5, hi5 = (a[~in_inner] for a in (lo3, hi3, lo5, hi5))
+    return tuple(a[~in_inner] for a in (lo3, hi3, lo5, hi5))
 
+
+def _annulus_exclusion(delta, inner_delta, max_depth=30):
+    """Cover the window minus the inner box and certify a nonzero gap
+    component on every box."""
+    lo3, hi3, lo5, hi5 = _annulus_cover(delta, inner_delta)
     parts = []
     depth = 0
     while lo3.size:
@@ -766,14 +801,7 @@ def _annulus_exclusion(delta, inner_delta, box_width, max_depth=30):
         rest = ~ok
         if not np.any(rest):
             break
-        l3, h3, l5, h5 = lo3[rest], hi3[rest], lo5[rest], hi5[rest]
-        split3 = (h3 - l3) >= (h5 - l5)
-        m3 = 0.5 * (l3 + h3)
-        m5 = 0.5 * (l5 + h5)
-        lo3 = np.concatenate([l3, np.where(split3, m3, l3)])
-        hi3 = np.concatenate([np.where(split3, m3, h3), h3])
-        lo5 = np.concatenate([l5, np.where(split3, l5, m5)])
-        hi5 = np.concatenate([np.where(split3, h5, m5), h5])
+        lo3, hi3, lo5, hi5 = _bisect(lo3[rest], hi3[rest], lo5[rest], hi5[rest])
         depth += 1
     if not parts:
         raise BudgetExhausted("annulus: empty cover")
@@ -787,7 +815,6 @@ def certify_local_uniqueness(
     subdivision: int = 8,
     posteriori_tol: float = 1e-10,
     inner_delta: float = INNER_DELTA,
-    annulus_box_width: float = ANNULUS_BOX_WIDTH,
 ) -> LocalUniquenessCertificate:
     """Certificate that the (1±delta) square holds exactly one zero of
     the two-gap map, and the center is that zero to within
@@ -796,6 +823,8 @@ def certify_local_uniqueness(
         raise DomainError(f"window half-width {delta} outside (0, 0.5)")
     if not (0.0 < inner_delta < delta):
         raise DomainError(f"inner half-width {inner_delta} outside (0, {delta})")
+    if not (1 <= subdivision <= _MAX_SUBDIVISION):
+        raise DomainError(f"subdivision {subdivision} outside [1, {_MAX_SUBDIVISION}]")
     ev = _contraction_evidence(inner_delta, subdivision)
     if ev["containment_margin"] <= 0.0:
         raise ContractionFailure(
@@ -809,15 +838,12 @@ def certify_local_uniqueness(
         raise ContractionFailure(
             f"center residual {ev['posteriori_residual']:.3e} > {posteriori_tol}"
         )
-    ann = _annulus_exclusion(delta, inner_delta, annulus_box_width)
+    ann = _annulus_exclusion(delta, inner_delta)
     return LocalUniquenessCertificate(
         delta=float(delta),
         inner_delta=float(inner_delta),
         center=ev["center"],
-        pair_map=(
-            "lambda_11 - lambda_31",
-            "lambda_11 - lambda_51",
-        ),
+        pair_map=_pair_labels(),
         subdivision=subdivision,
         y_matrix=ev["y_matrix"],
         f_center=ev["f_center"],
@@ -851,13 +877,52 @@ def _as_certificate(cert) -> Certificate:
     raise MalformedCertificate(f"cannot interpret {type(cert).__name__} as certificate")
 
 
-def verify_certificate(cert, coverage_samples: int = 4096, seed: int = 7) -> bool:
+def _check_header(c: Certificate) -> None:
+    """The header fields that define the cover must be ones the certifier
+    can have written, and must imply a cover of sane size."""
+    reg = region_def(c.region)
+    w = c.max_box_width
+    if not (0.0 < w <= 0.5):
+        raise MalformedCertificate(
+            f"{c.region}: max_box_width {w!r} outside (0, 0.5]"
+        )
+    if reg.unbounded != (c.truncation is not None):
+        raise MalformedCertificate(
+            f"{c.region}: truncation {c.truncation!r}, but the region is"
+            f" {'unbounded' if reg.unbounded else 'bounded'}"
+        )
+    if c.truncation is not None and not (1.0 + w < c.truncation < math.inf):
+        raise MalformedCertificate(
+            f"{c.region}: truncation {c.truncation!r} out of range"
+        )
+    d = c.delta_b0
+    square = None if d is None else (1.0 - d, 1.0 + d, 1.0 - d, 1.0 + d)
+    if d is not None and not (0.0 <= d < 0.5):
+        raise MalformedCertificate(f"{c.region}: delta_b0 {d!r} outside [0, 0.5)")
+    if c.excluded != square:
+        raise MalformedCertificate(
+            f"{c.region}: excluded {c.excluded!r} is not the square of"
+            f" delta_b0 {d!r}"
+        )
+    # every kept cell of the cover holds a leaf, so a header whose grid
+    # dwarfs the leaf count cannot verify; refuse it before building it
+    r3lo, r3hi, r5lo, r5hi = reg.bbox(c.truncation)
+    cells = ((r3hi - r3lo) / w + 8.0) * ((r5hi - r5lo) / w + 8.0)
+    if cells > 16 * c.n_leaves() + 65536:
+        raise MalformedCertificate(
+            f"{c.region}: max_box_width {w!r} implies a grid of"
+            f" {cells:.3g} cells for {c.n_leaves()} leaves"
+        )
+
+
+def verify_certificate(cert) -> bool:
     """Re-derive everything a region certificate claims.
 
     * fingerprint and plan must match this build exactly;
     * every leaf bound is recomputed bit-for-bit and must be positive;
-    * seeded quasi-random region points must all land in a leaf or the
-      excised square (coverage re-audit).
+    * the leaves must be exactly the terminal boxes of a bisection of the
+      cover that the header (region, max_box_width, truncation, delta_b0)
+      implies (coverage replay, see _replay).
     """
     c = _as_certificate(cert)
     if c.region not in REGION_IDS:
@@ -869,6 +934,7 @@ def verify_certificate(cert, coverage_samples: int = 4096, seed: int = 7) -> boo
         raise MalformedCertificate("plan does not match this build")
     if c.n_leaves() == 0:
         raise MalformedCertificate("certificate has no leaves")
+    _check_header(c)
     if not np.all(np.isfinite(c.bounds)) or not np.all(c.bounds > 0.0):
         raise LeafBoundViolation("stored bounds must all be finite and positive")
     if float(c.bounds.min()) != c.min_bound:
@@ -885,50 +951,153 @@ def verify_certificate(cert, coverage_samples: int = 4096, seed: int = 7) -> boo
             f" {float(blo[j])!r}/{form[j]}"
         )
 
-    _coverage_audit(c, coverage_samples, seed)
+    _replay(
+        cover_arrays(c.region, c.max_box_width, c.truncation, c.delta_b0),
+        (c.lo3, c.hi3, c.lo5, c.hi5),
+        region_def(c.region).boxes_outside_closure,
+        c.region,
+    )
     return True
 
 
-def _coverage_audit(c: Certificate, samples: int, seed: int) -> None:
-    reg = region_def(c.region)
-    r3lo, r3hi, r5lo, r5hi = reg.bbox(c.truncation)
-    pts = quasi_points(samples, seed)
-    x = r3lo + pts[:, 0] * (r3hi - r3lo)
-    y = r5lo + pts[:, 1] * (r5hi - r5lo)
-    inside = np.array([reg.contains((a, b)) for a, b in zip(x, y)])
-    x, y = x[inside], y[inside]
-    if c.excluded is not None:
-        xlo, xhi, ylo, yhi = c.excluded
-        in_b0 = (x > xlo) & (x < xhi) & (y > ylo) & (y < yhi)
-        x, y = x[~in_b0], y[~in_b0]
-    covered = np.zeros(x.size, dtype=bool)
-    for start in range(0, x.size, 256):
-        sl = slice(start, start + 256)
-        hit = (
-            (x[sl, None] >= c.lo3[None, :])
-            & (x[sl, None] <= c.hi3[None, :])
-            & (y[sl, None] >= c.lo5[None, :])
-            & (y[sl, None] <= c.hi5[None, :])
+def _replay(cover, leaves, outside, what: str) -> None:
+    """Check that the leaves are exactly the terminal boxes of a bisection
+    of the initial cover under the certifier's split rule (_bisect).
+
+    Generation by generation, every box owns the leaves nested in it.  A
+    box equal to its single leaf is terminal; every other box is bisected,
+    each of its leaves must nest in one child, and the children that
+    `outside(lo3, hi3, lo5, hi5)` certifies to miss the region closure are
+    dropped (outside=None drops none).  CoverageGap is raised when a kept
+    box holds no leaf, a leaf nests in no box, a terminal box holds a
+    second leaf, or a leaf lies in a dropped child.  Acceptance therefore
+    means the leaves tile the cover minus certified-outside boxes, exactly
+    and without overlap.  Work is O(leaves x depth), all in numpy.
+    """
+    lo3, hi3, lo5, hi5 = leaves
+
+    def at(j) -> str:
+        return (
+            f"leaf {j} at r3=[{float(lo3[j])!r}, {float(hi3[j])!r}],"
+            f" r5=[{float(lo5[j])!r}, {float(hi5[j])!r}]"
         )
-        covered[sl] = hit.any(axis=1)
-    if not covered.all():
-        j = int(np.flatnonzero(~covered)[0])
+
+    def nests(j, k, b3, B3, b5, B5):
+        return (
+            (lo3[j] >= b3[k])
+            & (hi3[j] <= B3[k])
+            & (lo5[j] >= b5[k])
+            & (hi5[j] <= B5[k])
+        )
+
+    flat = ~((lo3 < hi3) & (lo5 < hi5))  # also catches NaN
+    if np.any(flat):
         raise CoverageGap(
-            f"{c.region}: point ({x[j]!r}, {y[j]!r}) is outside every leaf"
+            f"{what}: {at(int(np.flatnonzero(flat)[0]))} has an empty interior"
         )
 
+    b3, B3, b5, B5 = cover
+    # The initial cover is a grid with some cells left out, so the only
+    # cell a leaf can nest in is the one whose lower grid lines are the
+    # last ones at or below the leaf's lower corner; nesting is then
+    # checked exactly.
+    u3, col = np.unique(b3, return_inverse=True)
+    u5, row = np.unique(b5, return_inverse=True)
+    cell = np.full((u3.size, u5.size), -1, dtype=np.int64)
+    cell[col, row] = np.arange(b3.size)
+    i3 = np.searchsorted(u3, lo3, side="right") - 1
+    i5 = np.searchsorted(u5, lo5, side="right") - 1
+    act = np.arange(lo3.size)
+    own = np.where((i3 >= 0) & (i5 >= 0), cell[i3, i5], -1)
+    stray = (own < 0) | ~nests(act, own, b3, B3, b5, B5)
+    if np.any(stray):
+        raise CoverageGap(
+            f"{what}: {at(int(np.flatnonzero(stray)[0]))} lies in no box of"
+            f" the initial cover"
+        )
 
-def verify_local_certificate(cert, coverage_samples: int = 4096, seed: int = 11) -> bool:
+    depth = 0
+    while True:
+        counts = np.bincount(own, minlength=b3.size)
+        if np.any(counts == 0):
+            k = int(np.flatnonzero(counts == 0)[0])
+            raise CoverageGap(
+                f"{what}: box r3=[{float(b3[k])!r}, {float(B3[k])!r}],"
+                f" r5=[{float(b5[k])!r}, {float(B5[k])!r}] at bisection depth"
+                f" {depth} holds no leaf"
+            )
+        eq = (
+            (lo3[act] == b3[own])
+            & (hi3[act] == B3[own])
+            & (lo5[act] == b5[own])
+            & (hi5[act] == B5[own])
+        )
+        crowded = eq & (counts[own] > 1)
+        if np.any(crowded):
+            raise CoverageGap(
+                f"{what}: {at(int(act[np.flatnonzero(crowded)[0]]))} shares"
+                f" its terminal box with another leaf"
+            )
+        split = np.ones(b3.size, dtype=bool)
+        split[own[eq]] = False
+        act, own = act[~eq], own[~eq]
+        if act.size == 0:
+            return
+
+        half = int(np.count_nonzero(split))
+        c3, C3, c5, C5 = _bisect(b3[split], B3[split], b5[split], B5[split])
+        k = (np.cumsum(split) - 1)[own]
+        in_low = nests(act, k, c3, C3, c5, C5)
+        child = np.where(in_low, k, k + half)
+        straddle = ~in_low & ~nests(act, child, c3, C3, c5, C5)
+        if np.any(straddle):
+            raise CoverageGap(
+                f"{what}: {at(int(act[np.flatnonzero(straddle)[0]]))} straddles"
+                f" the split of its box at bisection depth {depth}"
+            )
+        keep = np.ones(2 * half, dtype=bool)
+        if outside is not None:
+            keep = ~outside(c3, C3, c5, C5)
+        lost = ~keep[child]
+        if np.any(lost):
+            raise CoverageGap(
+                f"{what}: {at(int(act[np.flatnonzero(lost)[0]]))} lies in a"
+                f" box the bisection drops as outside the region closure"
+            )
+        own = (np.cumsum(keep) - 1)[child]
+        b3, B3, b5, B5 = c3[keep], C3[keep], c5[keep], C5[keep]
+        depth += 1
+
+
+def verify_local_certificate(cert) -> bool:
     """Recompute the contraction evidence and every annulus bound
     bit-for-bit, re-check the acceptance conditions (containment,
-    nonsingularity, center residual) and re-audit annulus coverage."""
+    nonsingularity, center residual) and replay the annulus cover from
+    the recorded delta and inner_delta."""
     if isinstance(cert, str):
         cert = json.loads(cert)
     if isinstance(cert, dict):
         cert = LocalUniquenessCertificate.from_payload(cert)
     if cert.fingerprint != build_fingerprint():
         raise MalformedCertificate("fingerprint does not match this build")
+    if not (0.0 < cert.inner_delta < cert.delta < 0.5):
+        raise MalformedCertificate(
+            f"need 0 < inner_delta < delta < 0.5, got inner_delta"
+            f" {cert.inner_delta!r}, delta {cert.delta!r}"
+        )
+    if not (1 <= cert.subdivision <= _MAX_SUBDIVISION):
+        raise MalformedCertificate(
+            f"subdivision {cert.subdivision} outside [1, {_MAX_SUBDIVISION}]"
+        )
     ev = _contraction_evidence(cert.inner_delta, cert.subdivision)
+    if tuple(cert.center) != ev["center"]:
+        raise MalformedCertificate(
+            f"center {cert.center!r} is not the pentagon point {ev['center']!r}"
+        )
+    if tuple(cert.pair_map) != _pair_labels():
+        raise MalformedCertificate(
+            f"pair_map {cert.pair_map!r} is not the certified map {_pair_labels()!r}"
+        )
     stored = {
         "f_center": cert.f_center,
         "jacobian": cert.jacobian,
@@ -962,30 +1131,12 @@ def verify_local_certificate(cert, coverage_samples: int = 4096, seed: int = 11)
             f"recomputes to {bound[j]!r}/{comp[j]}"
         )
 
-    # coverage: sampled window points outside the inner box must be in a leaf
-    pts = quasi_points(coverage_samples, seed)
-    x = 1.0 - cert.delta + pts[:, 0] * (2 * cert.delta)
-    y = 1.0 - cert.delta + pts[:, 1] * (2 * cert.delta)
-    inner = (
-        (x > 1.0 - cert.inner_delta)
-        & (x < 1.0 + cert.inner_delta)
-        & (y > 1.0 - cert.inner_delta)
-        & (y < 1.0 + cert.inner_delta)
+    _replay(
+        _annulus_cover(cert.delta, cert.inner_delta),
+        (cert.ann_lo3, cert.ann_hi3, cert.ann_lo5, cert.ann_hi5),
+        None,
+        "annulus",
     )
-    x, y = x[~inner], y[~inner]
-    covered = np.zeros(x.size, dtype=bool)
-    for start in range(0, x.size, 256):
-        sl = slice(start, start + 256)
-        hit = (
-            (x[sl, None] >= cert.ann_lo3[None, :])
-            & (x[sl, None] <= cert.ann_hi3[None, :])
-            & (y[sl, None] >= cert.ann_lo5[None, :])
-            & (y[sl, None] <= cert.ann_hi5[None, :])
-        )
-        covered[sl] = hit.any(axis=1)
-    if not covered.all():
-        j = int(np.flatnonzero(~covered)[0])
-        raise CoverageGap(f"annulus point ({x[j]!r}, {y[j]!r}) is outside every leaf")
     return True
 
 

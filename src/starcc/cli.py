@@ -303,17 +303,12 @@ def _check_composition(path: str, cert: Certificate, delta: float,
     its region meets it, and must cut an unbounded region at the
     manifest's truncation: otherwise the pieces prove different claims."""
     rid = cert.region
-    if region_excises_b0(rid, delta):
-        square = (1.0 - delta, 1.0 + delta, 1.0 - delta, 1.0 + delta)
-        if cert.delta_b0 != delta or cert.excluded != square:
-            raise MalformedCertificate(
-                f"{path}: {rid} must excise the manifest's square with delta"
-                f" {delta!r}; it records delta_b0 {cert.delta_b0!r},"
-                f" excluded {cert.excluded!r}")
-    elif cert.delta_b0 is not None or cert.excluded is not None:
+    # verify_certificate ties `excluded` to `delta_b0`
+    want = delta if region_excises_b0(rid, delta) else None
+    if cert.delta_b0 != want:
         raise MalformedCertificate(
-            f"{path}: {rid} does not meet the manifest's square but records"
-            f" delta_b0 {cert.delta_b0!r}, excluded {cert.excluded!r}")
+            f"{path}: {rid} records delta_b0 {cert.delta_b0!r}; the"
+            f" manifest's square with delta {delta!r} requires {want!r}")
     want = truncation if region_def(rid).unbounded else None
     if cert.truncation != want:
         raise MalformedCertificate(

@@ -149,7 +149,7 @@ def quasi_points(n: int, seed: int) -> np.ndarray:
     Point k (k = 1..n) is frac(shift + k * (1/rho, 1/rho^2)) with rho the
     plastic number and shift = np.random.default_rng(seed).random(2).  The
     points depend only on (k, seed), so a longer run extends a shorter one.
-    Scan starts and the partition and coverage audits all draw from here.
+    Scan starts and the partition audit draw from here.
     """
     shift = np.random.default_rng(seed).random(2)
     k = np.arange(1, int(n) + 1, dtype=float)[:, None]

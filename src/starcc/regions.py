@@ -482,10 +482,14 @@ def _snap_edges(lo: float, hi: float, width: float, snaps=()):
     return np.asarray(edges)
 
 
-def _region_snaps(rid: str, delta: float):
+def _excises(rid: str, delta: Optional[float]) -> bool:
+    return delta is not None and region_excises_b0(rid, delta)
+
+
+def _region_snaps(rid: str, delta: Optional[float]):
     """Per-region grid lines that box edges must align with."""
     s3, s5 = [], []
-    if region_excises_b0(rid, delta):
+    if _excises(rid, delta):
         s3 += [1.0 - delta, 1.0 + delta]
         s5 += [1.0 - delta, 1.0 + delta]
     plan = region_plan(rid)
@@ -501,14 +505,15 @@ def cover_arrays(
     rid: str,
     max_box_width: float,
     truncation: Optional[float] = None,
-    delta: float = DELTA_B0,
+    delta: Optional[float] = DELTA_B0,
 ):
     """Boxes covering closure(region) minus the open excised square.
 
     Returns (lo3, hi3, lo5, hi5) arrays.  Boxes are kept unless they
     certainly miss the region closure (conservative interval test), so the
     union always covers the region; boxes may overhang a slanted boundary
-    by less than one cell.
+    by less than one cell.  delta=None excises nothing, which is what a
+    certificate recording no delta_b0 claims.
     """
     reg = region_def(rid)
     if reg.unbounded and truncation is None:
@@ -521,7 +526,7 @@ def cover_arrays(
     hi3, hi5 = np.meshgrid(e3[1:], e5[1:], indexing="ij")
     lo3, hi3, lo5, hi5 = (a.ravel() for a in (lo3, hi3, lo5, hi5))
     keep = ~reg.boxes_outside_closure(lo3, hi3, lo5, hi5)
-    if region_excises_b0(rid, delta):
+    if _excises(rid, delta):
         inside_b0 = (
             (lo3 >= 1.0 - delta) & (hi3 <= 1.0 + delta)
             & (lo5 >= 1.0 - delta) & (hi5 <= 1.0 + delta)
@@ -534,7 +539,7 @@ def cover(
     rid: str,
     max_box_width: float,
     truncation: Optional[float] = None,
-    delta: float = DELTA_B0,
+    delta: Optional[float] = DELTA_B0,
 ):
     """List-of-Box2 version of cover_arrays (same boxes, same order)."""
     lo3, hi3, lo5, hi5 = cover_arrays(rid, max_box_width, truncation, delta)

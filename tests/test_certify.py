@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,11 @@ from starcc.certify import (
     LocalUniquenessCertificate,
     MalformedCertificate,
     RunConfig,
+    _batch_bounds,
+    _bisect,
+    _contraction_evidence,
+    _gap_jets,
+    _replay,
     build_fingerprint,
     certify_all,
     certify_inequality,
@@ -21,8 +27,8 @@ from starcc.certify import (
     verify_certificate,
     verify_local_certificate,
 )
-from starcc.regions import region_plan
-from starcc.regions import PairCheck, RegionPlan
+from starcc.intervals import Box2
+from starcc.regions import PairCheck, RegionPlan, cover_arrays, region_def, region_plan
 
 
 @pytest.fixture(scope="module")
@@ -97,8 +103,8 @@ def test_dropped_leaf_breaks_coverage(j9_cert):
     # min_bound might still match, so recompute it honestly
     payload["min_bound"] = min(float.fromhex(r[5]) for r in payload["leaves"]).hex()
     bad = Certificate.from_payload(payload)
-    with pytest.raises((CoverageGap, LeafBoundViolation, ValueError)):
-        verify_certificate(bad, coverage_samples=16384)
+    with pytest.raises(CoverageGap):
+        verify_certificate(bad)
 
 
 def test_wrong_fingerprint_is_rejected(j4_cert):
@@ -155,6 +161,113 @@ def test_fingerprint_is_stable():
 
 
 # ---------------------------------------------------------------------------
+# coverage replay: the leaves must be exactly the terminal boxes of a
+# bisection of the cover the header implies
+
+
+@pytest.fixture(scope="module")
+def j5_cert():
+    return certify_inequality("J5", max_box_width=0.1)
+
+
+def _with_rows(cert, edit):
+    """Certificate whose leaf rows are edit(rows), min_bound kept honest."""
+    payload = json.loads(cert.to_json())
+    payload["leaves"] = edit(payload["leaves"])
+    payload["min_bound"] = min(float.fromhex(r[5]) for r in payload["leaves"]).hex()
+    return Certificate.from_payload(payload)
+
+
+def test_replay_needs_bisection_below_the_initial_cover(j5_cert):
+    # the single-leaf drops below only test the replay if some leaf is a
+    # bisected child, not an initial cell
+    assert j5_cert.stats["max_depth"] > 0
+    assert j5_cert.n_leaves() > j5_cert.stats["boxes_initial"]
+
+
+def test_every_single_leaf_deletion_is_a_coverage_gap(j5_cert):
+    for j in range(j5_cert.n_leaves()):
+        bad = _with_rows(j5_cert, lambda rows: rows[:j] + rows[j + 1:])
+        with pytest.raises(CoverageGap):
+            verify_certificate(bad)
+
+
+def test_duplicated_leaf_is_a_coverage_gap(j5_cert):
+    bad = _with_rows(j5_cert, lambda rows: rows[:4] + [rows[3]] + rows[4:])
+    with pytest.raises(CoverageGap, match="shares its terminal box"):
+        verify_certificate(bad)
+
+
+@pytest.mark.parametrize("edge", [0, 1, 2, 3])
+def test_leaf_edge_moved_by_one_ulp_is_a_coverage_gap(j5_cert, edge):
+    def nudge(rows):
+        row = rows[7]
+        toward = math.inf if edge % 2 == 0 else -math.inf  # shrink the leaf
+        row[edge] = math.nextafter(float.fromhex(row[edge]), toward).hex()
+        return rows
+
+    payload = json.loads(j5_cert.to_json())
+    payload["leaves"] = nudge(payload["leaves"])
+    # re-sign the nudged leaf honestly so only coverage can object
+    bad = Certificate.from_payload(payload)
+    plan = region_plan("J5")
+    lo, _, form, _ = _batch_bounds(plan, bad.lo3, bad.hi3, bad.lo5, bad.hi5)
+    bad.bounds, bad.forms = lo, form
+    bad.min_bound = float(lo.min())
+    with pytest.raises(CoverageGap):
+        verify_certificate(bad)
+
+
+def test_extra_leaf_outside_the_closure_is_a_coverage_gap(j4_cert):
+    # J4's slanted edge makes the bisection drop some children of the
+    # uncertified initial cells; a leaf on one of them is a stray
+    reg = region_def("J4")
+    cover = cover_arrays("J4", 0.05, None, None)
+    leaves = (j4_cert.lo3, j4_cert.hi3, j4_cert.lo5, j4_cert.hi5)
+    cells = set(zip(*leaves))
+    split = np.array([cell not in cells for cell in zip(*cover)])
+    children = _bisect(*(a[split] for a in cover))
+    dropped = reg.boxes_outside_closure(*children)
+    assert dropped.any()
+    j = int(np.flatnonzero(dropped)[0])
+    _replay(cover, leaves, reg.boxes_outside_closure, "J4")
+    extra = tuple(np.append(a, c[j]) for a, c in zip(leaves, children))
+    with pytest.raises(CoverageGap, match="drops as outside"):
+        _replay(cover, extra, reg.boxes_outside_closure, "J4")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_box_width", (1e-6).hex()),  # a grid far larger than the leaf set
+    ("truncation", (10.0).hex()),     # J4 is bounded
+    ("excluded", [(0.9).hex(), (1.1).hex(), (0.9).hex(), (1.1).hex()]),
+])
+def test_header_that_the_certifier_cannot_write_is_malformed(j4_cert, field, value):
+    payload = json.loads(j4_cert.to_json())
+    payload[field] = value
+    with pytest.raises(MalformedCertificate, match=field):
+        verify_certificate(Certificate.from_payload(payload))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("inner_delta", (0.03).hex()),  # wider than the window
+    ("subdivision", 10**6),         # 10^12 Jacobian lanes
+])
+def test_local_header_out_of_range_is_malformed(local_cert, field, value):
+    payload = json.loads(local_cert.to_json())
+    payload[field] = value
+    with pytest.raises(MalformedCertificate, match=field):
+        verify_local_certificate(LocalUniquenessCertificate.from_payload(payload))
+
+
+def test_dropped_annulus_leaf_is_a_coverage_gap(local_cert):
+    payload = json.loads(local_cert.to_json())
+    del payload["annulus"][1234]
+    bad = LocalUniquenessCertificate.from_payload(payload)
+    with pytest.raises(CoverageGap, match="annulus"):
+        verify_local_certificate(bad)
+
+
+# ---------------------------------------------------------------------------
 # local uniqueness
 
 
@@ -196,6 +309,40 @@ def test_local_tampered_margin_is_rejected(local_cert):
     bad = LocalUniquenessCertificate.from_payload(payload)
     with pytest.raises((LeafBoundViolation, ValueError)):
         verify_local_certificate(bad)
+
+
+def test_local_forged_center_is_rejected(local_cert):
+    payload = json.loads(local_cert.to_json())
+    payload["center"] = [(1.5).hex(), (0.5).hex()]
+    bad = LocalUniquenessCertificate.from_payload(payload)
+    with pytest.raises(MalformedCertificate, match="center"):
+        verify_local_certificate(bad)
+
+
+def test_local_forged_pair_map_is_rejected(local_cert):
+    payload = json.loads(local_cert.to_json())
+    payload["pair_map"] = ["lambda_11 - lambda_31", "lambda_11 - lambda_22"]
+    bad = LocalUniquenessCertificate.from_payload(payload)
+    with pytest.raises(MalformedCertificate, match="pair_map"):
+        verify_local_certificate(bad)
+
+
+def test_lane_jacobian_equals_hull_of_scalar_jets(local_cert):
+    # the 8x8 sub-box Jacobian runs as one VInterval-lane call; it must
+    # reproduce the hull of the 64 scalar _gap_jets calls bit for bit
+    n, d = local_cert.subdivision, local_cert.inner_delta
+    edges = np.linspace(1.0 - d, 1.0 + d, n + 1)
+    hull = [[None, None], [None, None]]
+    for i in range(n):
+        for j in range(n):
+            sub = Box2.from_bounds(edges[i], edges[i + 1], edges[j], edges[j + 1])
+            for r, g in enumerate(_gap_jets(sub)):
+                for c, dv in enumerate((g.d3, g.d5)):
+                    hull[r][c] = dv if hull[r][c] is None else hull[r][c].hull(dv)
+    scalar = [[(iv.lo.hex(), iv.hi.hex()) for iv in row] for row in hull]
+    lanes = _contraction_evidence(d, n)["jacobian"]
+    assert [[(lo.hex(), hi.hex()) for lo, hi in row] for row in lanes] == scalar
+    assert lanes == local_cert.jacobian
 
 
 def test_local_rejects_out_of_range_delta():

@@ -346,3 +346,24 @@ def test_bundle_rejects_region_file_holding_another_region(
     code, out = run(["verify", forged], capsys)
     assert code == cli.EXIT_VERIFY
     assert "REJECT" in out and "J1.json" in out
+
+
+def test_bundle_rejects_dropped_narrowest_j16_leaf(coarse_bundle, tmp_path,
+                                                   capsys):
+    # the leaf next to J16's y1 = 0 near miss; every bound still verifies
+    # and the forger keeps min_bound and the manifest in step
+    forged = _copy(coarse_bundle, tmp_path)
+    doc = json.loads((forged / "J16.json").read_text())
+    rows = doc["leaves"]
+    width = [max(float.fromhex(r[1]) - float.fromhex(r[0]),
+                 float.fromhex(r[3]) - float.fromhex(r[2])) for r in rows]
+    del rows[width.index(min(width))]
+    doc["min_bound"] = min(float.fromhex(r[5]) for r in rows).hex()
+    (forged / "J16.json").write_text(json.dumps(doc))
+    manifest = json.loads((forged / "manifest.json").read_text())
+    manifest["regions"]["J16"]["min_bound"] = float.fromhex(doc["min_bound"])
+    manifest["regions"]["J16"]["leaves"] = len(rows)
+    (forged / "manifest.json").write_text(json.dumps(manifest))
+    code, out = run(["verify", forged], capsys)
+    assert code == cli.EXIT_VERIFY
+    assert "REJECT" in out and "J16" in out and "holds no leaf" in out
