@@ -55,7 +55,6 @@ from .regions import (
     PartitionReport,
     Region,
     RegionPlan,
-    cover,
     partition_audit,
     region_def,
     region_excises_b0,
@@ -102,7 +101,7 @@ __all__ = [
     "Box2", "DivisionByZeroInterval", "Interval", "NegativeArgument",
     "gap_interval", "lambda_interval", "pentagon_constants", "y1_interval",
     "DELTA_B0", "REGION_IDS", "TRUNCATION_R5", "PartitionReport", "Region",
-    "RegionPlan", "cover", "partition_audit", "region_def",
+    "RegionPlan", "partition_audit", "region_def",
     "region_excises_b0", "region_plan",
     "BudgetExhausted", "Certificate", "CertificationManifest",
     "CertificationRefuted", "ContractionFailure", "CoverageGap",

@@ -2,8 +2,9 @@
 Krawczyk local-uniqueness certificate around the regular pentagon.
 
 The batch engine evaluates a region's planned check over whole arrays of
-boxes at once (VInterval lanes).  Each lane produces a certified lower
-bound for the planned quantity:
+boxes at once (VInterval lanes); `RegionPlan.route` picks the check of
+every box.  Each lane produces a certified lower bound for the planned
+quantity:
 
 * pair checks: the gap lambda_high - lambda_low.  When both denominators
   q are bounded away from zero the quotient form N/q is used; when a q
@@ -15,18 +16,20 @@ bound for the planned quantity:
 
 Lanes whose distance enclosures touch zero (possible only for boxes
 hanging over a collision corner of the closure) are marked undecidable
-and bisected.  Boxes with certified bound > 0 become certificate leaves;
-the rest are bisected along their wider side, children certainly outside
-the region closure are dropped, and the loop continues until done or the
-depth budget runs out.  A box whose certified *upper* bound is negative
-(with its center inside the region) disproves the inequality outright
-and aborts with CertificationRefuted — this is what the reversed-
-orientation negative control exercises.
+and bisected.  One driver, _branch_and_bound, grows both the sixteen
+region certificates and the annulus around the Krawczyk window: boxes
+with certified bound > 0 become leaves; the rest are bisected along their
+wider side (_bisect), children certainly outside the region closure are
+dropped, and the loop continues until done or the depth budget runs out.
+A region box whose certified *upper* bound is negative (with its center
+inside the region) disproves the inequality outright and aborts with
+CertificationRefuted — this is what the reversed-orientation negative
+control exercises.
 
-Certificates serialize every leaf with float.hex() endpoints so that
-verification can recompute each bound bit-for-bit, and can replay the
-bisection from the cover the header implies to check that the leaves
-tile it exactly (_replay).
+Certificates serialize every leaf as one row of float.hex() endpoints
+(_leaf_rows), so that verification can recompute each bound bit-for-bit
+and replay the bisection from the cover the header implies to check that
+the leaves tile it exactly (_check_leaves, _replay).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -46,7 +49,6 @@ from .forces import residual_vector
 from .geometry import DomainError
 from .intervals import (
     Box2,
-    Dual,
     DualBackend,
     Interval,
     VectorBackend,
@@ -59,7 +61,6 @@ from .regions import (
     DELTA_B0,
     REGION_IDS,
     TRUNCATION_R5,
-    NonvanishingY1Check,
     PairCheck,
     RegionPlan,
     _snap_edges,
@@ -123,9 +124,6 @@ class RunConfig:
     max_depth: int = 48
     threads: int = 4
     output_dir: Optional[str] = None
-    spread_tol: float = 1e-12
-    y1_tol: float = 1e-13
-    posteriori_tol: float = 1e-10
 
     def validate(self) -> "RunConfig":
         # delta_b0 = 0 is allowed on purpose: it disables the B0 excision,
@@ -218,40 +216,8 @@ def _y1_bounds(lo3, hi3, lo5, hi5):
     return lo, hi, form.astype("<U2")
 
 
-def _plan_checks(plan: RegionPlan) -> List[object]:
-    out: List[object] = []
-    if plan.main is not None:
-        out.append(plan.main)
-    out.extend(z.check for z in plan.zones)
-    if plan.bands is not None:
-        out.extend(b.check for b in plan.bands)
-    return out
-
-
-def _classify(plan: RegionPlan, lo3, hi3, lo5, hi5) -> np.ndarray:
-    """Check index (into _plan_checks order) for every box."""
-    n = lo3.size
-    cid = np.full(n, 0 if plan.main is not None else -1, dtype=np.int64)
-    k = 1 if plan.main is not None else 0
-    for z in plan.zones:
-        m = (lo3 >= z.r3_lo) & (hi3 <= z.r3_hi) & (lo5 >= z.r5_lo) & (hi5 <= z.r5_hi)
-        cid[m] = k
-        k += 1
-    for band in plan.bands or ():
-        m = (lo3 >= band.r3_lo) & (hi3 <= band.r3_hi)
-        cid[m] = k
-        k += 1
-    if np.any(cid < 0):
-        j = int(np.flatnonzero(cid < 0)[0])
-        raise ValueError(
-            f"box r3=[{lo3[j]}, {hi3[j]}] straddles a {plan.region} band break"
-        )
-    return cid
-
-
 def _batch_bounds(plan: RegionPlan, lo3, hi3, lo5, hi5):
-    checks = _plan_checks(plan)
-    cid = _classify(plan, lo3, hi3, lo5, hi5)
+    checks, cid = plan.route(lo3, hi3, lo5, hi5)
     n = lo3.size
     lo = np.empty(n)
     hi = np.empty(n)
@@ -305,6 +271,31 @@ def build_fingerprint() -> str:
     return h.hexdigest()
 
 
+def _leaf_rows(lo3, hi3, lo5, hi5, forms, bounds) -> list:
+    """Leaves as [lo3, hi3, lo5, hi5, form, bound] rows, floats in hex."""
+    return [
+        [
+            float(a).hex(),
+            float(b).hex(),
+            float(c).hex(),
+            float(d).hex(),
+            str(f),
+            float(g).hex(),
+        ]
+        for a, b, c, d, f, g in zip(lo3, hi3, lo5, hi5, forms, bounds)
+    ]
+
+
+def _parse_leaf_rows(rows):
+    """Inverse of _leaf_rows: the (lo3, hi3, lo5, hi5, forms, bounds)
+    arrays of the rows."""
+    fh = float.fromhex
+    lo3, hi3, lo5, hi5 = (np.array([fh(r[i]) for r in rows]) for i in range(4))
+    forms = np.array([r[4] for r in rows], dtype="<U2")
+    bounds = np.array([fh(r[5]) for r in rows])
+    return lo3, hi3, lo5, hi5, forms, bounds
+
+
 @dataclass
 class Certificate:
     """Verified-inequality certificate for one region.
@@ -349,19 +340,9 @@ class Certificate:
             "min_bound": float(self.min_bound).hex(),
             "stats": self.stats,
             "fingerprint": self.fingerprint,
-            "leaves": [
-                [
-                    float(a).hex(),
-                    float(b).hex(),
-                    float(c).hex(),
-                    float(d).hex(),
-                    str(f),
-                    float(g).hex(),
-                ]
-                for a, b, c, d, f, g in zip(
-                    self.lo3, self.hi3, self.lo5, self.hi5, self.forms, self.bounds
-                )
-            ],
+            "leaves": _leaf_rows(
+                self.lo3, self.hi3, self.lo5, self.hi5, self.forms, self.bounds
+            ),
         }
 
     def to_json(self) -> str:
@@ -374,13 +355,7 @@ class Certificate:
                 raise MalformedCertificate(
                     f"unsupported format {d.get('format')!r}/{d.get('kind')!r}"
                 )
-            rows = d["leaves"]
-            lo3 = np.array([float.fromhex(r[0]) for r in rows])
-            hi3 = np.array([float.fromhex(r[1]) for r in rows])
-            lo5 = np.array([float.fromhex(r[2]) for r in rows])
-            hi5 = np.array([float.fromhex(r[3]) for r in rows])
-            forms = np.array([r[4] for r in rows], dtype="<U2")
-            bounds = np.array([float.fromhex(r[5]) for r in rows])
+            lo3, hi3, lo5, hi5, forms, bounds = _parse_leaf_rows(d["leaves"])
             return Certificate(
                 region=d["region"],
                 plan=d["plan"],
@@ -435,6 +410,63 @@ def _bisect(l3, h3, l5, h5):
     )
 
 
+def _branch_and_bound(what: str, boxes, bounds, outside, max_depth: int):
+    """Certify every box of the initial cover, bisecting until done.
+
+    bounds(lo3, hi3, lo5, hi5) returns a certified lower bound and a form
+    label per box; a box with bound > 0 becomes a leaf (NaN never does).
+    The others are split by _bisect, and the children that
+    outside(lo3, hi3, lo5, hi5) certifies to miss the region closure are
+    dropped (outside=None drops none).  Raises BudgetExhausted once boxes
+    remain after max_depth generations or more than _BOX_CAP boxes were
+    made.  Returns the leaves (lo3, hi3, lo5, hi5, forms, bounds) sorted
+    lexicographically, and the counters a certificate's stats record.
+    """
+    lo3, hi3, lo5, hi5 = boxes
+    del boxes  # so that the first bisection frees the initial cover
+    n_initial = int(lo3.size)
+    parts = []
+    depth = 0
+    evals = 0
+    total_boxes = n_initial
+    while lo3.size:
+        if depth > max_depth:
+            j = int(np.argmax(hi3 - lo3))
+            raise BudgetExhausted(
+                f"{what}: {lo3.size} boxes unresolved at depth {max_depth}, "
+                f"e.g. r3=[{lo3[j]}, {hi3[j]}], r5=[{lo5[j]}, {hi5[j]}]"
+            )
+        if total_boxes > _BOX_CAP:
+            raise BudgetExhausted(f"{what}: box count exceeded {_BOX_CAP}")
+        bound, form = bounds(lo3, hi3, lo5, hi5)
+        evals += int(lo3.size)
+        ok = bound > 0.0  # NaN compares false
+        if np.any(ok):
+            parts.append((lo3[ok], hi3[ok], lo5[ok], hi5[ok], form[ok], bound[ok]))
+        rest = ~ok
+        if not np.any(rest):
+            break
+        lo3, hi3, lo5, hi5 = _bisect(lo3[rest], hi3[rest], lo5[rest], hi5[rest])
+        if outside is not None:
+            keep = ~outside(lo3, hi3, lo5, hi5)
+            lo3, hi3, lo5, hi5 = lo3[keep], hi3[keep], lo5[keep], hi5[keep]
+        total_boxes += int(lo3.size)
+        depth += 1
+
+    if not parts:
+        raise BudgetExhausted(f"{what}: no box could be certified")
+    leaves = [np.concatenate([p[i] for p in parts]) for i in range(6)]
+    order = np.lexsort((leaves[3], leaves[2], leaves[1], leaves[0]))
+    stats = {
+        "boxes_initial": n_initial,
+        "boxes_total": total_boxes,
+        "leaves": int(order.size),
+        "max_depth": depth,
+        "evaluations": evals,
+    }
+    return tuple(a[order] for a in leaves), stats
+
+
 def certify_inequality(
     region_id: str,
     max_box_width: float = 0.02,
@@ -452,28 +484,11 @@ def certify_inequality(
     t0 = time.perf_counter()
     reg = region_def(region_id)
     the_plan = plan if plan is not None else region_plan(region_id)
-    lo3, hi3, lo5, hi5 = cover_arrays(region_id, max_box_width, truncation, delta)
-    n_initial = int(lo3.size)
     excised = region_excises_b0(region_id, delta)
 
-    leaf_parts: List[Tuple[np.ndarray, ...]] = []
-    depth = 0
-    evals = 0
-    total_boxes = n_initial
-    while lo3.size:
-        if depth > max_depth:
-            j = int(np.argmax(hi3 - lo3))
-            raise BudgetExhausted(
-                f"{region_id}: {lo3.size} boxes unresolved at depth {max_depth}, "
-                f"e.g. r3=[{lo3[j]}, {hi3[j]}], r5=[{lo5[j]}, {hi5[j]}]"
-            )
-        if total_boxes > _BOX_CAP:
-            raise BudgetExhausted(f"{region_id}: box count exceeded {_BOX_CAP}")
+    def bounds(lo3, hi3, lo5, hi5):
         blo, bhi, form, _ = _batch_bounds(the_plan, lo3, hi3, lo5, hi5)
-        evals += int(lo3.size)
-
-        refute = np.isfinite(bhi) & (bhi < 0.0)
-        for j in np.flatnonzero(refute):
+        for j in np.flatnonzero(np.isfinite(bhi) & (bhi < 0.0)):
             cx = 0.5 * (lo3[j] + hi3[j])
             cy = 0.5 * (lo5[j] + hi5[j])
             if reg.contains((cx, cy)):
@@ -481,28 +496,16 @@ def certify_inequality(
                     f"{region_id}: certified negative gap {bhi[j]:.6g} on "
                     f"r3=[{lo3[j]}, {hi3[j]}], r5=[{lo5[j]}, {hi5[j]}]"
                 )
+        return blo, form
 
-        ok = blo > 0.0  # NaN compares false
-        if np.any(ok):
-            leaf_parts.append(
-                (lo3[ok], hi3[ok], lo5[ok], hi5[ok], blo[ok], form[ok])
-            )
-        rest = ~ok
-        if not np.any(rest):
-            break
-        c_lo3, c_hi3, c_lo5, c_hi5 = _bisect(
-            lo3[rest], hi3[rest], lo5[rest], hi5[rest]
-        )
-        keep = ~reg.boxes_outside_closure(c_lo3, c_hi3, c_lo5, c_hi5)
-        lo3, hi3, lo5, hi5 = c_lo3[keep], c_hi3[keep], c_lo5[keep], c_hi5[keep]
-        total_boxes += int(lo3.size)
-        depth += 1
-
-    if not leaf_parts:
-        raise BudgetExhausted(f"{region_id}: no box could be certified")
-    parts = [np.concatenate([p[i] for p in leaf_parts]) for i in range(6)]
-    order = np.lexsort((parts[3], parts[2], parts[1], parts[0]))
-    lo3, hi3, lo5, hi5, bounds, forms = (p[order] for p in parts)
+    (lo3, hi3, lo5, hi5, forms, leaf_bounds), stats = _branch_and_bound(
+        region_id,
+        cover_arrays(region_id, max_box_width, truncation, delta),
+        bounds,
+        reg.boxes_outside_closure,
+        max_depth,
+    )
+    stats["wall_seconds"] = round(time.perf_counter() - t0, 3)
     return Certificate(
         region=region_id,
         plan=plan_signature(the_plan),
@@ -516,17 +519,10 @@ def certify_inequality(
         hi3=hi3,
         lo5=lo5,
         hi5=hi5,
-        bounds=bounds,
+        bounds=leaf_bounds,
         forms=forms,
-        min_bound=float(bounds.min()),
-        stats={
-            "boxes_initial": n_initial,
-            "boxes_total": total_boxes,
-            "leaves": int(lo3.size),
-            "max_depth": depth,
-            "evaluations": evals,
-            "wall_seconds": round(time.perf_counter() - t0, 3),
-        },
+        min_bound=float(leaf_bounds.min()),
+        stats=stats,
         fingerprint=build_fingerprint(),
     )
 
@@ -544,9 +540,12 @@ LOCAL_PAIRS = (((1, 1), (3, 1)), ((1, 1), (5, 1)))
 # already 0.92 there).
 INNER_DELTA = 0.002
 ANNULUS_BOX_WIDTH = 0.002
+_ANNULUS_MAX_DEPTH = 30
 # Jacobian sub-boxes per axis; all subdivision^2 of them are one lane
 # array, so the cap bounds what a certificate can make the verifier hold.
 _MAX_SUBDIVISION = 64
+# Largest center residual |F(1, 1)| the local certifier accepts.
+_POSTERIORI_TOL = 1e-10
 
 
 def _pair_labels() -> Tuple[str, str]:
@@ -618,24 +617,14 @@ class LocalUniquenessCertificate:
             "k_image": [hx(r) for r in self.k_image],
             "containment_margin": float(self.containment_margin).hex(),
             "posteriori_residual": float(self.posteriori_residual).hex(),
-            "annulus": [
-                [
-                    float(a).hex(),
-                    float(b).hex(),
-                    float(c).hex(),
-                    float(d).hex(),
-                    str(comp),
-                    float(g).hex(),
-                ]
-                for a, b, c, d, comp, g in zip(
-                    self.ann_lo3,
-                    self.ann_hi3,
-                    self.ann_lo5,
-                    self.ann_hi5,
-                    self.ann_comp,
-                    self.ann_bound,
-                )
-            ],
+            "annulus": _leaf_rows(
+                self.ann_lo3,
+                self.ann_hi3,
+                self.ann_lo5,
+                self.ann_hi5,
+                self.ann_comp,
+                self.ann_bound,
+            ),
             "fingerprint": self.fingerprint,
         }
 
@@ -649,7 +638,7 @@ class LocalUniquenessCertificate:
                 raise MalformedCertificate("unsupported local certificate format")
             fh = float.fromhex
             pair = lambda t: (fh(t[0]), fh(t[1]))  # noqa: E731
-            rows = d["annulus"]
+            lo3, hi3, lo5, hi5, comp, bound = _parse_leaf_rows(d["annulus"])
             return LocalUniquenessCertificate(
                 delta=fh(d["delta"]),
                 inner_delta=fh(d["inner_delta"]),
@@ -663,12 +652,12 @@ class LocalUniquenessCertificate:
                 k_image=tuple(pair(r) for r in d["k_image"]),
                 containment_margin=fh(d["containment_margin"]),
                 posteriori_residual=fh(d["posteriori_residual"]),
-                ann_lo3=np.array([fh(r[0]) for r in rows]),
-                ann_hi3=np.array([fh(r[1]) for r in rows]),
-                ann_lo5=np.array([fh(r[2]) for r in rows]),
-                ann_hi5=np.array([fh(r[3]) for r in rows]),
-                ann_comp=np.array([r[4] for r in rows], dtype="<U2"),
-                ann_bound=np.array([fh(r[5]) for r in rows]),
+                ann_lo3=lo3,
+                ann_hi3=hi3,
+                ann_lo5=lo5,
+                ann_hi5=hi5,
+                ann_comp=comp,
+                ann_bound=bound,
                 fingerprint=d["fingerprint"],
             )
         except MalformedCertificate:
@@ -739,12 +728,12 @@ def _contraction_evidence(inner_delta: float, subdivision: int):
 
 
 _ANNULUS_CHECKS = (PairCheck((3, 1), (1, 1)), PairCheck((5, 1), (1, 1)))
-_COMP_CODES = ("1+", "1-", "2+", "2-")
 
 
 def _annulus_batch(lo3, hi3, lo5, hi5):
-    """For every box, the first certified-nonzero gap component in the
-    fixed order 1+, 1-, 2+, 2- and its distance from zero (0 if none)."""
+    """For every box, the distance from zero of the first certified-nonzero
+    gap component in the fixed order 1+, 1-, 2+, 2-, and its code (0 and
+    "" if none)."""
     g1lo, g1hi, _ = _pair_bounds(_ANNULUS_CHECKS[0], lo3, hi3, lo5, hi5)
     g2lo, g2hi, _ = _pair_bounds(_ANNULUS_CHECKS[1], lo3, hi3, lo5, hi5)
     n = lo3.size
@@ -759,7 +748,7 @@ def _annulus_batch(lo3, hi3, lo5, hi5):
         pick = (comp == "") & (val > 0.0)
         comp[pick] = code
         bound[pick] = val[pick]
-    return comp, bound
+    return bound, comp
 
 
 def _annulus_cover(delta, inner_delta):
@@ -783,42 +772,14 @@ def _annulus_cover(delta, inner_delta):
     return tuple(a[~in_inner] for a in (lo3, hi3, lo5, hi5))
 
 
-def _annulus_exclusion(delta, inner_delta, max_depth=30):
-    """Cover the window minus the inner box and certify a nonzero gap
-    component on every box."""
-    lo3, hi3, lo5, hi5 = _annulus_cover(delta, inner_delta)
-    parts = []
-    depth = 0
-    while lo3.size:
-        if depth > max_depth:
-            raise BudgetExhausted(
-                f"annulus: {lo3.size} boxes unresolved at depth {max_depth}"
-            )
-        comp, bound = _annulus_batch(lo3, hi3, lo5, hi5)
-        ok = comp != ""
-        if np.any(ok):
-            parts.append((lo3[ok], hi3[ok], lo5[ok], hi5[ok], comp[ok], bound[ok]))
-        rest = ~ok
-        if not np.any(rest):
-            break
-        lo3, hi3, lo5, hi5 = _bisect(lo3[rest], hi3[rest], lo5[rest], hi5[rest])
-        depth += 1
-    if not parts:
-        raise BudgetExhausted("annulus: empty cover")
-    out = [np.concatenate([p[i] for p in parts]) for i in range(6)]
-    order = np.lexsort((out[3], out[2], out[1], out[0]))
-    return tuple(o[order] for o in out)
-
-
 def certify_local_uniqueness(
     delta: float = DELTA_B0,
     subdivision: int = 8,
-    posteriori_tol: float = 1e-10,
     inner_delta: float = INNER_DELTA,
 ) -> LocalUniquenessCertificate:
     """Certificate that the (1±delta) square holds exactly one zero of
     the two-gap map, and the center is that zero to within
-    posteriori_tol."""
+    _POSTERIORI_TOL."""
     if not (0.0 < delta < 0.5):
         raise DomainError(f"window half-width {delta} outside (0, 0.5)")
     if not (0.0 < inner_delta < delta):
@@ -834,11 +795,17 @@ def certify_local_uniqueness(
     dlo, dhi = ev["det_jacobian"]
     if dlo <= 0.0 <= dhi:
         raise ContractionFailure(f"Jacobian enclosure det [{dlo}, {dhi}] contains 0")
-    if ev["posteriori_residual"] > posteriori_tol:
+    if ev["posteriori_residual"] > _POSTERIORI_TOL:
         raise ContractionFailure(
-            f"center residual {ev['posteriori_residual']:.3e} > {posteriori_tol}"
+            f"center residual {ev['posteriori_residual']:.3e} > {_POSTERIORI_TOL}"
         )
-    ann = _annulus_exclusion(delta, inner_delta)
+    ann, _ = _branch_and_bound(
+        "annulus",
+        _annulus_cover(delta, inner_delta),
+        _annulus_batch,
+        None,
+        _ANNULUS_MAX_DEPTH,
+    )
     return LocalUniquenessCertificate(
         delta=float(delta),
         inner_delta=float(inner_delta),
@@ -867,14 +834,52 @@ def certify_local_uniqueness(
 # ---------------------------------------------------------------------------
 
 
-def _as_certificate(cert) -> Certificate:
-    if isinstance(cert, Certificate):
-        return cert
+def _coerce(cert, cls):
+    """cert as a cls instance: passed through, or parsed from its payload
+    dict or JSON string."""
     if isinstance(cert, str):
         cert = json.loads(cert)
     if isinstance(cert, dict):
-        return Certificate.from_payload(cert)
-    raise MalformedCertificate(f"cannot interpret {type(cert).__name__} as certificate")
+        return cls.from_payload(cert)
+    if isinstance(cert, cls):
+        return cert
+    raise MalformedCertificate(
+        f"cannot interpret {type(cert).__name__} as {cls.__name__}"
+    )
+
+
+def _at(leaves, j) -> str:
+    lo3, hi3, lo5, hi5 = leaves[:4]
+    return (
+        f"leaf {j} at r3=[{float(lo3[j])!r}, {float(hi3[j])!r}],"
+        f" r5=[{float(lo5[j])!r}, {float(hi5[j])!r}]"
+    )
+
+
+def _check_leaves(what: str, leaves, recompute, cover, outside) -> None:
+    """The leaf check both verifiers share.
+
+    leaves is (lo3, hi3, lo5, hi5, forms, bounds) as stored.  Every bound
+    must be finite and positive and equal, together with its form, the
+    bit-exact recomputation recompute(lo3, hi3, lo5, hi5) -> (bounds,
+    forms); then the leaves must tile the cover (_replay with outside).
+    """
+    lo3, hi3, lo5, hi5, forms, bounds = leaves
+    if lo3.size == 0:
+        raise MalformedCertificate(f"{what}: certificate has no leaves")
+    if not np.all(np.isfinite(bounds)) or not np.all(bounds > 0.0):
+        raise LeafBoundViolation(
+            f"{what}: stored bounds must all be finite and positive"
+        )
+    got, form = recompute(lo3, hi3, lo5, hi5)
+    same = (got == bounds) & (form == forms)
+    if not np.all(same):
+        j = int(np.flatnonzero(~same)[0])
+        raise LeafBoundViolation(
+            f"{what}: {_at(leaves, j)}: stored bound {float(bounds[j])!r}/"
+            f"{forms[j]} recomputes to {float(got[j])!r}/{form[j]}"
+        )
+    _replay(cover, (lo3, hi3, lo5, hi5), outside, what)
 
 
 def _check_header(c: Certificate) -> None:
@@ -924,7 +929,7 @@ def verify_certificate(cert) -> bool:
       cover that the header (region, max_box_width, truncation, delta_b0)
       implies (coverage replay, see _replay).
     """
-    c = _as_certificate(cert)
+    c = _coerce(cert, Certificate)
     if c.region not in REGION_IDS:
         raise MalformedCertificate(f"unknown region {c.region!r}")
     if c.fingerprint != build_fingerprint():
@@ -932,31 +937,21 @@ def verify_certificate(cert) -> bool:
     plan = region_plan(c.region)
     if c.plan != plan_signature(plan):
         raise MalformedCertificate("plan does not match this build")
-    if c.n_leaves() == 0:
-        raise MalformedCertificate("certificate has no leaves")
     _check_header(c)
-    if not np.all(np.isfinite(c.bounds)) or not np.all(c.bounds > 0.0):
-        raise LeafBoundViolation("stored bounds must all be finite and positive")
+
+    def recompute(lo3, hi3, lo5, hi5):
+        blo, _, form, _ = _batch_bounds(plan, lo3, hi3, lo5, hi5)
+        return blo, form
+
+    _check_leaves(
+        c.region,
+        (c.lo3, c.hi3, c.lo5, c.hi5, c.forms, c.bounds),
+        recompute,
+        cover_arrays(c.region, c.max_box_width, c.truncation, c.delta_b0),
+        region_def(c.region).boxes_outside_closure,
+    )
     if float(c.bounds.min()) != c.min_bound:
         raise LeafBoundViolation("min_bound does not equal the leaf minimum")
-
-    blo, _, form, _ = _batch_bounds(plan, c.lo3, c.hi3, c.lo5, c.hi5)
-    same = (blo == c.bounds) & (form == c.forms)
-    if not np.all(same):
-        j = int(np.flatnonzero(~same)[0])
-        raise LeafBoundViolation(
-            f"leaf {j} at r3=[{float(c.lo3[j])!r}, {float(c.hi3[j])!r}],"
-            f" r5=[{float(c.lo5[j])!r}, {float(c.hi5[j])!r}]: stored bound"
-            f" {float(c.bounds[j])!r}/{c.forms[j]} recomputes to"
-            f" {float(blo[j])!r}/{form[j]}"
-        )
-
-    _replay(
-        cover_arrays(c.region, c.max_box_width, c.truncation, c.delta_b0),
-        (c.lo3, c.hi3, c.lo5, c.hi5),
-        region_def(c.region).boxes_outside_closure,
-        c.region,
-    )
     return True
 
 
@@ -976,12 +971,6 @@ def _replay(cover, leaves, outside, what: str) -> None:
     """
     lo3, hi3, lo5, hi5 = leaves
 
-    def at(j) -> str:
-        return (
-            f"leaf {j} at r3=[{float(lo3[j])!r}, {float(hi3[j])!r}],"
-            f" r5=[{float(lo5[j])!r}, {float(hi5[j])!r}]"
-        )
-
     def nests(j, k, b3, B3, b5, B5):
         return (
             (lo3[j] >= b3[k])
@@ -993,7 +982,7 @@ def _replay(cover, leaves, outside, what: str) -> None:
     flat = ~((lo3 < hi3) & (lo5 < hi5))  # also catches NaN
     if np.any(flat):
         raise CoverageGap(
-            f"{what}: {at(int(np.flatnonzero(flat)[0]))} has an empty interior"
+            f"{what}: {_at(leaves, int(np.flatnonzero(flat)[0]))} has an empty interior"
         )
 
     b3, B3, b5, B5 = cover
@@ -1012,7 +1001,7 @@ def _replay(cover, leaves, outside, what: str) -> None:
     stray = (own < 0) | ~nests(act, own, b3, B3, b5, B5)
     if np.any(stray):
         raise CoverageGap(
-            f"{what}: {at(int(np.flatnonzero(stray)[0]))} lies in no box of"
+            f"{what}: {_at(leaves, int(np.flatnonzero(stray)[0]))} lies in no box of"
             f" the initial cover"
         )
 
@@ -1035,7 +1024,7 @@ def _replay(cover, leaves, outside, what: str) -> None:
         crowded = eq & (counts[own] > 1)
         if np.any(crowded):
             raise CoverageGap(
-                f"{what}: {at(int(act[np.flatnonzero(crowded)[0]]))} shares"
+                f"{what}: {_at(leaves, int(act[np.flatnonzero(crowded)[0]]))} shares"
                 f" its terminal box with another leaf"
             )
         split = np.ones(b3.size, dtype=bool)
@@ -1052,7 +1041,7 @@ def _replay(cover, leaves, outside, what: str) -> None:
         straddle = ~in_low & ~nests(act, child, c3, C3, c5, C5)
         if np.any(straddle):
             raise CoverageGap(
-                f"{what}: {at(int(act[np.flatnonzero(straddle)[0]]))} straddles"
+                f"{what}: {_at(leaves, int(act[np.flatnonzero(straddle)[0]]))} straddles"
                 f" the split of its box at bisection depth {depth}"
             )
         keep = np.ones(2 * half, dtype=bool)
@@ -1061,7 +1050,7 @@ def _replay(cover, leaves, outside, what: str) -> None:
         lost = ~keep[child]
         if np.any(lost):
             raise CoverageGap(
-                f"{what}: {at(int(act[np.flatnonzero(lost)[0]]))} lies in a"
+                f"{what}: {_at(leaves, int(act[np.flatnonzero(lost)[0]]))} lies in a"
                 f" box the bisection drops as outside the region closure"
             )
         own = (np.cumsum(keep) - 1)[child]
@@ -1074,10 +1063,7 @@ def verify_local_certificate(cert) -> bool:
     bit-for-bit, re-check the acceptance conditions (containment,
     nonsingularity, center residual) and replay the annulus cover from
     the recorded delta and inner_delta."""
-    if isinstance(cert, str):
-        cert = json.loads(cert)
-    if isinstance(cert, dict):
-        cert = LocalUniquenessCertificate.from_payload(cert)
+    cert = _coerce(cert, LocalUniquenessCertificate)
     if cert.fingerprint != build_fingerprint():
         raise MalformedCertificate("fingerprint does not match this build")
     if not (0.0 < cert.inner_delta < cert.delta < 0.5):
@@ -1116,26 +1102,19 @@ def verify_local_certificate(cert) -> bool:
     if dlo <= 0.0 <= dhi:
         raise ContractionFailure("stored Jacobian determinant encloses zero")
 
-    if cert.ann_lo3.size == 0:
-        raise MalformedCertificate("local certificate has no annulus leaves")
-    if not np.all(cert.ann_bound > 0.0):
-        raise LeafBoundViolation("annulus bounds must all be positive")
-    comp, bound = _annulus_batch(
-        cert.ann_lo3, cert.ann_hi3, cert.ann_lo5, cert.ann_hi5
-    )
-    same = (comp == cert.ann_comp) & (bound == cert.ann_bound)
-    if not np.all(same):
-        j = int(np.flatnonzero(~same)[0])
-        raise LeafBoundViolation(
-            f"annulus leaf {j}: stored {cert.ann_bound[j]!r}/{cert.ann_comp[j]} "
-            f"recomputes to {bound[j]!r}/{comp[j]}"
-        )
-
-    _replay(
-        _annulus_cover(cert.delta, cert.inner_delta),
-        (cert.ann_lo3, cert.ann_hi3, cert.ann_lo5, cert.ann_hi5),
-        None,
+    _check_leaves(
         "annulus",
+        (
+            cert.ann_lo3,
+            cert.ann_hi3,
+            cert.ann_lo5,
+            cert.ann_hi5,
+            cert.ann_comp,
+            cert.ann_bound,
+        ),
+        _annulus_batch,
+        _annulus_cover(cert.delta, cert.inner_delta),
+        None,
     )
     return True
 
@@ -1179,7 +1158,7 @@ class CertificationManifest:
         }
 
 
-def _solution_witness(config: RunConfig) -> Dict[str, object]:
+def _solution_witness() -> Dict[str, object]:
     """Floating and interval evidence that the pentagon point solves the
     central-configuration system."""
     res = residual_vector((1.0, 1.0))
@@ -1191,7 +1170,7 @@ def _solution_witness(config: RunConfig) -> Dict[str, object]:
     return {
         "pairwise_spread": res.pairwise_spread,
         "y1": res.y1,
-        "is_solution": res.is_solution(config.spread_tol, config.y1_tol),
+        "is_solution": res.is_solution(),
         "gap_enclosures_contain_zero": bool(
             g1.v.contains(0.0) and g2.v.contains(0.0)
         ),
@@ -1206,10 +1185,8 @@ def certify_all(config: Optional[RunConfig] = None) -> CertificationManifest:
     """
     cfg = (config or RunConfig()).validate()
     t0 = time.perf_counter()
-    local = certify_local_uniqueness(
-        delta=cfg.delta_b0, posteriori_tol=cfg.posteriori_tol
-    )
-    witness = _solution_witness(cfg)
+    local = certify_local_uniqueness(delta=cfg.delta_b0)
+    witness = _solution_witness()
     if not witness["is_solution"]:
         raise ContractionFailure("pentagon point fails the residual gate")
 

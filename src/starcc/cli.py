@@ -37,7 +37,6 @@ from .certify import (
     RunConfig,
     certify_all,
     certify_inequality,
-    certify_local_uniqueness,
     verify_certificate,
     verify_local_certificate,
 )
@@ -52,6 +51,7 @@ from .geometry import DomainError
 from .regions import (
     REGION_IDS,
     TRUNCATION_R5,
+    PairCheck,
     region_def,
     region_excises_b0,
     region_plan,
@@ -68,8 +68,7 @@ EXIT_VERIFY = 5
 
 _CONFIG_KEYS = (
     "max_box_width", "delta_b0", "truncation", "max_depth",
-    "threads", "output_dir", "spread_tol", "y1_tol",
-    "posteriori_tol",
+    "threads", "output_dir",
 )
 
 
@@ -459,22 +458,27 @@ def _plot_gap(args, rid: str) -> None:
     trunc = args.truncate_r5 if region.unbounded else None
     lo3, hi3, lo5, hi5 = region.bbox(trunc)
     r3, r5 = _grid_axes((lo3, hi3, lo5, hi5), args.grid)
-    keep = np.fromiter((region.contains((a, b)) for a, b in zip(r3, r5)),
-                       dtype=bool, count=r3.size)
+    keep = np.all([c.holds(r3, r5) for c in region.constraints], axis=0)
     r3, r5 = r3[keep], r5[keep]
+    # each node is a point box, routed as the certifier routes boxes
+    checks, cid = plan.route(r3, r3, r5, r5)
     bk = kernel.FloatBackend
-    rows = []
-    for a, b in zip(r3, r5):
-        check = plan.check_for_box(a, a, b, b)
-        label = check.describe()
-        if hasattr(check, "low"):
+    value = np.empty(r3.size)
+    for k, check in enumerate(checks):
+        m = cid == k
+        a, b = r3[m], r5[m]
+        if isinstance(check, PairCheck):
             cache: dict = {}
             hi = kernel.lambda_quot(bk, a, b, *check.high, cache)
             lo = kernel.lambda_quot(bk, a, b, *check.low, cache)
-            value = hi - lo
+            value[m] = hi - lo
         else:
-            value = kernel.y1_num(bk, a, b)
-        rows.append((_g17(a), _g17(b), _g17(value), f'"{label}"'))
+            value[m] = kernel.y1_num(bk, a, b)
+    labels = [f'"{c.describe()}"' for c in checks]
+    rows = (
+        (_g17(a), _g17(b), _g17(v), labels[k])
+        for a, b, v, k in zip(r3, r5, value, cid)
+    )
     _emit_csv(args.out, ("r3", "r5", "value", "check"), rows)
 
 

@@ -61,9 +61,6 @@ class Interval:
             raise ValueError(f"invalid interval [{self.lo}, {self.hi}]")
 
     # -- queries ---------------------------------------------------------
-    def width(self) -> float:
-        return self.hi - self.lo
-
     def mid(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
@@ -148,30 +145,6 @@ class Interval:
 
     def __repr__(self):
         return f"[{self.lo!r}, {self.hi!r}]"
-
-
-def iv_add(a: Interval, b: Interval) -> Interval:
-    return a + b
-
-
-def iv_sub(a: Interval, b: Interval) -> Interval:
-    return a - b
-
-
-def iv_mul(a: Interval, b: Interval) -> Interval:
-    return a * b
-
-
-def iv_div(a: Interval, b: Interval) -> Interval:
-    return a / b
-
-
-def iv_sqrt(a: Interval) -> Interval:
-    return a.sqrt()
-
-
-def iv_powneg32(a: Interval) -> Interval:
-    return a.powneg32()
 
 
 def thin(x: float) -> Interval:
@@ -418,9 +391,6 @@ class VInterval:
 
     def straddles_zero(self):
         return (self.lo <= 0.0) & (self.hi >= 0.0)
-
-    def item(self, idx) -> Interval:
-        return Interval(float(self.lo[idx]), float(self.hi[idx]))
 
 
 class VectorBackend:

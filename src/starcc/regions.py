@@ -22,7 +22,9 @@ and a final pair band.  Two regions carry corner sub-plans where the main
 pair degenerates at a closure collision: J1 near (0,0) (bodies 3, 5
 collide at the origin) and J4 near (b/2, 0) (bodies 2, 5 collide at the
 origin); there the certifier switches to a pair whose lambda functions
-never reference the colliding pair's distance.
+never reference the colliding pair's distance.  One router,
+`RegionPlan.route`, gives every box of an array its check in one
+vectorized pass; the certifier, the verifier and the gap plot all use it.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .geometry import A, B, in_domain, quasi_points
-from .intervals import Box2, Interval, VInterval, pentagon_constants
+from .geometry import A, B, quasi_points
+from .intervals import Interval, VInterval, pentagon_constants
 
 # Default geometry knobs shared with the certifier.
 DELTA_B0 = 0.02
@@ -53,7 +55,7 @@ REGION_IDS = tuple(f"J{n}" for n in range(1, 17))
 
 
 class TruncationRequired(ValueError):
-    """cover() of an unbounded region needs a truncation bound."""
+    """cover_arrays() of an unbounded region needs a truncation bound."""
 
 
 _IV1 = Interval(1.0, 1.0)
@@ -386,16 +388,30 @@ class RegionPlan:
     bands: Optional[Tuple[Band, ...]] = None
     zones: Tuple[CornerZone, ...] = ()
 
-    def check_for_box(self, lo3, hi3, lo5, hi5):
+    def route(self, lo3, hi3, lo5, hi5):
+        """The plan's checks (main, then zones, then bands) and the index
+        of the check each box uses, for arrays of boxes.
+
+        A box takes the main check, unless it lies inside a zone or its r3
+        range inside a band; the last zone or band that matches wins, so a
+        point on a J16 break takes the band to its right.  Raises
+        ValueError for a box no check covers, i.e. one that straddles a
+        band break."""
+        checks = [] if self.main is None else [self.main]
+        cid = np.full(lo3.shape, len(checks) - 1, dtype=np.int64)
         for z in self.zones:
-            if lo3 >= z.r3_lo and hi3 <= z.r3_hi and lo5 >= z.r5_lo and hi5 <= z.r5_hi:
-                return z.check
-        if self.bands is not None:
-            for band in self.bands:
-                if lo3 >= band.r3_lo and hi3 <= band.r3_hi:
-                    return band.check
-            raise ValueError(f"box r3=[{lo3},{hi3}] straddles a band break")
-        return self.main
+            m = (lo3 >= z.r3_lo) & (hi3 <= z.r3_hi) & (lo5 >= z.r5_lo) & (hi5 <= z.r5_hi)
+            cid[m] = len(checks)
+            checks.append(z.check)
+        for band in self.bands or ():
+            cid[(lo3 >= band.r3_lo) & (hi3 <= band.r3_hi)] = len(checks)
+            checks.append(band.check)
+        if np.any(cid < 0):
+            j = int(np.flatnonzero(cid < 0)[0])
+            raise ValueError(
+                f"box r3=[{lo3[j]}, {hi3[j]}] straddles a {self.region} band break"
+            )
+        return checks, cid
 
 
 _PAIRS = {
@@ -533,20 +549,6 @@ def cover_arrays(
         )
         keep &= ~inside_b0
     return lo3[keep], hi3[keep], lo5[keep], hi5[keep]
-
-
-def cover(
-    rid: str,
-    max_box_width: float,
-    truncation: Optional[float] = None,
-    delta: Optional[float] = DELTA_B0,
-):
-    """List-of-Box2 version of cover_arrays (same boxes, same order)."""
-    lo3, hi3, lo5, hi5 = cover_arrays(rid, max_box_width, truncation, delta)
-    return [
-        Box2(Interval(float(a), float(b)), Interval(float(c), float(d)))
-        for a, b, c, d in zip(lo3, hi3, lo5, hi5)
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -152,6 +153,23 @@ def test_cleared_denominator_form_used_on_collision_edge():
     forms = set(cert.forms.tolist())
     assert "c" in forms and "q" in forms
     assert verify_certificate(cert)
+
+
+def _sha256(payload) -> str:
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
+
+def test_certificate_bytes_are_pinned(j4_cert, local_cert):
+    # any change to a leaf, a bound, a form, the leaf order or the
+    # fingerprint changes these digests
+    payload = j4_cert.to_payload()
+    del payload["stats"]  # wall time varies
+    assert _sha256(payload) == (
+        "771b43a7973df756bfc47fb4f48fd99c544b1dfd775dce2248c0cc5acf13bea3"
+    )
+    assert _sha256(local_cert.to_payload()["annulus"]) == (
+        "97b00e2e0e8f76563b909867b27867a56807f0d50955a6d7d4ffb8c6af561bfa"
+    )
 
 
 def test_fingerprint_is_stable():

@@ -181,6 +181,10 @@ def test_config_file_with_unknown_key_exits_2(tmp_path, capsys):
     cfg.write_text(json.dumps({"max_box_widht": 0.1}))
     code, _ = run(["certify", "J4", "--config", cfg], capsys)
     assert code == cli.EXIT_DOMAIN
+    # a residual tolerance is a constant, not a config key
+    cfg.write_text(json.dumps({"max_box_width": 0.1, "posteriori_tol": 1e-9}))
+    code, _ = run(["certify", "J4", "--config", cfg], capsys)
+    assert code == cli.EXIT_DOMAIN
 
 
 def test_config_file_with_seed_exits_2(tmp_path, capsys):

@@ -17,10 +17,6 @@ from starcc.intervals import (
     VInterval,
     dual_vars,
     gap_interval,
-    iv_add,
-    iv_div,
-    iv_mul,
-    iv_sub,
     lambda_interval,
     pentagon_constants,
     thin,
@@ -206,10 +202,3 @@ def test_interval_constructor_rejects_inverted():
     with pytest.raises(ValueError):
         Interval(2.0, 1.0)
 
-
-def test_wrapper_helpers_round_trip():
-    x, y = thin(1.5), thin(0.25)
-    assert iv_add(x, y).lo <= 1.75 <= iv_add(x, y).hi
-    assert iv_sub(x, y).lo <= 1.25 <= iv_sub(x, y).hi
-    assert iv_mul(x, y).lo <= 0.375 <= iv_mul(x, y).hi
-    assert iv_div(x, y).lo <= 6.0 <= iv_div(x, y).hi

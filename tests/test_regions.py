@@ -9,7 +9,6 @@ from starcc.regions import (
     REGION_IDS,
     TRUNCATION_R5,
     TruncationRequired,
-    cover,
     cover_arrays,
     partition_audit,
     region_def,
@@ -88,32 +87,34 @@ def test_cover_counts_are_stable():
 def test_cover_boxes_meet_their_region():
     # No cover box may be certainly outside the closed region.
     for rid in ("J3", "J6", "J12"):
-        region = region_def(rid)
-        for box in cover(rid, 0.1):
-            lo3, hi3 = box.r3.lo, box.r3.hi
-            lo5, hi5 = box.r5.lo, box.r5.hi
-            outside = region.boxes_outside_closure(
-                np.array([lo3]), np.array([hi3]),
-                np.array([lo5]), np.array([hi5]))
-            assert not outside[0]
+        boxes = cover_arrays(rid, 0.1)
+        assert boxes[0].size
+        assert not np.any(region_def(rid).boxes_outside_closure(*boxes))
 
 
 def test_cover_excises_b0_where_applicable():
     for rid in ("J7", "J16"):
-        for box in cover(rid, 0.02):
-            inside_b0 = (box.r3.lo >= 1.0 - DELTA_B0 and box.r3.hi <= 1.0 + DELTA_B0
-                         and box.r5.lo >= 1.0 - DELTA_B0 and box.r5.hi <= 1.0 + DELTA_B0)
-            assert not inside_b0
+        lo3, hi3, lo5, hi5 = cover_arrays(rid, 0.02)
+        assert lo3.size
+        inside_b0 = ((lo3 >= 1.0 - DELTA_B0) & (hi3 <= 1.0 + DELTA_B0)
+                     & (lo5 >= 1.0 - DELTA_B0) & (hi5 <= 1.0 + DELTA_B0))
+        assert not np.any(inside_b0)
+
+
+def routed(plan, *box):
+    """The check that plan.route gives one box."""
+    checks, cid = plan.route(*(np.array([v]) for v in box))
+    return checks[cid[0]]
 
 
 def test_j16_band_routing():
     plan = region_plan("J16")
     b1, b2, b3 = J16_BREAKPOINTS
     # a point box inside each band gets that band's check
-    assert plan.check_for_box(1.05, 1.05, 1.2, 1.2).describe() == "lambda_21 < lambda_41"
-    assert plan.check_for_box(1.14, 1.14, 1.2, 1.2).describe() == "lambda_21 < lambda_11"
-    assert plan.check_for_box(1.18, 1.18, 1.1, 1.1).describe() == "|y1| > 0"
-    assert plan.check_for_box(1.25, 1.25, 1.1, 1.1).describe() == "lambda_31 < lambda_11"
+    assert routed(plan, 1.05, 1.05, 1.2, 1.2).describe() == "lambda_21 < lambda_41"
+    assert routed(plan, 1.14, 1.14, 1.2, 1.2).describe() == "lambda_21 < lambda_11"
+    assert routed(plan, 1.18, 1.18, 1.1, 1.1).describe() == "|y1| > 0"
+    assert routed(plan, 1.25, 1.25, 1.1, 1.1).describe() == "lambda_31 < lambda_11"
     # cover cells snap to the breakpoints, so no cell straddles a band edge
     lo3, hi3, lo5, hi5 = cover_arrays("J16", 0.02)
     for left in (b1, b2, b3):
@@ -123,8 +124,8 @@ def test_j16_band_routing():
 def test_j1_corner_zone_routing():
     plan = region_plan("J1")
     z = CORNER_ZONE_SIDE
-    inside = plan.check_for_box(z / 4, z / 2, z / 4, z / 2)
-    outside = plan.check_for_box(0.3, 0.32, 0.3, 0.32)
+    inside = routed(plan, z / 4, z / 2, z / 4, z / 2)
+    outside = routed(plan, 0.3, 0.32, 0.3, 0.32)
     assert inside.describe() == "lambda_41 < lambda_11"
     assert outside.describe() == "lambda_11 < lambda_31"
 
