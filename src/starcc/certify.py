@@ -12,7 +12,6 @@ quantity:
   corner of J8) the engine switches to the cleared-denominator form
   (N_high q_low - N_low q_high) * sign(q_low q_high), whose positivity is
   equivalent to the gap's on the open region where the q signs are fixed.
-* the J16 middle band: a bound on |y1| away from zero.
 
 Lanes whose distance enclosures touch zero (possible only for boxes
 hanging over a collision corner of the closure) are marked undecidable
@@ -74,9 +73,6 @@ FORMAT_VERSION = "starcc-certificate/1"
 
 FORM_QUOTIENT = "q"
 FORM_CLEARED = "c"
-FORM_Y1_NEG = "y-"
-FORM_Y1_POS = "y+"
-FORM_UNDECIDED = "?"
 
 
 class BudgetExhausted(RuntimeError):
@@ -199,23 +195,6 @@ def _pair_bounds(check: PairCheck, lo3, hi3, lo5, hi5):
     return lo, hi, form.astype("<U2")
 
 
-def _y1_bounds(lo3, hi3, lo5, hi5):
-    """Certified lower bound of |y1| per lane (0.0 when not yet decided);
-    the upper bound is +inf because nonvanishing is never refutable."""
-    n = lo3.size
-    eng = _MaskedBackend(n)
-    y = kernel.y1_num(
-        eng, VInterval(lo3, hi3), VInterval(lo5, hi5), d2cache={}
-    )
-    lo = np.where(y.hi < 0.0, -y.hi, np.where(y.lo > 0.0, y.lo, 0.0))
-    form = np.where(
-        y.hi < 0.0, FORM_Y1_NEG, np.where(y.lo > 0.0, FORM_Y1_POS, FORM_UNDECIDED)
-    )
-    lo = np.where(eng.bad, np.nan, lo)
-    hi = np.full(n, np.inf)
-    return lo, hi, form.astype("<U2")
-
-
 def _batch_bounds(plan: RegionPlan, lo3, hi3, lo5, hi5):
     checks, cid = plan.route(lo3, hi3, lo5, hi5)
     n = lo3.size
@@ -226,11 +205,7 @@ def _batch_bounds(plan: RegionPlan, lo3, hi3, lo5, hi5):
         m = cid == k
         if not np.any(m):
             continue
-        if isinstance(chk, PairCheck):
-            l, h, f = _pair_bounds(chk, lo3[m], hi3[m], lo5[m], hi5[m])
-        else:
-            l, h, f = _y1_bounds(lo3[m], hi3[m], lo5[m], hi5[m])
-        lo[m], hi[m], form[m] = l, h, f
+        lo[m], hi[m], form[m] = _pair_bounds(chk, lo3[m], hi3[m], lo5[m], hi5[m])
     return lo, hi, form, cid
 
 
@@ -240,16 +215,12 @@ def _batch_bounds(plan: RegionPlan, lo3, hi3, lo5, hi5):
 
 
 def plan_signature(plan: RegionPlan) -> str:
-    parts = []
-    if plan.main is not None:
-        parts.append("main=" + plan.main.describe())
+    parts = ["main=" + plan.main.describe()]
     for z in plan.zones:
         parts.append(
             f"zone[{z.r3_lo.hex()},{z.r3_hi.hex()}]x"
             f"[{z.r5_lo.hex()},{z.r5_hi.hex()}]={z.check.describe()}"
         )
-    for b in plan.bands or ():
-        parts.append(f"band({b.r3_lo.hex()},{b.r3_hi.hex()}]={b.check.describe()}")
     return plan.region + "{" + ";".join(parts) + "}"
 
 
@@ -301,7 +272,7 @@ class Certificate:
     """Verified-inequality certificate for one region.
 
     Leaves are parallel arrays; `bounds` holds the certified lower bound
-    of the leaf's planned quantity (gap or |y1|), all strictly positive.
+    of the leaf's planned gap, all strictly positive.
     """
 
     region: str

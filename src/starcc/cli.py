@@ -51,7 +51,6 @@ from .geometry import DomainError
 from .regions import (
     REGION_IDS,
     TRUNCATION_R5,
-    PairCheck,
     region_def,
     region_excises_b0,
     region_plan,
@@ -467,13 +466,10 @@ def _plot_gap(args, rid: str) -> None:
     for k, check in enumerate(checks):
         m = cid == k
         a, b = r3[m], r5[m]
-        if isinstance(check, PairCheck):
-            cache: dict = {}
-            hi = kernel.lambda_quot(bk, a, b, *check.high, cache)
-            lo = kernel.lambda_quot(bk, a, b, *check.low, cache)
-            value[m] = hi - lo
-        else:
-            value[m] = kernel.y1_num(bk, a, b)
+        cache: dict = {}
+        hi = kernel.lambda_quot(bk, a, b, *check.high, cache)
+        lo = kernel.lambda_quot(bk, a, b, *check.low, cache)
+        value[m] = hi - lo
     labels = [f'"{c.describe()}"' for c in checks]
     rows = (
         (_g17(a), _g17(b), _g17(v), labels[k])
@@ -562,8 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
                     " region is 'none' on uncovered boundary nodes);"
                     " 'spread' (columns r3,r5,spread,y1);"
                     " 'gap-J<n>' (columns r3,r5,value,check over that region;"
-                    " value is lambda_high - lambda_low for pair checks and"
-                    " the signed y1 for nonvanishing-y1 bands).",
+                    " value is lambda_high - lambda_low of the routed check).",
     )
     p.add_argument("what", help="regions | spread | gap-J<n>")
     p.add_argument("grid", type=int, help="nodes per axis")

@@ -7,24 +7,39 @@ their float literals) or golden-constant expressions (b/2, 2/b, 1+b, the
 slant (2/a) r5 + 1) carried both as canonical floats (for membership) and
 as interval enclosures (for the conservative box-vs-region tests used by
 the cover and the certifier — a box is discarded only when it certainly
-misses the region closure).
+misses the region closure).  Cover bounding boxes and zone edges take the
+enclosure endpoints, lo for a lower edge and hi for an upper edge, so a
+cover never misses an ulp-wide sliver next to an irrational edge (the
+float B/2 lies above the exact b/2, the float 2/B below the exact 2/b).
 
-One transcription correction, justified in the partition audit and the
-region-plan tests: J11's lower r3 bound is 2/b, not b/2 (as printed it
-would overlap J9/J12/J13/J16 and contain the solution point (1,1) itself,
-contradicting its own strict-inequality claim).
+Two documented deviations from the paper's printed tables:
 
-Plans: each region certifies one ordered pair lambda_low < lambda_high,
-except J16, which splits into four r3 bands — two pair bands, a middle
-band where the body-1 y-equation numerator is certified nonvanishing (the
-reflection-symmetry line y1 = 0 exits the region just left of that band),
-and a final pair band.  Two regions carry corner sub-plans where the main
-pair degenerates at a closure collision: J1 near (0,0) (bodies 3, 5
-collide at the origin) and J4 near (b/2, 0) (bodies 2, 5 collide at the
-origin); there the certifier switches to a pair whose lambda functions
-never reference the colliding pair's distance.  One router,
-`RegionPlan.route`, gives every box of an array its check in one
-vectorized pass; the certifier, the verifier and the gap plot all use it.
+* J11's lower r3 bound is 2/b, not b/2 (as printed it would overlap
+  J9/J12/J13/J16 and contain the solution point (1,1) itself,
+  contradicting its own strict-inequality claim); justified in the
+  partition audit and the region-plan tests.
+* J16 certifies the single pair lambda_31 < lambda_11, which the paper
+  uses on J16's last band only.  The paper splits J16 at r3 = 1.13067,
+  1.152781 and 1.201923 into four r3 strips that certify, left to right,
+  lambda_21 < lambda_41, lambda_21 < lambda_11, |y1| > 0 and
+  lambda_31 < lambda_11.  Its middle break must move right to 1.153,
+  since the y1 = 0 symmetry line exits J16's top edge at
+  r3 = (5.6 + 2a)/a^2 = 1.15278640450...; and along r5 = 1, y1 vanishes
+  at r3 = 1.2019250523, 2.05e-6 right of the last break, which drives
+  that plan to depth 33.  Measured at width 0.02, the four-strip plan
+  needs 14 634 leaves, depth 33 and has min gap 1.32e-8; the single pair
+  needs 4 358 leaves, depth 14 and has min gap 8.39e-7.  The proved
+  theorem is the same, and every region rests on one kind of certified
+  statement, a strict inequality between two multipliers.
+
+Plans: each region certifies one ordered pair lambda_low < lambda_high.
+Two regions carry corner sub-plans where the main pair degenerates at a
+closure collision: J1 near (0,0) (bodies 3, 5 collide at the origin) and
+J4 near (b/2, 0) (bodies 2, 5 collide at the origin); there the certifier
+switches to a pair whose lambda functions never reference the colliding
+pair's distance.  One router, `RegionPlan.route`, gives every box of an
+array its check in one vectorized pass; the certifier, the verifier and
+the gap plot all use it.
 """
 
 from __future__ import annotations
@@ -42,14 +57,6 @@ from .intervals import Interval, VInterval, pentagon_constants
 DELTA_B0 = 0.02
 TRUNCATION_R5 = 10.0
 CORNER_ZONE_SIDE = 0.06
-
-# r3 breakpoints of the J16 composite plan.  The middle value is 1.153
-# rather than the printed 1.152781: the y1 = 0 symmetry line exits J16's
-# top edge at r3 = (5.6 + 2a)/a^2 = 1.15278640450..., strictly to the
-# right of the printed breakpoint, so the printed middle band would
-# contain a zero of the function it certifies nonvanishing.  At 1.153 the
-# band has margin |y1| >= 1e-4 and the preceding pair band still holds.
-J16_BREAKPOINTS = (1.13067, 1.153, 1.201923)
 
 REGION_IDS = tuple(f"J{n}" for n in range(1, 17))
 
@@ -288,24 +295,34 @@ def _need_trunc(t):
     return float(t)
 
 
+# interval enclosures of the golden constants, keyed as in _golden()
+_G = {key: iv for key, (_, iv) in _golden().items()}
+
+
+def _slant_r3(r5: float) -> float:
+    """Upper r3 edge (2/a) r5 + 1 of the slant r4 = 0 at r5, rounded outward."""
+    return (_G["2/a"] * _iv(r5) + _IV1).hi
+
+
+# (r3lo, r3hi, r5lo, r5hi): enclosure lo for lower edges, hi for upper ones
 _BBOXES = {
-    "J1": lambda t: (0.0, B / 2, 0.0, B / 2),
-    "J2": lambda t: (0.0, B / 2, B / 2, 1.0),
-    "J3": lambda t: (B / 2, 1.0, (2 - B) / 2, B / 2),
-    "J4": lambda t: (B / 2, 1.0, 0.0, (2 - B) / 2),
-    "J5": lambda t: (1.0, B, (2 - B) / 2, B / 2),
-    "J6": lambda t: (B, 1.0 + B / 2, B / 2, 1.0),
-    "J7": lambda t: (B / 2, 1.0, B / 2, 1.0),
-    "J8": lambda t: (1.0, B, B / 2, 1.0),
+    "J1": lambda t: (0.0, _G["b/2"].hi, 0.0, _G["b/2"].hi),
+    "J2": lambda t: (0.0, _G["b/2"].hi, _G["b/2"].lo, 1.0),
+    "J3": lambda t: (_G["b/2"].lo, 1.0, _G["(2-b)/2"].lo, _G["b/2"].hi),
+    "J4": lambda t: (_G["b/2"].lo, 1.0, 0.0, _G["(2-b)/2"].hi),
+    "J5": lambda t: (1.0, _G["b"].hi, _G["(2-b)/2"].lo, _G["b/2"].hi),
+    "J6": lambda t: (_G["b"].lo, (_IV1 + _G["b/2"]).hi, _G["b/2"].lo, 1.0),
+    "J7": lambda t: (_G["b/2"].lo, 1.0, _G["b/2"].lo, 1.0),
+    "J8": lambda t: (1.0, _G["b"].hi, _G["b/2"].lo, 1.0),
     "J9": lambda t: (0.0, 1.0, 1.0, _need_trunc(t)),
-    "J10": lambda t: (1.0, 2 / B, 1.0 + B, _need_trunc(t)),
-    "J11": lambda t: (2 / B, (2 / A) * 3.036 + 1.0, 1.0, 3.036),
-    "J12": lambda t: (1.3, 2 / B, 1.0, 2.05),
+    "J10": lambda t: (1.0, _G["2/b"].hi, _G["1+b"].lo, _need_trunc(t)),
+    "J11": lambda t: (_G["2/b"].lo, _slant_r3(3.036), 1.0, 3.036),
+    "J12": lambda t: (1.3, _G["2/b"].hi, 1.0, 2.05),
     "J13": lambda t: (1.0, 1.3, 1.4, 2.05),
-    "J14": lambda t: (1.0, 2 / B, 2.05, 1.0 + B),
-    "J15": lambda t: (2 / B, (2 / A) * _need_trunc(t) + 1.0, 3.036, _need_trunc(t)),
+    "J14": lambda t: (1.0, _G["2/b"].hi, 2.05, _G["1+b"].hi),
+    "J15": lambda t: (_G["2/b"].lo, _slant_r3(_need_trunc(t)), 3.036, _need_trunc(t)),
     "J16": lambda t: (1.0, 1.3, 1.0, 1.4),
-    "S": lambda t: (0.0, (2 / A) * _need_trunc(t) + 1.0, 0.0, _need_trunc(t)),
+    "S": lambda t: (0.0, _slant_r3(_need_trunc(t)), 0.0, _need_trunc(t)),
 }
 
 _REGIONS = _build_regions()
@@ -316,24 +333,12 @@ def region_def(rid: str) -> Region:
 
 
 def region_excises_b0(rid: str, delta: float = DELTA_B0) -> bool:
-    """True iff closure(region) meets the open square around (1,1)."""
-    reg = _REGIONS[rid]
-    out = reg.boxes_outside_closure(
-        np.array([1.0 - delta]), np.array([1.0 + delta]),
-        np.array([1.0 - delta]), np.array([1.0 + delta]),
-    )
-    if out[0]:
-        return False
-    # the box meets the closure; excision applies unless they only share
-    # the square's boundary — resolve by sampling the open square densely
-    g = np.linspace(1.0 - delta, 1.0 + delta, 41)[1:-1]
-    r3g, r5g = np.meshgrid(g, g)
-    x, y = r3g.ravel(), r5g.ravel()
-    hit = np.ones(x.shape, dtype=bool)
-    for c in reg.constraints:
-        gval = c.a * x + c.b * y + c.c
-        hit &= (gval <= 1e-15) if c.op in ("<", "<=") else (gval >= -1e-15)
-    return bool(hit.any())
+    """True unless closure(region) certainly misses the square [1-d, 1+d]^2.
+
+    A region that only touches the square's boundary is excised too; that
+    is sound, since the local certificate covers the whole square."""
+    lo, hi = np.array([1.0 - delta]), np.array([1.0 + delta])
+    return not _REGIONS[rid].boxes_outside_closure(lo, hi, lo, hi)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -353,23 +358,6 @@ class PairCheck:
 
 
 @dataclass(frozen=True)
-class NonvanishingY1Check:
-    """Certify the body-1 y-equation numerator is bounded away from zero."""
-
-    def describe(self):
-        return "|y1| > 0"
-
-
-@dataclass(frozen=True)
-class Band:
-    """A J16 sub-band: boxes with r3 inside (lo, hi] use this check."""
-
-    r3_lo: float
-    r3_hi: float
-    check: object
-
-
-@dataclass(frozen=True)
 class CornerZone:
     """Boxes fully inside this rectangle switch to the alternate check."""
 
@@ -377,40 +365,28 @@ class CornerZone:
     r3_hi: float
     r5_lo: float
     r5_hi: float
-    check: object
+    check: PairCheck
     reason: str
 
 
 @dataclass(frozen=True)
 class RegionPlan:
     region: str
-    main: Optional[object]  # PairCheck for 15 regions, None for J16
-    bands: Optional[Tuple[Band, ...]] = None
+    main: PairCheck
     zones: Tuple[CornerZone, ...] = ()
 
     def route(self, lo3, hi3, lo5, hi5):
-        """The plan's checks (main, then zones, then bands) and the index
-        of the check each box uses, for arrays of boxes.
+        """The plan's checks (main, then zones) and the index of the check
+        each box uses, for arrays of boxes.
 
-        A box takes the main check, unless it lies inside a zone or its r3
-        range inside a band; the last zone or band that matches wins, so a
-        point on a J16 break takes the band to its right.  Raises
-        ValueError for a box no check covers, i.e. one that straddles a
-        band break."""
-        checks = [] if self.main is None else [self.main]
-        cid = np.full(lo3.shape, len(checks) - 1, dtype=np.int64)
+        A box takes the main check unless it lies inside a zone; the last
+        zone that matches wins."""
+        checks = [self.main]
+        cid = np.zeros(lo3.shape, dtype=np.int64)
         for z in self.zones:
             m = (lo3 >= z.r3_lo) & (hi3 <= z.r3_hi) & (lo5 >= z.r5_lo) & (hi5 <= z.r5_hi)
             cid[m] = len(checks)
             checks.append(z.check)
-        for band in self.bands or ():
-            cid[(lo3 >= band.r3_lo) & (hi3 <= band.r3_hi)] = len(checks)
-            checks.append(band.check)
-        if np.any(cid < 0):
-            j = int(np.flatnonzero(cid < 0)[0])
-            raise ValueError(
-                f"box r3=[{lo3[j]}, {hi3[j]}] straddles a {self.region} band break"
-            )
         return checks, cid
 
 
@@ -430,22 +406,12 @@ _PAIRS = {
     "J13": PairCheck((5, 1), (1, 1)),
     "J14": PairCheck((3, 1), (1, 1)),
     "J15": PairCheck((5, 2), (1, 1)),
+    # a documented deviation from the paper's four-strip plan (module docstring)
+    "J16": PairCheck((3, 1), (1, 1)),
 }
 
 
 def region_plan(rid: str) -> RegionPlan:
-    if rid == "J16":
-        b1, b2, b3 = J16_BREAKPOINTS
-        return RegionPlan(
-            "J16",
-            main=None,
-            bands=(
-                Band(1.0, b1, PairCheck((2, 1), (4, 1))),
-                Band(b1, b2, PairCheck((2, 1), (1, 1))),
-                Band(b2, b3, NonvanishingY1Check()),
-                Band(b3, 1.3, PairCheck((3, 1), (1, 1))),
-            ),
-        )
     if rid == "J1":
         return RegionPlan(
             "J1",
@@ -465,7 +431,7 @@ def region_plan(rid: str) -> RegionPlan:
             main=_PAIRS["J4"],
             zones=(
                 CornerZone(
-                    B / 2, 1.0, 0.0, CORNER_ZONE_SIDE,
+                    _G["b/2"].lo, 1.0, 0.0, CORNER_ZONE_SIDE,
                     PairCheck((1, 1), (3, 1)),
                     "bodies 2 and 5 collide at the origin corner (b/2, 0); "
                     "lambda_11/lambda_31 never reference r_25 or divide by r2",
@@ -512,8 +478,6 @@ def _region_snaps(rid: str, delta: Optional[float]):
     for z in plan.zones:
         s3 += [z.r3_lo, z.r3_hi]
         s5 += [z.r5_lo, z.r5_hi]
-    if plan.bands is not None:
-        s3 += [b.r3_hi for b in plan.bands]
     return s3, s5
 
 

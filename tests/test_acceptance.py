@@ -234,8 +234,7 @@ def test_partition_covers_without_interior_overlap():
 def test_negative_controls_are_rejected():
     plan = region_plan("J2")
     flipped = RegionPlan(region="J2",
-                         main=PairCheck(low=plan.main.high, high=plan.main.low),
-                         bands=None, zones=())
+                         main=PairCheck(low=plan.main.high, high=plan.main.low))
     with pytest.raises(CertificationRefuted):
         certify_inequality("J2", max_box_width=0.1, plan=flipped)
 

@@ -128,8 +128,6 @@ def test_reversed_orientation_refutes():
     flipped = RegionPlan(
         region=plan.region,
         main=PairCheck(low=plan.main.high, high=plan.main.low),
-        bands=None,
-        zones=(),
     )
     with pytest.raises(CertificationRefuted):
         certify_inequality("J3", max_box_width=0.1, plan=flipped)
@@ -144,6 +142,29 @@ def test_no_excision_fails_next_to_the_solution():
     with pytest.raises(BudgetExhausted) as err:
         certify_inequality("J16", max_box_width=0.05, delta=0.0, max_depth=8)
     assert "unresolved" in str(err.value)
+
+
+@pytest.fixture(scope="module")
+def j16_cert():
+    return certify_inequality("J16", max_box_width=0.05)
+
+
+def test_j16_single_pair_certifies_with_margin(j16_cert):
+    # one pair on all of J16: the paper's four-strip plan needed depth 35
+    # and min gap 1.6e-8 at this width
+    assert j16_cert.plan == "J16{main=lambda_31 < lambda_11}"
+    assert set(j16_cert.forms.tolist()) <= {"q", "c"}
+    assert j16_cert.stats["max_depth"] <= 16
+    assert j16_cert.min_bound > 1e-7
+    assert verify_certificate(j16_cert)
+
+
+def test_leaf_with_a_y1_form_is_rejected(j16_cert):
+    # a |y1| statement is not a form any plan certifies
+    payload = json.loads(j16_cert.to_json())
+    payload["leaves"][0][4] = "y+"
+    with pytest.raises(LeafBoundViolation):
+        verify_certificate(Certificate.from_payload(payload))
 
 
 def test_cleared_denominator_form_used_on_collision_edge():
@@ -165,7 +186,7 @@ def test_certificate_bytes_are_pinned(j4_cert, local_cert):
     payload = j4_cert.to_payload()
     del payload["stats"]  # wall time varies
     assert _sha256(payload) == (
-        "771b43a7973df756bfc47fb4f48fd99c544b1dfd775dce2248c0cc5acf13bea3"
+        "31e8ed45a5a8cb2b26037dab157923f37818894d8f980b09b978609078127d5d"
     )
     assert _sha256(local_cert.to_payload()["annulus"]) == (
         "97b00e2e0e8f76563b909867b27867a56807f0d50955a6d7d4ffb8c6af561bfa"
@@ -174,7 +195,7 @@ def test_certificate_bytes_are_pinned(j4_cert, local_cert):
 
 def test_fingerprint_is_stable():
     assert build_fingerprint() == (
-        "39793cfd75be4a1ad644798222f1c872de63b04cd6e7a160104eb0640d22bdd9"
+        "26ebe8b5faeb0f20b248023b22b474ddd42fdd50ac5b14048e9d3bb59f078389"
     )
 
 

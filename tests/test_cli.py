@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -234,16 +238,19 @@ def test_plotdata_regions_csv(capsys):
     assert "J1" in seen and "J16" in seen
 
 
-def test_plotdata_gap_csv_is_positive_on_j1(capsys):
-    code, out = run(["plotdata", "gap-J1", "20"], capsys)
+@pytest.mark.parametrize("rid, checks", [
+    # J1's corner zone shows up next to its main pair
+    ("J1", {"lambda_11 < lambda_31", "lambda_41 < lambda_11"}),
+    ("J16", {"lambda_31 < lambda_11"}),
+], ids=["J1", "J16"])
+def test_plotdata_gap_csv_is_positive(rid, checks, capsys):
+    code, out = run(["plotdata", f"gap-{rid}", "20"], capsys)
     assert code == 0
     rows = _rows(out)
     assert set(rows[0]) == {"r3", "r5", "value", "check"}
     vals = [float(r["value"]) for r in rows]
     assert vals and min(vals) > 0.0
-    checks = {r["check"] for r in rows}
-    assert "lambda_11 < lambda_31" in checks
-    assert "lambda_41 < lambda_11" in checks  # the corner zone shows up
+    assert {r["check"] for r in rows} == checks
 
 
 def test_plotdata_spread_csv(capsys):
@@ -354,8 +361,8 @@ def test_bundle_rejects_region_file_holding_another_region(
 
 def test_bundle_rejects_dropped_narrowest_j16_leaf(coarse_bundle, tmp_path,
                                                    capsys):
-    # the leaf next to J16's y1 = 0 near miss; every bound still verifies
-    # and the forger keeps min_bound and the manifest in step
+    # the narrowest J16 leaf; every bound still verifies and the forger
+    # keeps min_bound and the manifest in step
     forged = _copy(coarse_bundle, tmp_path)
     doc = json.loads((forged / "J16.json").read_text())
     rows = doc["leaves"]
@@ -371,3 +378,22 @@ def test_bundle_rejects_dropped_narrowest_j16_leaf(coarse_bundle, tmp_path,
     code, out = run(["verify", forged], capsys)
     assert code == cli.EXIT_VERIFY
     assert "REJECT" in out and "J16" in out and "holds no leaf" in out
+
+
+def test_bench_forgeries_are_all_rejected(coarse_bundle, tmp_path, capsys):
+    # the six forged bundles of the traced benchmark run, built by its own
+    # forger; a certificate change that lets one through, or that the
+    # forger can no longer parse, fails here
+    root = Path(__file__).resolve().parents[1]
+    path = filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    p = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "forge.py"),
+         str(coarse_bundle), str(tmp_path / "forged"), "1"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    dirs = json.loads(p.stdout.strip().splitlines()[-1])
+    assert len(dirs) == 6
+    for name, d in dirs.items():
+        code, out = run(["verify", d], capsys)
+        assert code == cli.EXIT_VERIFY, name
+        assert "REJECT" in out, name

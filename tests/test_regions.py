@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from starcc.geometry import A, B
 from starcc.regions import (
     CORNER_ZONE_SIDE,
     DELTA_B0,
-    J16_BREAKPOINTS,
     REGION_IDS,
     TRUNCATION_R5,
     TruncationRequired,
@@ -51,15 +52,22 @@ def test_every_region_has_a_plan():
     for rid in REGION_IDS:
         plan = region_plan(rid)
         assert plan.region == rid
-        if plan.main is None:
-            assert plan.bands  # J16 is covered by bands instead
-        else:
-            assert plan.main.describe()
+        assert plan.main.describe()
 
 
 def test_b0_excision_set():
     touching = {rid for rid in REGION_IDS if region_excises_b0(rid, DELTA_B0)}
     assert touching == {"J7", "J8", "J9", "J16"}
+
+
+def test_excision_needs_no_sample_in_the_square():
+    # (0.61, 0.61) lies in J1 and in the open square (0.6, 1.4)^2, between
+    # the nodes of any sample grid with step 0.02; J2, J3, J5 and J13 meet
+    # the closed square too
+    assert region_def("J1").contains((0.61, 0.61))
+    for rid in ("J1", "J2", "J3", "J5", "J13"):
+        assert region_excises_b0(rid, 0.4)
+    assert not region_excises_b0("J15", 0.4)
 
 
 def test_unbounded_regions_require_truncation():
@@ -71,7 +79,7 @@ def test_unbounded_regions_require_truncation():
 
 def test_cover_counts_are_stable():
     # Deterministic covers at width 0.05 (unbounded regions truncated at 10).
-    expected = {"J1": 196, "J9": 3800, "J16": 71}
+    expected = {"J1": 196, "J9": 3800, "J16": 62}
     total = 0
     for rid in REGION_IDS:
         tr = 10.0 if region_def(rid).unbounded else None
@@ -81,7 +89,7 @@ def test_cover_counts_are_stable():
         total += lo3.size
         if rid in expected:
             assert lo3.size == expected[rid]
-    assert total == 17050
+    assert total == 17041
 
 
 def test_cover_boxes_meet_their_region():
@@ -105,20 +113,6 @@ def routed(plan, *box):
     """The check that plan.route gives one box."""
     checks, cid = plan.route(*(np.array([v]) for v in box))
     return checks[cid[0]]
-
-
-def test_j16_band_routing():
-    plan = region_plan("J16")
-    b1, b2, b3 = J16_BREAKPOINTS
-    # a point box inside each band gets that band's check
-    assert routed(plan, 1.05, 1.05, 1.2, 1.2).describe() == "lambda_21 < lambda_41"
-    assert routed(plan, 1.14, 1.14, 1.2, 1.2).describe() == "lambda_21 < lambda_11"
-    assert routed(plan, 1.18, 1.18, 1.1, 1.1).describe() == "|y1| > 0"
-    assert routed(plan, 1.25, 1.25, 1.1, 1.1).describe() == "lambda_31 < lambda_11"
-    # cover cells snap to the breakpoints, so no cell straddles a band edge
-    lo3, hi3, lo5, hi5 = cover_arrays("J16", 0.02)
-    for left in (b1, b2, b3):
-        assert not np.any((lo3 < left) & (hi3 > left))
 
 
 def test_j1_corner_zone_routing():
@@ -149,3 +143,55 @@ def test_partition_audit_small_sample_is_clean():
 def test_partition_audit_respects_window():
     report = partition_audit(5_000, window=(0.9, 1.4, 0.9, 1.4), seed=1)
     assert report.interior_multiples == 0
+
+
+def _exact_bboxes(t):
+    """The bounding boxes of the regions at 60 digits (t = truncation).
+
+    Decimal(x) of a float literal such as 1.3 is its exact binary value,
+    which is how the region table defines those bounds."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        s5 = Decimal(5).sqrt()
+        a, b = s5 + 1, s5 - 1
+        one, t, top = Decimal(1), Decimal(t), Decimal(3.036)
+        slant = lambda r5: 2 / a * r5 + 1  # noqa: E731
+        return {
+            "J1": (0, b / 2, 0, b / 2),
+            "J2": (0, b / 2, b / 2, one),
+            "J3": (b / 2, one, (2 - b) / 2, b / 2),
+            "J4": (b / 2, one, 0, (2 - b) / 2),
+            "J5": (one, b, (2 - b) / 2, b / 2),
+            "J6": (b, 1 + b / 2, b / 2, one),
+            "J7": (b / 2, one, b / 2, one),
+            "J8": (one, b, b / 2, one),
+            "J9": (0, one, one, t),
+            "J10": (one, 2 / b, 1 + b, t),
+            "J11": (2 / b, slant(top), one, top),
+            "J12": (Decimal(1.3), 2 / b, one, Decimal(2.05)),
+            "J13": (one, Decimal(1.3), Decimal(1.4), Decimal(2.05)),
+            "J14": (one, 2 / b, Decimal(2.05), 1 + b),
+            "J15": (2 / b, slant(t), top, t),
+            "J16": (one, Decimal(1.3), one, Decimal(1.4)),
+            "S": (0, slant(t), 0, t),
+        }
+
+
+def test_bbox_edges_are_rounded_outward():
+    # every lower edge at or below, every upper edge at or above the exact
+    # value, and each within a few ulps of it
+    for rid, exact in _exact_bboxes(TRUNCATION_R5).items():
+        tr = TRUNCATION_R5 if region_def(rid).unbounded else None
+        got = region_def(rid).bbox(tr)
+        for k, (edge, ref) in enumerate(zip(got, exact)):
+            e = Decimal(edge)
+            assert (e <= ref) if k % 2 == 0 else (e >= ref), (rid, k, edge)
+            assert abs(e - ref) <= Decimal("1e-14"), (rid, k, edge)
+
+
+def test_j4_corner_zone_starts_at_the_outward_edge():
+    # a zone edge at the float b/2 would leave J4's first cover column,
+    # which starts at the outward b/2, on the main pair that degenerates
+    # at the collision corner (b/2, 0)
+    zone = region_plan("J4").zones[0]
+    assert zone.r3_lo == region_def("J4").bbox()[0]
