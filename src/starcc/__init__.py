@@ -41,8 +41,8 @@ from .forces import (
 from .intervals import (
     Box2,
     DivisionByZeroInterval,
-    Interval,
     NegativeArgument,
+    VInterval,
     gap_interval,
     lambda_interval,
     pentagon_constants,
@@ -98,7 +98,7 @@ __all__ = [
     "NearZeroDenominator", "ResidualVector", "config_measure",
     "gradient_measure", "hessian_measure", "lambda_component", "moment_I",
     "potential_U", "residual_vector", "y1_residual",
-    "Box2", "DivisionByZeroInterval", "Interval", "NegativeArgument",
+    "Box2", "DivisionByZeroInterval", "NegativeArgument", "VInterval",
     "gap_interval", "lambda_interval", "pentagon_constants", "y1_interval",
     "DELTA_B0", "REGION_IDS", "TRUNCATION_R5", "PartitionReport", "Region",
     "RegionPlan", "partition_audit", "region_def",

@@ -49,12 +49,12 @@ from .geometry import DomainError
 from .intervals import (
     Box2,
     DualBackend,
-    Interval,
     VectorBackend,
     VInterval,
     dual_vars,
+    gap_interval,
     pentagon_constants,
-    thin,
+    y1_interval,
 )
 from .regions import (
     DELTA_B0,
@@ -206,7 +206,7 @@ def _batch_bounds(plan: RegionPlan, lo3, hi3, lo5, hi5):
         if not np.any(m):
             continue
         lo[m], hi[m], form[m] = _pair_bounds(chk, lo3[m], hi3[m], lo5[m], hi5[m])
-    return lo, hi, form, cid
+    return lo, hi, form
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +232,7 @@ def build_fingerprint() -> str:
     h.update(FORMAT_VERSION.encode())
     pc = pentagon_constants()
     for iv in (pc.sqrt5, pc.a, pc.b, pc.half_a, pc.half_b) + pc.cos + pc.sin:
-        h.update(f"{iv.lo.hex()}|{iv.hi.hex()};".encode())
+        h.update(f"{float(iv.lo).hex()}|{float(iv.hi).hex()};".encode())
     for rid in REGION_IDS:
         for c in region_def(rid).constraints:
             h.update(
@@ -458,7 +458,7 @@ def certify_inequality(
     excised = region_excises_b0(region_id, delta)
 
     def bounds(lo3, hi3, lo5, hi5):
-        blo, bhi, form, _ = _batch_bounds(the_plan, lo3, hi3, lo5, hi5)
+        blo, bhi, form = _batch_bounds(the_plan, lo3, hi3, lo5, hi5)
         for j in np.flatnonzero(np.isfinite(bhi) & (bhi < 0.0)):
             cx = 0.5 * (lo3[j] + hi3[j])
             cy = 0.5 * (lo5[j] + hi5[j])
@@ -538,6 +538,13 @@ def _gap_jets(box: Box2):
             dbk, radii, i, k
         )
     return tuple(lam[a] - lam[b] for a, b in LOCAL_PAIRS)
+
+
+def _point_gaps(r3: float, r5: float):
+    """Enclosures of the two gap maps F at a point: the value part of
+    _gap_jets, computed without the derivatives."""
+    pt = Box2.point(r3, r5)
+    return tuple(gap_interval((b, a), pt) for a, b in LOCAL_PAIRS)
 
 
 @dataclass
@@ -644,57 +651,55 @@ def _contraction_evidence(inner_delta: float, subdivision: int):
         1.0 - inner_delta, 1.0 + inner_delta, 1.0 - inner_delta, 1.0 + inner_delta
     )
 
-    f_center = tuple((g.v.lo, g.v.hi) for g in _gap_jets(Box2.point(*center)))
+    fm = _point_gaps(*center)
 
     # Jacobian enclosure over the inner box: hull over a subdivision grid,
-    # one VInterval lane per sub-box (endpoint-identical to scalar jets).
-    edges = np.linspace(inner.r3.lo, inner.r3.hi, subdivision + 1)
+    # one VInterval lane per sub-box.
+    edges = np.linspace(float(inner.r3.lo), float(inner.r3.hi), subdivision + 1)
     i0, j0 = np.divmod(np.arange(subdivision * subdivision), subdivision)
     subs = Box2(
         VInterval(edges[i0], edges[i0 + 1]), VInterval(edges[j0], edges[j0 + 1])
     )
     J = [
-        [Interval(float(dv.lo.min()), float(dv.hi.max())) for dv in (g.d3, g.d5)]
+        [VInterval(dv.lo.min(), dv.hi.max()) for dv in (g.d3, g.d5)]
         for g in _gap_jets(subs)
     ]
 
     det = J[0][0] * J[1][1] - J[0][1] * J[1][0]
 
     # midpoint Jacobian -> approximate inverse Y (plain floats)
-    jm = [[J[r][c].mid() for c in range(2)] for r in range(2)]
+    jm = [[float(J[r][c].mid()) for c in range(2)] for r in range(2)]
     dm = jm[0][0] * jm[1][1] - jm[0][1] * jm[1][0]
     Y = ((jm[1][1] / dm, -jm[0][1] / dm), (-jm[1][0] / dm, jm[0][0] / dm))
 
     # K = m - Y F(m) + (I - Y J)(X - m)
-    dx = inner.r3 - thin(center[0])
-    dy = inner.r5 - thin(center[1])
-    fm = [Interval(*f_center[0]), Interval(*f_center[1])]
+    dx = inner.r3 - center[0]
+    dy = inner.r5 - center[1]
     K = []
     for r in range(2):
-        yr = (thin(Y[r][0]), thin(Y[r][1]))
+        yr = Y[r]
         shift = yr[0] * fm[0] + yr[1] * fm[1]
-        R0 = (thin(1.0 if r == 0 else 0.0)) - (yr[0] * J[0][0] + yr[1] * J[1][0])
-        R1 = (thin(1.0 if r == 1 else 0.0)) - (yr[0] * J[0][1] + yr[1] * J[1][1])
-        K.append(thin(center[r]) - shift + R0 * dx + R1 * dy)
+        R0 = (1.0 if r == 0 else 0.0) - (yr[0] * J[0][0] + yr[1] * J[1][0])
+        R1 = (1.0 if r == 1 else 0.0) - (yr[0] * J[0][1] + yr[1] * J[1][1])
+        K.append(center[r] - shift + R0 * dx + R1 * dy)
 
-    margin = min(
-        K[0].lo - inner.r3.lo,
-        inner.r3.hi - K[0].hi,
-        K[1].lo - inner.r5.lo,
-        inner.r5.hi - K[1].hi,
-    )
-    resid = max(max(abs(lo), abs(hi)) for lo, hi in f_center)
+    def ends(iv):
+        return (float(iv.lo), float(iv.hi))
+
+    f_center = tuple(ends(g) for g in fm)
+    k_image = tuple(ends(k) for k in K)
+    (i3, I3), (i5, I5) = ends(inner.r3), ends(inner.r5)
     return {
         "center": center,
         "f_center": f_center,
-        "jacobian": tuple(
-            tuple((J[r][c].lo, J[r][c].hi) for c in range(2)) for r in range(2)
-        ),
-        "det_jacobian": (det.lo, det.hi),
+        "jacobian": tuple(tuple(ends(J[r][c]) for c in range(2)) for r in range(2)),
+        "det_jacobian": ends(det),
         "y_matrix": Y,
-        "k_image": tuple((k.lo, k.hi) for k in K),
-        "containment_margin": margin,
-        "posteriori_residual": resid,
+        "k_image": k_image,
+        "containment_margin": min(
+            k_image[0][0] - i3, I3 - k_image[0][1], k_image[1][0] - i5, I5 - k_image[1][1]
+        ),
+        "posteriori_residual": max(max(abs(lo), abs(hi)) for lo, hi in f_center),
     }
 
 
@@ -911,7 +916,7 @@ def verify_certificate(cert) -> bool:
     _check_header(c)
 
     def recompute(lo3, hi3, lo5, hi5):
-        blo, _, form, _ = _batch_bounds(plan, lo3, hi3, lo5, hi5)
+        blo, _, form = _batch_bounds(plan, lo3, hi3, lo5, hi5)
         return blo, form
 
     _check_leaves(
@@ -1133,18 +1138,13 @@ def _solution_witness() -> Dict[str, object]:
     """Floating and interval evidence that the pentagon point solves the
     central-configuration system."""
     res = residual_vector((1.0, 1.0))
-    pt = Box2.point(1.0, 1.0)
-    g1, g2 = _gap_jets(pt)
-    from .intervals import y1_interval
-
-    y1 = y1_interval(pt)
+    g1, g2 = _point_gaps(1.0, 1.0)
+    y1 = y1_interval(Box2.point(1.0, 1.0))
     return {
         "pairwise_spread": res.pairwise_spread,
         "y1": res.y1,
         "is_solution": res.is_solution(),
-        "gap_enclosures_contain_zero": bool(
-            g1.v.contains(0.0) and g2.v.contains(0.0)
-        ),
+        "gap_enclosures_contain_zero": bool(g1.contains(0.0) and g2.contains(0.0)),
         "y1_enclosure_contains_zero": bool(y1.contains(0.0)),
     }
 

@@ -1,12 +1,13 @@
 """Shared formula kernel for the reduced two-variable system.
 
-Everything here is written once, generically over the operand type: the
-same code runs on plain floats, numpy arrays (the solver's vectorized
-path), rigorous intervals, vectorized intervals (the certifier's hot
-path), and first-order interval jets (the Krawczyk Jacobian).  A backend
-supplies the pentagon constants in its own representation plus the two
-non-field operations (tight square, x^(-3/2)); the formulas below use only
-+, -, *, / and those two hooks, so operator overloading does the rest.
+Everything here is written once, generically over the operand type.
+There are three backends: plain floats, which also run elementwise on
+numpy arrays (the solver's vectorized path); vector intervals, 0-d or one
+lane per box (the certifier's hot path and the public enclosures); and
+first-order interval jets (the Krawczyk Jacobian).  A backend supplies the
+pentagon constants in its own representation plus the two non-field
+operations (tight square, x^(-3/2)); the formulas below use only +, -, *,
+/ and those two hooks, so operator overloading does the rest.
 
 The force-balance functions: with q_i = r_i (cos t_i, sin t_i) and m = 1,
 
@@ -40,10 +41,6 @@ class FloatBackend:
     sin = SIN
     one = 1.0
     half_a = A / 2.0
-
-    @staticmethod
-    def lift(x):
-        return float(x)
 
     @staticmethod
     def sq(x):

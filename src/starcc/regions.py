@@ -51,7 +51,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .geometry import A, B, quasi_points
-from .intervals import Interval, VInterval, pentagon_constants
+from .intervals import VInterval, pentagon_constants
 
 # Default geometry knobs shared with the certifier.
 DELTA_B0 = 0.02
@@ -65,24 +65,23 @@ class TruncationRequired(ValueError):
     """cover_arrays() of an unbounded region needs a truncation bound."""
 
 
-_IV1 = Interval(1.0, 1.0)
+_IV1 = VInterval(1.0, 1.0)
 
 
-def _iv(x: float) -> Interval:
-    return Interval(x, x)
+def _iv(x: float) -> VInterval:
+    return VInterval(x, x)
 
 
 def _golden():
     pc = pentagon_constants()
-    half = Interval(0.5, 0.5)
     return {
-        "b/2": (B / 2.0, pc.b * half),
-        "2/b": (2.0 / B, Interval(2.0, 2.0) / pc.b),
+        "b/2": (B / 2.0, pc.b * 0.5),
+        "2/b": (2.0 / B, 2.0 / pc.b),
         "1+b": (1.0 + B, pc.b + _IV1),
-        "(2-b)/2": ((2.0 - B) / 2.0, (Interval(2.0, 2.0) - pc.b) * half),
+        "(2-b)/2": ((2.0 - B) / 2.0, (2.0 - pc.b) * 0.5),
         "b": (B, pc.b),
         # slant coefficient 2/a (equal to b/2 but kept in printed form)
-        "2/a": (2.0 / A, Interval(2.0, 2.0) / pc.a),
+        "2/a": (2.0 / A, 2.0 / pc.a),
     }
 
 
@@ -98,9 +97,9 @@ class Constraint:
     b: float
     c: float
     op: str
-    a_iv: Interval
-    b_iv: Interval
-    c_iv: Interval
+    a_iv: VInterval
+    b_iv: VInterval
+    c_iv: VInterval
 
     def holds(self, r3, r5):
         g = self.a * r3 + self.b * r5 + self.c
@@ -120,11 +119,7 @@ class Constraint:
     def certainly_outside_closure(self, r3_iv: VInterval, r5_iv: VInterval):
         """Boolean array: boxes that certainly miss {g OP' 0} with OP' the
         closed version of OP (soundly evaluated with coefficient enclosures)."""
-        g = (
-            VInterval.from_scalar(self.a_iv) * r3_iv
-            + VInterval.from_scalar(self.b_iv) * r5_iv
-            + VInterval.from_scalar(self.c_iv)
-        )
+        g = self.a_iv * r3_iv + self.b_iv * r5_iv + self.c_iv
         if self.op in ("<", "<="):
             return g.lo > 0.0
         return g.hi < 0.0
@@ -183,7 +178,7 @@ class Region:
 
     def bbox(self, truncation: Optional[float] = None):
         """(r3lo, r3hi, r5lo, r5hi) hull of the (truncated) region."""
-        return _BBOXES[self.id](truncation)
+        return tuple(float(e) for e in _BBOXES[self.id](truncation))
 
 
 def _s_hat() -> Region:
@@ -301,7 +296,7 @@ _G = {key: iv for key, (_, iv) in _golden().items()}
 
 def _slant_r3(r5: float) -> float:
     """Upper r3 edge (2/a) r5 + 1 of the slant r4 = 0 at r5, rounded outward."""
-    return (_G["2/a"] * _iv(r5) + _IV1).hi
+    return float((_G["2/a"] * r5 + _IV1).hi)
 
 
 # (r3lo, r3hi, r5lo, r5hi): enclosure lo for lower edges, hi for upper ones
@@ -431,7 +426,7 @@ def region_plan(rid: str) -> RegionPlan:
             main=_PAIRS["J4"],
             zones=(
                 CornerZone(
-                    _G["b/2"].lo, 1.0, 0.0, CORNER_ZONE_SIDE,
+                    float(_G["b/2"].lo), 1.0, 0.0, CORNER_ZONE_SIDE,
                     PairCheck((1, 1), (3, 1)),
                     "bodies 2 and 5 collide at the origin corner (b/2, 0); "
                     "lambda_11/lambda_31 never reference r_25 or divide by r2",

@@ -199,12 +199,16 @@ def test_interval_arithmetic_mass_containment():
     pts = pts[[in_domain(tuple(p)) for p in pts]]
     assert len(pts) >= 200
     worst_mid = worst_width = precision_cases = 0
-    for r3, r5 in pts[:200]:
+    pts = pts[:200]
+    # one lane of 200 thin boxes per index; lanes are elementwise, so each
+    # lane's endpoints are those of its own one-box evaluation
+    encs = {idx: lambda_interval(idx, Box2.point(pts[:, 0], pts[:, 1]))
+            for idx in LAMBDA_INDICES}
+    for p, (r3, r5) in enumerate(pts):
         r3, r5 = float(r3), float(r5)
-        box = Box2.point(r3, r5)
         margin = min(r3, r5, closure_r2(r3, r5), closure_r4(r3, r5))
         for idx in LAMBDA_INDICES:
-            enc = lambda_interval(idx, box)
+            enc = VInterval(encs[idx].lo[p], encs[idx].hi[p])
             val = lambda_component(idx, (r3, r5))
             assert enc.lo <= val <= enc.hi
             if margin < 0.2 or abs(val) > 50.0:

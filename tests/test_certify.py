@@ -250,7 +250,7 @@ def test_leaf_edge_moved_by_one_ulp_is_a_coverage_gap(j5_cert, edge):
     # re-sign the nudged leaf honestly so only coverage can object
     bad = Certificate.from_payload(payload)
     plan = region_plan("J5")
-    lo, _, form, _ = _batch_bounds(plan, bad.lo3, bad.hi3, bad.lo5, bad.hi5)
+    lo, _, form = _batch_bounds(plan, bad.lo3, bad.hi3, bad.lo5, bad.hi5)
     bad.bounds, bad.forms = lo, form
     bad.min_bound = float(lo.min())
     with pytest.raises(CoverageGap):
@@ -368,7 +368,7 @@ def test_local_forged_pair_map_is_rejected(local_cert):
 
 def test_lane_jacobian_equals_hull_of_scalar_jets(local_cert):
     # the 8x8 sub-box Jacobian runs as one VInterval-lane call; it must
-    # reproduce the hull of the 64 scalar _gap_jets calls bit for bit
+    # reproduce the hull of the 64 one-box _gap_jets calls bit for bit
     n, d = local_cert.subdivision, local_cert.inner_delta
     edges = np.linspace(1.0 - d, 1.0 + d, n + 1)
     hull = [[None, None], [None, None]]
@@ -377,8 +377,10 @@ def test_lane_jacobian_equals_hull_of_scalar_jets(local_cert):
             sub = Box2.from_bounds(edges[i], edges[i + 1], edges[j], edges[j + 1])
             for r, g in enumerate(_gap_jets(sub)):
                 for c, dv in enumerate((g.d3, g.d5)):
-                    hull[r][c] = dv if hull[r][c] is None else hull[r][c].hull(dv)
-    scalar = [[(iv.lo.hex(), iv.hi.hex()) for iv in row] for row in hull]
+                    h = hull[r][c]
+                    hull[r][c] = (dv.lo, dv.hi) if h is None else (
+                        np.minimum(h[0], dv.lo), np.maximum(h[1], dv.hi))
+    scalar = [[(float(lo).hex(), float(hi).hex()) for lo, hi in row] for row in hull]
     lanes = _contraction_evidence(d, n)["jacobian"]
     assert [[(lo.hex(), hi.hex()) for lo, hi in row] for row in lanes] == scalar
     assert lanes == local_cert.jacobian

@@ -9,17 +9,16 @@ from starcc.forces import lambda_component, y1_residual
 from starcc.geometry import A, B, in_domain
 from starcc.intervals import (
     Box2,
+    DenominatorStraddlesZero,
     DivisionByZeroInterval,
     Dual,
     DualBackend,
-    Interval,
     NegativeArgument,
     VInterval,
     dual_vars,
     gap_interval,
     lambda_interval,
     pentagon_constants,
-    thin,
     y1_interval,
 )
 
@@ -28,7 +27,7 @@ small = st.floats(min_value=0.0, max_value=1.0)
 
 
 def make_interval(center, pad):
-    return Interval(center - pad, center + pad)
+    return VInterval(center - pad, center + pad)
 
 
 @given(finite, small, finite, small)
@@ -77,14 +76,14 @@ def test_sqrt_and_powneg32_containment(a, pa):
 
 def test_sqrt_negative_raises():
     with pytest.raises(NegativeArgument):
-        Interval(-2.0, -1.0).sqrt()
+        VInterval(-2.0, -1.0).sqrt()
 
 
 @given(finite, small, small)
 def test_inclusion_monotonicity(a, pa, extra):
     inner = make_interval(a, pa)
     outer = make_interval(a, pa + extra)
-    for f in (lambda t: t.sq(), lambda t: t + thin(1.5), lambda t: t * thin(-2.0)):
+    for f in (lambda t: t.sq(), lambda t: t + 1.5, lambda t: t * VInterval(-2.0, -2.0)):
         fi, fo = f(inner), f(outer)
         assert fo.lo <= fi.lo and fi.hi <= fo.hi
 
@@ -134,28 +133,6 @@ def test_fat_box_contains_interior_samples(r3, r5):
             assert enc.lo <= val <= enc.hi
 
 
-def test_vectorized_matches_scalar_endpoints_exactly():
-    # The certifier's vector lane and the scalar Interval must agree to the
-    # bit on every endpoint, whatever the evaluation grouping was.
-    pts = [(1.0, 1.0), (1.17, 0.93), (0.61, 0.31), (1.9, 6.5)]
-    lo3 = np.array([p[0] - 0.005 for p in pts])
-    hi3 = np.array([p[0] + 0.005 for p in pts])
-    lo5 = np.array([p[1] - 0.005 for p in pts])
-    hi5 = np.array([p[1] + 0.005 for p in pts])
-    from starcc.intervals import VectorBackend
-
-    eng = VectorBackend()
-    for idx in ((1, 1), (2, 2), (4, 1), (5, 2)):
-        vr3 = VInterval(lo3, hi3)
-        vr5 = VInterval(lo5, hi5)
-        vec = kernel.lambda_quot(eng, vr3, vr5, *idx)
-        for j, (r3, r5) in enumerate(pts):
-            box = Box2.from_bounds(lo3[j], hi3[j], lo5[j], hi5[j])
-            scal = lambda_interval(idx, box)
-            assert scal.lo == vec.lo[j]
-            assert scal.hi == vec.hi[j]
-
-
 def test_vinterval_division_straddle_raises():
     x = VInterval(np.array([1.0, 1.0]), np.array([2.0, 2.0]))
     y = VInterval(np.array([-1.0, 0.5]), np.array([1.0, 1.5]))
@@ -198,7 +175,18 @@ def test_dual_lambda_derivative_matches_finite_difference():
     assert lam.d5.lo - 1e-4 <= fd5 <= lam.d5.hi + 1e-4
 
 
-def test_interval_constructor_rejects_inverted():
+@pytest.mark.parametrize(
+    "edges",
+    [(2.0, 1.0, 0.5, 0.6), (0.5, 0.6, math.nan, 0.7), ([0.1, 0.3], [0.2, 0.2], 0.5, 0.6)],
+    ids=["inverted", "nan", "inverted-lane"],
+)
+def test_box_from_bounds_rejects_inverted_or_nan_edges(edges):
     with pytest.raises(ValueError):
-        Interval(2.0, 1.0)
+        Box2.from_bounds(*edges)
+
+
+def test_lambda_with_a_straddling_denominator_raises():
+    # q31 = r3 cos 144 is zero on the r3 = 0 edge of this box
+    with pytest.raises(DenominatorStraddlesZero):
+        lambda_interval((3, 1), Box2.from_bounds(0.0, 0.1, 0.5, 0.6))
 
