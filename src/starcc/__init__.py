@@ -1,28 +1,15 @@
 """Star central configurations of five equal masses, reduced to (r3, r5).
 
-The public surface mirrors the layering: geometry (domain + closure),
-forces (floating evaluation), intervals (rigorous enclosures), regions
+The public surface mirrors the layering: geometry (constants, R2 points),
+kernel (the one closure, domain test and multiplier formulas), forces
+(floating evaluation), intervals (rigorous enclosures), regions
 (the 16-piece partition and its proof plans), certify (branch-and-bound +
 local uniqueness certificates and their verifier), solver (floating
 companion), cli (console entry point).
 """
 
-from .geometry import (
-    A,
-    B,
-    CollisionError,
-    DomainError,
-    FreePoint,
-    StarRadii,
-    close_center_of_mass,
-    closure_r2,
-    closure_r4,
-    in_domain,
-    mutual_distances,
-    nz,
-    positions,
-    quasi_points,
-)
+from .geometry import A, B, DomainError, nz, quasi_points
+from .kernel import in_domain
 from .forces import (
     HESSIAN_CLOSED_FORM,
     HESSIAN_CLOSED_FORM_DET,
@@ -91,9 +78,7 @@ from .solver import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "A", "B", "CollisionError", "DomainError", "FreePoint", "StarRadii",
-    "close_center_of_mass", "closure_r2", "closure_r4", "in_domain",
-    "mutual_distances", "nz", "positions", "quasi_points",
+    "A", "B", "DomainError", "nz", "quasi_points", "in_domain",
     "HESSIAN_CLOSED_FORM", "HESSIAN_CLOSED_FORM_DET", "LAMBDA_STAR",
     "NearZeroDenominator", "ResidualVector", "config_measure",
     "gradient_measure", "hessian_measure", "lambda_component", "moment_I",

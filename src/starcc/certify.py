@@ -129,8 +129,10 @@ class RunConfig:
             raise ValueError(f"delta_b0 {self.delta_b0} outside [0, 0.5)")
         if not (0.0 < self.max_box_width <= 0.5):
             raise ValueError(f"max_box_width {self.max_box_width} outside (0, 0.5]")
-        if self.truncation <= 1.0 + self.max_box_width:
-            raise ValueError(f"truncation {self.truncation} too small")
+        if not (1.0 + self.max_box_width < self.truncation < math.inf):
+            raise ValueError(
+                f"truncation {self.truncation} must be finite and above"
+                f" 1 + max_box_width")
         if self.max_depth < 0 or self.threads < 1:
             raise ValueError("max_depth must be >= 0 and threads >= 1")
         return self
@@ -363,6 +365,14 @@ class Certificate:
 _BOX_CAP = 4_000_000
 
 
+def _grid_cells(rid: str, width: float, truncation: Optional[float]) -> float:
+    """Upper bound on the cells of the region's initial grid (snap lines
+    add at most a few edges per axis).  Raises ValueError on an empty
+    truncated bbox."""
+    r3lo, r3hi, r5lo, r5hi = region_def(rid).bbox(truncation)
+    return ((r3hi - r3lo) / width + 8.0) * ((r5hi - r5lo) / width + 8.0)
+
+
 def _bisect(l3, h3, l5, h5):
     """Split every box at the midpoint of its wider side (r3 on ties).
 
@@ -454,6 +464,11 @@ def certify_inequality(
     """
     t0 = time.perf_counter()
     reg = region_def(region_id)
+    cells = _grid_cells(region_id, max_box_width, truncation)
+    if cells > _BOX_CAP:
+        raise BudgetExhausted(
+            f"{region_id}: width {max_box_width!r} and truncation"
+            f" {truncation!r} imply a grid of {cells:.3g} cells")
     the_plan = plan if plan is not None else region_plan(region_id)
     excised = region_excises_b0(region_id, delta)
 
@@ -887,8 +902,10 @@ def _check_header(c: Certificate) -> None:
         )
     # every kept cell of the cover holds a leaf, so a header whose grid
     # dwarfs the leaf count cannot verify; refuse it before building it
-    r3lo, r3hi, r5lo, r5hi = reg.bbox(c.truncation)
-    cells = ((r3hi - r3lo) / w + 8.0) * ((r5hi - r5lo) / w + 8.0)
+    try:
+        cells = _grid_cells(c.region, w, c.truncation)
+    except ValueError as exc:
+        raise MalformedCertificate(str(exc)) from exc
     if cells > 16 * c.n_leaves() + 65536:
         raise MalformedCertificate(
             f"{c.region}: max_box_width {w!r} implies a grid of"

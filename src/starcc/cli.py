@@ -404,9 +404,7 @@ def _grid_axes(window, n):
 
 
 def _domain_filter(r3, r5):
-    from .solver import _domain_mask
-
-    keep = _domain_mask(r3, r5)
+    keep = kernel.in_domain((r3, r5))
     return r3[keep], r5[keep]
 
 
@@ -507,10 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate lambda values / residual at a point")
     p.add_argument("r3", type=float)
     p.add_argument("r5", type=float)
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--index", help="one lambda, e.g. --index 31 for lambda_31")
-    g.add_argument("--all", action="store_true",
-                   help="full residual (default when --index is absent)")
+    p.add_argument("--index", help="one lambda, e.g. --index 31 for lambda_31;"
+                   " without it, the full residual")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_eval)
 

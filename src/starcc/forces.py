@@ -1,5 +1,11 @@
 """Potential, moment of inertia, configuration measure, and the reduced
-force-balance functions lambda_ik / y1.
+force-balance functions lambda_ik / y1, all in floats.
+
+Every function takes a point p = (r3, r5) of the open domain S and
+evaluates through the kernel with its float backend: _radii closes the
+center of mass with kernel.derived_radii after kernel.in_domain has
+accepted p (DomainError otherwise), and _quotient is the one checked
+lambda quotient (NearZeroDenominator when |q_ik| < 1e-12).
 
 Two moment conventions coexist deliberately:
 
@@ -23,14 +29,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from . import kernel
-from .geometry import (
-    DomainError,
-    FreePoint,
-    StarRadii,
-    close_center_of_mass,
-    mutual_distances,
-    positions,
-)
+from .geometry import DomainError
 
 NEAR_ZERO_DENOMINATOR_TOL = 1e-12
 
@@ -47,6 +46,11 @@ HESSIAN_CLOSED_FORM = (
 )
 HESSIAN_CLOSED_FORM_DET = 125.0 * (85.0 + 31.0 * _S5) / 32.0
 
+# the ten body pairs (i < j, 1-based) in numpy's triu_indices order
+_PAIRS = tuple((i, j) for i in range(1, 6) for j in range(i + 1, 6))
+
+_BK = kernel.FloatBackend
+
 
 class NearZeroDenominator(ArithmeticError):
     """|q_ik| below 1e-12; the quotient is numerically meaningless."""
@@ -59,51 +63,47 @@ def _check_index(idx) -> Tuple[int, int]:
     return i, k
 
 
-def potential_U(s: StarRadii) -> float:
+def _radii(p):
+    """The five radii at p = (r3, r5); DomainError outside S."""
+    r3, r5 = float(p[0]), float(p[1])
+    radii = kernel.derived_radii(_BK, r3, r5)
+    if not kernel.in_domain((r3, r5)):
+        raise DomainError(
+            f"({r3}, {r5}) closes to r2={radii[1]}, r4={radii[3]}; outside S")
+    return radii
+
+
+def _quotient(radii, i, k, cache=None) -> float:
+    """lambda_ik = N_ik / q_ik; NearZeroDenominator when |q_ik| < 1e-12."""
+    den = kernel.lambda_den(_BK, radii, i, k)
+    if abs(den) < NEAR_ZERO_DENOMINATOR_TOL:
+        raise NearZeroDenominator(
+            f"|q_{i}{k}| = {abs(den)} at {(radii[2], radii[4])}")
+    return kernel.lambda_num(_BK, radii, i, k, cache) / den
+
+
+def potential_U(p) -> float:
     """Newtonian potential sum over the ten pairs, unit masses."""
-    d = mutual_distances(positions(s))
-    iu, ju = np.triu_indices(5, k=1)
-    return float((1.0 / d[iu, ju]).sum())
+    radii = _radii(p)
+    inv = [1.0 / math.sqrt(kernel.dist2(_BK, radii, i, j)) for i, j in _PAIRS]
+    return float(np.array(inv).sum())
 
 
-def moment_I(s: StarRadii) -> float:
+def moment_I(p) -> float:
     """Moment of inertia (1/2) sum m r_i^2 about the origin."""
-    r = np.asarray(s.as_tuple())
+    r = np.asarray(_radii(p))
     return float(0.5 * (r**2).sum())
 
 
 def config_measure(p) -> float:
     """The scale-invariant configuration measure I~ * U^2 (see module doc)."""
-    s = close_center_of_mass(FreePoint(p[0], p[1]))
-    return 0.5 * moment_I(s) * potential_U(s) ** 2
+    return 0.5 * moment_I(p) * potential_U(p) ** 2
 
 
 def lambda_component(idx, p) -> float:
     """lambda_ik(r3, r5) = N_ik / q_ik at a point of the open domain."""
     i, k = _check_index(idx)
-    s = close_center_of_mass(FreePoint(p[0], p[1]))
-    bk = kernel.FloatBackend
-    radii = s.as_tuple()
-    den = kernel.lambda_den(bk, radii, i, k)
-    if abs(den) < NEAR_ZERO_DENOMINATOR_TOL:
-        raise NearZeroDenominator(f"|q_{i}{k}| = {abs(den)} at {tuple(p)}")
-    return kernel.lambda_num(bk, radii, i, k) / den
-
-
-def lambda_summands(idx, p):
-    """The four per-neighbor terms of N_ik/q_ik in ascending-j order.
-
-    Their sum equals lambda_component; useful for seeing which neighbor
-    dominates the balance at a given point.
-    """
-    i, k = _check_index(idx)
-    s = close_center_of_mass(FreePoint(p[0], p[1]))
-    bk = kernel.FloatBackend
-    radii = s.as_tuple()
-    den = kernel.lambda_den(bk, radii, i, k)
-    if abs(den) < NEAR_ZERO_DENOMINATOR_TOL:
-        raise NearZeroDenominator(f"|q_{i}{k}| = {abs(den)} at {tuple(p)}")
-    return tuple(t / den for t in kernel.lambda_num_terms(bk, radii, i, k))
+    return _quotient(_radii(p), i, k)
 
 
 def y1_residual(p) -> float:
@@ -112,9 +112,7 @@ def y1_residual(p) -> float:
     There is no quotient for (1,2) because q_12 = 0 identically; a central
     configuration must make this numerator vanish outright.
     """
-    s = close_center_of_mass(FreePoint(p[0], p[1]))
-    radii = s.as_tuple()
-    return kernel.lambda_num(kernel.FloatBackend, radii, 1, 2)
+    return kernel.lambda_num(_BK, _radii(p), 1, 2)
 
 
 @dataclass(frozen=True)
@@ -131,17 +129,11 @@ class ResidualVector:
 
 def residual_vector(p) -> ResidualVector:
     """Evaluate the full system: nine lambdas, y1, and max-min spread."""
-    s = close_center_of_mass(FreePoint(p[0], p[1]))
-    bk = kernel.FloatBackend
-    radii = s.as_tuple()
+    radii = _radii(p)
     cache = {}
-    values = {}
-    for i, k in kernel.LAMBDA_INDICES:
-        den = kernel.lambda_den(bk, radii, i, k)
-        if abs(den) < NEAR_ZERO_DENOMINATOR_TOL:
-            raise NearZeroDenominator(f"|q_{i}{k}| = {abs(den)} at {tuple(p)}")
-        values[(i, k)] = kernel.lambda_num(bk, radii, i, k, cache) / den
-    y1 = kernel.lambda_num(bk, radii, 1, 2, cache)
+    values = {(i, k): _quotient(radii, i, k, cache)
+              for i, k in kernel.LAMBDA_INDICES}
+    y1 = kernel.lambda_num(_BK, radii, 1, 2, cache)
     spread = max(values.values()) - min(values.values())
     return ResidualVector(values, y1, spread)
 

@@ -23,11 +23,16 @@ computes exactly those (lazily, cached per call site).  That matters: at
 isolated closure corners two *other* bodies can collide (e.g. bodies 2 and
 4 both at the origin when r2 = r4 = 0), and an eager all-pairs distance
 pass would evaluate 1/r_24^3 there for no reason.
+
+The closure radii r2, r4 (derived_radii) are also the domain test:
+in_domain checks r3, r5 > 0 and r2, r4 > 0 with these formulas, so every
+float route (forces, solver, partition audit, plot grids) decides
+membership in S the same way, to the last bit.
 """
 
 from __future__ import annotations
 
-from .geometry import A, B, COS, SIN
+from .geometry import A, COS, SIN
 
 LAMBDA_INDICES = tuple(
     (i, k) for i in range(1, 6) for k in (1, 2) if (i, k) != (1, 2)
@@ -57,6 +62,15 @@ def derived_radii(bk, r3, r5):
     r2 = one + ha * (r5 - r3)
     r4 = ha * (one - r3) + r5
     return (one, r2, r3, r4, r5)
+
+
+def in_domain(p):
+    """Strict membership of p = (r3, r5) in the open domain S: r3, r5 > 0
+    and the closure radii r2, r4 > 0.  Works elementwise when r3 and r5
+    are arrays (returns a boolean array then)."""
+    r3, r5 = p[0], p[1]
+    _, r2, _, r4, _ = derived_radii(FloatBackend, r3, r5)
+    return (r3 > 0.0) & (r5 > 0.0) & (r2 > 0.0) & (r4 > 0.0)
 
 
 def coordinate(bk, radii, i, k):
@@ -91,18 +105,6 @@ def lambda_num(bk, radii, i, k, d2cache=None):
     return total
 
 
-def lambda_num_terms(bk, radii, i, k):
-    """The four summands of N_ik in ascending-j order (j runs over != i)."""
-    qik = coordinate(bk, radii, i, k)
-    out = []
-    for j in range(1, 6):
-        if j == i:
-            continue
-        d2 = dist2(bk, radii, i, j)
-        out.append((qik - coordinate(bk, radii, j, k)) * bk.powneg32(d2))
-    return out
-
-
 def lambda_den(bk, radii, i, k):
     """Denominator q_ik of the lambda quotient."""
     return coordinate(bk, radii, i, k)
@@ -121,7 +123,7 @@ def y1_num(bk, r3, r5, d2cache=None):
 
 
 # Fixed signs of the nine q_ik denominators everywhere on the open domain S
-# (the angles are constant and every radius is positive on S).  These back
+# (the rays are fixed and every radius is positive on S).  These back
 # the cleared-denominator certification forms in the certify module.
 Q_SIGN = {
     (1, 1): +1,

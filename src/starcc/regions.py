@@ -52,6 +52,7 @@ import numpy as np
 
 from .geometry import A, B, quasi_points
 from .intervals import VInterval, pentagon_constants
+from .kernel import in_domain
 
 # Default geometry knobs shared with the certifier.
 DELTA_B0 = 0.02
@@ -153,7 +154,7 @@ def _c(kind: str, op: str, value, golden_key: Optional[str] = None) -> Constrain
 
 @dataclass(frozen=True)
 class Region:
-    """One certification region (or the whole domain S)."""
+    """One certification region."""
 
     id: str
     constraints: Tuple[Constraint, ...]
@@ -177,21 +178,15 @@ class Region:
         return out
 
     def bbox(self, truncation: Optional[float] = None):
-        """(r3lo, r3hi, r5lo, r5hi) hull of the (truncated) region."""
-        return tuple(float(e) for e in _BBOXES[self.id](truncation))
+        """(r3lo, r3hi, r5lo, r5hi) hull of the (truncated) region.
 
-
-def _s_hat() -> Region:
-    return Region(
-        "S",
-        (
-            _c("r3", ">", 0.0),
-            _c("r5", ">", 0.0),
-            _c("slant-r2", "<", None),
-            _c("slant-r4", "<", None),
-        ),
-        unbounded=True,
-    )
+        Raises ValueError when the hull is empty or inverted, as it is for
+        an unbounded region truncated at or below its r5 floor."""
+        box = tuple(float(e) for e in _BBOXES[self.id](truncation))
+        if not (box[0] < box[1] and box[2] < box[3]):
+            raise ValueError(
+                f"{self.id}: truncation {truncation!r} leaves the empty box {box}")
+        return box
 
 
 def _build_regions():
@@ -279,9 +274,7 @@ def _build_regions():
             False,
         ),
     }
-    out = {rid: Region(rid, cons, unb) for rid, (cons, unb) in bb.items()}
-    out["S"] = _s_hat()
-    return out
+    return {rid: Region(rid, cons, unb) for rid, (cons, unb) in bb.items()}
 
 
 def _need_trunc(t):
@@ -317,7 +310,6 @@ _BBOXES = {
     "J14": lambda t: (1.0, _G["2/b"].hi, 2.05, _G["1+b"].hi),
     "J15": lambda t: (_G["2/b"].lo, _slant_r3(_need_trunc(t)), 3.036, _need_trunc(t)),
     "J16": lambda t: (1.0, 1.3, 1.0, 1.4),
-    "S": lambda t: (0.0, _slant_r3(_need_trunc(t)), 0.0, _need_trunc(t)),
 }
 
 _REGIONS = _build_regions()
@@ -543,15 +535,7 @@ def _membership_matrix(r3: np.ndarray, r5: np.ndarray) -> np.ndarray:
     for rid in REGION_IDS:
         m = np.ones(r3.shape, dtype=bool)
         for c in region_def(rid).constraints:
-            g = c.a * r3 + c.b * r5 + c.c
-            if c.op == "<":
-                m &= g < 0.0
-            elif c.op == "<=":
-                m &= g <= 0.0
-            elif c.op == ">":
-                m &= g > 0.0
-            else:
-                m &= g >= 0.0
+            m &= c.holds(r3, r5)
         cols.append(m)
     return np.column_stack(cols)
 
@@ -570,12 +554,7 @@ def partition_audit(samples: int, window=None, seed: int = 0) -> PartitionReport
     pts = quasi_points(samples, seed)
     r3 = r3lo + pts[:, 0] * (r3hi - r3lo)
     r5 = r5lo + pts[:, 1] * (r5hi - r5lo)
-    dom = (
-        (r3 > 0.0)
-        & (r5 > 0.0)
-        & (r5 > r3 - B / 2.0)
-        & (r5 > (A * r3 - A) / 2.0)
-    )
+    dom = in_domain((r3, r5))
     r3, r5 = r3[dom], r5[dom]
     member = _membership_matrix(r3, r5)
     counts = member.sum(axis=1)

@@ -3,7 +3,8 @@
 Nothing in this module is rigorous -- it exists to *find* candidate
 central configurations fast, so the certificates produced by the certify
 module have an independent numerical cross-check.  The square subsystem
-refined here is the same pair the local uniqueness certificate contracts,
+refined here is the same pair the local uniqueness certificate contracts
+(certify.LOCAL_PAIRS, well-conditioned at (1,1)),
 
     F(r3, r5) = (lambda_11 - lambda_31, lambda_11 - lambda_51),
 
@@ -16,7 +17,9 @@ The Newton core runs all starts in numpy lockstep: one iteration advances
 every still-active lane at once (shared residual/Jacobian evaluations),
 with per-lane backtracking damping and per-lane retirement.  Results are
 bit-identical to running the lanes one at a time, and the whole 10^4-start
-acceptance scan takes a couple of seconds.
+acceptance scan takes a couple of seconds.  Residuals come from the kernel
+on its float backend, and kernel.in_domain (elementwise) decides which
+starts and which damped steps lie in S.
 """
 
 from __future__ import annotations
@@ -30,12 +33,8 @@ import numpy as np
 
 from . import kernel
 from .forces import residual_vector
-from .geometry import A, B, DomainError, in_domain, quasi_points
-
-# Same pair as certify.LOCAL_PAIRS: well-conditioned at (1,1) and already
-# the subject of the Krawczyk contraction, so solver and certificate talk
-# about the same map.
-SQUARE_PAIRS = (((1, 1), (3, 1)), ((1, 1), (5, 1)))
+from .geometry import DomainError, quasi_points
+from .kernel import in_domain
 
 MERGE_RADIUS = 1e-6
 FD_SCALE = 1e-7
@@ -57,16 +56,6 @@ class LeftDomain(RuntimeError):
 
 class MaxIterations(RuntimeError):
     """Iteration budget exhausted before the residual tolerance."""
-
-
-def _domain_mask(r3, r5):
-    """Elementwise strict membership in S (all four radii positive)."""
-    return (
-        (r3 > 0.0)
-        & (r5 > 0.0)
-        & (r5 > r3 - B / 2.0)
-        & (r5 > (A * r3 - A) / 2.0)
-    )
 
 
 def _square_residual(r3, r5):
@@ -152,7 +141,7 @@ def _newton_lockstep(r3, r5, tol, max_iter, trace=False):
                     break
                 c3 = cur3[todo] + t[todo] * d3[todo]
                 c5 = cur5[todo] + t[todo] * d5[todo]
-                inside = _domain_mask(c3, c5)
+                inside = in_domain((c3, c5))
                 g1, g2 = _square_residual(c3, c5)
                 gm = np.maximum(np.abs(g1), np.abs(g2))
                 good = inside & np.isfinite(gm) & (gm <= (1.0 - _DECREASE * t[todo]) * curm[todo])
@@ -339,7 +328,7 @@ def grid_scan(window, n_starts: int, tol: float = 1e-10, seed: int = 0,
     pts = quasi_points(n_starts, seed)
     s3 = lo3 + pts[:, 0] * (hi3 - lo3)
     s5 = lo5 + pts[:, 1] * (hi5 - lo5)
-    keep = _domain_mask(s3, s5)
+    keep = in_domain((s3, s5))
     if not keep.any():
         raise DomainError(f"window {window} does not intersect the domain")
     s3, s5 = s3[keep], s5[keep]

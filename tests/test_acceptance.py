@@ -29,9 +29,9 @@ from starcc.forces import (
     lambda_component,
     residual_vector,
 )
-from starcc.geometry import B, closure_r2, closure_r4, in_domain, nz
+from starcc.geometry import B, nz
 from starcc.intervals import Box2, VInterval, lambda_interval
-from starcc.kernel import LAMBDA_INDICES
+from starcc.kernel import LAMBDA_INDICES, FloatBackend, derived_radii, in_domain
 from starcc.regions import PairCheck, RegionPlan, partition_audit, region_plan
 from starcc.solver import grid_scan
 
@@ -206,7 +206,7 @@ def test_interval_arithmetic_mass_containment():
             for idx in LAMBDA_INDICES}
     for p, (r3, r5) in enumerate(pts):
         r3, r5 = float(r3), float(r5)
-        margin = min(r3, r5, closure_r2(r3, r5), closure_r4(r3, r5))
+        margin = min(derived_radii(FloatBackend, r3, r5)[1:])
         for idx in LAMBDA_INDICES:
             enc = VInterval(encs[idx].lo[p], encs[idx].hi[p])
             val = lambda_component(idx, (r3, r5))

@@ -29,6 +29,7 @@ from starcc.certify import (
     verify_local_certificate,
 )
 from starcc.intervals import Box2
+from starcc import regions
 from starcc.regions import PairCheck, RegionPlan, cover_arrays, region_def, region_plan
 
 
@@ -136,6 +137,43 @@ def test_reversed_orientation_refutes():
 def test_tiny_budget_exhausts():
     with pytest.raises(BudgetExhausted):
         certify_inequality("J7", max_box_width=0.05, max_depth=2)
+
+
+def test_grid_beyond_the_box_cap_is_refused_before_it_is_built():
+    # an infinite cut (RunConfig refuses it, the API does not) or a tiny
+    # width would ask numpy for a meshgrid of unbounded or gigabyte size
+    with pytest.raises(BudgetExhausted, match="cells"):
+        certify_inequality("J15", max_box_width=0.1, truncation=math.inf)
+    with pytest.raises(BudgetExhausted, match="cells"):
+        certify_inequality("J7", max_box_width=1e-5)
+
+
+def test_truncation_at_or_below_the_floor_is_refused():
+    # J15 starts at r5 = 3.036 and J10 at 1 + b
+    for rid, t in (("J15", 2.0), ("J15", 3.036), ("J10", 2.0)):
+        with pytest.raises(ValueError, match="empty"):
+            certify_inequality(rid, max_box_width=0.1, truncation=t)
+    with pytest.raises(ValueError, match="empty"):
+        certify_inequality("J9", max_box_width=0.1, truncation=math.nan)
+
+
+def test_certificate_truncated_below_the_floor_is_malformed(monkeypatch):
+    # a genuine J15 certificate whose header claims the cut r5 <= 2
+    payload = json.loads(certify_inequality("J15", 0.1, truncation=10.0).to_json())
+    payload["truncation"] = (2.0).hex()
+    with pytest.raises(MalformedCertificate, match="truncation"):
+        verify_certificate(Certificate.from_payload(payload))
+    # the certificate an unchecked bbox writes: sorted edges turn J15's
+    # r5 range [3.036, 2] into [2, 3.036], whose boxes only touch J15
+    def unchecked(self, truncation=None):
+        return tuple(float(e) for e in regions._BBOXES[self.id](truncation))
+
+    with monkeypatch.context() as m:
+        m.setattr(regions.Region, "bbox", unchecked)
+        forged = certify_inequality("J15", 0.1, truncation=2.0)
+    assert forged.n_leaves() > 0 and forged.hi5.max() <= 3.036
+    with pytest.raises(MalformedCertificate, match="truncation"):
+        verify_certificate(Certificate.from_payload(json.loads(forged.to_json())))
 
 
 def test_no_excision_fails_next_to_the_solution():
@@ -416,6 +454,7 @@ def test_run_config_validation():
         RunConfig(max_box_width=0.0).validate()
     with pytest.raises(ValueError):
         RunConfig(threads=0).validate()
-    with pytest.raises(ValueError):
-        RunConfig(truncation=1.0).validate()
+    for truncation in (1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            RunConfig(truncation=truncation).validate()
     assert RunConfig(delta_b0=0.0).validate()  # explicit no-excision mode

@@ -64,6 +64,14 @@ def test_eval_outside_domain_exits_2(capsys):
     assert code == cli.EXIT_DOMAIN
 
 
+def test_eval_has_no_all_flag(capsys):
+    # the full residual is what eval prints without --index
+    with pytest.raises(SystemExit) as err:
+        cli.main(["eval", "1", "1", "--all"])
+    assert err.value.code == 2
+    capsys.readouterr()
+
+
 def test_eval_unknown_index_exits_2(capsys):
     code, _ = run(["eval", "1", "1", "--index", "12"], capsys)
     assert code == cli.EXIT_DOMAIN  # (1,2) is the normalized slot, not a lambda
@@ -116,6 +124,41 @@ def test_certify_single_region_writes_file(tmp_path, capsys):
 def test_certify_unknown_region_exits_2(capsys):
     code, _ = run(["certify", "J99"], capsys)
     assert code == cli.EXIT_DOMAIN
+
+
+@pytest.mark.parametrize("target", ["J15", "all"])
+def test_certify_truncated_below_a_region_floor_exits_2(target, capsys):
+    # J15 starts at r5 = 3.036 (and J10 at 1 + b), so nothing is left to certify
+    code, out = run(["certify", target, "--width", "0.1", "--truncate-r5", "2"],
+                    capsys)
+    assert code == cli.EXIT_DOMAIN
+    assert "empty" in out
+
+
+@pytest.mark.parametrize("truncation", ["inf", "nan"])
+def test_certify_non_finite_truncation_exits_2(truncation, capsys):
+    code, out = run(["certify", "J9", "--width", "0.1", "--truncate-r5",
+                     truncation], capsys)
+    assert code == cli.EXIT_DOMAIN
+    assert "finite" in out
+
+
+def test_certify_huge_truncation_exits_4_before_allocating(capsys):
+    code, out = run(["certify", "J9", "--width", "0.1", "--truncate-r5", "1e7"],
+                    capsys)
+    assert code == cli.EXIT_BUDGET
+    assert "cells" in out
+
+
+def test_verify_rejects_a_header_truncated_below_the_floor(tmp_path, capsys):
+    run(["certify", "J15", "--width", "0.1"], capsys)
+    path = tmp_path / "certs" / "J15.json"
+    doc = json.loads(path.read_text())
+    doc["truncation"] = (2.0).hex()
+    path.write_text(json.dumps(doc))
+    code, out = run(["verify", path], capsys)
+    assert code == cli.EXIT_VERIFY
+    assert "truncation" in out
 
 
 def test_certify_budget_exhaustion_exits_4(capsys):

@@ -12,23 +12,21 @@ from starcc.forces import (
     gradient_measure,
     hessian_measure,
     lambda_component,
-    lambda_summands,
     moment_I,
     potential_U,
     residual_vector,
     y1_residual,
 )
-from starcc.geometry import B, DomainError, FreePoint, close_center_of_mass, nz
+from starcc.geometry import B, DomainError, nz
 
 B_HALF = B / 2.0
 
 
 def test_pentagon_potential_and_moment():
-    s = close_center_of_mass(FreePoint(1.0, 1.0))
     side = 2.0 * math.sin(math.pi / 5.0)
     diag = 2.0 * math.sin(2.0 * math.pi / 5.0)
-    assert potential_U(s) == pytest.approx(5.0 / side + 5.0 / diag, rel=1e-15)
-    assert moment_I(s) == 2.5
+    assert potential_U((1.0, 1.0)) == pytest.approx(5.0 / side + 5.0 / diag, rel=1e-15)
+    assert moment_I((1.0, 1.0)) == 2.5
     assert config_measure((1.0, 1.0)) == pytest.approx(59.20084971874736, rel=1e-14)
 
 
@@ -42,8 +40,8 @@ def test_pentagon_is_an_exact_solution():
 
 
 def test_lambda_star_is_potential_over_twice_moment():
-    s = close_center_of_mass(FreePoint(1.0, 1.0))
-    assert LAMBDA_STAR == pytest.approx(potential_U(s) / (2.0 * moment_I(s)),
+    p = (1.0, 1.0)
+    assert LAMBDA_STAR == pytest.approx(potential_U(p) / (2.0 * moment_I(p)),
                                         rel=1e-15)
 
 
@@ -74,13 +72,6 @@ def test_lambda_spot_values_share_no_common_scale_error():
     assert abs(np.mean(ratios) - 1.0) < 1e-4
 
 
-def test_lambda_summands_sum_to_component():
-    p = (1.17, 0.93)
-    for idx in ((1, 1), (3, 2), (5, 1)):
-        total = sum(lambda_summands(idx, p))
-        assert total == pytest.approx(lambda_component(idx, p), rel=1e-13)
-
-
 def test_asymmetric_point_regression():
     res = residual_vector((1.17, 0.93))
     assert res.lambda_values[(1, 1)] == pytest.approx(1.9129492173729385, rel=1e-14)
@@ -88,6 +79,51 @@ def test_asymmetric_point_regression():
     assert res.y1 == pytest.approx(0.03833568330204806, rel=1e-13)
     assert res.pairwise_spread == pytest.approx(1.2561165880852077, rel=1e-13)
     assert y1_residual((1.17, 0.93)) == res.y1
+
+
+# float.hex() of every float route at (1.17, 0.93) and of the Hessian at
+# (1, 1): a change in the order of a sum or of a closure step shows here
+# before it moves a CLI output
+PINNED_AT_117_093 = {
+    "potential_U": "0x1.f34a91a016552p+2",
+    "moment_I": "0x1.025c434ae8b14p+1",
+    "config_measure": "0x1.eb632b1b91958p+5",
+    "y1": "0x1.3a0bc141aae20p-5",
+    "spread": "0x1.4190db51ca008p+0",
+}
+PINNED_LAMBDA_AT_117_093 = {
+    (1, 1): "0x1.e9b70a37868b8p+0",
+    (2, 1): "0x1.becfa2b01ead6p+0",
+    (2, 2): "0x1.505b4d00aa479p+1",
+    (3, 1): "0x1.7e9d7149dfadcp+0",
+    (3, 2): "0x1.8705da3d46758p+0",
+    (4, 1): "0x1.6017264dd4d72p+1",
+    (4, 2): "0x1.057a322c6c524p+1",
+    (5, 1): "0x1.184bf4ad1a35ep+1",
+    (5, 2): "0x1.08fbe27d1d7f6p+1",
+}
+PINNED_HESSIAN_AT_PENTAGON = (
+    "0x1.0e582d86969abp+6", "-0x1.0e582c8846700p+5",
+    "-0x1.0e582c8846700p+5", "0x1.9d0cbbfd85f55p+4",
+)
+
+
+def test_float_routes_are_pinned_bit_for_bit():
+    p = (1.17, 0.93)
+    res = residual_vector(p)
+    got = {
+        "potential_U": potential_U(p),
+        "moment_I": moment_I(p),
+        "config_measure": config_measure(p),
+        "y1": res.y1,
+        "spread": res.pairwise_spread,
+    }
+    assert {k: v.hex() for k, v in got.items()} == PINNED_AT_117_093
+    assert {k: v.hex() for k, v in res.lambda_values.items()} == PINNED_LAMBDA_AT_117_093
+    assert {idx: lambda_component(idx, p).hex()
+            for idx in res.lambda_values} == PINNED_LAMBDA_AT_117_093
+    h = hessian_measure((1, 1))
+    assert tuple(float(x).hex() for x in h.ravel()) == PINNED_HESSIAN_AT_PENTAGON
 
 
 def test_gradient_vanishes_at_pentagon():
@@ -126,6 +162,8 @@ def test_outside_domain_propagates():
         residual_vector((3.0, 0.1))
     with pytest.raises(DomainError):
         config_measure((3.0, 0.1))
+    with pytest.raises(DomainError):
+        lambda_component((1, 1), (1.0, -0.1))
 
 
 def test_near_zero_denominator_is_reported():

@@ -8,22 +8,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from starcc import geometry
-from starcc.geometry import (
-    A,
-    B,
-    DomainError,
-    FreePoint,
-    StarRadii,
-    close_center_of_mass,
-    closure_r2,
-    closure_r4,
-    in_domain,
-    mutual_distances,
-    positions,
-    quasi_points,
-)
+from starcc.forces import NearZeroDenominator, residual_vector
+from starcc.geometry import A, B, DomainError, quasi_points
+from starcc.kernel import FloatBackend, coordinate, derived_radii, dist2, in_domain
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+def _radii(r3, r5):
+    return derived_radii(FloatBackend, r3, r5)
+
+
+def _centroid(r3, r5):
+    radii = _radii(r3, r5)
+    return [sum(coordinate(FloatBackend, radii, i, k) for i in range(1, 6))
+            for k in (1, 2)]
 
 
 def test_golden_constants():
@@ -36,16 +35,14 @@ def test_golden_constants():
 
 def test_closure_matches_hand_values():
     # r2 = 1 + (a/2)(r5 - r3), r4 = (a/2)(1 - r3) + r5
-    assert closure_r2(1.3, 0.8) == pytest.approx(0.19098300562505255, rel=1e-15)
-    assert closure_r4(1.3, 0.8) == pytest.approx(0.3145898033750315, rel=1e-15)
-    assert closure_r2(1.0, 1.0) == 1.0
-    assert closure_r4(1.0, 1.0) == 1.0
+    _, r2, _, r4, _ = _radii(1.3, 0.8)
+    assert r2 == pytest.approx(0.19098300562505255, rel=1e-15)
+    assert r4 == pytest.approx(0.3145898033750315, rel=1e-15)
+    assert _radii(1.0, 1.0) == (1.0, 1.0, 1.0, 1.0, 1.0)
 
 
 def test_close_center_of_mass_zeroes_the_centroid():
-    s = close_center_of_mass(FreePoint(1.17, 0.93))
-    com = positions(s).sum(axis=0)
-    assert np.allclose(com, 0.0, atol=1e-14)
+    assert np.allclose(_centroid(1.17, 0.93), 0.0, atol=1e-14)
 
 
 @given(
@@ -55,23 +52,22 @@ def test_close_center_of_mass_zeroes_the_centroid():
 def test_closure_com_identity_everywhere(r3, r5):
     if not in_domain((r3, r5)):
         return
-    s = close_center_of_mass(FreePoint(r3, r5))
-    com = positions(s).sum(axis=0)
     scale = max(1.0, abs(r3), abs(r5))
-    assert np.all(np.abs(com) < 1e-12 * scale)
+    assert np.all(np.abs(_centroid(r3, r5)) < 1e-12 * scale)
 
 
 def test_pentagon_distances():
-    s = close_center_of_mass(FreePoint(1.0, 1.0))
-    d = mutual_distances(positions(s))
+    radii = _radii(1.0, 1.0)
+    d = {(i, j): math.sqrt(dist2(FloatBackend, radii, i, j))
+         for i in range(1, 6) for j in range(1, 6)}
     side = 2.0 * math.sin(math.pi / 5.0)
     diag = 2.0 * math.sin(2.0 * math.pi / 5.0)
-    assert d[0, 1] == pytest.approx(side, rel=1e-15)
-    assert d[0, 2] == pytest.approx(diag, rel=1e-15)
-    assert d[1, 4] == pytest.approx(diag, rel=1e-15)
-    assert d[4, 0] == pytest.approx(side, rel=1e-15)
-    # symmetry of the distance matrix
-    assert np.allclose(d, d.T)
+    assert d[1, 2] == pytest.approx(side, rel=1e-15)
+    assert d[1, 3] == pytest.approx(diag, rel=1e-15)
+    assert d[2, 5] == pytest.approx(diag, rel=1e-15)
+    assert d[5, 1] == pytest.approx(side, rel=1e-15)
+    # symmetry of the distances
+    assert all(d[i, j] == d[j, i] for i, j in d)
 
 
 def test_domain_membership():
@@ -82,25 +78,51 @@ def test_domain_membership():
     assert not in_domain((1.0, 0.0))
 
 
-def test_outside_domain_raises():
-    with pytest.raises(DomainError):
-        close_center_of_mass(FreePoint(3.0, 0.1))
-
-
-def test_collision_detected():
-    stacked = np.zeros((5, 2))
-    stacked[0] = (1.0, 0.0)
-    with pytest.raises(geometry.CollisionError):
-        mutual_distances(stacked)
-
-
 @given(
     st.floats(min_value=0.01, max_value=4.0),
     st.floats(min_value=0.01, max_value=4.0),
 )
 def test_in_domain_iff_closure_radii_positive(r3, r5):
     member = in_domain((r3, r5))
-    assert member == (closure_r2(r3, r5) > 0.0 and closure_r4(r3, r5) > 0.0)
+    _, r2, _, r4, _ = _radii(r3, r5)
+    assert member == (r2 > 0.0 and r4 > 0.0)
+
+
+def _slant_neighbours():
+    """Points within two ulps of r5 on both slant lines, r2 = 0 (r5 = r3 -
+    b/2) and r4 = 0 (r5 = (a/2)(r3 - 1)); the printed slant inequalities
+    and the closure radii disagree on many of them."""
+    r3 = np.concatenate([np.linspace(0.7, 3.0, 97), np.linspace(1.05, 3.0, 97)])
+    r5 = np.concatenate([r3[:97] - B / 2.0, (A / 2.0) * (r3[97:] - 1.0)])
+    steps = [r5]
+    for _ in range(2):
+        steps = [np.nextafter(steps[0], -np.inf)] + steps + [np.nextafter(steps[-1], np.inf)]
+    return np.tile(r3, len(steps)), np.concatenate(steps)
+
+
+def test_in_domain_agrees_with_the_float_evaluation_next_to_the_slant_lines():
+    r3, r5 = _slant_neighbours()
+    member = in_domain((r3, r5))
+    # both sides of both lines occur, so the test discriminates
+    assert 0 < member.sum() < member.size
+    for a, b, m in zip(r3.tolist(), r5.tolist(), member.tolist()):
+        assert in_domain((a, b)) == m
+        try:
+            residual_vector((a, b))
+            raised = False
+        except DomainError:
+            raised = True
+        except NearZeroDenominator:  # q_21 or q_42 ~ 0 inside S
+            raised = False
+        assert m == (not raised), (a, b)
+
+
+def test_in_domain_on_arrays_matches_scalar_calls():
+    pts = quasi_points(2000, 1) * 4.0 - 0.5
+    member = in_domain((pts[:, 0], pts[:, 1]))
+    assert member.dtype == bool and member.shape == (2000,)
+    assert member.tolist() == [bool(in_domain((a, b))) for a, b in pts.tolist()]
+    assert 0 < member.sum() < member.size
 
 
 # ---------------------------------------------------------------------------
@@ -160,3 +182,17 @@ def test_pipeline_loads_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == ""
+
+
+@pytest.mark.parametrize("module", ["certify", "cli", "forces", "geometry",
+                                    "intervals", "kernel", "regions", "solver"])
+def test_each_module_imports_in_a_fresh_process(module):
+    # an in-process test imports starcc once for the whole session, which
+    # can hide an import cycle that a first import of one module trips
+    src = os.path.dirname(os.path.dirname(geometry.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", f"import starcc.{module}"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

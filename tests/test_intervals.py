@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from starcc import kernel
+from starcc.kernel import in_domain
 from starcc.forces import lambda_component, y1_residual
-from starcc.geometry import A, B, in_domain
+from starcc.geometry import A, B
 from starcc.intervals import (
     Box2,
     DenominatorStraddlesZero,

@@ -173,7 +173,6 @@ def _exact_bboxes(t):
             "J14": (one, 2 / b, Decimal(2.05), 1 + b),
             "J15": (2 / b, slant(t), top, t),
             "J16": (one, Decimal(1.3), one, Decimal(1.4)),
-            "S": (0, slant(t), 0, t),
         }
 
 

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from starcc.geometry import DomainError, in_domain
+from starcc.geometry import DomainError
+from starcc.kernel import in_domain
 from starcc.solver import (
     MERGE_RADIUS,
     Diverged,
