@@ -395,7 +395,7 @@ def cmd_scan(args) -> int:
 
 def _grid_axes(window, n):
     lo3, hi3, lo5, hi5 = window
-    if not (lo3 < hi3 and lo5 < hi5) or n < 2:
+    if not (lo3 < hi3 and lo5 < hi5 and np.all(np.isfinite(window))) or n < 2:
         raise DomainError(f"bad plot window {window} / grid {n}")
     g3 = np.linspace(lo3, hi3, n)
     g5 = np.linspace(lo5, hi5, n)
@@ -450,6 +450,8 @@ def _plot_spread(args) -> None:
 
 
 def _plot_gap(args, rid: str) -> None:
+    if not np.isfinite(args.truncate_r5):
+        raise DomainError(f"truncation {args.truncate_r5} is not finite")
     region = region_def(rid)
     plan = region_plan(rid)
     trunc = args.truncate_r5 if region.unbounded else None

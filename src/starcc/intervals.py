@@ -2,15 +2,19 @@
 
 Rigor model: every operation returns an interval that contains the exact
 real result for all points of its operands.  Endpoints are computed in
-IEEE double and then nudged one ulp outward (``np.nextafter``), which is
-portable, costs one bit of tightness per operation, and never depends on a
-global rounding mode.  There is one interval type, `VInterval`: numpy
-lo/hi arrays, 0-d for a single interval and 1-d for a lane of boxes (the
-certifier's hot path).  The first-order jet `Dual` (value + d/dr3 + d/dr5,
-each a `VInterval`) serves the Krawczyk Jacobian.  Arithmetic is
-elementwise, so a lane's endpoints are the ones a 0-d evaluation of the
-same box gives, bit for bit.  The tier-1 tests check every primitive and
-the certified leaf bounds against exact rational arithmetic.
+IEEE double and then nudged one ulp outward, which is portable, costs one
+bit of tightness per operation, and never depends on a global rounding
+mode.  The nudge (`_outward`) equals ``np.nextafter`` toward -inf or
++inf bit for bit, which the tier-1 tests check; on a finite lane array it
+steps the IEEE-754 bit pattern viewed as int64 in place, several times
+cheaper than ``np.nextafter`` on long lanes.  There is one interval type,
+`VInterval`: numpy lo/hi arrays, 0-d for a single interval and 1-d for a
+lane of boxes (the certifier's hot path).  The first-order jet `Dual`
+(value + d/dr3 + d/dr5, each a `VInterval`) serves the Krawczyk Jacobian.
+Arithmetic is elementwise, so a lane's endpoints are the ones a 0-d
+evaluation of the same box gives, bit for bit.  The tier-1 tests check
+every primitive and the certified leaf bounds against exact rational
+arithmetic.
 
 Pentagon constants are enclosed from a sqrt(5) enclosure: cos 72 = b/4 and
 cos 144 = -a/4 are exact rational images of sqrt(5); the sines use
@@ -45,6 +49,37 @@ class DenominatorStraddlesZero(ArithmeticError):
 
 _NINF = float("-inf")
 _PINF = float("inf")
+
+
+def _outward(x, toward):
+    """np.nextafter(x, toward) for toward = -inf or +inf, bit for bit.
+
+    x must be a result the caller has just computed and owns: a finite
+    float64 lane array is stepped in place.  Among doubles of one sign,
+    the next larger magnitude has the next larger bit pattern, so the step
+    up adds 1 to the pattern (read as int64) of x >= +0 and subtracts 1
+    from that of x < 0, after mapping -0 to +0 (x + 0.0).  The step down
+    is -up(-x), with 0.0 - x doing the negation and the zero mapping in
+    one pass.  0-d values, empty arrays and arrays holding a NaN or the
+    infinity the step cannot leave (+inf up, -inf down) go through
+    np.nextafter.
+    """
+    if getattr(x, "ndim", 0) == 0 or x.size == 0:
+        return np.nextafter(x, toward)
+    up = toward > 0.0
+    if not (x.max() < _PINF if up else x.min() > _NINF):  # NaN fails both
+        return np.nextafter(x, toward)
+    if up:
+        x += 0.0
+    else:
+        np.subtract(0.0, x, out=x)
+    bits = x.view(np.int64)
+    step = bits >> 63  # 0 for a positive pattern, -1 for a negative one
+    step |= 1
+    bits += step
+    if not up:
+        np.negative(x, out=x)
+    return x
 
 
 class VInterval:
@@ -84,7 +119,7 @@ class VInterval:
         if o is NotImplemented:
             return o
         return VInterval(
-            np.nextafter(self.lo + o.lo, _NINF), np.nextafter(self.hi + o.hi, _PINF)
+            _outward(self.lo + o.lo, _NINF), _outward(self.hi + o.hi, _PINF)
         )
 
     __radd__ = __add__
@@ -97,7 +132,7 @@ class VInterval:
         if o is NotImplemented:
             return o
         return VInterval(
-            np.nextafter(self.lo - o.hi, _NINF), np.nextafter(self.hi - o.lo, _PINF)
+            _outward(self.lo - o.hi, _NINF), _outward(self.hi - o.lo, _PINF)
         )
 
     def __rsub__(self, other):
@@ -113,7 +148,7 @@ class VInterval:
         c4 = self.hi * o.hi
         lo = np.minimum(np.minimum(c1, c2), np.minimum(c3, c4))
         hi = np.maximum(np.maximum(c1, c2), np.maximum(c3, c4))
-        return VInterval(np.nextafter(lo, _NINF), np.nextafter(hi, _PINF))
+        return VInterval(_outward(lo, _NINF), _outward(hi, _PINF))
 
     __rmul__ = __mul__
 
@@ -129,7 +164,7 @@ class VInterval:
         c4 = self.hi / o.hi
         lo = np.minimum(np.minimum(c1, c2), np.minimum(c3, c4))
         hi = np.maximum(np.maximum(c1, c2), np.maximum(c3, c4))
-        return VInterval(np.nextafter(lo, _NINF), np.nextafter(hi, _PINF))
+        return VInterval(_outward(lo, _NINF), _outward(hi, _PINF))
 
     def __rtruediv__(self, other):
         return self._coerce(other).__truediv__(self)
@@ -141,23 +176,33 @@ class VInterval:
         m = np.minimum(a, b)
         M = np.maximum(a, b)
         lo = np.where(
-            self.straddles_zero(), 0.0, np.maximum(0.0, np.nextafter(m * m, _NINF))
+            self.straddles_zero(), 0.0, np.maximum(0.0, _outward(m * m, _NINF))
         )
-        return VInterval(lo, np.nextafter(M * M, _PINF))
+        return VInterval(lo, _outward(M * M, _PINF))
 
     def sqrt(self) -> "VInterval":
         if np.any(self.lo < 0.0):
             raise NegativeArgument("sqrt of a partly negative interval")
         return VInterval(
-            np.maximum(0.0, np.nextafter(np.sqrt(self.lo), _NINF)),
-            np.nextafter(np.sqrt(self.hi), _PINF),
+            np.maximum(0.0, _outward(np.sqrt(self.lo), _NINF)),
+            _outward(np.sqrt(self.hi), _PINF),
         )
 
     def powneg32(self) -> "VInterval":
-        """x^(-3/2) as reciprocal of x*sqrt(x), each step outward-rounded."""
+        """x^(-3/2) as reciprocal of x*sqrt(x), each step outward-rounded.
+
+        Every factor is positive, so each step's lower endpoint comes from
+        the lower endpoints (the upper from the upper) and rounding is
+        monotone: the result equals 1.0 / (self * self.sqrt()) bit for bit
+        without the generic product's four corners."""
         if np.any(self.lo <= 0.0):
             raise NegativeArgument("x^(-3/2) of an interval touching 0")
-        return 1.0 / (self * self.sqrt())
+        s = self.sqrt()
+        plo = _outward(self.lo * s.lo, _NINF)
+        phi = _outward(self.hi * s.hi, _PINF)
+        if np.any(plo <= 0.0):
+            raise DivisionByZeroInterval("divisor interval contains zero")
+        return VInterval(_outward(1.0 / phi, _NINF), _outward(1.0 / plo, _PINF))
 
 
 class Box2(NamedTuple):

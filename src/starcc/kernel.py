@@ -19,10 +19,11 @@ A point is a central configuration iff all nine lambda_ik coincide and
 y1 = 0.  Indices are 1-based bodies i in 1..5 and components k in {1, 2}.
 
 Each lambda_ik touches only the four distances r_ij (j != i); the kernel
-computes exactly those (lazily, cached per call site).  That matters: at
-isolated closure corners two *other* bodies can collide (e.g. bodies 2 and
-4 both at the origin when r2 = r4 = 0), and an eager all-pairs distance
-pass would evaluate 1/r_24^3 there for no reason.
+computes exactly those (lazily, cached per call site), from coordinates
+computed once per body and call.  That matters: at isolated closure
+corners two *other* bodies can collide (e.g. bodies 2 and 4 both at the
+origin when r2 = r4 = 0), and an eager all-pairs distance pass would
+evaluate 1/r_24^3 there for no reason.
 
 The closure radii r2, r4 (derived_radii) are also the domain test:
 in_domain checks r3, r5 > 0 and r2, r4 > 0 with these formulas, so every
@@ -87,8 +88,15 @@ def dist2(bk, radii, i, j):
 
 
 def lambda_num(bk, radii, i, k, d2cache=None):
-    """Numerator N_ik = sum over the four j != i of (q_ik - q_jk)/r_ij^3."""
-    qik = coordinate(bk, radii, i, k)
+    """Numerator N_ik = sum over the four j != i of (q_ik - q_jk)/r_ij^3.
+
+    Body i's coordinates are computed once, and each j's serve both r_ij^2
+    (the same operations as dist2) and the term; a distance found in
+    d2cache needs only q_jk.  Coordinates are not kept across calls: a
+    cache shared by the lambdas of one evaluation holds ten more arrays
+    alive, which raises the float scan's peak memory for no speed."""
+    xi, yi = coordinate(bk, radii, i, 1), coordinate(bk, radii, i, 2)
+    qik = xi if k == 1 else yi
     total = None
     for j in range(1, 6):
         if j == i:
@@ -96,11 +104,14 @@ def lambda_num(bk, radii, i, k, d2cache=None):
         key = (min(i, j), max(i, j))
         if d2cache is not None and key in d2cache:
             d2 = d2cache[key]
+            qjk = coordinate(bk, radii, j, k)
         else:
-            d2 = dist2(bk, radii, i, j)
+            xj, yj = coordinate(bk, radii, j, 1), coordinate(bk, radii, j, 2)
+            d2 = bk.sq(xi - xj) + bk.sq(yi - yj)
             if d2cache is not None:
                 d2cache[key] = d2
-        term = (qik - coordinate(bk, radii, j, k)) * bk.powneg32(d2)
+            qjk = xj if k == 1 else yj
+        term = (qik - qjk) * bk.powneg32(d2)
         total = term if total is None else total + term
     return total
 

@@ -302,8 +302,9 @@ def grid_scan(window, n_starts: int, tol: float = 1e-10, seed: int = 0,
               max_iter: int = 60) -> RootReport:
     """Multi-start Newton over window ∩ S with deduplicated roots.
 
-    window is ((r3_lo, r3_hi), (r5_lo, r5_hi)).  Starts are seeded R2
-    points (geometry.quasi_points) scaled into the window; starts falling
+    window is ((r3_lo, r3_hi), (r5_lo, r5_hi)), finite and non-degenerate
+    (DomainError otherwise).  Starts are seeded R2 points
+    (geometry.quasi_points) scaled into the window; starts falling
     outside S are skipped (counted in stats).  Every reported root passed
     the full-system gate, and distinct roots are > MERGE_RADIUS apart.
     """
@@ -313,6 +314,8 @@ def grid_scan(window, n_starts: int, tol: float = 1e-10, seed: int = 0,
     )
     if not (lo3 < hi3 and lo5 < hi5):
         raise DomainError(f"degenerate scan window {window}")
+    if not np.all(np.isfinite((lo3, hi3, lo5, hi5))):
+        raise DomainError(f"scan window {window} is not finite")
     if n_starts < 0:
         raise ValueError("n_starts must be >= 0")
     t0 = time.perf_counter()

@@ -433,9 +433,13 @@ def test_local_rejects_out_of_range_delta():
 # the full bundle
 
 
-def test_certify_all_summary():
-    cfg = RunConfig(max_box_width=0.1, threads=2)
-    manifest = certify_all(cfg)
+@pytest.fixture(scope="module")
+def manifest_two_threads():
+    return certify_all(RunConfig(max_box_width=0.1, threads=2))
+
+
+def test_certify_all_summary(manifest_two_threads):
+    manifest = manifest_two_threads
     assert manifest.verdict == "UNIQUE-IN-WINDOW"
     assert set(manifest.certificates) == {f"J{i}" for i in range(1, 17)}
     for cert in manifest.certificates.values():
@@ -445,6 +449,26 @@ def test_certify_all_summary():
     summary = manifest.summary_payload()
     assert summary["kind"] == "manifest"
     assert summary["regions"]["J4"]["min_bound"] > 0.0
+
+
+def test_certify_all_is_independent_of_the_thread_count(manifest_two_threads):
+    # regions are submitted largest first; the payloads and the manifest's
+    # J1..J16 order must not show which thread ran what, or when
+    one = certify_all(RunConfig(max_box_width=0.1, threads=1))
+    two = manifest_two_threads
+
+    def payloads(manifest):
+        out = {}
+        for rid, cert in manifest.certificates.items():
+            p = cert.to_payload()
+            p["stats"].pop("wall_seconds")
+            out[rid] = p
+        return out
+
+    assert list(one.certificates) == list(two.certificates) == list(regions.REGION_IDS)
+    assert list(two.summary_payload()["regions"]) == list(regions.REGION_IDS)
+    assert payloads(one) == payloads(two)
+    assert one.local.to_json() == two.local.to_json()
 
 
 def test_run_config_validation():

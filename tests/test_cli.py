@@ -264,6 +264,13 @@ def test_scan_bad_window_exits_2(capsys):
     assert code == cli.EXIT_DOMAIN
 
 
+def test_scan_window_that_is_not_finite_exits_2(capsys):
+    code, out = run(["scan", "--window", 0.2, 3, 0.2, "inf", "--starts", 10],
+                    capsys)
+    assert code == cli.EXIT_DOMAIN
+    assert "not finite" in out
+
+
 # ---------------------------------------------------------------------------
 # plotdata
 
@@ -305,6 +312,18 @@ def test_plotdata_spread_csv(capsys):
     assert set(rows[0]) == {"r3", "r5", "spread", "y1"}
     best = min(rows, key=lambda r: float(r["spread"]))
     assert abs(float(best["r3"]) - 1.0) < 0.1
+
+
+@pytest.mark.parametrize("argv", [
+    ["plotdata", "gap-J9", "5", "--truncate-r5", "inf"],
+    ["plotdata", "gap-J5", "5", "--truncate-r5", "nan"],
+    ["plotdata", "spread", "5", "--window", 0.2, 3, 0.2, "inf"],
+], ids=["gap-inf-truncation", "gap-nan-truncation", "spread-inf"])
+def test_plotdata_that_is_not_finite_exits_2(argv, capsys):
+    # an infinite truncation used to print numpy warnings and a header-only CSV
+    code, out = run(argv, capsys)
+    assert code == cli.EXIT_DOMAIN
+    assert "r3," not in out
 
 
 def test_plotdata_unknown_kind_exits_2(capsys):

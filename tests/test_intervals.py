@@ -9,6 +9,7 @@ from starcc.kernel import in_domain
 from starcc.forces import lambda_component, y1_residual
 from starcc.geometry import A, B
 from starcc.intervals import (
+    _outward,
     Box2,
     DenominatorStraddlesZero,
     DivisionByZeroInterval,
@@ -191,3 +192,100 @@ def test_lambda_with_a_straddling_denominator_raises():
     with pytest.raises(DenominatorStraddlesZero):
         lambda_interval((3, 1), Box2.from_bounds(0.0, 0.1, 0.5, 0.6))
 
+
+
+# ---------------------------------------------------------------------------
+# The outward step: bit for bit np.nextafter, and no operand is written
+
+
+_DBL_MAX = np.finfo(np.float64).max
+_DBL_MIN = np.finfo(np.float64).tiny
+SPECIALS = np.array([
+    0.0, -0.0, 5e-324, -5e-324, 1e-323, -1e-323, _DBL_MIN, -_DBL_MIN,
+    np.nextafter(_DBL_MIN, 0.0), -np.nextafter(_DBL_MIN, 0.0),
+    1.0, -1.0, _DBL_MAX, -_DBL_MAX, math.inf, -math.inf, math.nan, -math.nan,
+])
+
+
+def _assert_steps_like_nextafter(x):
+    x = np.asarray(x, dtype=np.float64)
+    for toward in (-math.inf, math.inf):
+        arg = x.copy() if x.ndim else x[()]  # a fresh lane, or a 0-d value
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.nextafter(x, toward)
+            got = _outward(arg, toward)
+        assert np.shape(got) == x.shape
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (x, toward)
+
+
+@pytest.mark.parametrize("value", SPECIALS,
+                         ids=[f"{v:#018x}" for v in SPECIALS.view(np.uint64)])
+def test_outward_step_equals_nextafter_on_special_values(value):
+    _assert_steps_like_nextafter(value)  # 0-d
+    _assert_steps_like_nextafter([value])  # 1 element
+    # odd length, also with the special value among finite lanes
+    _assert_steps_like_nextafter([1.5, value, -0.0, value, 3.0, -7.25, 0.0])
+
+
+def test_outward_step_equals_nextafter_on_random_bit_patterns():
+    rng = np.random.default_rng(20260214)
+    bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max,
+                        size=1_000_003, dtype=np.int64, endpoint=True)
+    x = bits.view(np.float64)
+    finite = x[np.isfinite(x)]  # the in-place route
+    assert finite.size > 10**6 - 10**3
+    _assert_steps_like_nextafter(finite)
+    _assert_steps_like_nextafter(x)  # NaNs included: the np.nextafter route
+    _assert_steps_like_nextafter(np.concatenate([finite[:999], SPECIALS]))
+    _assert_steps_like_nextafter(np.empty(0))
+
+
+def _lanes(*pairs):
+    lo, hi = np.array(pairs, dtype=np.float64).T
+    return VInterval(lo, hi)
+
+
+def test_powneg32_equals_the_generic_chain_bit_for_bit():
+    rng = np.random.default_rng(7)
+    lo = np.exp(rng.uniform(-40.0, 40.0, 4001))
+    x = VInterval(lo, lo * (1.0 + rng.uniform(0.0, 1.0, lo.size)))
+    for arg in (x, VInterval(x.lo[5], x.hi[5])):
+        got = arg.powneg32()
+        want = 1.0 / (arg * arg.sqrt())
+        assert got.lo.tobytes() == want.lo.tobytes()
+        assert got.hi.tobytes() == want.hi.tobytes()
+    with pytest.raises(NegativeArgument):
+        _lanes((1.0, 2.0), (0.0, 1.0)).powneg32()
+    with pytest.raises(DivisionByZeroInterval):  # x sqrt(x) underflows to 0
+        VInterval(5e-324, 1.0).powneg32()
+
+
+def test_no_operation_writes_to_its_operands():
+    pc = pentagon_constants()
+    x = _lanes((0.5, 0.75), (1.0, 1.0), (2.0, 3.5), (-0.0, 0.25), (0.125, 8.0))
+    y = _lanes((-2.0, -1.0), (0.5, 0.5), (1.0, 4.0), (3.0, 3.0), (-0.5, -0.25))
+    k = pc.cos[1]  # read-only 0-d constants
+    lane_k = VInterval(np.broadcast_to(pc.sin[4].lo, (5,)),
+                       np.broadcast_to(pc.sin[4].hi, (5,)))  # read-only view
+    pos = VInterval(np.abs(x.hi) + 0.5, np.abs(x.hi) + 1.0)
+    ops = [
+        lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y,
+        lambda: x + k, lambda: k - x, lambda: k * x, lambda: x / k,
+        lambda: x * lane_k, lambda: lane_k - y, lambda: lane_k / pos,
+        lambda: k * pc.sin[2], lambda: pc.a + pc.b, lambda: 1.0 / pc.sqrt5,
+        lambda: 2.0 - x, lambda: -x, lambda: x.sq(), lambda: y.sq(),
+        lambda: k.sq(), lambda: pos.sqrt(), lambda: pos.powneg32(),
+        lambda: pc.half_a.powneg32(), lambda: pc.sqrt5.sqrt(),
+    ]
+    operands = [x, y, k, lane_k, pos] + [
+        pc.sqrt5, pc.a, pc.b, pc.half_a, pc.half_b, *pc.cos, *pc.sin]
+    before = [(iv.lo.tobytes(), iv.hi.tobytes()) for iv in operands]
+    for op in ops:
+        r = op()
+        # a result never aliases an operand, so later in-place steps on
+        # it cannot reach one either
+        for iv in operands:
+            for a in (r.lo, r.hi):
+                assert not np.shares_memory(a, iv.lo)
+                assert not np.shares_memory(a, iv.hi)
+    assert [(iv.lo.tobytes(), iv.hi.tobytes()) for iv in operands] == before

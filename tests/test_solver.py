@@ -90,6 +90,16 @@ def test_scan_rejects_degenerate_window():
         grid_scan(((1.0, 1.0), (0.5, 1.5)), 10)
 
 
+@pytest.mark.parametrize("window", [
+    ((0.2, 3.0), (0.2, math.inf)),
+    ((-math.inf, 3.0), (0.2, 3.0)),
+], ids=["r5-inf", "r3-minus-inf"])
+def test_scan_rejects_a_window_that_is_not_finite(window):
+    # starts at r5 = inf used to count as in-domain, diverged lanes
+    with pytest.raises(DomainError):
+        grid_scan(window, 20)
+
+
 def test_scan_rejects_window_outside_domain():
     # r5 deep below the r4 > 0 line for every r3 in range
     with pytest.raises(DomainError):
