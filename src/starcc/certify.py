@@ -25,10 +25,13 @@ inside the region) disproves the inequality outright and aborts with
 CertificationRefuted — this is what the reversed-orientation negative
 control exercises.
 
-Certificates serialize every leaf as one row of float.hex() endpoints
-(_leaf_rows), so that verification can recompute each bound bit-for-bit
-and replay the bisection from the cover the header implies to check that
-the leaves tile it exactly (_check_leaves, _replay).
+Certificates serialize every leaf as one row of float.hex() endpoints,
+so that verification can recompute each bound bit-for-bit and replay the
+bisection from the cover the header implies to check that the leaves tile
+it exactly (_check_leaves, _replay).  A certificate file is exactly
+json.dumps(to_payload()), whose rows _leaf_rows builds; to_json writes
+the same bytes without a Python string per endpoint, through the numpy
+float.hex() encoder _hex_bytes and the row joiner _leaf_rows_json.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -259,6 +263,120 @@ def _leaf_rows(lo3, hi3, lo5, hi5, forms, bounds) -> list:
     ]
 
 
+@lru_cache(maxsize=1)
+def _hex_tables():
+    """Lookup tables of _hex_bytes, built on first use (a process that
+    writes no certificate never pays for them): the hex digits, the two
+    hex digits of every byte, the "p" exponent tail of every biased
+    exponent with its digits right-aligned in the five bytes after the
+    "p" (0 = no byte), and "0x1."."""
+    digits = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+    byte = np.arange(256)
+    pairs = np.stack((digits[byte >> 4], digits[byte & 0xF]), axis=1)
+    e = np.arange(2048) - 1023
+    a = np.abs(e)
+    tails = np.zeros((2048, 6), dtype=np.uint8)
+    tails[:, 0] = ord("p")
+    tails[:, 1] = np.where(e < 0, ord("-"), ord("+"))
+    for col, scale in ((2, 1000), (3, 100), (4, 10)):
+        tails[:, col] = np.where(a >= scale, ord("0") + a // scale % 10, 0)
+    tails[:, 5] = ord("0") + a % 10
+    # two- and four-byte units, so that one write fills several bytes
+    prefix = np.frombuffer(b"0x1.", dtype=np.uint32)
+    tables = (digits, pairs.view(np.uint16).ravel(), tails.view(np.uint16), prefix)
+    for t in tables:
+        t.flags.writeable = False  # shared by every caller
+    return tables
+
+
+_HEX_WIDTH = 24  # len("-0x1.fffffffffffffp+1023")
+
+
+def _hex_bytes(x, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """float.hex() of every lane of x, as an (n, 24) uint8 matrix in
+    which 0 means "no byte" (written into out if given).
+
+    Normal lanes are built from the IEEE-754 bit pattern: the sign, "0x1.",
+    the 13 mantissa nibbles, "p" and the signed decimal exponent without
+    leading zeros.  Lanes with a biased exponent of 0 or 0x7FF (zeros,
+    subnormals, infinities, NaN) are copied from float.hex() one by one."""
+    digits, pairs, tails, prefix = _hex_tables()
+    x = np.ascontiguousarray(x, dtype="<f8").ravel()
+    n = x.size
+    if out is None:
+        out = np.empty((n, _HEX_WIDTH), dtype=np.uint8)
+    # little-endian bytes: byte 7 holds the sign and the top of the
+    # exponent, the low nibble of byte 6 the top mantissa nibble
+    b = x.view(np.uint8).reshape(n, 8)
+    biased = ((b[:, 7].astype(np.intp) & 0x7F) << 4) | (b[:, 6] >> 4)
+    np.multiply(b[:, 7] >> 7, ord("-"), out=out[:, 0])
+    out[:, 1:5].view(np.uint32)[:] = prefix
+    out[:, 5] = digits[b[:, 6] & 0xF]
+    out[:, 6:18].view(np.uint16)[:] = pairs.take(b[:, 5::-1])
+    out[:, 18:].view(np.uint16)[:] = tails.take(biased, axis=0)
+    for j in np.flatnonzero((biased == 0) | (biased == 0x7FF)):
+        s = float(x[j]).hex().encode()
+        out[j] = 0
+        out[j, : len(s)] = np.frombuffer(s, dtype=np.uint8)
+    return out
+
+
+def _plain_labels(forms) -> Optional[np.ndarray]:
+    """The form labels as an (n, width) uint8 matrix (0 = no byte), or
+    None if a label needs JSON escaping: a quote, a backslash, or a
+    character outside printable ASCII."""
+    f = np.asarray(forms)
+    if f.dtype.kind != "U" or f.ndim != 1 or f.size == 0:
+        return None
+    codes = np.ascontiguousarray(f).view(np.uint32).reshape(f.size, -1)
+    pad = codes == 0
+    plain = pad | (
+        (codes >= 0x20) & (codes < 0x7F) & (codes != ord('"')) & (codes != ord("\\"))
+    )
+    # a NUL inside a label is a character, not padding
+    if not (np.all(plain) and np.all(pad[:, :-1] <= pad[:, 1:])):
+        return None
+    return codes.astype(np.uint8)
+
+
+def _leaf_rows_json(lo3, hi3, lo5, hi5, forms, bounds) -> str:
+    """json.dumps(_leaf_rows(...)), byte for byte, without building a
+    Python string per endpoint.
+
+    Each row is laid out in one byte matrix: '["', the four hex endpoints
+    separated by '", "', the form, '", "', the hex bound and '"], '.  The
+    pad bytes are then dropped and the last ', ' becomes the closing ']'.
+    Labels that need escaping and an empty list take the reference path."""
+    labels = _plain_labels(forms)
+    if labels is None:
+        return json.dumps(_leaf_rows(lo3, hi3, lo5, hi5, forms, bounds))
+    n, w = labels.shape
+    sep = np.frombuffer(b'", "', dtype=np.uint8)
+    rows = np.empty((n, 2 + 5 * (_HEX_WIDTH + 4) + w + 4), dtype=np.uint8)
+    rows[:, :2] = np.frombuffer(b'["', dtype=np.uint8)
+    at = 2
+    for v in (lo3, hi3, lo5, hi5):
+        _hex_bytes(v, rows[:, at : at + _HEX_WIDTH])
+        rows[:, at + _HEX_WIDTH : at + _HEX_WIDTH + 4] = sep
+        at += _HEX_WIDTH + 4
+    rows[:, at : at + w] = labels
+    rows[:, at + w : at + w + 4] = sep
+    at += w + 4
+    _hex_bytes(bounds, rows[:, at : at + _HEX_WIDTH])
+    rows[:, at + _HEX_WIDTH :] = np.frombuffer(b'"], ', dtype=np.uint8)
+    body = rows[rows != 0].tobytes().decode("ascii")
+    return "[" + body[:-2] + "]"
+
+
+def _json_with(payload: dict, key: str, text: str) -> str:
+    """json.dumps(payload) with the value under key replaced by the
+    already-encoded JSON text (default separators, keys in order)."""
+    return "{" + ", ".join(
+        f"{json.dumps(k)}: {text if k == key else json.dumps(v)}"
+        for k, v in payload.items()
+    ) + "}"
+
+
 def _parse_leaf_rows(rows):
     """Inverse of _leaf_rows: the (lo3, hi3, lo5, hi5, forms, bounds)
     arrays of the rows."""
@@ -296,7 +414,17 @@ class Certificate:
     def n_leaves(self) -> int:
         return int(self.lo3.size)
 
+    def _leaves(self):
+        return self.lo3, self.hi3, self.lo5, self.hi5, self.forms, self.bounds
+
     def to_payload(self) -> dict:
+        return self._payload(_leaf_rows(*self._leaves()))
+
+    def to_json(self) -> str:
+        """json.dumps(self.to_payload()), byte for byte."""
+        return _json_with(self._payload(None), "leaves", _leaf_rows_json(*self._leaves()))
+
+    def _payload(self, rows) -> dict:
         return {
             "format": FORMAT_VERSION,
             "kind": "inequality",
@@ -313,13 +441,8 @@ class Certificate:
             "min_bound": float(self.min_bound).hex(),
             "stats": self.stats,
             "fingerprint": self.fingerprint,
-            "leaves": _leaf_rows(
-                self.lo3, self.hi3, self.lo5, self.hi5, self.forms, self.bounds
-            ),
+            "leaves": rows,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_payload())
 
     @staticmethod
     def from_payload(d: dict) -> "Certificate":
@@ -593,7 +716,24 @@ class LocalUniquenessCertificate:
     ann_bound: np.ndarray = field(default_factory=lambda: np.zeros(0))
     fingerprint: str = ""
 
+    def _leaves(self):
+        return (
+            self.ann_lo3,
+            self.ann_hi3,
+            self.ann_lo5,
+            self.ann_hi5,
+            self.ann_comp,
+            self.ann_bound,
+        )
+
     def to_payload(self) -> dict:
+        return self._payload(_leaf_rows(*self._leaves()))
+
+    def to_json(self) -> str:
+        """json.dumps(self.to_payload()), byte for byte."""
+        return _json_with(self._payload(None), "annulus", _leaf_rows_json(*self._leaves()))
+
+    def _payload(self, rows) -> dict:
         hx = lambda t: [float(v).hex() for v in t]  # noqa: E731
         return {
             "format": FORMAT_VERSION,
@@ -610,19 +750,9 @@ class LocalUniquenessCertificate:
             "k_image": [hx(r) for r in self.k_image],
             "containment_margin": float(self.containment_margin).hex(),
             "posteriori_residual": float(self.posteriori_residual).hex(),
-            "annulus": _leaf_rows(
-                self.ann_lo3,
-                self.ann_hi3,
-                self.ann_lo5,
-                self.ann_hi5,
-                self.ann_comp,
-                self.ann_bound,
-            ),
+            "annulus": rows,
             "fingerprint": self.fingerprint,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_payload())
 
     @staticmethod
     def from_payload(d: dict) -> "LocalUniquenessCertificate":

@@ -26,12 +26,14 @@ origin when r2 = r4 = 0), and an eager all-pairs distance pass would
 evaluate 1/r_24^3 there for no reason.
 
 The closure radii r2, r4 (derived_radii) are also the domain test:
-in_domain checks r3, r5 > 0 and r2, r4 > 0 with these formulas, so every
-float route (forces, solver, partition audit, plot grids) decides
-membership in S the same way, to the last bit.
+in_domain checks r3, r5 finite and > 0 and r2, r4 > 0 with these
+formulas, so every float route (forces, solver, partition audit, plot
+grids) decides membership in S the same way, to the last bit.
 """
 
 from __future__ import annotations
+
+import math
 
 from .geometry import A, COS, SIN
 
@@ -66,12 +68,15 @@ def derived_radii(bk, r3, r5):
 
 
 def in_domain(p):
-    """Strict membership of p = (r3, r5) in the open domain S: r3, r5 > 0
-    and the closure radii r2, r4 > 0.  Works elementwise when r3 and r5
-    are arrays (returns a boolean array then)."""
+    """Strict membership of p = (r3, r5) in the open domain S: r3, r5
+    finite and > 0, and the closure radii r2, r4 > 0.  Works elementwise
+    when r3 and r5 are arrays (returns a boolean array then)."""
     r3, r5 = p[0], p[1]
     _, r2, _, r4, _ = derived_radii(FloatBackend, r3, r5)
-    return (r3 > 0.0) & (r5 > 0.0) & (r2 > 0.0) & (r4 > 0.0)
+    return (
+        (r3 > 0.0) & (r3 < math.inf) & (r5 > 0.0) & (r5 < math.inf)
+        & (r2 > 0.0) & (r4 > 0.0)
+    )
 
 
 def coordinate(bk, radii, i, k):

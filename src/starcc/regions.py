@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -73,7 +74,10 @@ def _iv(x: float) -> VInterval:
     return VInterval(x, x)
 
 
+@lru_cache(maxsize=1)
 def _golden():
+    """Float values and interval enclosures of the golden constants that
+    the region tables use, built once."""
     pc = pentagon_constants()
     return {
         "b/2": (B / 2.0, pc.b * 0.5),

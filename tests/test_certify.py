@@ -20,6 +20,7 @@ from starcc.certify import (
     _bisect,
     _contraction_evidence,
     _gap_jets,
+    _hex_bytes,
     _replay,
     build_fingerprint,
     certify_all,
@@ -229,6 +230,104 @@ def test_certificate_bytes_are_pinned(j4_cert, local_cert):
     assert _sha256(local_cert.to_payload()["annulus"]) == (
         "97b00e2e0e8f76563b909867b27867a56807f0d50955a6d7d4ffb8c6af561bfa"
     )
+
+
+# ---------------------------------------------------------------------------
+# the leaf writer: to_json must be json.dumps(to_payload()) byte for byte,
+# so the pins above also pin the bytes a certificate file holds
+
+_SUBNORMAL_MIN = 5e-324
+_SUBNORMAL_MAX = math.nextafter(2.2250738585072014e-308, 0.0)
+_HEX_EDGES = [
+    0.0, -0.0, _SUBNORMAL_MIN, -_SUBNORMAL_MIN, _SUBNORMAL_MAX, -_SUBNORMAL_MAX,
+    2.2250738585072014e-308, -2.2250738585072014e-308,  # DBL_MIN, p-1022
+    1.7976931348623157e308, -1.7976931348623157e308,  # DBL_MAX, p+1023
+    math.inf, -math.inf, math.nan, -math.nan,
+    1.0, -1.0, 0.5, 1.5, 2.0 ** -7, 2.0 ** 9, 3.0 ** -40, 3.0 ** 40,  # 1-2 digits
+    2.0 ** -100, 7.0 ** 200, 2.0 ** -999, 2.0 ** 1000, 0.1, -0.02,  # 3-4 digits
+]
+
+
+def _hex_mismatch(x):
+    """None if _hex_bytes(x), pad bytes dropped, spells float.hex() of
+    every lane; else the first lane that differs (a short message, so
+    that a failure on 10^6 lanes does not diff megabytes)."""
+    x = np.asarray(x, dtype=float)
+    m = _hex_bytes(x)
+    m = np.concatenate([m, np.full((m.shape[0], 1), ord("\n"), np.uint8)], axis=1)
+    got = m[m != 0].tobytes().decode("ascii").split("\n")[:-1]
+    want = [float(v).hex() for v in x.tolist()]
+    if got == want:
+        return None
+    if len(got) != len(want):
+        return f"{len(got)} lanes for {len(want)}"
+    j = next(j for j, (g, w) in enumerate(zip(got, want)) if g != w)
+    return f"lane {j}: {got[j]!r} != float.hex() {want[j]!r}"
+
+
+def _text_mismatch(got: str, want: str):
+    """None if equal, else where the two texts first differ."""
+    if got == want:
+        return None
+    j = next((j for j, (g, w) in enumerate(zip(got, want)) if g != w), min(len(got), len(want)))
+    k = max(j - 40, 0)
+    return f"byte {j}: {got[k:j + 40]!r} != {want[k:j + 40]!r}"
+
+
+@pytest.mark.parametrize("value", _HEX_EDGES, ids=repr)
+def test_hex_encoder_matches_float_hex_on_one_lane(value):
+    assert _hex_mismatch([value]) is None
+
+
+def test_hex_encoder_matches_float_hex_on_odd_lengths():
+    for n in (3, 7, 2 * (len(_HEX_EDGES) // 2) - 1):
+        x = np.array(_HEX_EDGES[:n])
+        assert _hex_mismatch(x) is None
+        assert _hex_mismatch(x[::-1]) is None
+
+
+def test_hex_encoder_matches_float_hex_on_every_exponent():
+    rng = np.random.default_rng(7)
+    biased = np.arange(2048, dtype=np.uint64)
+    mantissa = rng.integers(0, 2**52, size=2048, dtype=np.uint64)
+    sign = rng.integers(0, 2, size=2048, dtype=np.uint64) << np.uint64(63)
+    x = (sign | (biased << np.uint64(52)) | mantissa).view(np.float64)
+    assert _hex_mismatch(x) is None
+
+
+def test_hex_encoder_matches_float_hex_on_random_bit_patterns():
+    rng = np.random.default_rng(20)
+    x = rng.integers(0, 2**64, size=10**6, dtype=np.uint64).view(np.float64)
+    assert _hex_mismatch(x) is None
+
+
+@pytest.fixture(scope="module")
+def zero_edge_certs():
+    """Certificates whose leaves touch r3 = 0: the writer copies those
+    endpoints from float.hex() one by one."""
+    return [
+        certify_inequality("J1", max_box_width=0.1),
+        certify_inequality("J2", max_box_width=0.1),
+        certify_inequality("J9", max_box_width=0.1, truncation=10.0),
+    ]
+
+
+def test_to_json_is_json_dumps_of_the_payload(zero_edge_certs, j4_cert, local_cert):
+    assert [int(np.count_nonzero(c.lo3 == 0.0)) for c in zero_edge_certs] == [7, 4, 91]
+    j15 = certify_inequality("J15", max_box_width=0.1, truncation=10.0)
+    for cert in zero_edge_certs + [j15, j4_cert, local_cert]:
+        assert _text_mismatch(cert.to_json(), json.dumps(cert.to_payload())) is None
+
+
+@pytest.mark.parametrize("label", ['"', "\\", "\u00e9", "\x01", "\x00q"], ids=repr)
+def test_to_json_of_a_label_that_needs_escaping(j4_cert, label):
+    payload = j4_cert.to_payload()
+    payload["leaves"][3][4] = label
+    cert = Certificate.from_payload(payload)
+    assert cert.forms[3] == label
+    text = cert.to_json()
+    assert _text_mismatch(text, json.dumps(cert.to_payload())) is None
+    assert json.loads(text)["leaves"][3][4] == label
 
 
 def test_fingerprint_is_stable():

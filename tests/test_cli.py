@@ -64,6 +64,13 @@ def test_eval_outside_domain_exits_2(capsys):
     assert code == cli.EXIT_DOMAIN
 
 
+@pytest.mark.parametrize("r3, r5", [("1", "inf"), ("inf", "1"), ("1", "nan")])
+def test_eval_off_the_finite_plane_exits_2(capsys, r3, r5):
+    code, out = run(["eval", r3, r5], capsys)
+    assert code == cli.EXIT_DOMAIN
+    assert "outside S" in out and "lambda" not in out
+
+
 def test_eval_has_no_all_flag(capsys):
     # the full residual is what eval prints without --index
     with pytest.raises(SystemExit) as err:

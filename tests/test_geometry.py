@@ -76,6 +76,10 @@ def test_domain_membership():
     assert not in_domain((3.0, 0.1))     # r2, r4 close negative
     assert not in_domain((-1.0, 1.0))
     assert not in_domain((1.0, 0.0))
+    # r5 = inf closes to r2 = r4 = inf > 0, and is still outside S
+    for p in ((1.0, math.inf), (math.inf, 1.0), (math.inf, math.inf), (1.0, math.nan)):
+        assert not in_domain(p)
+    assert not np.any(in_domain((np.array([1.0, np.inf]), np.array([np.inf, 1.0]))))
 
 
 @given(
