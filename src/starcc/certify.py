@@ -32,6 +32,21 @@ it exactly (_check_leaves, _replay).  A certificate file is exactly
 json.dumps(to_payload()), whose rows _leaf_rows builds; to_json writes
 the same bytes without a Python string per endpoint, through the numpy
 float.hex() encoder _hex_bytes and the row joiner _leaf_rows_json.
+
+Every rule a certificate header obeys is stated once, here, and the
+certifier, the verifier and the CLI all call it:
+
+* the cut rule, recorded_cuts: which delta_b0 and truncation a region
+  records under a run's delta and truncation (and _excluded, the square
+  a recorded delta_b0 excludes);
+* the range rule, _check_cuts: the widths, deltas and truncations a run
+  may take and a header may hold; RunConfig.validate and
+  certify_inequality refuse what _check_header rejects;
+* the header codec, _hex/_unhex: floats as float.hex() strings, tuples
+  as lists, None as null;
+* the local construction: the center (1, 1), LOCAL_PAIRS, INNER_DELTA
+  and SUBDIVISION are constants the verifier requires exactly; only the
+  window half-width delta varies, within _check_window's range.
 """
 
 from __future__ import annotations
@@ -41,7 +56,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
@@ -49,7 +64,7 @@ import numpy as np
 
 from . import kernel
 from .forces import residual_vector
-from .geometry import DomainError
+from .geometry import GRID_CAP, DomainError
 from .intervals import (
     Box2,
     DualBackend,
@@ -126,20 +141,52 @@ class RunConfig:
     output_dir: Optional[str] = None
 
     def validate(self) -> "RunConfig":
-        # delta_b0 = 0 is allowed on purpose: it disables the B0 excision,
-        # which is the standard way to demonstrate that certification must
-        # then fail next to the solution at (1,1).
-        if not (0.0 <= self.delta_b0 < 0.5):
-            raise ValueError(f"delta_b0 {self.delta_b0} outside [0, 0.5)")
-        if not (0.0 < self.max_box_width <= 0.5):
-            raise ValueError(f"max_box_width {self.max_box_width} outside (0, 0.5]")
-        if not (1.0 + self.max_box_width < self.truncation < math.inf):
-            raise ValueError(
-                f"truncation {self.truncation} must be finite and above"
-                f" 1 + max_box_width")
+        _check_cuts(self.max_box_width, self.delta_b0, self.truncation)
         if self.max_depth < 0 or self.threads < 1:
             raise ValueError("max_depth must be >= 0 and threads >= 1")
         return self
+
+
+def _check_cuts(max_box_width: float, delta_b0: Optional[float] = None,
+                truncation: Optional[float] = None) -> None:
+    """The range rule for the cuts of a run and of a certificate header
+    (None: not recorded): 0 < max_box_width <= 0.5, 0 <= delta_b0 < 0.5
+    and 1 + max_box_width < truncation < inf.  delta_b0 = 0 is allowed on
+    purpose: it disables the B0 excision, which shows that certification
+    must then fail next to the solution at (1, 1).  Raises ValueError
+    naming the field."""
+    w = max_box_width
+    if not (0.0 < w <= 0.5):
+        raise ValueError(f"max_box_width {w!r} outside (0, 0.5]")
+    if delta_b0 is not None and not (0.0 <= delta_b0 < 0.5):
+        raise ValueError(f"delta_b0 {delta_b0!r} outside [0, 0.5)")
+    if truncation is not None and not (1.0 + w < truncation < math.inf):
+        raise ValueError(
+            f"truncation {truncation!r} must be finite and above"
+            f" 1 + max_box_width")
+
+
+def recorded_cuts(region_id: str, delta: Optional[float],
+                  truncation: Optional[float]):
+    """The cut rule: the (delta_b0, truncation) that a certificate of the
+    region records under a run's delta and truncation.
+
+    delta_b0 is delta when the region's closure may meet the square
+    [1-delta, 1+delta]^2 (region_excises_b0), and truncation is kept for
+    the unbounded regions; otherwise each is None, which excises or cuts
+    nothing."""
+    return (
+        float(delta)
+        if delta is not None and region_excises_b0(region_id, delta) else None,
+        float(truncation)
+        if truncation is not None and region_def(region_id).unbounded else None,
+    )
+
+
+def _excluded(delta_b0: Optional[float]):
+    """The square (lo3, hi3, lo5, hi5) a header with this delta_b0 excludes."""
+    d = delta_b0
+    return None if d is None else (1.0 - d, 1.0 + d, 1.0 - d, 1.0 + d)
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +434,45 @@ def _parse_leaf_rows(rows):
     return lo3, hi3, lo5, hi5, forms, bounds
 
 
+def _hex(v):
+    """The header codec: a float as its float.hex() string, a tuple as the
+    list of its encoded items, None as None (JSON null)."""
+    if v is None:
+        return None
+    if isinstance(v, (tuple, list)):
+        return [_hex(x) for x in v]
+    return float(v).hex()
+
+
+def _unhex(v):
+    """Inverse of _hex: hex strings to floats, lists to tuples, null to None."""
+    if v is None:
+        return None
+    if isinstance(v, list):
+        return tuple(_unhex(x) for x in v)
+    return float.fromhex(v)
+
+
+def _decode(cls, d: dict, kind: str, rows_key: str, plain):
+    """The cls certificate of payload d: the cls._HEXED fields through
+    _unhex, the rows under rows_key as the cls._LEAVES arrays, and the
+    fields plain(d) gives as they are.  Raises MalformedCertificate."""
+    try:
+        if d["format"] != FORMAT_VERSION or d["kind"] != kind:
+            raise MalformedCertificate(
+                f"unsupported format {d.get('format')!r}/{d.get('kind')!r}"
+            )
+        return cls(
+            **{key: _unhex(d[key]) for key in cls._HEXED},
+            **dict(zip(cls._LEAVES, _parse_leaf_rows(d[rows_key]))),
+            **plain(d),
+        )
+    except MalformedCertificate:
+        raise
+    except Exception as exc:
+        raise MalformedCertificate(f"bad {kind} certificate: {exc}") from exc
+
+
 @dataclass
 class Certificate:
     """Verified-inequality certificate for one region.
@@ -411,11 +497,14 @@ class Certificate:
     stats: Dict[str, float] = field(default_factory=dict)
     fingerprint: str = ""
 
+    _HEXED = ("max_box_width", "delta_b0", "truncation", "excluded", "min_bound")
+    _LEAVES = ("lo3", "hi3", "lo5", "hi5", "forms", "bounds")
+
     def n_leaves(self) -> int:
         return int(self.lo3.size)
 
     def _leaves(self):
-        return self.lo3, self.hi3, self.lo5, self.hi5, self.forms, self.bounds
+        return tuple(getattr(self, key) for key in self._LEAVES)
 
     def to_payload(self) -> dict:
         return self._payload(_leaf_rows(*self._leaves()))
@@ -430,15 +519,7 @@ class Certificate:
             "kind": "inequality",
             "region": self.region,
             "plan": self.plan,
-            "max_box_width": float(self.max_box_width).hex(),
-            "delta_b0": None if self.delta_b0 is None else float(self.delta_b0).hex(),
-            "truncation": None
-            if self.truncation is None
-            else float(self.truncation).hex(),
-            "excluded": None
-            if self.excluded is None
-            else [float(v).hex() for v in self.excluded],
-            "min_bound": float(self.min_bound).hex(),
+            **{key: _hex(getattr(self, key)) for key in self._HEXED},
             "stats": self.stats,
             "fingerprint": self.fingerprint,
             "leaves": rows,
@@ -446,52 +527,25 @@ class Certificate:
 
     @staticmethod
     def from_payload(d: dict) -> "Certificate":
-        try:
-            if d["format"] != FORMAT_VERSION or d["kind"] != "inequality":
-                raise MalformedCertificate(
-                    f"unsupported format {d.get('format')!r}/{d.get('kind')!r}"
-                )
-            lo3, hi3, lo5, hi5, forms, bounds = _parse_leaf_rows(d["leaves"])
-            return Certificate(
-                region=d["region"],
-                plan=d["plan"],
-                max_box_width=float.fromhex(d["max_box_width"]),
-                delta_b0=None
-                if d["delta_b0"] is None
-                else float.fromhex(d["delta_b0"]),
-                truncation=None
-                if d["truncation"] is None
-                else float.fromhex(d["truncation"]),
-                excluded=None
-                if d["excluded"] is None
-                else tuple(float.fromhex(v) for v in d["excluded"]),
-                lo3=lo3,
-                hi3=hi3,
-                lo5=lo5,
-                hi5=hi5,
-                bounds=bounds,
-                forms=forms,
-                min_bound=float.fromhex(d["min_bound"]),
-                stats=dict(d.get("stats", {})),
-                fingerprint=d["fingerprint"],
-            )
-        except MalformedCertificate:
-            raise
-        except Exception as exc:
-            raise MalformedCertificate(f"bad certificate payload: {exc}") from exc
+        return _decode(Certificate, d, "inequality", "leaves", lambda d: {
+            "region": d["region"],
+            "plan": d["plan"],
+            "stats": dict(d.get("stats", {})),
+            "fingerprint": d["fingerprint"],
+        })
 
 
 # ---------------------------------------------------------------------------
 # Branch and bound
 # ---------------------------------------------------------------------------
 
-_BOX_CAP = 4_000_000
+_BOX_CAP = GRID_CAP
 
 
 def _grid_cells(rid: str, width: float, truncation: Optional[float]) -> float:
     """Upper bound on the cells of the region's initial grid (snap lines
-    add at most a few edges per axis).  Raises ValueError on an empty
-    truncated bbox."""
+    add at most a few edges per axis); a bounded region ignores the
+    truncation.  Raises ValueError on an empty truncated bbox."""
     r3lo, r3hi, r5lo, r5hi = region_def(rid).bbox(truncation)
     return ((r3hi - r3lo) / width + 8.0) * ((r5hi - r5lo) / width + 8.0)
 
@@ -581,19 +635,23 @@ def certify_inequality(
 ) -> Certificate:
     """Certify the region's planned inequality over its whole cover.
 
-    Raises CertificationRefuted if a box inside the region has a
-    certified negative gap, BudgetExhausted if boxes remain unresolved
-    after max_depth bisection generations.
+    delta and truncation are the run's cuts; the region records and uses
+    what recorded_cuts gives for them.  Raises ValueError, before any grid
+    is built, for a header _check_header would reject,
+    CertificationRefuted if a box inside the region has a certified
+    negative gap, BudgetExhausted if the grid exceeds _BOX_CAP cells or
+    boxes remain unresolved after max_depth bisection generations.
     """
     t0 = time.perf_counter()
     reg = region_def(region_id)
-    cells = _grid_cells(region_id, max_box_width, truncation)
+    delta_b0, cut = recorded_cuts(region_id, delta, truncation)
+    _check_cuts(max_box_width, delta_b0, cut)
+    cells = _grid_cells(region_id, max_box_width, cut)
     if cells > _BOX_CAP:
         raise BudgetExhausted(
             f"{region_id}: width {max_box_width!r} and truncation"
-            f" {truncation!r} imply a grid of {cells:.3g} cells")
+            f" {cut!r} imply a grid of {cells:.3g} cells")
     the_plan = plan if plan is not None else region_plan(region_id)
-    excised = region_excises_b0(region_id, delta)
 
     def bounds(lo3, hi3, lo5, hi5):
         blo, bhi, form = _batch_bounds(the_plan, lo3, hi3, lo5, hi5)
@@ -609,7 +667,7 @@ def certify_inequality(
 
     (lo3, hi3, lo5, hi5, forms, leaf_bounds), stats = _branch_and_bound(
         region_id,
-        cover_arrays(region_id, max_box_width, truncation, delta),
+        cover_arrays(region_id, max_box_width, cut, delta_b0),
         bounds,
         reg.boxes_outside_closure,
         max_depth,
@@ -619,11 +677,9 @@ def certify_inequality(
         region=region_id,
         plan=plan_signature(the_plan),
         max_box_width=float(max_box_width),
-        delta_b0=float(delta) if excised else None,
-        truncation=float(truncation) if reg.unbounded else None,
-        excluded=(1.0 - delta, 1.0 + delta, 1.0 - delta, 1.0 + delta)
-        if excised
-        else None,
+        delta_b0=delta_b0,
+        truncation=cut,
+        excluded=_excluded(delta_b0),
         lo3=lo3,
         hi3=hi3,
         lo5=lo5,
@@ -646,13 +702,14 @@ LOCAL_PAIRS = (((1, 1), (3, 1)), ((1, 1), (5, 1)))
 # the rest of the window is handled by certified zero-exclusion, because
 # the Jacobian of the gap map varies too much across the full window for
 # a single contraction test to close (the exact-range operator norm is
-# already 0.92 there).
+# already 0.92 there).  The center, the inner box and its Jacobian
+# sub-boxes per axis are fixed; a certificate records them, and the
+# verifier requires the recorded values exactly.
+CENTER = (1.0, 1.0)
 INNER_DELTA = 0.002
+SUBDIVISION = 8
 ANNULUS_BOX_WIDTH = 0.002
 _ANNULUS_MAX_DEPTH = 30
-# Jacobian sub-boxes per axis; all subdivision^2 of them are one lane
-# array, so the cap bounds what a certificate can make the verifier hold.
-_MAX_SUBDIVISION = 64
 # Largest center residual |F(1, 1)| the local certifier accepts.
 _POSTERIORI_TOL = 1e-10
 
@@ -662,6 +719,12 @@ def _pair_labels() -> Tuple[str, str]:
     return tuple(
         f"lambda_{a[0]}{a[1]} - lambda_{b[0]}{b[1]}" for a, b in LOCAL_PAIRS
     )
+
+
+def _check_window(delta, error=DomainError) -> None:
+    """The range rule of the local window: INNER_DELTA < delta < 0.5."""
+    if not (isinstance(delta, float) and INNER_DELTA < delta < 0.5):
+        raise error(f"window half-width delta {delta!r} outside ({INNER_DELTA}, 0.5)")
 
 
 def _gap_jets(box: Box2):
@@ -689,7 +752,7 @@ def _point_gaps(r3: float, r5: float):
 class LocalUniquenessCertificate:
     """Evidence that the window holds exactly one zero of the two-gap map.
 
-    Structure: the Krawczyk map contracts the inner (1±inner_delta) box
+    Structure: the Krawczyk map contracts the inner (1±INNER_DELTA) box
     into itself (existence and uniqueness there, with a nonsingular
     Jacobian enclosure), and every box of the surrounding annulus carries
     a certified sign for one of the two gap components (no zero outside
@@ -716,15 +779,12 @@ class LocalUniquenessCertificate:
     ann_bound: np.ndarray = field(default_factory=lambda: np.zeros(0))
     fingerprint: str = ""
 
+    _HEXED = ("delta", "inner_delta", "center", "y_matrix", "f_center", "jacobian",
+              "det_jacobian", "k_image", "containment_margin", "posteriori_residual")
+    _LEAVES = ("ann_lo3", "ann_hi3", "ann_lo5", "ann_hi5", "ann_comp", "ann_bound")
+
     def _leaves(self):
-        return (
-            self.ann_lo3,
-            self.ann_hi3,
-            self.ann_lo5,
-            self.ann_hi5,
-            self.ann_comp,
-            self.ann_bound,
-        )
+        return tuple(getattr(self, key) for key in self._LEAVES)
 
     def to_payload(self) -> dict:
         return self._payload(_leaf_rows(*self._leaves()))
@@ -734,69 +794,43 @@ class LocalUniquenessCertificate:
         return _json_with(self._payload(None), "annulus", _leaf_rows_json(*self._leaves()))
 
     def _payload(self, rows) -> dict:
-        hx = lambda t: [float(v).hex() for v in t]  # noqa: E731
         return {
             "format": FORMAT_VERSION,
             "kind": "local-uniqueness",
-            "delta": float(self.delta).hex(),
-            "inner_delta": float(self.inner_delta).hex(),
-            "center": hx(self.center),
+            "delta": _hex(self.delta),
+            "inner_delta": _hex(self.inner_delta),
+            "center": _hex(self.center),
             "pair_map": list(self.pair_map),
             "subdivision": self.subdivision,
-            "y_matrix": [hx(r) for r in self.y_matrix],
-            "f_center": [hx(r) for r in self.f_center],
-            "jacobian": [[hx(e) for e in row] for row in self.jacobian],
-            "det_jacobian": hx(self.det_jacobian),
-            "k_image": [hx(r) for r in self.k_image],
-            "containment_margin": float(self.containment_margin).hex(),
-            "posteriori_residual": float(self.posteriori_residual).hex(),
+            "y_matrix": _hex(self.y_matrix),
+            "f_center": _hex(self.f_center),
+            "jacobian": _hex(self.jacobian),
+            "det_jacobian": _hex(self.det_jacobian),
+            "k_image": _hex(self.k_image),
+            "containment_margin": _hex(self.containment_margin),
+            "posteriori_residual": _hex(self.posteriori_residual),
             "annulus": rows,
             "fingerprint": self.fingerprint,
         }
 
     @staticmethod
     def from_payload(d: dict) -> "LocalUniquenessCertificate":
-        try:
-            if d["format"] != FORMAT_VERSION or d["kind"] != "local-uniqueness":
-                raise MalformedCertificate("unsupported local certificate format")
-            fh = float.fromhex
-            pair = lambda t: (fh(t[0]), fh(t[1]))  # noqa: E731
-            lo3, hi3, lo5, hi5, comp, bound = _parse_leaf_rows(d["annulus"])
-            return LocalUniquenessCertificate(
-                delta=fh(d["delta"]),
-                inner_delta=fh(d["inner_delta"]),
-                center=pair(d["center"]),
-                pair_map=tuple(d["pair_map"]),
-                subdivision=int(d["subdivision"]),
-                y_matrix=tuple(pair(r) for r in d["y_matrix"]),
-                f_center=tuple(pair(r) for r in d["f_center"]),
-                jacobian=tuple(tuple(pair(e) for e in row) for row in d["jacobian"]),
-                det_jacobian=pair(d["det_jacobian"]),
-                k_image=tuple(pair(r) for r in d["k_image"]),
-                containment_margin=fh(d["containment_margin"]),
-                posteriori_residual=fh(d["posteriori_residual"]),
-                ann_lo3=lo3,
-                ann_hi3=hi3,
-                ann_lo5=lo5,
-                ann_hi5=hi5,
-                ann_comp=comp,
-                ann_bound=bound,
-                fingerprint=d["fingerprint"],
-            )
-        except MalformedCertificate:
-            raise
-        except Exception as exc:
-            raise MalformedCertificate(f"bad local certificate: {exc}") from exc
+        return _decode(LocalUniquenessCertificate, d, "local-uniqueness", "annulus",
+                       lambda d: {
+                           "pair_map": tuple(d["pair_map"]),
+                           "subdivision": d["subdivision"],
+                           "fingerprint": d["fingerprint"],
+                       })
 
 
 def _contraction_evidence(inner_delta: float, subdivision: int):
-    """Krawczyk enclosures on the inner box, computed rigorously."""
-    center = (1.0, 1.0)
+    """Krawczyk enclosures on the inner box around CENTER, computed
+    rigorously; the keys are LocalUniquenessCertificate fields."""
     inner = Box2.from_bounds(
         1.0 - inner_delta, 1.0 + inner_delta, 1.0 - inner_delta, 1.0 + inner_delta
     )
 
-    fm = _point_gaps(*center)
+    fm = _point_gaps(*CENTER)
 
     # Jacobian enclosure over the inner box: hull over a subdivision grid,
     # one VInterval lane per sub-box.
@@ -818,15 +852,15 @@ def _contraction_evidence(inner_delta: float, subdivision: int):
     Y = ((jm[1][1] / dm, -jm[0][1] / dm), (-jm[1][0] / dm, jm[0][0] / dm))
 
     # K = m - Y F(m) + (I - Y J)(X - m)
-    dx = inner.r3 - center[0]
-    dy = inner.r5 - center[1]
+    dx = inner.r3 - CENTER[0]
+    dy = inner.r5 - CENTER[1]
     K = []
     for r in range(2):
         yr = Y[r]
         shift = yr[0] * fm[0] + yr[1] * fm[1]
         R0 = (1.0 if r == 0 else 0.0) - (yr[0] * J[0][0] + yr[1] * J[1][0])
         R1 = (1.0 if r == 1 else 0.0) - (yr[0] * J[0][1] + yr[1] * J[1][1])
-        K.append(center[r] - shift + R0 * dx + R1 * dy)
+        K.append(CENTER[r] - shift + R0 * dx + R1 * dy)
 
     def ends(iv):
         return (float(iv.lo), float(iv.hi))
@@ -835,7 +869,6 @@ def _contraction_evidence(inner_delta: float, subdivision: int):
     k_image = tuple(ends(k) for k in K)
     (i3, I3), (i5, I5) = ends(inner.r3), ends(inner.r5)
     return {
-        "center": center,
         "f_center": f_center,
         "jacobian": tuple(tuple(ends(J[r][c]) for c in range(2)) for r in range(2)),
         "det_jacobian": ends(det),
@@ -848,66 +881,44 @@ def _contraction_evidence(inner_delta: float, subdivision: int):
     }
 
 
-_ANNULUS_CHECKS = (PairCheck((3, 1), (1, 1)), PairCheck((5, 1), (1, 1)))
+# PairCheck(low, high) certifies the gap lambda_high - lambda_low
+_ANNULUS_CHECKS = tuple(PairCheck(low=b, high=a) for a, b in LOCAL_PAIRS)
 
 
 def _annulus_batch(lo3, hi3, lo5, hi5):
     """For every box, the distance from zero of the first certified-nonzero
     gap component in the fixed order 1+, 1-, 2+, 2-, and its code (0 and
     "" if none)."""
-    g1lo, g1hi, _ = _pair_bounds(_ANNULUS_CHECKS[0], lo3, hi3, lo5, hi5)
-    g2lo, g2hi, _ = _pair_bounds(_ANNULUS_CHECKS[1], lo3, hi3, lo5, hi5)
     n = lo3.size
     comp = np.full(n, "", dtype="<U2")
     bound = np.zeros(n)
-    for code, val in (
-        ("1+", g1lo),
-        ("1-", -g1hi),
-        ("2+", g2lo),
-        ("2-", -g2hi),
-    ):
-        pick = (comp == "") & (val > 0.0)
-        comp[pick] = code
-        bound[pick] = val[pick]
+    for k, check in enumerate(_ANNULUS_CHECKS, 1):
+        glo, ghi, _ = _pair_bounds(check, lo3, hi3, lo5, hi5)
+        for code, val in ((f"{k}+", glo), (f"{k}-", -ghi)):
+            pick = (comp == "") & (val > 0.0)
+            comp[pick] = code
+            bound[pick] = val[pick]
     return bound, comp
 
 
-def _annulus_cover(delta, inner_delta):
+def _annulus_cover(delta):
     """Grid boxes of width <= ANNULUS_BOX_WIDTH covering the window
     [1-delta, 1+delta]^2 minus the inner box, as (lo3, hi3, lo5, hi5)."""
-    edges = _snap_edges(
-        1.0 - delta,
-        1.0 + delta,
-        ANNULUS_BOX_WIDTH,
-        (1.0 - inner_delta, 1.0 + inner_delta),
-    )
+    lo, hi = 1.0 - INNER_DELTA, 1.0 + INNER_DELTA
+    edges = _snap_edges(1.0 - delta, 1.0 + delta, ANNULUS_BOX_WIDTH, (lo, hi))
     lo3, lo5 = np.meshgrid(edges[:-1], edges[:-1], indexing="ij")
     hi3, hi5 = np.meshgrid(edges[1:], edges[1:], indexing="ij")
     lo3, hi3, lo5, hi5 = (a.ravel() for a in (lo3, hi3, lo5, hi5))
-    in_inner = (
-        (lo3 >= 1.0 - inner_delta)
-        & (hi3 <= 1.0 + inner_delta)
-        & (lo5 >= 1.0 - inner_delta)
-        & (hi5 <= 1.0 + inner_delta)
-    )
+    in_inner = (lo3 >= lo) & (hi3 <= hi) & (lo5 >= lo) & (hi5 <= hi)
     return tuple(a[~in_inner] for a in (lo3, hi3, lo5, hi5))
 
 
-def certify_local_uniqueness(
-    delta: float = DELTA_B0,
-    subdivision: int = 8,
-    inner_delta: float = INNER_DELTA,
-) -> LocalUniquenessCertificate:
+def certify_local_uniqueness(delta: float = DELTA_B0) -> LocalUniquenessCertificate:
     """Certificate that the (1±delta) square holds exactly one zero of
     the two-gap map, and the center is that zero to within
     _POSTERIORI_TOL."""
-    if not (0.0 < delta < 0.5):
-        raise DomainError(f"window half-width {delta} outside (0, 0.5)")
-    if not (0.0 < inner_delta < delta):
-        raise DomainError(f"inner half-width {inner_delta} outside (0, {delta})")
-    if not (1 <= subdivision <= _MAX_SUBDIVISION):
-        raise DomainError(f"subdivision {subdivision} outside [1, {_MAX_SUBDIVISION}]")
-    ev = _contraction_evidence(inner_delta, subdivision)
+    _check_window(float(delta))
+    ev = _contraction_evidence(INNER_DELTA, SUBDIVISION)
     if ev["containment_margin"] <= 0.0:
         raise ContractionFailure(
             f"Krawczyk image not strictly contained "
@@ -922,24 +933,18 @@ def certify_local_uniqueness(
         )
     ann, _ = _branch_and_bound(
         "annulus",
-        _annulus_cover(delta, inner_delta),
+        _annulus_cover(delta),
         _annulus_batch,
         None,
         _ANNULUS_MAX_DEPTH,
     )
     return LocalUniquenessCertificate(
         delta=float(delta),
-        inner_delta=float(inner_delta),
-        center=ev["center"],
+        inner_delta=INNER_DELTA,
+        center=CENTER,
         pair_map=_pair_labels(),
-        subdivision=subdivision,
-        y_matrix=ev["y_matrix"],
-        f_center=ev["f_center"],
-        jacobian=ev["jacobian"],
-        det_jacobian=ev["det_jacobian"],
-        k_image=ev["k_image"],
-        containment_margin=ev["containment_margin"],
-        posteriori_residual=ev["posteriori_residual"],
+        subdivision=SUBDIVISION,
+        **ev,
         ann_lo3=ann[0],
         ann_hi3=ann[1],
         ann_lo5=ann[2],
@@ -1005,37 +1010,28 @@ def _check_leaves(what: str, leaves, recompute, cover, outside) -> None:
 
 def _check_header(c: Certificate) -> None:
     """The header fields that define the cover must be ones the certifier
-    can have written, and must imply a cover of sane size."""
-    reg = region_def(c.region)
+    can have written: cuts within the range rule (_check_cuts), a fixed
+    point of the cut rule (recorded_cuts), `excluded` the square of
+    delta_b0, and a cover of sane size."""
     w = c.max_box_width
-    if not (0.0 < w <= 0.5):
+    try:
+        _check_cuts(w, c.delta_b0, c.truncation)
+        cells = _grid_cells(c.region, w, c.truncation)
+    except (TypeError, ValueError) as exc:
+        raise MalformedCertificate(f"{c.region}: {exc}") from exc
+    want = recorded_cuts(c.region, c.delta_b0, c.truncation)
+    if want != (c.delta_b0, c.truncation):
         raise MalformedCertificate(
-            f"{c.region}: max_box_width {w!r} outside (0, 0.5]"
+            f"{c.region}: records delta_b0 {c.delta_b0!r} and truncation"
+            f" {c.truncation!r}, but the cut rule records {want!r} for them"
         )
-    if reg.unbounded != (c.truncation is not None):
-        raise MalformedCertificate(
-            f"{c.region}: truncation {c.truncation!r}, but the region is"
-            f" {'unbounded' if reg.unbounded else 'bounded'}"
-        )
-    if c.truncation is not None and not (1.0 + w < c.truncation < math.inf):
-        raise MalformedCertificate(
-            f"{c.region}: truncation {c.truncation!r} out of range"
-        )
-    d = c.delta_b0
-    square = None if d is None else (1.0 - d, 1.0 + d, 1.0 - d, 1.0 + d)
-    if d is not None and not (0.0 <= d < 0.5):
-        raise MalformedCertificate(f"{c.region}: delta_b0 {d!r} outside [0, 0.5)")
-    if c.excluded != square:
+    if c.excluded != _excluded(c.delta_b0):
         raise MalformedCertificate(
             f"{c.region}: excluded {c.excluded!r} is not the square of"
-            f" delta_b0 {d!r}"
+            f" delta_b0 {c.delta_b0!r}"
         )
     # every kept cell of the cover holds a leaf, so a header whose grid
     # dwarfs the leaf count cannot verify; refuse it before building it
-    try:
-        cells = _grid_cells(c.region, w, c.truncation)
-    except ValueError as exc:
-        raise MalformedCertificate(str(exc)) from exc
     if cells > 16 * c.n_leaves() + 65536:
         raise MalformedCertificate(
             f"{c.region}: max_box_width {w!r} implies a grid of"
@@ -1068,7 +1064,7 @@ def verify_certificate(cert) -> bool:
 
     _check_leaves(
         c.region,
-        (c.lo3, c.hi3, c.lo5, c.hi5, c.forms, c.bounds),
+        c._leaves(),
         recompute,
         cover_arrays(c.region, c.max_box_width, c.truncation, c.delta_b0),
         region_def(c.region).boxes_outside_closure,
@@ -1181,43 +1177,40 @@ def _replay(cover, leaves, outside, what: str) -> None:
         depth += 1
 
 
+def _same_shape(a, b) -> bool:
+    """True if the nested tuples a and b have the same structure."""
+    if isinstance(b, tuple):
+        return (isinstance(a, tuple) and len(a) == len(b)
+                and all(map(_same_shape, a, b)))
+    return not isinstance(a, tuple)
+
+
 def verify_local_certificate(cert) -> bool:
-    """Recompute the contraction evidence and every annulus bound
-    bit-for-bit, re-check the acceptance conditions (containment,
-    nonsingularity, center residual) and replay the annulus cover from
-    the recorded delta and inner_delta."""
+    """Require the fixed construction (center, pair_map, inner_delta and
+    subdivision exactly) and a window delta in range, recompute the
+    contraction evidence and every annulus bound bit-for-bit, re-check the
+    acceptance conditions (containment, nonsingularity) and replay the
+    annulus cover from the recorded delta."""
     cert = _coerce(cert, LocalUniquenessCertificate)
     if cert.fingerprint != build_fingerprint():
         raise MalformedCertificate("fingerprint does not match this build")
-    if not (0.0 < cert.inner_delta < cert.delta < 0.5):
-        raise MalformedCertificate(
-            f"need 0 < inner_delta < delta < 0.5, got inner_delta"
-            f" {cert.inner_delta!r}, delta {cert.delta!r}"
-        )
-    if not (1 <= cert.subdivision <= _MAX_SUBDIVISION):
-        raise MalformedCertificate(
-            f"subdivision {cert.subdivision} outside [1, {_MAX_SUBDIVISION}]"
-        )
-    ev = _contraction_evidence(cert.inner_delta, cert.subdivision)
-    if tuple(cert.center) != ev["center"]:
-        raise MalformedCertificate(
-            f"center {cert.center!r} is not the pentagon point {ev['center']!r}"
-        )
-    if tuple(cert.pair_map) != _pair_labels():
-        raise MalformedCertificate(
-            f"pair_map {cert.pair_map!r} is not the certified map {_pair_labels()!r}"
-        )
-    stored = {
-        "f_center": cert.f_center,
-        "jacobian": cert.jacobian,
-        "det_jacobian": cert.det_jacobian,
-        "y_matrix": cert.y_matrix,
-        "k_image": cert.k_image,
-        "containment_margin": cert.containment_margin,
-        "posteriori_residual": cert.posteriori_residual,
+    fixed = {
+        "center": CENTER,
+        "pair_map": _pair_labels(),
+        "inner_delta": INNER_DELTA,
+        "subdivision": SUBDIVISION,
     }
-    for key, val in stored.items():
-        if not np.array_equal(np.asarray(ev[key], dtype=float), np.asarray(val, dtype=float)):
+    for key, want in fixed.items():
+        got = getattr(cert, key)
+        if got != want:
+            raise MalformedCertificate(f"{key} {got!r} is not the fixed {want!r}")
+    _check_window(cert.delta, MalformedCertificate)
+    for key, want in _contraction_evidence(INNER_DELTA, SUBDIVISION).items():
+        got = getattr(cert, key)
+        if not _same_shape(got, want):
+            raise MalformedCertificate(
+                f"local certificate field {key} {got!r} is not shaped like {want!r}")
+        if got != want:
             raise LeafBoundViolation(f"local certificate field {key} does not recompute")
     if cert.containment_margin <= 0.0:
         raise ContractionFailure("stored containment margin is not positive")
@@ -1226,18 +1219,7 @@ def verify_local_certificate(cert) -> bool:
         raise ContractionFailure("stored Jacobian determinant encloses zero")
 
     _check_leaves(
-        "annulus",
-        (
-            cert.ann_lo3,
-            cert.ann_hi3,
-            cert.ann_lo5,
-            cert.ann_hi5,
-            cert.ann_comp,
-            cert.ann_bound,
-        ),
-        _annulus_batch,
-        _annulus_cover(cert.delta, cert.inner_delta),
-        None,
+        "annulus", cert._leaves(), _annulus_batch, _annulus_cover(cert.delta), None
     )
     return True
 
@@ -1312,34 +1294,26 @@ def certify_all(config: Optional[RunConfig] = None) -> CertificationManifest:
     if not witness["is_solution"]:
         raise ContractionFailure("pentagon point fails the residual gate")
 
-    def truncation(rid: str) -> Optional[float]:
-        return cfg.truncation if region_def(rid).unbounded else None
-
     def run(rid: str) -> Certificate:
         return certify_inequality(
             rid,
             max_box_width=cfg.max_box_width,
-            truncation=truncation(rid),
+            truncation=cfg.truncation,
             delta=cfg.delta_b0,
             max_depth=cfg.max_depth,
         )
 
     largest_first = sorted(
         REGION_IDS,
-        key=lambda rid: -_grid_cells(rid, cfg.max_box_width, truncation(rid)))
+        key=lambda rid: -_grid_cells(rid, cfg.max_box_width, cfg.truncation))
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         futures = {rid: pool.submit(run, rid) for rid in largest_first}
         certs = {rid: futures[rid].result() for rid in REGION_IDS}
 
     return CertificationManifest(
         verdict="UNIQUE-IN-WINDOW",
-        config={
-            "max_box_width": cfg.max_box_width,
-            "delta_b0": cfg.delta_b0,
-            "truncation": cfg.truncation,
-            "max_depth": cfg.max_depth,
-            "threads": cfg.threads,
-        },
+        config={f.name: getattr(cfg, f.name) for f in fields(cfg)
+                if f.name != "output_dir"},
         local=local,
         certificates=certs,
         solution_witness=witness,

@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from typing import List, Optional
 
 import numpy as np
@@ -37,6 +38,7 @@ from .certify import (
     RunConfig,
     certify_all,
     certify_inequality,
+    recorded_cuts,
     verify_certificate,
     verify_local_certificate,
 )
@@ -47,14 +49,8 @@ from .forces import (
     lambda_component,
     residual_vector,
 )
-from .geometry import DomainError
-from .regions import (
-    REGION_IDS,
-    TRUNCATION_R5,
-    region_def,
-    region_excises_b0,
-    region_plan,
-)
+from .geometry import GRID_CAP, DomainError
+from .regions import REGION_IDS, TRUNCATION_R5, region_def, region_plan
 from .solver import grid_scan
 
 OUTPUT_DIR_ENV = "STARCC_OUTPUT_DIR"
@@ -65,10 +61,9 @@ EXIT_CERTIFICATION = 3
 EXIT_BUDGET = 4
 EXIT_VERIFY = 5
 
-_CONFIG_KEYS = (
-    "max_box_width", "delta_b0", "truncation", "max_depth",
-    "threads", "output_dir",
-)
+# `certify` options whose dest is not the RunConfig field's own name
+_FLAGS = {"max_box_width": "width", "delta_b0": "delta",
+          "truncation": "truncate_r5", "output_dir": "output"}
 
 
 def _g15(x: float) -> str:
@@ -81,24 +76,21 @@ def _g17(x: float) -> str:
 
 def _load_run_config(args) -> RunConfig:
     """Defaults <- config file <- STARCC_OUTPUT_DIR <- flags."""
+    keys = [f.name for f in fields(RunConfig)]
     values = {}
     path = getattr(args, "config", None)
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         for key in raw:
-            if key not in _CONFIG_KEYS:
+            if key not in keys:
                 raise ValueError(f"unknown config key {key!r} in {path}")
         values.update(raw)
     env_dir = os.environ.get(OUTPUT_DIR_ENV)
     if env_dir:
         values["output_dir"] = env_dir
-    for key, flag in (
-        ("max_box_width", "width"), ("delta_b0", "delta"),
-        ("truncation", "truncate_r5"), ("max_depth", "max_depth"),
-        ("threads", "threads"), ("output_dir", "output"),
-    ):
-        v = getattr(args, flag, None)
+    for key in keys:
+        v = getattr(args, _FLAGS.get(key, key), None)
         if v is not None:
             values[key] = v
     return RunConfig(**values).validate()
@@ -233,19 +225,18 @@ def cmd_certify(args) -> int:
         print(f"bundle written to {outdir}")
         return 0
 
-    truncation = cfg.truncation if region_def(target).unbounded else None
     cert = certify_inequality(
         target,
         max_box_width=cfg.max_box_width,
-        truncation=truncation,
+        truncation=cfg.truncation,
         delta=cfg.delta_b0,
         max_depth=cfg.max_depth,
     )
     with open(os.path.join(outdir, f"{target}.json"), "w", encoding="utf-8") as fh:
         fh.write(cert.to_json())
     _print_region_row(cert)
-    if truncation is not None:
-        print(f"  truncated at r5 <= {truncation:g} (recorded in the certificate)")
+    if cert.truncation is not None:
+        print(f"  truncated at r5 <= {cert.truncation:g} (recorded in the certificate)")
     print(f"certificate written to {os.path.join(outdir, target + '.json')}")
     return 0
 
@@ -297,21 +288,17 @@ def _manifest_cuts(manifest_path: str, summary: dict):
 
 def _check_composition(path: str, cert: Certificate, delta: float,
                        truncation: float) -> None:
-    """A region certificate must excise the manifest's square exactly when
-    its region meets it, and must cut an unbounded region at the
-    manifest's truncation: otherwise the pieces prove different claims."""
-    rid = cert.region
-    # verify_certificate ties `excluded` to `delta_b0`
-    want = delta if region_excises_b0(rid, delta) else None
-    if cert.delta_b0 != want:
+    """A region certificate must record what the cut rule (recorded_cuts)
+    gives for the manifest's delta and truncation: otherwise the pieces
+    prove different claims.  verify_certificate ties `excluded` to
+    `delta_b0`."""
+    want = recorded_cuts(cert.region, delta, truncation)
+    got = (cert.delta_b0, cert.truncation)
+    if got != want:
         raise MalformedCertificate(
-            f"{path}: {rid} records delta_b0 {cert.delta_b0!r}; the"
-            f" manifest's square with delta {delta!r} requires {want!r}")
-    want = truncation if region_def(rid).unbounded else None
-    if cert.truncation != want:
-        raise MalformedCertificate(
-            f"{path}: {rid} records truncation {cert.truncation!r}; the"
-            f" manifest requires {want!r}")
+            f"{path}: {cert.region} records (delta_b0, truncation) {got!r};"
+            f" the manifest's delta {delta!r} and truncation {truncation!r}"
+            f" require {want!r}")
 
 
 def _verify_bundle(dirpath: str) -> List[str]:
@@ -397,6 +384,8 @@ def _grid_axes(window, n):
     lo3, hi3, lo5, hi5 = window
     if not (lo3 < hi3 and lo5 < hi5 and np.all(np.isfinite(window))) or n < 2:
         raise DomainError(f"bad plot window {window} / grid {n}")
+    if n * n > GRID_CAP:
+        raise DomainError(f"grid {n} asks for {n * n} > {GRID_CAP} nodes")
     g3 = np.linspace(lo3, hi3, n)
     g5 = np.linspace(lo5, hi5, n)
     r3, r5 = np.meshgrid(g3, g5, indexing="ij")
@@ -454,9 +443,7 @@ def _plot_gap(args, rid: str) -> None:
         raise DomainError(f"truncation {args.truncate_r5} is not finite")
     region = region_def(rid)
     plan = region_plan(rid)
-    trunc = args.truncate_r5 if region.unbounded else None
-    lo3, hi3, lo5, hi5 = region.bbox(trunc)
-    r3, r5 = _grid_axes((lo3, hi3, lo5, hi5), args.grid)
+    r3, r5 = _grid_axes(region.bbox(args.truncate_r5), args.grid)
     keep = np.all([c.holds(r3, r5) for c in region.constraints], axis=0)
     r3, r5 = r3[keep], r5[keep]
     # each node is a point box, routed as the certifier routes boxes

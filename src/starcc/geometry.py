@@ -59,14 +59,22 @@ PLASTIC = 1.32471795724474602596
 _R2_STEP = np.array([1.0 / PLASTIC, 1.0 / PLASTIC**2])
 
 
+# Most points or cells one array may hold: quasi-random points, plot grids
+# and the boxes of one certification run stop here before allocating.
+GRID_CAP = 4_000_000
+
+
 def quasi_points(n: int, seed: int) -> np.ndarray:
     """The first n points of the seeded R2 sequence in [0, 1)^2, shape (n, 2).
 
     Point k (k = 1..n) is frac(shift + k * (1/rho, 1/rho^2)) with rho the
     plastic number and shift = np.random.default_rng(seed).random(2).  The
     points depend only on (k, seed), so a longer run extends a shorter one.
-    Scan starts and the partition audit draw from here.
+    Scan starts and the partition audit draw from here.  Raises ValueError
+    unless 0 <= n <= GRID_CAP.
     """
+    if not 0 <= n <= GRID_CAP:
+        raise ValueError(f"{n} quasi-random points asked for; need 0..{GRID_CAP}")
     shift = np.random.default_rng(seed).random(2)
     k = np.arange(1, int(n) + 1, dtype=float)[:, None]
     return (shift + k * _R2_STEP) % 1.0

@@ -158,10 +158,13 @@ class VInterval:
             return o
         if np.any(o.straddles_zero()):
             raise DivisionByZeroInterval("divisor interval contains zero")
-        c1 = self.lo / o.lo
-        c2 = self.lo / o.hi
-        c3 = self.hi / o.lo
-        c4 = self.hi / o.hi
+        # a quotient beyond the float range rounds to +-inf, which is a
+        # valid outward endpoint; numpy would warn about it
+        with np.errstate(over="ignore"):
+            c1 = self.lo / o.lo
+            c2 = self.lo / o.hi
+            c3 = self.hi / o.lo
+            c4 = self.hi / o.hi
         lo = np.minimum(np.minimum(c1, c2), np.minimum(c3, c4))
         hi = np.maximum(np.maximum(c1, c2), np.maximum(c3, c4))
         return VInterval(_outward(lo, _NINF), _outward(hi, _PINF))

@@ -64,7 +64,8 @@ REGION_IDS = tuple(f"J{n}" for n in range(1, 17))
 
 
 class TruncationRequired(ValueError):
-    """cover_arrays() of an unbounded region needs a truncation bound."""
+    """The bbox (and so the cover) of an unbounded region needs a
+    truncation bound."""
 
 
 _IV1 = VInterval(1.0, 1.0)
@@ -484,11 +485,10 @@ def cover_arrays(
     certainly miss the region closure (conservative interval test), so the
     union always covers the region; boxes may overhang a slanted boundary
     by less than one cell.  delta=None excises nothing, which is what a
-    certificate recording no delta_b0 claims.
+    certificate recording no delta_b0 claims.  An unbounded region needs
+    a truncation (TruncationRequired otherwise); a bounded one ignores it.
     """
     reg = region_def(rid)
-    if reg.unbounded and truncation is None:
-        raise TruncationRequired(f"{rid} is unbounded; pass truncation")
     r3lo, r3hi, r5lo, r5hi = reg.bbox(truncation)
     s3, s5 = _region_snaps(rid, delta)
     e3 = _snap_edges(r3lo, r3hi, max_box_width, s3)

@@ -305,8 +305,10 @@ def grid_scan(window, n_starts: int, tol: float = 1e-10, seed: int = 0,
     window is ((r3_lo, r3_hi), (r5_lo, r5_hi)), finite and non-degenerate
     (DomainError otherwise).  Starts are seeded R2 points
     (geometry.quasi_points) scaled into the window; starts falling
-    outside S are skipped (counted in stats).  Every reported root passed
-    the full-system gate, and distinct roots are > MERGE_RADIUS apart.
+    outside S are skipped (counted in stats); quasi_points refuses more
+    than GRID_CAP starts (ValueError) before allocating them.  Every
+    reported root passed the full-system gate, and distinct roots are
+    > MERGE_RADIUS apart.
     """
     (lo3, hi3), (lo5, hi5) = (
         (float(window[0][0]), float(window[0][1])),
@@ -316,8 +318,6 @@ def grid_scan(window, n_starts: int, tol: float = 1e-10, seed: int = 0,
         raise DomainError(f"degenerate scan window {window}")
     if not np.all(np.isfinite((lo3, hi3, lo5, hi5))):
         raise DomainError(f"scan window {window} is not finite")
-    if n_starts < 0:
-        raise ValueError("n_starts must be >= 0")
     t0 = time.perf_counter()
     stats: Dict[str, float] = {
         "starts": n_starts, "in_domain": 0, "converged": 0, "diverged": 0,

@@ -30,7 +30,7 @@ from starcc.certify import (
     verify_local_certificate,
 )
 from starcc.intervals import Box2
-from starcc import regions
+from starcc import certify, regions
 from starcc.regions import PairCheck, RegionPlan, cover_arrays, region_def, region_plan
 
 
@@ -141,9 +141,11 @@ def test_tiny_budget_exhausts():
 
 
 def test_grid_beyond_the_box_cap_is_refused_before_it_is_built():
-    # an infinite cut (RunConfig refuses it, the API does not) or a tiny
-    # width would ask numpy for a meshgrid of unbounded or gigabyte size
+    # a far cut or a tiny width would ask numpy for a meshgrid of gigabyte
+    # size; an infinite cut is out of the range rule before cells count
     with pytest.raises(BudgetExhausted, match="cells"):
+        certify_inequality("J15", max_box_width=0.1, truncation=1e7)
+    with pytest.raises(ValueError, match="finite"):
         certify_inequality("J15", max_box_width=0.1, truncation=math.inf)
     with pytest.raises(BudgetExhausted, match="cells"):
         certify_inequality("J7", max_box_width=1e-5)
@@ -154,8 +156,24 @@ def test_truncation_at_or_below_the_floor_is_refused():
     for rid, t in (("J15", 2.0), ("J15", 3.036), ("J10", 2.0)):
         with pytest.raises(ValueError, match="empty"):
             certify_inequality(rid, max_box_width=0.1, truncation=t)
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(ValueError, match="finite"):
         certify_inequality("J9", max_box_width=0.1, truncation=math.nan)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"max_box_width": -1.0},
+    {"max_box_width": 0.7},
+    {"delta": 0.6},
+], ids=["width-negative", "width-0.7", "delta-0.6"])
+def test_certifier_refuses_a_header_the_verifier_rejects(monkeypatch, kwargs):
+    # verify_certificate rejects each of these headers as malformed, so
+    # the certifier must refuse them before it builds a grid
+    def no_grid(*args, **kw):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(certify, "cover_arrays", no_grid)
+    with pytest.raises(ValueError):
+        certify_inequality("J13", **kwargs)
 
 
 def test_certificate_truncated_below_the_floor_is_malformed(monkeypatch):
@@ -427,11 +445,27 @@ def test_header_that_the_certifier_cannot_write_is_malformed(j4_cert, field, val
 @pytest.mark.parametrize("field, value", [
     ("inner_delta", (0.03).hex()),  # wider than the window
     ("subdivision", 10**6),         # 10^12 Jacobian lanes
+    ("inner_delta", (0.001).hex()),  # the construction is fixed
+    ("subdivision", 4),
+    ("delta", (0.002).hex()),       # no annulus left
 ])
 def test_local_header_out_of_range_is_malformed(local_cert, field, value):
     payload = json.loads(local_cert.to_json())
     payload[field] = value
     with pytest.raises(MalformedCertificate, match=field):
+        verify_local_certificate(LocalUniquenessCertificate.from_payload(payload))
+
+
+@pytest.mark.parametrize("field, pad", [
+    ("center", lambda v: v + ["garbage"]),
+    ("f_center", lambda v: [row + ["garbage"] for row in v]),
+    ("det_jacobian", lambda v: v + [v[-1]]),
+], ids=["center", "f_center", "det_jacobian"])
+def test_padded_local_header_is_malformed(local_cert, field, pad):
+    # every interval entry is exactly a [lo, hi] pair of hex floats
+    payload = json.loads(local_cert.to_json())
+    payload[field] = pad(payload[field])
+    with pytest.raises(MalformedCertificate):
         verify_local_certificate(LocalUniquenessCertificate.from_payload(payload))
 
 

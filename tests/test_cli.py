@@ -278,6 +278,12 @@ def test_scan_window_that_is_not_finite_exits_2(capsys):
     assert "not finite" in out
 
 
+def test_scan_with_too_many_starts_exits_2_before_allocating(capsys):
+    code, out = run(["scan", "--starts", 10**12], capsys)
+    assert code == cli.EXIT_DOMAIN
+    assert "4000000" in out
+
+
 # ---------------------------------------------------------------------------
 # plotdata
 
@@ -331,6 +337,12 @@ def test_plotdata_that_is_not_finite_exits_2(argv, capsys):
     code, out = run(argv, capsys)
     assert code == cli.EXIT_DOMAIN
     assert "r3," not in out
+
+
+def test_plotdata_grid_beyond_the_cap_exits_2_before_allocating(capsys):
+    code, out = run(["plotdata", "regions", 10**6], capsys)
+    assert code == cli.EXIT_DOMAIN
+    assert "4000000" in out and "r3," not in out
 
 
 def test_plotdata_unknown_kind_exits_2(capsys):
@@ -447,6 +459,21 @@ def test_bundle_rejects_dropped_narrowest_j16_leaf(coarse_bundle, tmp_path,
     code, out = run(["verify", forged], capsys)
     assert code == cli.EXIT_VERIFY
     assert "REJECT" in out and "J16" in out and "holds no leaf" in out
+
+
+@pytest.mark.parametrize("rid", ["J9", "J7"])
+def test_single_region_certify_matches_the_bundle(coarse_bundle, tmp_path,
+                                                  capsys, rid):
+    # `certify J<n>` passes the run's cuts on and records what the bundle
+    # records (J9 is cut at r5 = 10, J7 excises the square)
+    one = tmp_path / "one"
+    code, _ = run(["certify", rid, "--width", "0.1", "--output", one], capsys)
+    assert code == 0
+    docs = [json.loads((d / f"{rid}.json").read_text())
+            for d in (coarse_bundle, one)]
+    for doc in docs:
+        doc["stats"].pop("wall_seconds")
+    assert docs[0] == docs[1]
 
 
 def test_bench_forgeries_are_all_rejected(coarse_bundle, tmp_path, capsys):

@@ -85,6 +85,14 @@ def test_scan_zero_starts():
     assert report.stats["starts"] == 0
 
 
+def test_scan_refuses_more_starts_than_the_cap_before_allocating():
+    # 10^12 starts would be a 16 TB array of points
+    with pytest.raises(ValueError, match="4000000"):
+        grid_scan(((0.5, 1.5), (0.5, 1.5)), 10**12)
+    with pytest.raises(ValueError):
+        grid_scan(((0.5, 1.5), (0.5, 1.5)), -1)
+
+
 def test_scan_rejects_degenerate_window():
     with pytest.raises(DomainError):
         grid_scan(((1.0, 1.0), (0.5, 1.5)), 10)
