@@ -1,8 +1,9 @@
 """Star central configurations of five equal masses, reduced to (r3, r5).
 
 The public surface mirrors the layering: geometry (constants, R2 points),
-kernel (the one closure, domain test and multiplier formulas), forces
-(floating evaluation), intervals (rigorous enclosures), regions
+kernel (the one closure, domain test, multiplier formulas and the local
+square system F), forces (floating evaluation), intervals (outward-rounded
+arithmetic and the interval backends of the kernel), regions
 (the 16-piece partition and its proof plans), certify (branch-and-bound +
 local uniqueness certificates and their verifier), solver (floating
 companion), cli (console entry point).
@@ -30,10 +31,7 @@ from .intervals import (
     DivisionByZeroInterval,
     NegativeArgument,
     VInterval,
-    gap_interval,
-    lambda_interval,
     pentagon_constants,
-    y1_interval,
 )
 from .regions import (
     DELTA_B0,
@@ -84,7 +82,7 @@ __all__ = [
     "gradient_measure", "hessian_measure", "lambda_component", "moment_I",
     "potential_U", "residual_vector", "y1_residual",
     "Box2", "DivisionByZeroInterval", "NegativeArgument", "VInterval",
-    "gap_interval", "lambda_interval", "pentagon_constants", "y1_interval",
+    "pentagon_constants",
     "DELTA_B0", "REGION_IDS", "TRUNCATION_R5", "PartitionReport", "Region",
     "RegionPlan", "partition_audit", "region_def",
     "region_excises_b0", "region_plan",

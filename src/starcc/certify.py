@@ -44,9 +44,12 @@ certifier, the verifier and the CLI all call it:
   certify_inequality refuse what _check_header rejects;
 * the header codec, _hex/_unhex: floats as float.hex() strings, tuples
   as lists, None as null;
-* the local construction: the center (1, 1), LOCAL_PAIRS, INNER_DELTA
-  and SUBDIVISION are constants the verifier requires exactly; only the
-  window half-width delta varies, within _check_window's range.
+* the local construction: the center (1, 1), kernel.LOCAL_PAIRS,
+  INNER_DELTA and SUBDIVISION are constants the verifier requires
+  exactly; only the window half-width delta varies, within
+  _check_window's range.  The map F it contracts is kernel.local_gaps:
+  on vector intervals at the center (f_center) and on interval jets over
+  the inner box's sub-boxes (the Jacobian).
 """
 
 from __future__ import annotations
@@ -71,9 +74,7 @@ from .intervals import (
     VectorBackend,
     VInterval,
     dual_vars,
-    gap_interval,
     pentagon_constants,
-    y1_interval,
 )
 from .regions import (
     DELTA_B0,
@@ -696,8 +697,6 @@ def certify_inequality(
 # Krawczyk local uniqueness
 # ---------------------------------------------------------------------------
 
-LOCAL_PAIRS = (((1, 1), (3, 1)), ((1, 1), (5, 1)))
-
 # The Krawczyk contraction runs on a small box around the pentagon point;
 # the rest of the window is handled by certified zero-exclusion, because
 # the Jacobian of the gap map varies too much across the full window for
@@ -715,9 +714,9 @@ _POSTERIORI_TOL = 1e-10
 
 
 def _pair_labels() -> Tuple[str, str]:
-    """The pair_map a local certificate records for LOCAL_PAIRS."""
+    """The pair_map a local certificate records for kernel.LOCAL_PAIRS."""
     return tuple(
-        f"lambda_{a[0]}{a[1]} - lambda_{b[0]}{b[1]}" for a, b in LOCAL_PAIRS
+        f"lambda_{a[0]}{a[1]} - lambda_{b[0]}{b[1]}" for a, b in kernel.LOCAL_PAIRS
     )
 
 
@@ -725,27 +724,6 @@ def _check_window(delta, error=DomainError) -> None:
     """The range rule of the local window: INNER_DELTA < delta < 0.5."""
     if not (isinstance(delta, float) and INNER_DELTA < delta < 0.5):
         raise error(f"window half-width delta {delta!r} outside ({INNER_DELTA}, 0.5)")
-
-
-def _gap_jets(box: Box2):
-    """Interval jets of the two gap maps F = (l11-l31, l11-l51) over box."""
-    dbk = DualBackend()
-    r3d, r5d = dual_vars(box)
-    radii = kernel.derived_radii(dbk, r3d, r5d)
-    cache: dict = {}
-    lam = {}
-    for (i, k) in sorted({p for pair in LOCAL_PAIRS for p in pair}):
-        lam[i, k] = kernel.lambda_num(dbk, radii, i, k, cache) / kernel.lambda_den(
-            dbk, radii, i, k
-        )
-    return tuple(lam[a] - lam[b] for a, b in LOCAL_PAIRS)
-
-
-def _point_gaps(r3: float, r5: float):
-    """Enclosures of the two gap maps F at a point: the value part of
-    _gap_jets, computed without the derivatives."""
-    pt = Box2.point(r3, r5)
-    return tuple(gap_interval((b, a), pt) for a, b in LOCAL_PAIRS)
 
 
 @dataclass
@@ -830,7 +808,7 @@ def _contraction_evidence(inner_delta: float, subdivision: int):
         1.0 - inner_delta, 1.0 + inner_delta, 1.0 - inner_delta, 1.0 + inner_delta
     )
 
-    fm = _point_gaps(*CENTER)
+    fm = kernel.local_gaps(VectorBackend(), *Box2.point(*CENTER))
 
     # Jacobian enclosure over the inner box: hull over a subdivision grid,
     # one VInterval lane per sub-box.
@@ -841,7 +819,7 @@ def _contraction_evidence(inner_delta: float, subdivision: int):
     )
     J = [
         [VInterval(dv.lo.min(), dv.hi.max()) for dv in (g.d3, g.d5)]
-        for g in _gap_jets(subs)
+        for g in kernel.local_gaps(DualBackend(), *dual_vars(subs))
     ]
 
     det = J[0][0] * J[1][1] - J[0][1] * J[1][0]
@@ -882,7 +860,7 @@ def _contraction_evidence(inner_delta: float, subdivision: int):
 
 
 # PairCheck(low, high) certifies the gap lambda_high - lambda_low
-_ANNULUS_CHECKS = tuple(PairCheck(low=b, high=a) for a, b in LOCAL_PAIRS)
+_ANNULUS_CHECKS = tuple(PairCheck(low=b, high=a) for a, b in kernel.LOCAL_PAIRS)
 
 
 def _annulus_batch(lo3, hi3, lo5, hi5):
@@ -1267,8 +1245,9 @@ def _solution_witness() -> Dict[str, object]:
     """Floating and interval evidence that the pentagon point solves the
     central-configuration system."""
     res = residual_vector((1.0, 1.0))
-    g1, g2 = _point_gaps(1.0, 1.0)
-    y1 = y1_interval(Box2.point(1.0, 1.0))
+    bk, pt = VectorBackend(), Box2.point(1.0, 1.0)
+    g1, g2 = kernel.local_gaps(bk, *pt)
+    y1 = kernel.y1_num(bk, *pt)
     return {
         "pairwise_spread": res.pairwise_spread,
         "y1": res.y1,

@@ -23,7 +23,7 @@ import json
 import os
 import sys
 from dataclasses import fields
-from typing import List, Optional
+from typing import List, Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -74,6 +74,25 @@ def _g17(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _config_value(path: str, key: str, value):
+    """A config file value checked against its RunConfig field's type; a
+    float field also takes a JSON integer (as a float), and bool is not a
+    number."""
+    hint = get_type_hints(RunConfig)[key]
+    allowed = get_args(hint) or (hint,)  # Optional[str] -> (str, NoneType)
+    if float in allowed:
+        allowed += (int,)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        names = " or ".join(t.__name__ for t in allowed)
+        raise ValueError(f"config key {key!r} in {path}: {value!r} is not {names}")
+    if float not in allowed:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"config key {key!r} in {path} overflows a float") from None
+
+
 def _load_run_config(args) -> RunConfig:
     """Defaults <- config file <- STARCC_OUTPUT_DIR <- flags."""
     keys = [f.name for f in fields(RunConfig)]
@@ -82,10 +101,12 @@ def _load_run_config(args) -> RunConfig:
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        for key in raw:
+        if not isinstance(raw, dict):
+            raise ValueError(f"config file {path} does not hold a JSON object")
+        for key, value in raw.items():
             if key not in keys:
                 raise ValueError(f"unknown config key {key!r} in {path}")
-        values.update(raw)
+            values[key] = _config_value(path, key, value)
     env_dir = os.environ.get(OUTPUT_DIR_ENV)
     if env_dir:
         values["output_dir"] = env_dir
@@ -198,11 +219,11 @@ def _print_region_row(cert: Certificate) -> None:
 
 
 def cmd_certify(args) -> int:
-    cfg = _load_run_config(args)
-    outdir = _resolve_outdir(cfg)
     target = args.target
     if target != "all" and target not in REGION_IDS:
         raise ValueError(f"unknown region {target!r}; use J1..J16 or 'all'")
+    cfg = _load_run_config(args)
+    outdir = _resolve_outdir(cfg)
 
     if target == "all":
         manifest = certify_all(cfg)

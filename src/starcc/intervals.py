@@ -16,6 +16,12 @@ evaluation of the same box gives, bit for bit.  The tier-1 tests check
 every primitive and the certified leaf bounds against exact rational
 arithmetic.
 
+This module holds arithmetic and backends only and imports no other
+starcc module.  The formulas are the kernel's: an enclosure of a
+multiplier over a box is kernel.lambda_quot on VectorBackend (a
+denominator enclosing zero raises DivisionByZeroInterval), and one of
+the local system F is kernel.local_gaps.
+
 Pentagon constants are enclosed from a sqrt(5) enclosure: cos 72 = b/4 and
 cos 144 = -a/4 are exact rational images of sqrt(5); the sines use
 sin 72 = sqrt(10+2*sqrt(5))/4 and sin 36 = sqrt(10-2*sqrt(5))/4.  All have
@@ -31,9 +37,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import kernel
-from .geometry import DomainError
-
 
 class DivisionByZeroInterval(ZeroDivisionError):
     """Divisor interval contains zero."""
@@ -41,10 +44,6 @@ class DivisionByZeroInterval(ZeroDivisionError):
 
 class NegativeArgument(ValueError):
     """sqrt of a partly negative interval, or x^(-3/2) of one touching 0."""
-
-
-class DenominatorStraddlesZero(ArithmeticError):
-    """A lambda quotient's q_ik enclosure contains zero on this box."""
 
 
 _NINF = float("-inf")
@@ -264,7 +263,8 @@ def pentagon_constants() -> PentagonConstants:
 
 
 class VectorBackend:
-    """Vector-interval backend for the shared kernel."""
+    """Vector-interval backend for the shared kernel: kernel.lambda_quot,
+    y1_num and local_gaps on it enclose their values over each box."""
 
     def __init__(self):
         pc = pentagon_constants()
@@ -280,51 +280,6 @@ class VectorBackend:
     @staticmethod
     def powneg32(x: VInterval) -> VInterval:
         return x.powneg32()
-
-
-def _checked_radii(box: Box2):
-    """Derived radii enclosures; DomainError unless the box sits in closure(S)
-    with strictly positive r2 and r4 enclosures."""
-    bk = VectorBackend()
-    if np.any(box.r3.lo < 0.0) or np.any(box.r5.lo < 0.0):
-        raise DomainError(f"box {box} leaves the closed quadrant")
-    radii = kernel.derived_radii(bk, box.r3, box.r5)
-    r2, r4 = radii[1], radii[3]
-    if not (np.all(r2.lo > 0.0) and np.all(r4.lo > 0.0)):
-        raise DomainError(f"box {box} has r2 enclosure {r2}, r4 enclosure {r4}")
-    return bk, radii
-
-
-def lambda_interval(idx, box: Box2) -> VInterval:
-    """Enclosure of lambda_ik over the box (or each box of a lane).
-
-    Requires the closure radii r2, r4 strictly positive over the box and the
-    denominator q_ik bounded away from zero; raises DomainError or
-    DenominatorStraddlesZero accordingly.
-    """
-    i, k = idx
-    bk, radii = _checked_radii(box)
-    den = kernel.lambda_den(bk, radii, i, k)
-    if np.any(den.straddles_zero()):
-        raise DenominatorStraddlesZero(f"q_{i}{k} encloses zero on {box}")
-    num = kernel.lambda_num(bk, radii, i, k, d2cache={})
-    return num / den
-
-
-def gap_interval(pair, box: Box2) -> VInterval:
-    """Enclosure of lambda_B - lambda_A for pair = (A, B).
-
-    A positive lower endpoint certifies the strict inequality
-    lambda_A < lambda_B everywhere on the box.
-    """
-    a, b = pair
-    return lambda_interval(b, box) - lambda_interval(a, box)
-
-
-def y1_interval(box: Box2) -> VInterval:
-    """Enclosure of the body-1 y-equation numerator over the box."""
-    bk, radii = _checked_radii(box)
-    return kernel.lambda_num(bk, radii, 1, 2, d2cache={})
 
 
 # ---------------------------------------------------------------------------

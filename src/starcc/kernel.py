@@ -17,6 +17,10 @@ The force-balance functions: with q_i = r_i (cos t_i, sin t_i) and m = 1,
 
 A point is a central configuration iff all nine lambda_ik coincide and
 y1 = 0.  Indices are 1-based bodies i in 1..5 and components k in {1, 2}.
+The square subsystem F = (lambda_11 - lambda_31, lambda_11 - lambda_51)
+(LOCAL_PAIRS, local_gaps) is stated here once for every backend: the
+solver refines it on floats, and the local certificate encloses it on
+vector intervals at (1, 1) and differentiates it on interval jets.
 
 Each lambda_ik touches only the four distances r_ij (j != i); the kernel
 computes exactly those (lazily, cached per call site), from coordinates
@@ -136,6 +140,22 @@ def y1_num(bk, r3, r5, d2cache=None):
     """Body-1 y-equation numerator (q_12 = 0, so no quotient exists)."""
     radii = derived_radii(bk, r3, r5)
     return lambda_num(bk, radii, 1, 2, d2cache)
+
+
+# The pairs of F, well-conditioned at the pentagon point (1, 1); a pair
+# (a, b) is the gap lambda_a - lambda_b.
+LOCAL_PAIRS = (((1, 1), (3, 1)), ((1, 1), (5, 1)))
+
+
+def local_gaps(bk, r3, r5):
+    """F(r3, r5): lambda_a - lambda_b for each (a, b) in LOCAL_PAIRS, from
+    one set of radii and one distance cache shared by the three lambdas."""
+    radii = derived_radii(bk, r3, r5)
+    cache: dict = {}
+    lam = {}
+    for i, k in sorted({idx for pair in LOCAL_PAIRS for idx in pair}):
+        lam[i, k] = lambda_num(bk, radii, i, k, cache) / lambda_den(bk, radii, i, k)
+    return tuple(lam[a] - lam[b] for a, b in LOCAL_PAIRS)
 
 
 # Fixed signs of the nine q_ik denominators everywhere on the open domain S

@@ -3,8 +3,9 @@
 Nothing in this module is rigorous -- it exists to *find* candidate
 central configurations fast, so the certificates produced by the certify
 module have an independent numerical cross-check.  The square subsystem
-refined here is the same pair the local uniqueness certificate contracts
-(certify.LOCAL_PAIRS, well-conditioned at (1,1)),
+refined here is the one the local uniqueness certificate contracts
+(kernel.LOCAL_PAIRS, well-conditioned at (1,1)), evaluated by the same
+kernel.local_gaps on the float backend,
 
     F(r3, r5) = (lambda_11 - lambda_31, lambda_11 - lambda_51),
 
@@ -59,13 +60,8 @@ class MaxIterations(RuntimeError):
 
 
 def _square_residual(r3, r5):
-    """F = (lambda_11 - lambda_31, lambda_11 - lambda_51), elementwise."""
-    bk = kernel.FloatBackend
-    cache: dict = {}
-    l11 = kernel.lambda_quot(bk, r3, r5, 1, 1, cache)
-    l31 = kernel.lambda_quot(bk, r3, r5, 3, 1, cache)
-    l51 = kernel.lambda_quot(bk, r3, r5, 5, 1, cache)
-    return l11 - l31, l11 - l51
+    """F (kernel.local_gaps) on the float backend, elementwise."""
+    return kernel.local_gaps(kernel.FloatBackend, r3, r5)
 
 
 def _fd_jacobian(r3, r5):

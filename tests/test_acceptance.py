@@ -30,8 +30,8 @@ from starcc.forces import (
     residual_vector,
 )
 from starcc.geometry import B, nz
-from starcc.intervals import Box2, VInterval, lambda_interval
-from starcc.kernel import LAMBDA_INDICES, FloatBackend, derived_radii, in_domain
+from starcc.intervals import Box2, VectorBackend, VInterval
+from starcc.kernel import LAMBDA_INDICES, FloatBackend, derived_radii, in_domain, lambda_quot
 from starcc.regions import PairCheck, RegionPlan, partition_audit, region_plan
 from starcc.solver import grid_scan
 
@@ -202,8 +202,8 @@ def test_interval_arithmetic_mass_containment():
     pts = pts[:200]
     # one lane of 200 thin boxes per index; lanes are elementwise, so each
     # lane's endpoints are those of its own one-box evaluation
-    encs = {idx: lambda_interval(idx, Box2.point(pts[:, 0], pts[:, 1]))
-            for idx in LAMBDA_INDICES}
+    lane = Box2.point(pts[:, 0], pts[:, 1])
+    encs = {idx: lambda_quot(VectorBackend(), *lane, *idx) for idx in LAMBDA_INDICES}
     for p, (r3, r5) in enumerate(pts):
         r3, r5 = float(r3), float(r5)
         margin = min(derived_radii(FloatBackend, r3, r5)[1:])

@@ -19,7 +19,6 @@ from starcc.certify import (
     _batch_bounds,
     _bisect,
     _contraction_evidence,
-    _gap_jets,
     _hex_bytes,
     _replay,
     build_fingerprint,
@@ -29,8 +28,8 @@ from starcc.certify import (
     verify_certificate,
     verify_local_certificate,
 )
-from starcc.intervals import Box2
-from starcc import certify, regions
+from starcc.intervals import Box2, DualBackend, dual_vars
+from starcc import certify, kernel, regions
 from starcc.regions import PairCheck, RegionPlan, cover_arrays, region_def, region_plan
 
 
@@ -539,14 +538,14 @@ def test_local_forged_pair_map_is_rejected(local_cert):
 
 def test_lane_jacobian_equals_hull_of_scalar_jets(local_cert):
     # the 8x8 sub-box Jacobian runs as one VInterval-lane call; it must
-    # reproduce the hull of the 64 one-box _gap_jets calls bit for bit
+    # reproduce the hull of the 64 one-box local_gaps jet calls bit for bit
     n, d = local_cert.subdivision, local_cert.inner_delta
     edges = np.linspace(1.0 - d, 1.0 + d, n + 1)
     hull = [[None, None], [None, None]]
     for i in range(n):
         for j in range(n):
             sub = Box2.from_bounds(edges[i], edges[i + 1], edges[j], edges[j + 1])
-            for r, g in enumerate(_gap_jets(sub)):
+            for r, g in enumerate(kernel.local_gaps(DualBackend(), *dual_vars(sub))):
                 for c, dv in enumerate((g.d3, g.d5)):
                     h = hull[r][c]
                     hull[r][c] = (dv.lo, dv.hi) if h is None else (

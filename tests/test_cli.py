@@ -133,6 +133,13 @@ def test_certify_unknown_region_exits_2(capsys):
     assert code == cli.EXIT_DOMAIN
 
 
+def test_certify_unknown_region_creates_no_output_dir(tmp_path, capsys):
+    out = tmp_path / "never"
+    code, _ = run(["certify", "J99", "--output", out], capsys)
+    assert code == cli.EXIT_DOMAIN
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("target", ["J15", "all"])
 def test_certify_truncated_below_a_region_floor_exits_2(target, capsys):
     # J15 starts at r5 = 3.036 (and J10 at 1 + b), so nothing is left to certify
@@ -239,6 +246,28 @@ def test_config_file_with_unknown_key_exits_2(tmp_path, capsys):
     cfg.write_text(json.dumps({"max_box_width": 0.1, "posteriori_tol": 1e-9}))
     code, _ = run(["certify", "J4", "--config", cfg], capsys)
     assert code == cli.EXIT_DOMAIN
+
+
+@pytest.mark.parametrize("raw", [
+    {"max_box_width": "0.1"}, {"threads": 1.5}, {"threads": True},
+    {"output_dir": 3}, {"truncation": 10**400}, 5,
+], ids=["width-string", "threads-float", "threads-bool", "output-dir-number",
+        "truncation-overflows", "not-an-object"])
+def test_config_file_value_of_the_wrong_type_exits_2(raw, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(raw))
+    code, out = run(["certify", "J4", "--config", cfg], capsys)
+    assert code == cli.EXIT_DOMAIN
+    assert "Traceback" not in out
+
+
+def test_config_file_integer_for_a_float_field_is_a_float(tmp_path):
+    # as from the flag, so a manifest records 10.0 either way, never 10
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"truncation": 10}))
+    args = cli.build_parser().parse_args(["certify", "all", "--config", str(cfg)])
+    got = cli._load_run_config(args).truncation
+    assert type(got) is float and got == 10.0
 
 
 def test_config_file_with_seed_exits_2(tmp_path, capsys):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from starcc import kernel
-from starcc.certify import INNER_DELTA, LOCAL_PAIRS, _contraction_evidence, certify_inequality
+from starcc.certify import INNER_DELTA, _contraction_evidence, certify_inequality
 from starcc.intervals import VInterval, pentagon_constants
 from starcc.regions import REGION_IDS, TRUNCATION_R5, region_def, region_plan
 
@@ -199,10 +199,7 @@ def test_krawczyk_image_holds_in_exact_arithmetic():
     # as exact data and F(m) from the oracle; the certified image must
     # enclose the exact one, and the certified F(m) the oracle's
     ev = _contraction_evidence(INNER_DELTA, 8)
-    radii = kernel.derived_radii(BK, Q(1), Q(1))
-    lam = {idx: kernel.lambda_num(BK, radii, *idx, {}) / kernel.lambda_den(BK, radii, *idx)
-           for pair in LOCAL_PAIRS for idx in pair}
-    fm = [lam[a] - lam[b] for a, b in LOCAL_PAIRS]
+    fm = kernel.local_gaps(BK, Q(1), Q(1))
     for (lo, hi), f in zip(ev["f_center"], fm):
         assert Fraction(lo) <= f.lo and f.hi <= Fraction(hi)
     J = [[Q(*e) for e in row] for row in ev["jacobian"]]

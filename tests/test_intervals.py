@@ -11,17 +11,14 @@ from starcc.geometry import A, B
 from starcc.intervals import (
     _outward,
     Box2,
-    DenominatorStraddlesZero,
     DivisionByZeroInterval,
     Dual,
     DualBackend,
     NegativeArgument,
+    VectorBackend,
     VInterval,
     dual_vars,
-    gap_interval,
-    lambda_interval,
     pentagon_constants,
-    y1_interval,
 )
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -111,25 +108,33 @@ def test_thin_box_lambda_agreement(r3, r5):
     # On a degenerate box the enclosure midpoint must agree with the float
     # route to 1e-14 relative; the outward-rounding envelope itself stays
     # within ~tens of ulps (1e-13 relative) of zero width.
-    box = Box2.point(r3, r5)
+    bk, box = VectorBackend(), Box2.point(r3, r5)
     for idx in kernel.LAMBDA_INDICES:
-        enc = lambda_interval(idx, box)
+        enc = kernel.lambda_quot(bk, *box, *idx)
         val = lambda_component(idx, (r3, r5))
         scale = max(1.0, abs(val))
         assert enc.lo <= val <= enc.hi
         assert abs(0.5 * (enc.lo + enc.hi) - val) <= 1e-14 * scale
         assert enc.hi - enc.lo <= 1e-13 * scale
-    y = y1_interval(box)
+    y = kernel.y1_num(bk, *box)
     yv = y1_residual((r3, r5))
     assert y.lo <= yv <= y.hi
     assert y.hi - y.lo <= 1e-13 * max(1.0, abs(yv))
+    # the local system F: the float value lies in the vector enclosure, and
+    # the jet's value part is that enclosure bit for bit
+    fval = kernel.local_gaps(kernel.FloatBackend, r3, r5)
+    fenc = kernel.local_gaps(bk, *box)
+    fjet = kernel.local_gaps(DualBackend(), *dual_vars(box))
+    for val, enc, jet in zip(fval, fenc, fjet):
+        assert enc.lo <= val <= enc.hi
+        assert (jet.v.lo, jet.v.hi) == (enc.lo, enc.hi)
 
 
 @pytest.mark.parametrize("r3,r5", POINTS)
 def test_fat_box_contains_interior_samples(r3, r5):
     box = Box2.from_bounds(r3 - 0.01, r3 + 0.01, r5 - 0.01, r5 + 0.01)
     for idx in ((1, 1), (3, 1), (5, 2)):
-        enc = lambda_interval(idx, box)
+        enc = kernel.lambda_quot(VectorBackend(), *box, *idx)
         for dx, dy in ((0.0, 0.0), (-0.009, 0.004), (0.01, -0.01)):
             val = lambda_component(idx, (r3 + dx, r5 + dy))
             assert enc.lo <= val <= enc.hi
@@ -144,11 +149,12 @@ def test_vinterval_division_straddle_raises():
 
 def test_gap_interval_signs():
     # deep inside J4 the planned gap lambda_52 - lambda_11 is large positive
-    box = Box2.from_bounds(0.7, 0.72, 0.15, 0.17)
-    g = gap_interval(((1, 1), (5, 2)), box)
+    bk, box = VectorBackend(), Box2.from_bounds(0.7, 0.72, 0.15, 0.17)
+    l11, l52 = (kernel.lambda_quot(bk, *box, *idx) for idx in ((1, 1), (5, 2)))
+    g = l52 - l11
     assert g.lo > 0.0
     # and the reversed orientation is negative
-    rg = gap_interval(((5, 2), (1, 1)), box)
+    rg = l11 - l52
     assert rg.hi < 0.0
 
 
@@ -189,8 +195,8 @@ def test_box_from_bounds_rejects_inverted_or_nan_edges(edges):
 
 def test_lambda_with_a_straddling_denominator_raises():
     # q31 = r3 cos 144 is zero on the r3 = 0 edge of this box
-    with pytest.raises(DenominatorStraddlesZero):
-        lambda_interval((3, 1), Box2.from_bounds(0.0, 0.1, 0.5, 0.6))
+    with pytest.raises(DivisionByZeroInterval):
+        kernel.lambda_quot(VectorBackend(), *Box2.from_bounds(0.0, 0.1, 0.5, 0.6), 3, 1)
 
 
 
