@@ -15,17 +15,29 @@ remaining conditions are re-evaluated: the nine-lambda pairwise spread and
 keeps spurious zeros of the 2x2 subsystem out of the report.
 
 The Newton core runs all starts in numpy lockstep: one iteration advances
-every still-active lane at once (shared residual/Jacobian evaluations),
-with per-lane backtracking damping and per-lane retirement.  Results are
-bit-identical to running the lanes one at a time, and the whole 10^4-start
-acceptance scan takes a couple of seconds.  Residuals come from the kernel
-on its float backend, and kernel.in_domain (elementwise) decides which
-starts and which damped steps lie in S.
+every still-active lane at once, with per-lane backtracking damping and
+per-lane retirement.  Residuals come from the kernel on its float
+backend, and kernel.in_domain (elementwise) decides which starts and
+which damped steps lie in S.  Kernel calls are few and cache-sized:
+
+  * the four points of the finite-difference stencil are one call;
+  * the line search tries the full step for every lane in one call, then
+    tries several consecutive halvings of every unsettled lane per call
+    (about _BLOCK lanes in all), and each lane takes its first passing
+    halving -- the candidates and tests of one call per halving, in far
+    fewer calls;
+  * a call of more than _BLOCK lanes is evaluated in slices of _BLOCK, so
+    the kernel's temporaries stay in cache.
+
+Every operation is elementwise, so results are bit-identical to running
+the lanes one at a time, one halving per call.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -40,6 +52,7 @@ from .kernel import in_domain
 MERGE_RADIUS = 1e-6
 FD_SCALE = 1e-7
 MAX_HALVINGS = 30
+_BLOCK = 16384  # lanes per kernel call: the float kernel's temporaries fit in L2
 _MERIT_BLOWUP = 1e8
 _DECREASE = 1e-4  # sufficient-decrease slope for the backtracking test
 
@@ -60,22 +73,34 @@ class MaxIterations(RuntimeError):
 
 
 def _square_residual(r3, r5):
-    """F (kernel.local_gaps) on the float backend, elementwise."""
-    return kernel.local_gaps(kernel.FloatBackend, r3, r5)
+    """F (kernel.local_gaps) on the float backend, elementwise.
+
+    r3 and r5 are arrays of one shape, and F comes back in it.  Inputs of more than
+    _BLOCK lanes are evaluated in contiguous slices of _BLOCK lanes, so the
+    kernel's temporaries stay in cache; every operation is elementwise, so
+    the bits do not depend on the slicing."""
+    if r3.size <= _BLOCK:
+        return kernel.local_gaps(kernel.FloatBackend, r3, r5)
+    flat3, flat5 = r3.ravel(), r5.ravel()
+    f1, f2 = np.empty(flat3.size), np.empty(flat3.size)
+    for lo in range(0, flat3.size, _BLOCK):
+        hi = lo + _BLOCK
+        f1[lo:hi], f2[lo:hi] = kernel.local_gaps(
+            kernel.FloatBackend, flat3[lo:hi], flat5[lo:hi])
+    return f1.reshape(r3.shape), f2.reshape(r3.shape)
 
 
 def _fd_jacobian(r3, r5):
-    """Central-difference Jacobian, step 1e-7 * max(1, |r|) per variable."""
+    """Central-difference Jacobian, step 1e-7 * max(1, |r|) per variable;
+    the four stencil points are one residual call."""
     h3 = FD_SCALE * np.maximum(1.0, np.abs(r3))
     h5 = FD_SCALE * np.maximum(1.0, np.abs(r5))
-    f1p, f2p = _square_residual(r3 + h3, r5)
-    f1m, f2m = _square_residual(r3 - h3, r5)
-    j11 = (f1p - f1m) / (2.0 * h3)
-    j21 = (f2p - f2m) / (2.0 * h3)
-    f1p, f2p = _square_residual(r3, r5 + h5)
-    f1m, f2m = _square_residual(r3, r5 - h5)
-    j12 = (f1p - f1m) / (2.0 * h5)
-    j22 = (f2p - f2m) / (2.0 * h5)
+    f1, f2 = _square_residual(np.stack((r3 + h3, r3 - h3, r3, r3)),
+                              np.stack((r5, r5, r5 + h5, r5 - h5)))
+    j11 = (f1[0] - f1[1]) / (2.0 * h3)
+    j21 = (f2[0] - f2[1]) / (2.0 * h3)
+    j12 = (f1[2] - f1[3]) / (2.0 * h5)
+    j22 = (f2[2] - f2[3]) / (2.0 * h5)
     return j11, j12, j21, j22
 
 
@@ -121,38 +146,42 @@ def _newton_lockstep(r3, r5, tol, max_iter, trace=False):
             d3 = -(j22 * curf1 - j12 * curf2) / safe_det
             d5 = -(j11 * curf2 - j21 * curf1) / safe_det
 
-            # Per-lane backtracking: halve t until the candidate is inside
-            # the domain and satisfies sufficient decrease, or give up.
-            m = cur3.size
-            t = np.ones(m)
+            # Per-lane backtracking: try t = 2^-j, j = 0, 1, ..., MAX_HALVINGS
+            # until the candidate is inside the domain and satisfies
+            # sufficient decrease, or give up.  j = 0 is tried for every
+            # lane first; after that each round tries several consecutive
+            # j for every unsettled lane in one residual call, about _BLOCK
+            # lanes in all, and a lane takes its first passing j.
             settled = singular.copy()  # singular lanes take no step
             new3, new5 = cur3.copy(), cur5.copy()
             newf1, newf2 = curf1.copy(), curf2.copy()
             newm = curm.copy()
-            last_out = np.zeros(m, dtype=bool)
-            stalled = np.zeros(m, dtype=bool)
-            for _ in range(MAX_HALVINGS + 1):
+            last_out = np.zeros(cur3.size, dtype=bool)
+            j = 0
+            while j <= MAX_HALVINGS:
                 todo = np.flatnonzero(~settled)
                 if todo.size == 0:
                     break
-                c3 = cur3[todo] + t[todo] * d3[todo]
-                c5 = cur5[todo] + t[todo] * d5[todo]
+                h = 1 if j == 0 else min(MAX_HALVINGS + 1 - j, max(1, _BLOCK // todo.size))
+                t = np.ldexp(1.0, -np.arange(j, j + h))[:, None]  # exact 2^-j
+                c3 = cur3[todo] + t * d3[todo]
+                c5 = cur5[todo] + t * d5[todo]
                 inside = in_domain((c3, c5))
                 g1, g2 = _square_residual(c3, c5)
                 gm = np.maximum(np.abs(g1), np.abs(g2))
-                good = inside & np.isfinite(gm) & (gm <= (1.0 - _DECREASE * t[todo]) * curm[todo])
-                hit = todo[good]
-                new3[hit] = c3[good]
-                new5[hit] = c5[good]
-                newf1[hit] = g1[good]
-                newf2[hit] = g2[good]
-                newm[hit] = gm[good]
-                settled[hit] = True
-                miss = todo[~good]
-                last_out[miss] = ~inside[~good]
-                t[miss] *= 0.5
-            else:
-                stalled[~settled] = True
+                good = inside & np.isfinite(gm) & (gm <= (1.0 - _DECREASE * t) * curm[todo])
+                first = np.argmax(good, axis=0)
+                hit = good[first, np.arange(todo.size)]
+                at, lane, dst = first[hit], np.flatnonzero(hit), todo[hit]
+                new3[dst] = c3[at, lane]
+                new5[dst] = c5[at, lane]
+                newf1[dst] = g1[at, lane]
+                newf2[dst] = g2[at, lane]
+                newm[dst] = gm[at, lane]
+                settled[dst] = True
+                last_out[todo[~hit]] = ~inside[-1, ~hit]
+                j += h
+            stalled = ~settled  # every candidate failed
 
             run_idx = np.flatnonzero(run)
             if stalled.any():
@@ -162,7 +191,7 @@ def _newton_lockstep(r3, r5, tol, max_iter, trace=False):
                 status[run_idx[stalled & ~last_out]] = _DIVERGED
             if singular.any():
                 status[run_idx[singular]] = _DIVERGED
-            moved = settled & ~singular & ~stalled
+            moved = settled & ~singular
             upd = run_idx[moved]
             r3[upd] = new3[moved]
             r5[upd] = new5[moved]
@@ -173,6 +202,16 @@ def _newton_lockstep(r3, r5, tol, max_iter, trace=False):
                 history.append((r3.copy(), r5.copy()))
 
     return r3, r5, status, iterations, merit, history
+
+
+def _check_budget(tol, max_iter) -> None:
+    """DomainError unless tol is finite and > 0 and max_iter is an integer
+    >= 0: a nan or negative tol converges nothing, and a negative budget
+    retires no lane at all."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tolerance {tol} must be finite and > 0")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 0:
+        raise DomainError(f"max_iter {max_iter!r} must be an integer >= 0")
 
 
 @dataclass(frozen=True)
@@ -193,11 +232,13 @@ def newton_refine(start, tol: float = 1e-10, max_iter: int = 50,
                   trace: bool = False) -> RefinedRoot:
     """Refine one start to a zero of the square subsystem.
 
-    Raises DomainError when the start is outside S, and Diverged /
+    Raises DomainError when the start is outside S or the budget is bad
+    (tol not finite and > 0, max_iter not an integer >= 0), and Diverged /
     LeftDomain / MaxIterations when the iteration fails.  On success the
     result carries the full-system check: accepted means the nine-lambda
     spread and |y1| are both below 10*tol at the refined point.
     """
+    _check_budget(tol, max_iter)
     p = (float(start[0]), float(start[1]))
     if not in_domain(p):
         raise DomainError(f"start {p} outside the domain")
@@ -298,8 +339,9 @@ def grid_scan(window, n_starts: int, tol: float = 1e-10, seed: int = 0,
               max_iter: int = 60) -> RootReport:
     """Multi-start Newton over window ∩ S with deduplicated roots.
 
-    window is ((r3_lo, r3_hi), (r5_lo, r5_hi)), finite and non-degenerate
-    (DomainError otherwise).  Starts are seeded R2 points
+    window is ((r3_lo, r3_hi), (r5_lo, r5_hi)), finite and non-degenerate,
+    tol is finite and > 0 and max_iter an integer >= 0 (DomainError
+    otherwise).  Starts are seeded R2 points
     (geometry.quasi_points) scaled into the window; starts falling
     outside S are skipped (counted in stats); quasi_points refuses more
     than GRID_CAP starts (ValueError) before allocating them.  Every
@@ -314,6 +356,7 @@ def grid_scan(window, n_starts: int, tol: float = 1e-10, seed: int = 0,
         raise DomainError(f"degenerate scan window {window}")
     if not np.all(np.isfinite((lo3, hi3, lo5, hi5))):
         raise DomainError(f"scan window {window} is not finite")
+    _check_budget(tol, max_iter)
     t0 = time.perf_counter()
     stats: Dict[str, float] = {
         "starts": n_starts, "in_domain": 0, "converged": 0, "diverged": 0,

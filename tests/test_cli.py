@@ -307,6 +307,14 @@ def test_scan_window_that_is_not_finite_exits_2(capsys):
     assert "not finite" in out
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_scan_with_a_tolerance_that_is_not_finite_and_positive_exits_2(capsys, tol):
+    # nan and -1 used to exit 0 with no roots, and nan printed "tol": NaN
+    code, out = run(["scan", "--starts", 2000, "--tol", tol], capsys)
+    assert code == cli.EXIT_DOMAIN
+    assert "tolerance" in out
+
+
 def test_scan_with_too_many_starts_exits_2_before_allocating(capsys):
     code, out = run(["scan", "--starts", 10**12], capsys)
     assert code == cli.EXIT_DOMAIN

@@ -1,9 +1,12 @@
+import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
-from starcc.geometry import DomainError
+from starcc import kernel, solver
+from starcc.geometry import DomainError, quasi_points
 from starcc.kernel import in_domain
 from starcc.solver import (
     MERGE_RADIUS,
@@ -132,3 +135,79 @@ def test_report_is_deterministic_for_a_seed():
     sa = {k: v for k, v in a.stats.items() if k != "wall_seconds"}
     sb = {k: v for k, v in b.stats.items() if k != "wall_seconds"}
     assert sa == sb
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0], ids=["nan", "inf", "negative", "zero"])
+def test_scan_and_refine_refuse_a_tolerance_that_is_not_finite_and_positive(tol):
+    # a nan or negative tol used to run, converge nothing and report 0 roots
+    with pytest.raises(DomainError, match="tolerance"):
+        grid_scan(((0.2, 3.0), (0.2, 3.0)), 50, tol=tol)
+    with pytest.raises(DomainError, match="tolerance"):
+        newton_refine((1.05, 0.95), tol=tol)
+
+
+@pytest.mark.parametrize("max_iter", [-1, 1.5, True], ids=["negative", "float", "bool"])
+def test_scan_and_refine_refuse_a_budget_that_is_not_a_count(max_iter):
+    # max_iter=-1 used to leave every lane running: grid_scan dropped them
+    # from all status counts and newton_refine returned the start as a root
+    with pytest.raises(DomainError, match="max_iter"):
+        grid_scan(((0.2, 3.0), (0.2, 3.0)), 50, max_iter=max_iter)
+    with pytest.raises(DomainError, match="max_iter"):
+        newton_refine((1.05, 0.95), max_iter=max_iter)
+
+
+def test_a_zero_budget_counts_every_lane():
+    report = grid_scan(((0.2, 3.0), (0.2, 3.0)), 200, seed=4, max_iter=np.int64(0))
+    stats = report.stats
+    assert stats["converged"] + stats["max_iterations"] == stats["in_domain"] > 0
+    with pytest.raises(MaxIterations):
+        newton_refine((1.05, 0.95), max_iter=0)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def test_lockstep_lanes_equal_each_lane_run_alone():
+    # the lockstep core, its blocked residual and its batched halvings must
+    # not couple lanes: 12 467 in-domain starts (FD calls of ~50 000 lanes,
+    # sliced), then a few lanes of each outcome rerun alone
+    pts = quasi_points(20_000, 1)
+    s3 = 0.2 + pts[:, 0] * 2.8
+    s5 = 0.2 + pts[:, 1] * 2.8
+    keep = in_domain((s3, s5))
+    s3, s5 = s3[keep], s5[keep]
+    r3, r5, status, iters, merit, _ = solver._newton_lockstep(s3, s5, 1e-10, 60)
+    outcomes = (solver._CONVERGED, solver._DIVERGED, solver._LEFT_DOMAIN, solver._MAX_ITER)
+    for code in outcomes:
+        lanes = np.flatnonzero(status == code)[:3]
+        assert lanes.size > 0, f"no lane with outcome {code}"
+        for i in lanes:
+            one = solver._newton_lockstep(s3[i:i + 1], s5[i:i + 1], 1e-10, 60)
+            for many, alone in zip((r3, r5, status, iters, merit), one):
+                assert _bits(many[i:i + 1]) == _bits(alone), (code, i)
+
+
+@pytest.mark.parametrize("size", [
+    solver._BLOCK - 1, solver._BLOCK, solver._BLOCK + 1, 3 * solver._BLOCK + 7,
+    (7, 5000),
+], ids=["block-1", "block", "block+1", "3block+7", "2d"])
+def test_blocked_residual_equals_one_kernel_call(size):
+    rng = np.random.default_rng(0)
+    r3 = rng.uniform(0.05, 3.5, size)
+    r5 = rng.uniform(0.05, 3.5, size)
+    got = solver._square_residual(r3, r5)
+    want = kernel.local_gaps(kernel.FloatBackend, r3, r5)
+    for g, w in zip(got, want):
+        assert g.shape == r3.shape
+        assert _bits(g) == _bits(w)
+
+
+def test_scan_report_bytes_are_pinned():
+    # the digest of this payload before the residual was blocked and the
+    # halvings batched; any change to a root, a count or a status changes it
+    payload = grid_scan(((0.2, 3.0), (0.2, 3.0)), 20_000, seed=3).to_payload()
+    del payload["stats"]["wall_seconds"]
+    assert hashlib.sha256(json.dumps(payload).encode()).hexdigest() == (
+        "95d81d66b2dce0e5572e6263abc0dd4fc77b245f65b4b06d5f58a5c173d7626b"
+    )
