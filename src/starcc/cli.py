@@ -167,6 +167,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_hessian(args) -> int:
+    if not (np.isfinite(args.tol) and args.tol > 0):
+        raise DomainError(f"tolerance {args.tol} must be finite and > 0")
     h = hessian_measure((1.0, 1.0), h=args.step, richardson=not args.no_richardson)
     det = float(np.linalg.det(h))
     targets = HESSIAN_CLOSED_FORM
@@ -465,7 +467,7 @@ def _plot_gap(args, rid: str) -> None:
     region = region_def(rid)
     plan = region_plan(rid)
     r3, r5 = _grid_axes(region.bbox(args.truncate_r5), args.grid)
-    keep = np.all([c.holds(r3, r5) for c in region.constraints], axis=0)
+    keep = region.holds(r3, r5)
     r3, r5 = r3[keep], r5[keep]
     # each node is a point box, routed as the certifier routes boxes
     checks, cid = plan.route(r3, r3, r5, r5)
@@ -524,7 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=1e-4,
                    help="finite-difference step in [1e-6, 1e-2] (default 1e-4)")
     p.add_argument("--tol", type=float, default=1e-5,
-                   help="relative-error threshold for the PASS verdict")
+                   help="relative-error threshold for the PASS verdict;"
+                        " finite and > 0")
     p.add_argument("--no-richardson", dest="no_richardson", action="store_true",
                    help="plain central differences: error grows as O(step^2)")
     p.add_argument("--json", action="store_true")

@@ -1,16 +1,28 @@
 """The sixteen certification regions, their inequality plans, box covers,
 and the partition audit.
 
-Region constraints are affine in (r3, r5) with coefficients that are
-either exact machine numbers (decimal bounds like 1.3 are *defined* as
-their float literals) or golden-constant expressions (b/2, 2/b, 1+b, the
-slant (2/a) r5 + 1) carried both as canonical floats (for membership) and
-as interval enclosures (for the conservative box-vs-region tests used by
-the cover and the certifier — a box is discarded only when it certainly
-misses the region closure).  Cover bounding boxes and zone edges take the
-enclosure endpoints, lo for a lower edge and hi for an upper edge, so a
-cover never misses an ulp-wide sliver next to an irrational edge (the
-float B/2 lies above the exact b/2, the float 2/B below the exact 2/b).
+The region table `_TABLE` states each region once, in one row built at
+import; `region_def` and `region_plan` look rows up.  A row holds:
+
+* the constraints, affine in (r3, r5), with coefficients that are either
+  exact machine numbers (decimal bounds like 1.3 are *defined* as their
+  float literals) or golden-constant expressions (b/2, 2/b, 1+b, the
+  slant (2/a) r5 + 1) carried both as canonical floats (for membership)
+  and as interval enclosures (for the conservative box-vs-region tests
+  used by the cover and the certifier — a box is discarded only when it
+  certainly misses the region closure);
+* the edges (r3lo, r3hi, r5lo, r5hi) of the cover's bounding box.  An
+  edge named by a golden constant takes the enclosure endpoint, lo for a
+  lower edge and hi for an upper edge, so a cover never misses an
+  ulp-wide sliver next to an irrational edge (the float B/2 lies above
+  the exact b/2, the float 2/B below the exact 2/b).  Two markers stand
+  for edges that the run fixes: an r5 top of `_CUT` is the run's
+  truncation, and a region is unbounded exactly when its r5 top is the
+  cut; an r3 top of `_SLANT` lies on the slant r4 = 0 at the r5 top.
+  The edges are stated rather than derived from the constraints, since
+  derived ones differ in the last bits on J4, J5 and J6, which would
+  change those covers;
+* the plan: the pair the region certifies and its corner zones.
 
 Two documented deviations from the paper's printed tables:
 
@@ -46,7 +58,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -62,6 +73,10 @@ CORNER_ZONE_SIDE = 0.06
 
 REGION_IDS = tuple(f"J{n}" for n in range(1, 17))
 
+# edge markers: the r5 top is the run's cut; the r3 top is on the slant r4 = 0
+_CUT = "cut"
+_SLANT = "slant"
+
 
 class TruncationRequired(ValueError):
     """The bbox (and so the cover) of an unbounded region needs a
@@ -75,20 +90,18 @@ def _iv(x: float) -> VInterval:
     return VInterval(x, x)
 
 
-@lru_cache(maxsize=1)
-def _golden():
-    """Float values and interval enclosures of the golden constants that
-    the region tables use, built once."""
-    pc = pentagon_constants()
-    return {
-        "b/2": (B / 2.0, pc.b * 0.5),
-        "2/b": (2.0 / B, 2.0 / pc.b),
-        "1+b": (1.0 + B, pc.b + _IV1),
-        "(2-b)/2": ((2.0 - B) / 2.0, (2.0 - pc.b) * 0.5),
-        "b": (B, pc.b),
-        # slant coefficient 2/a (equal to b/2 but kept in printed form)
-        "2/a": (2.0 / A, 2.0 / pc.a),
-    }
+_PC = pentagon_constants()
+# float values and interval enclosures of the golden constants the table names
+_GOLDEN = {
+    "b/2": (B / 2.0, _PC.b * 0.5),
+    "2/b": (2.0 / B, 2.0 / _PC.b),
+    "1+b": (1.0 + B, _PC.b + _IV1),
+    "(2-b)/2": ((2.0 - B) / 2.0, (2.0 - _PC.b) * 0.5),
+    "b": (B, _PC.b),
+    "1+b/2": (1.0 + B / 2.0, _IV1 + _PC.b * 0.5),
+    # slant coefficient 2/a (equal to b/2 but kept in printed form)
+    "2/a": (2.0 / A, 2.0 / _PC.a),
+}
 
 
 @dataclass(frozen=True)
@@ -131,206 +144,39 @@ class Constraint:
         return g.hi < 0.0
 
 
-def _c(kind: str, op: str, value, golden_key: Optional[str] = None) -> Constraint:
-    """Helpers for the three constraint shapes that occur:
+def _c(kind: str, op: str, value=None) -> Constraint:
+    """One constraint of a row, in one of the shapes that occur:
 
-    kind 'r3': r3 OP value;  kind 'r5': r5 OP value;
-    kind 'slant-r2': r3 < r5 + b/2  (written r3 - r5 - b/2 < 0)
-    kind 'slant-r4': r3 < (2/a) r5 + 1
+    kind 'r3': r3 OP value;  kind 'r5': r5 OP value  (value a float or a
+    golden key);  kind 'slant-r2': r3 OP r5 + b/2;  kind 'slant-r4':
+    r3 OP (2/a) r5 + 1.
     """
-    g = _golden()
-    if kind in ("r3", "r5"):
-        if golden_key is not None:
-            vf, viv = g[golden_key]
-        else:
-            vf, viv = float(value), _iv(float(value))
-        a, b = (1.0, 0.0) if kind == "r3" else (0.0, 1.0)
-        a_iv, b_iv = (_IV1, _iv(0.0)) if kind == "r3" else (_iv(0.0), _IV1)
-        # r3 OP v  <=>  r3 - v OP 0
-        return Constraint(a, b, -vf, op, a_iv, b_iv, -viv)
     if kind == "slant-r2":
-        vf, viv = g["b/2"]
+        vf, viv = _GOLDEN["b/2"]
         return Constraint(1.0, -1.0, -vf, op, _IV1, _iv(-1.0), -viv)
     if kind == "slant-r4":
-        vf, viv = g["2/a"]
+        vf, viv = _GOLDEN["2/a"]
         return Constraint(1.0, -vf, -1.0, op, _IV1, -viv, _iv(-1.0))
-    raise ValueError(kind)
+    vf, viv = _GOLDEN[value] if isinstance(value, str) else (
+        float(value), _iv(float(value)))
+    # r3 OP v  <=>  r3 - v OP 0
+    if kind == "r3":
+        return Constraint(1.0, 0.0, -vf, op, _IV1, _iv(0.0), -viv)
+    return Constraint(0.0, 1.0, -vf, op, _iv(0.0), _IV1, -viv)
 
 
-@dataclass(frozen=True)
-class Region:
-    """One certification region."""
-
-    id: str
-    constraints: Tuple[Constraint, ...]
-    unbounded: bool = False
-
-    def contains(self, p) -> bool:
-        r3, r5 = float(p[0]), float(p[1])
-        return all(c.holds(r3, r5) for c in self.constraints)
-
-    def boundary_distance(self, p) -> float:
-        r3, r5 = float(p[0]), float(p[1])
-        return min(c.boundary_distance(r3, r5) for c in self.constraints)
-
-    def boxes_outside_closure(self, lo3, hi3, lo5, hi5) -> np.ndarray:
-        """Boolean array marking boxes certainly disjoint from closure(region)."""
-        r3_iv = VInterval(np.asarray(lo3), np.asarray(hi3))
-        r5_iv = VInterval(np.asarray(lo5), np.asarray(hi5))
-        out = np.zeros(np.asarray(lo3).shape, dtype=bool)
-        for c in self.constraints:
-            out |= c.certainly_outside_closure(r3_iv, r5_iv)
-        return out
-
-    def bbox(self, truncation: Optional[float] = None):
-        """(r3lo, r3hi, r5lo, r5hi) hull of the (truncated) region.
-
-        Raises ValueError when the hull is empty or inverted, as it is for
-        an unbounded region truncated at or below its r5 floor."""
-        box = tuple(float(e) for e in _BBOXES[self.id](truncation))
-        if not (box[0] < box[1] and box[2] < box[3]):
-            raise ValueError(
-                f"{self.id}: truncation {truncation!r} leaves the empty box {box}")
-        return box
-
-
-def _build_regions():
-    bb = {
-        "J1": (
-            (_c("r3", ">", 0.0), _c("r3", "<=", None, "b/2"),
-             _c("r5", ">", 0.0), _c("r5", "<=", None, "b/2")),
-            False,
-        ),
-        "J2": (
-            (_c("r3", ">", 0.0), _c("r3", "<=", None, "b/2"),
-             _c("r5", ">", None, "b/2"), _c("r5", "<=", 1.0)),
-            False,
-        ),
-        "J3": (
-            (_c("r3", ">", None, "b/2"), _c("r3", "<", 1.0),
-             _c("r5", ">=", None, "(2-b)/2"), _c("r5", "<", None, "b/2")),
-            False,
-        ),
-        "J4": (
-            (_c("r3", ">", None, "b/2"), _c("slant-r2", "<", None),
-             _c("r5", ">=", 0.0), _c("r5", "<", None, "(2-b)/2")),
-            False,
-        ),
-        "J5": (
-            (_c("r3", ">", 1.0), _c("slant-r2", "<", None),
-             _c("r5", ">=", None, "(2-b)/2"), _c("r5", "<", None, "b/2")),
-            False,
-        ),
-        "J6": (
-            # r3 - b/2 <= r5 is implied by the strict slant bound; kept as
-            # printed in the region table
-            (_c("r3", ">", None, "b"), _c("slant-r2", "<", None),
-             _c("slant-r2", "<=", None), _c("r5", "<", 1.0)),
-            False,
-        ),
-        "J7": (
-            (_c("r3", ">", None, "b/2"), _c("r3", "<", 1.0),
-             _c("r5", ">=", None, "b/2"), _c("r5", "<", 1.0)),
-            False,
-        ),
-        "J8": (
-            (_c("r3", ">", 1.0), _c("r3", "<", None, "b"),
-             _c("r5", ">=", None, "b/2"), _c("r5", "<", 1.0)),
-            False,
-        ),
-        "J9": (
-            (_c("r3", ">", 0.0), _c("r3", "<", 1.0), _c("r5", ">=", 1.0)),
-            True,
-        ),
-        "J10": (
-            (_c("r3", ">", 1.0), _c("r3", "<", None, "2/b"),
-             _c("r5", ">=", None, "1+b")),
-            True,
-        ),
-        # lower bound corrected from the printed b/2 (see module docstring)
-        "J11": (
-            (_c("r3", ">", None, "2/b"), _c("slant-r4", "<", None),
-             _c("r5", ">=", 1.0), _c("r5", "<", 3.036)),
-            False,
-        ),
-        "J12": (
-            (_c("r3", ">", 1.3), _c("r3", "<", None, "2/b"),
-             _c("r5", ">=", 1.0), _c("r5", "<", 2.05)),
-            False,
-        ),
-        "J13": (
-            (_c("r3", ">", 1.0), _c("r3", "<", 1.3),
-             _c("r5", ">=", 1.4), _c("r5", "<", 2.05)),
-            False,
-        ),
-        "J14": (
-            (_c("r3", ">", 1.0), _c("r3", "<", None, "2/b"),
-             _c("r5", ">=", 2.05), _c("r5", "<", None, "1+b")),
-            False,
-        ),
-        "J15": (
-            (_c("r3", ">", None, "2/b"), _c("slant-r4", "<", None),
-             _c("r5", ">=", 3.036)),
-            True,
-        ),
-        "J16": (
-            (_c("r3", ">", 1.0), _c("r3", "<", 1.3),
-             _c("r5", ">", 1.0), _c("r5", "<", 1.4)),
-            False,
-        ),
-    }
-    return {rid: Region(rid, cons, unb) for rid, (cons, unb) in bb.items()}
-
-
-def _need_trunc(t):
-    if t is None:
-        raise TruncationRequired("unbounded region: pass a truncation r5 bound")
-    return float(t)
-
-
-# interval enclosures of the golden constants, keyed as in _golden()
-_G = {key: iv for key, (_, iv) in _golden().items()}
-
-
-def _slant_r3(r5: float) -> float:
-    """Upper r3 edge (2/a) r5 + 1 of the slant r4 = 0 at r5, rounded outward."""
-    return float((_G["2/a"] * r5 + _IV1).hi)
-
-
-# (r3lo, r3hi, r5lo, r5hi): enclosure lo for lower edges, hi for upper ones
-_BBOXES = {
-    "J1": lambda t: (0.0, _G["b/2"].hi, 0.0, _G["b/2"].hi),
-    "J2": lambda t: (0.0, _G["b/2"].hi, _G["b/2"].lo, 1.0),
-    "J3": lambda t: (_G["b/2"].lo, 1.0, _G["(2-b)/2"].lo, _G["b/2"].hi),
-    "J4": lambda t: (_G["b/2"].lo, 1.0, 0.0, _G["(2-b)/2"].hi),
-    "J5": lambda t: (1.0, _G["b"].hi, _G["(2-b)/2"].lo, _G["b/2"].hi),
-    "J6": lambda t: (_G["b"].lo, (_IV1 + _G["b/2"]).hi, _G["b/2"].lo, 1.0),
-    "J7": lambda t: (_G["b/2"].lo, 1.0, _G["b/2"].lo, 1.0),
-    "J8": lambda t: (1.0, _G["b"].hi, _G["b/2"].lo, 1.0),
-    "J9": lambda t: (0.0, 1.0, 1.0, _need_trunc(t)),
-    "J10": lambda t: (1.0, _G["2/b"].hi, _G["1+b"].lo, _need_trunc(t)),
-    "J11": lambda t: (_G["2/b"].lo, _slant_r3(3.036), 1.0, 3.036),
-    "J12": lambda t: (1.3, _G["2/b"].hi, 1.0, 2.05),
-    "J13": lambda t: (1.0, 1.3, 1.4, 2.05),
-    "J14": lambda t: (1.0, _G["2/b"].hi, 2.05, _G["1+b"].hi),
-    "J15": lambda t: (_G["2/b"].lo, _slant_r3(_need_trunc(t)), 3.036, _need_trunc(t)),
-    "J16": lambda t: (1.0, 1.3, 1.0, 1.4),
-}
-
-_REGIONS = _build_regions()
-
-
-def region_def(rid: str) -> Region:
-    return _REGIONS[rid]
-
-
-def region_excises_b0(rid: str, delta: float = DELTA_B0) -> bool:
-    """True unless closure(region) certainly misses the square [1-d, 1+d]^2.
-
-    A region that only touches the square's boundary is excised too; that
-    is sound, since the local certificate covers the whole square."""
-    lo, hi = np.array([1.0 - delta]), np.array([1.0 + delta])
-    return not _REGIONS[rid].boxes_outside_closure(lo, hi, lo, hi)[0]
+def _edges(named) -> tuple:
+    """(r3lo, r3hi, r5lo, r5hi) from floats, markers and golden keys; a
+    golden key takes its enclosure's lo on a lower edge, hi on an upper."""
+    out = []
+    for k, e in enumerate(named):
+        if e in _GOLDEN:
+            iv = _GOLDEN[e][1]
+            e = float(iv.hi if k % 2 else iv.lo)
+        elif e not in (_CUT, _SLANT):
+            e = float(e)
+        out.append(e)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -382,57 +228,161 @@ class RegionPlan:
         return checks, cid
 
 
-_PAIRS = {
-    "J1": PairCheck((1, 1), (3, 1)),
-    "J2": PairCheck((4, 1), (3, 1)),
-    "J3": PairCheck((1, 1), (5, 2)),
-    "J4": PairCheck((1, 1), (5, 2)),
-    "J5": PairCheck((1, 1), (5, 2)),
-    "J6": PairCheck((3, 1), (1, 1)),
-    "J7": PairCheck((4, 2), (5, 2)),
-    "J8": PairCheck((3, 2), (2, 2)),
-    "J9": PairCheck((4, 1), (1, 1)),
-    "J10": PairCheck((4, 1), (1, 1)),
-    "J11": PairCheck((5, 1), (1, 1)),
-    "J12": PairCheck((5, 1), (1, 1)),
-    "J13": PairCheck((5, 1), (1, 1)),
-    "J14": PairCheck((3, 1), (1, 1)),
-    "J15": PairCheck((5, 2), (1, 1)),
+# ---------------------------------------------------------------------------
+# The region table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Region:
+    """One row of the region table."""
+
+    id: str
+    constraints: Tuple[Constraint, ...]
+    edges: tuple  # (r3lo, r3hi, r5lo, r5hi); floats, _SLANT or _CUT
+    plan: RegionPlan
+
+    @property
+    def unbounded(self) -> bool:
+        return self.edges[3] == _CUT
+
+    def holds(self, r3, r5):
+        """Membership of the points (r3, r5), elementwise on arrays."""
+        inside = True
+        for c in self.constraints:
+            inside = inside & c.holds(r3, r5)
+        return inside
+
+    def contains(self, p) -> bool:
+        return bool(self.holds(float(p[0]), float(p[1])))
+
+    def boundary_distance(self, p) -> float:
+        r3, r5 = float(p[0]), float(p[1])
+        return min(c.boundary_distance(r3, r5) for c in self.constraints)
+
+    def boxes_outside_closure(self, lo3, hi3, lo5, hi5) -> np.ndarray:
+        """Boolean array marking boxes certainly disjoint from closure(region)."""
+        r3_iv = VInterval(np.asarray(lo3), np.asarray(hi3))
+        r5_iv = VInterval(np.asarray(lo5), np.asarray(hi5))
+        out = np.zeros(np.asarray(lo3).shape, dtype=bool)
+        for c in self.constraints:
+            out |= c.certainly_outside_closure(r3_iv, r5_iv)
+        return out
+
+    def _hull(self, truncation: Optional[float] = None):
+        """The edges with the cut at the truncation and the slant r3 top
+        at the r5 top, rounded outward; not checked for emptiness."""
+        r3lo, r3hi, r5lo, r5hi = self.edges
+        if r5hi == _CUT:
+            if truncation is None:
+                raise TruncationRequired("unbounded region: pass a truncation r5 bound")
+            r5hi = float(truncation)
+        if r3hi == _SLANT:
+            r3hi = float((_GOLDEN["2/a"][1] * r5hi + _IV1).hi)
+        return r3lo, r3hi, r5lo, r5hi
+
+    def bbox(self, truncation: Optional[float] = None):
+        """(r3lo, r3hi, r5lo, r5hi) hull of the (truncated) region.
+
+        Raises TruncationRequired for an unbounded region without a
+        truncation, and ValueError when the hull is empty or inverted, as
+        it is for an unbounded region truncated at or below its r5 floor."""
+        box = self._hull(truncation)
+        if not (box[0] < box[1] and box[2] < box[3]):
+            raise ValueError(
+                f"{self.id}: truncation {truncation!r} leaves the empty box {box}")
+        return box
+
+
+def _row(rid, constraints, edges, pair, zones=()) -> Region:
+    """A region from its constraint, edge and plan entries; a zone is
+    (edges, pair, reason) with edges named as the region's are."""
+    plan = RegionPlan(rid, PairCheck(*pair), tuple(
+        CornerZone(*_edges(box), PairCheck(*check), reason)
+        for box, check, reason in zones))
+    return Region(rid, tuple(_c(*c) for c in constraints), _edges(edges), plan)
+
+
+_Z = CORNER_ZONE_SIDE
+
+# id; constraints; edges (r3lo, r3hi, r5lo, r5hi); pair (low, high); zones
+_TABLE = (
+    _row("J1", [("r3", ">", 0.0), ("r3", "<=", "b/2"),
+                ("r5", ">", 0.0), ("r5", "<=", "b/2")],
+         (0.0, "b/2", 0.0, "b/2"), ((1, 1), (3, 1)),
+         [((0.0, _Z, 0.0, _Z), ((4, 1), (1, 1)),
+           "bodies 3 and 5 collide at the origin corner (0,0); "
+           "lambda_41/lambda_11 never reference r_35")]),
+    _row("J2", [("r3", ">", 0.0), ("r3", "<=", "b/2"),
+                ("r5", ">", "b/2"), ("r5", "<=", 1.0)],
+         (0.0, "b/2", "b/2", 1.0), ((4, 1), (3, 1))),
+    _row("J3", [("r3", ">", "b/2"), ("r3", "<", 1.0),
+                ("r5", ">=", "(2-b)/2"), ("r5", "<", "b/2")],
+         ("b/2", 1.0, "(2-b)/2", "b/2"), ((1, 1), (5, 2))),
+    # the zone starts at the region's outward b/2 edge, so the first cover
+    # column is routed away from the main pair, which degenerates there
+    _row("J4", [("r3", ">", "b/2"), ("slant-r2", "<"),
+                ("r5", ">=", 0.0), ("r5", "<", "(2-b)/2")],
+         ("b/2", 1.0, 0.0, "(2-b)/2"), ((1, 1), (5, 2)),
+         [(("b/2", 1.0, 0.0, _Z), ((1, 1), (3, 1)),
+           "bodies 2 and 5 collide at the origin corner (b/2, 0); "
+           "lambda_11/lambda_31 never reference r_25 or divide by r2")]),
+    _row("J5", [("r3", ">", 1.0), ("slant-r2", "<"),
+                ("r5", ">=", "(2-b)/2"), ("r5", "<", "b/2")],
+         (1.0, "b", "(2-b)/2", "b/2"), ((1, 1), (5, 2))),
+    # r3 - b/2 <= r5 is implied by the strict slant bound; kept as printed
+    # in the region table
+    _row("J6", [("r3", ">", "b"), ("slant-r2", "<"),
+                ("slant-r2", "<="), ("r5", "<", 1.0)],
+         ("b", "1+b/2", "b/2", 1.0), ((3, 1), (1, 1))),
+    _row("J7", [("r3", ">", "b/2"), ("r3", "<", 1.0),
+                ("r5", ">=", "b/2"), ("r5", "<", 1.0)],
+         ("b/2", 1.0, "b/2", 1.0), ((4, 2), (5, 2))),
+    _row("J8", [("r3", ">", 1.0), ("r3", "<", "b"),
+                ("r5", ">=", "b/2"), ("r5", "<", 1.0)],
+         (1.0, "b", "b/2", 1.0), ((3, 2), (2, 2))),
+    _row("J9", [("r3", ">", 0.0), ("r3", "<", 1.0), ("r5", ">=", 1.0)],
+         (0.0, 1.0, 1.0, _CUT), ((4, 1), (1, 1))),
+    _row("J10", [("r3", ">", 1.0), ("r3", "<", "2/b"), ("r5", ">=", "1+b")],
+         (1.0, "2/b", "1+b", _CUT), ((4, 1), (1, 1))),
+    # lower bound corrected from the printed b/2 (see module docstring)
+    _row("J11", [("r3", ">", "2/b"), ("slant-r4", "<"),
+                 ("r5", ">=", 1.0), ("r5", "<", 3.036)],
+         ("2/b", _SLANT, 1.0, 3.036), ((5, 1), (1, 1))),
+    _row("J12", [("r3", ">", 1.3), ("r3", "<", "2/b"),
+                 ("r5", ">=", 1.0), ("r5", "<", 2.05)],
+         (1.3, "2/b", 1.0, 2.05), ((5, 1), (1, 1))),
+    _row("J13", [("r3", ">", 1.0), ("r3", "<", 1.3),
+                 ("r5", ">=", 1.4), ("r5", "<", 2.05)],
+         (1.0, 1.3, 1.4, 2.05), ((5, 1), (1, 1))),
+    _row("J14", [("r3", ">", 1.0), ("r3", "<", "2/b"),
+                 ("r5", ">=", 2.05), ("r5", "<", "1+b")],
+         (1.0, "2/b", 2.05, "1+b"), ((3, 1), (1, 1))),
+    _row("J15", [("r3", ">", "2/b"), ("slant-r4", "<"), ("r5", ">=", 3.036)],
+         ("2/b", _SLANT, 3.036, _CUT), ((5, 2), (1, 1))),
     # a documented deviation from the paper's four-strip plan (module docstring)
-    "J16": PairCheck((3, 1), (1, 1)),
-}
+    _row("J16", [("r3", ">", 1.0), ("r3", "<", 1.3),
+                 ("r5", ">", 1.0), ("r5", "<", 1.4)],
+         (1.0, 1.3, 1.0, 1.4), ((3, 1), (1, 1))),
+)
+_REGIONS = {reg.id: reg for reg in _TABLE}
+
+
+def region_def(rid: str) -> Region:
+    return _REGIONS[rid]
 
 
 def region_plan(rid: str) -> RegionPlan:
-    if rid == "J1":
-        return RegionPlan(
-            "J1",
-            main=_PAIRS["J1"],
-            zones=(
-                CornerZone(
-                    0.0, CORNER_ZONE_SIDE, 0.0, CORNER_ZONE_SIDE,
-                    PairCheck((4, 1), (1, 1)),
-                    "bodies 3 and 5 collide at the origin corner (0,0); "
-                    "lambda_41/lambda_11 never reference r_35",
-                ),
-            ),
-        )
-    if rid == "J4":
-        return RegionPlan(
-            "J4",
-            main=_PAIRS["J4"],
-            zones=(
-                CornerZone(
-                    float(_G["b/2"].lo), 1.0, 0.0, CORNER_ZONE_SIDE,
-                    PairCheck((1, 1), (3, 1)),
-                    "bodies 2 and 5 collide at the origin corner (b/2, 0); "
-                    "lambda_11/lambda_31 never reference r_25 or divide by r2",
-                ),
-            ),
-        )
-    if rid in _PAIRS:
-        return RegionPlan(rid, main=_PAIRS[rid])
-    raise KeyError(rid)
+    return _REGIONS[rid].plan
+
+
+def region_excises_b0(rid: str, delta: float = DELTA_B0) -> bool:
+    """True unless closure(region) certainly misses the square [1-d, 1+d]^2.
+
+    A region that only touches the square's boundary is excised too; that
+    is sound, since the local certificate covers the whole square."""
+    lo, hi = np.array([1.0 - delta]), np.array([1.0 + delta])
+    return not _REGIONS[rid].boxes_outside_closure(lo, hi, lo, hi)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -535,13 +485,7 @@ BOUNDARY_FUZZ = 1e-9
 
 def _membership_matrix(r3: np.ndarray, r5: np.ndarray) -> np.ndarray:
     """(n_points, 16) boolean membership, fully vectorized."""
-    cols = []
-    for rid in REGION_IDS:
-        m = np.ones(r3.shape, dtype=bool)
-        for c in region_def(rid).constraints:
-            m &= c.holds(r3, r5)
-        cols.append(m)
-    return np.column_stack(cols)
+    return np.column_stack([reg.holds(r3, r5) for reg in _TABLE])
 
 
 def partition_audit(samples: int, window=None, seed: int = 0) -> PartitionReport:

@@ -182,12 +182,10 @@ def test_certificate_truncated_below_the_floor_is_malformed(monkeypatch):
     with pytest.raises(MalformedCertificate, match="truncation"):
         verify_certificate(Certificate.from_payload(payload))
     # the certificate an unchecked bbox writes: sorted edges turn J15's
-    # r5 range [3.036, 2] into [2, 3.036], whose boxes only touch J15
-    def unchecked(self, truncation=None):
-        return tuple(float(e) for e in regions._BBOXES[self.id](truncation))
-
+    # r5 range [3.036, 2] into [2, 3.036], whose boxes only touch J15;
+    # _hull is bbox without its emptiness check, on the row's own edges
     with monkeypatch.context() as m:
-        m.setattr(regions.Region, "bbox", unchecked)
+        m.setattr(regions.Region, "bbox", regions.Region._hull)
         forged = certify_inequality("J15", 0.1, truncation=2.0)
     assert forged.n_leaves() > 0 and forged.hi5.max() <= 3.036
     with pytest.raises(MalformedCertificate, match="truncation"):

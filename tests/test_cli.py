@@ -109,6 +109,19 @@ def test_hessian_reports_failure_for_crude_step(capsys):
     assert max(doc["relative_error"].values()) > 1e-5
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_hessian_with_a_tolerance_that_is_not_finite_and_positive_exits_2(
+        capsys, monkeypatch, tol):
+    # nan printed "tolerance": NaN, inf a PASS and -1 a FAIL, all exiting 0
+    def no_measure(*args, **kw):
+        raise AssertionError("the Hessian was computed")
+
+    monkeypatch.setattr(cli, "hessian_measure", no_measure)
+    code, out = run(["hessian", "--json", "--tol", tol], capsys)
+    assert code == cli.EXIT_DOMAIN
+    assert "tolerance" in out
+
+
 # ---------------------------------------------------------------------------
 # certify / verify
 

@@ -1,8 +1,10 @@
+import hashlib
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
+from starcc.certify import plan_signature
 from starcc.geometry import A, B
 from starcc.regions import (
     CORNER_ZONE_SIDE,
@@ -10,6 +12,7 @@ from starcc.regions import (
     REGION_IDS,
     TRUNCATION_R5,
     TruncationRequired,
+    _membership_matrix,
     cover_arrays,
     partition_audit,
     region_def,
@@ -194,3 +197,60 @@ def test_j4_corner_zone_starts_at_the_outward_edge():
     # at the collision corner (b/2, 0)
     zone = region_plan("J4").zones[0]
     assert zone.r3_lo == region_def("J4").bbox()[0]
+
+
+# sha256 of _table_digest(), taken on the region table before its facts
+# were merged into one row per region; the rows restate them bit for bit
+TABLE_DIGEST = "9ded2d6a4706cf04f4b406c240d980bd15598b08670c7a36bbbebb8371a7d6d9"
+
+
+def _table_digest():
+    h = hashlib.sha256()
+    for rid in REGION_IDS:
+        reg = region_def(rid)
+        for t in (4.5, 10.0):
+            h.update(",".join(e.hex() for e in reg.bbox(t)).encode())
+        h.update(f";{reg.unbounded};".encode())
+        h.update(plan_signature(region_plan(rid)).encode())
+        for c in reg.constraints:  # as build_fingerprint hashes them
+            h.update(f"{rid}:{c.a.hex()},{c.b.hex()},{c.c.hex()},{c.op};".encode())
+        for boxes in (cover_arrays(rid, 0.05, 10.0),
+                      cover_arrays(rid, 0.05, 10.0, delta=None)):
+            for arr in boxes:
+                h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def test_region_table_reproduces_the_pinned_edges_plans_and_covers():
+    # every edge, flag, plan, coefficient and cover box bit for bit
+    assert _table_digest() == TABLE_DIGEST
+
+
+def _edge_grid():
+    """Nodes on the axis-parallel edges and on both slants, plus a lattice."""
+    r3s = np.unique(np.r_[np.linspace(0.0, 3.0, 31), 0.8, 1.0, B / 2, 2 / B, 1.3, B])
+    r5s = np.unique(np.r_[np.linspace(0.0, 4.0, 41), B / 2, (2 - B) / 2,
+                          1.0, 1.4, 2.05, 3.036, 1 + B])
+    g3, g5 = (a.ravel() for a in np.meshgrid(r3s, r5s, indexing="ij"))
+    slant2 = r5s + B / 2  # r3 = r5 + b/2
+    slant4 = (2 / A) * r5s + 1.0  # r3 = (2/a) r5 + 1
+    return np.r_[g3, slant2, slant4], np.r_[g5, r5s, r5s]
+
+
+def test_holds_matches_contains_and_the_membership_matrix():
+    r3, r5 = _edge_grid()
+    # the grid sits exactly on edges, where strict and closed bounds differ
+    assert np.any(r3 - r5 - B / 2 == 0.0)
+    assert np.any(r3 - (2 / A) * r5 - 1.0 == 0.0)
+    member = _membership_matrix(r3, r5)
+    for j, rid in enumerate(REGION_IDS):
+        reg = region_def(rid)
+        got = reg.holds(r3, r5)
+        assert got.dtype == bool and got.shape == r3.shape
+        expect = [reg.contains(p) for p in zip(r3, r5)]
+        assert got.tolist() == expect, rid
+        assert np.array_equal(member[:, j], got), rid
+    on_edge = (r3 == 0.8) & (r5 == B / 2)
+    assert on_edge.sum() == 1
+    assert region_def("J7").holds(r3, r5)[on_edge].all()
+    assert not region_def("J3").holds(r3, r5)[on_edge].any()
