@@ -57,15 +57,17 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import kernel
+from .kernel import _BLOCK
 from .forces import residual_vector
 from .geometry import GRID_CAP, DomainError
 from .intervals import (
@@ -138,7 +140,7 @@ class RunConfig:
     delta_b0: float = DELTA_B0
     truncation: float = TRUNCATION_R5
     max_depth: int = 48
-    threads: int = 4
+    threads: int = 4  # worker processes of certify_all (see _worker_count)
     output_dir: Optional[str] = None
 
     def validate(self) -> "RunConfig":
@@ -250,16 +252,24 @@ def _pair_bounds(check: PairCheck, lo3, hi3, lo5, hi5):
 
 
 def _batch_bounds(plan: RegionPlan, lo3, hi3, lo5, hi5):
-    checks, cid = plan.route(lo3, hi3, lo5, hi5)
+    """_pair_bounds of every box under the check plan.route picks for it.
+
+    The lanes are evaluated in contiguous slices of at most _BLOCK, so the
+    kernel's temporaries stay in cache; every operation is elementwise, so
+    the bits do not depend on the slicing."""
     n = lo3.size
     lo = np.empty(n)
     hi = np.empty(n)
     form = np.empty(n, dtype="<U2")
-    for k, chk in enumerate(checks):
-        m = cid == k
-        if not np.any(m):
-            continue
-        lo[m], hi[m], form[m] = _pair_bounds(chk, lo3[m], hi3[m], lo5[m], hi5[m])
+    for start in range(0, n, _BLOCK):
+        s = slice(start, start + _BLOCK)
+        b3, B3, b5, B5 = lo3[s], hi3[s], lo5[s], hi5[s]
+        blo, bhi, bform = lo[s], hi[s], form[s]  # views: writes land in lo, hi, form
+        checks, cid = plan.route(b3, B3, b5, B5)
+        for k, chk in enumerate(checks):
+            m = cid == k
+            if np.any(m):
+                blo[m], bhi[m], bform[m] = _pair_bounds(chk, b3[m], B3[m], b5[m], B5[m])
     return lo, hi, form
 
 
@@ -1257,37 +1267,93 @@ def _solution_witness() -> Dict[str, object]:
     }
 
 
+def _worker_count(threads: int, jobs: int) -> int:
+    """The worker processes _fan_out starts for jobs when asked for
+    threads: no more than the jobs or the CPUs (a fork-started pool starts
+    every worker at its first job), and at least one."""
+    return max(1, min(threads, jobs, os.cpu_count() or 1))
+
+
+def _fan_out(fn: Callable, jobs: Sequence[tuple], workers: int,
+             cost: Callable[[tuple], float]) -> Iterator:
+    """Yield fn(*job) for every job, in job order.
+
+    With one worker (_worker_count(workers, len(jobs))), or without
+    os.fork, each job runs in this process when its result is reached.
+    Otherwise the jobs run on a fork-started process pool, submitted in
+    descending cost(job) (ties in job order) so that the longest start
+    first; fn must then be a module-level function and its arguments
+    and results picklable.  Either way a job's exception is raised when
+    its result is reached, so both paths raise the same first failure; a
+    worker that dies raises BrokenProcessPool.  The pool lives until the
+    generator is exhausted or closed (wrap it in contextlib.closing when
+    the caller may stop early), and the jobs not yet started are then
+    cancelled.  A spawned or forkserver worker would import numpy and
+    starcc again, about 0.35 s each; a forked one starts with them."""
+    n = _worker_count(workers, len(jobs))
+    if n == 1 or not hasattr(os, "fork"):
+        for job in jobs:
+            yield fn(*job)
+        return
+    # imported on first use, so that `import starcc` stays light
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    order = sorted(range(len(jobs)), key=lambda i: -cost(jobs[i]))
+    pool = ProcessPoolExecutor(max_workers=n, mp_context=get_context("fork"))
+    try:
+        futures = {i: pool.submit(fn, *jobs[i]) for i in order}
+        for i in range(len(jobs)):
+            yield futures[i].result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _certify_piece(piece: str, cfg: RunConfig):
+    """certify_all's job for one piece of the bundle: the certificate of
+    region `piece`, or the local certificate for piece "local"."""
+    if piece == "local":
+        return certify_local_uniqueness(delta=cfg.delta_b0)
+    return certify_inequality(
+        piece,
+        max_box_width=cfg.max_box_width,
+        truncation=cfg.truncation,
+        delta=cfg.delta_b0,
+        max_depth=cfg.max_depth,
+    )
+
+
 def certify_all(config: Optional[RunConfig] = None) -> CertificationManifest:
     """Local certificate + all sixteen region certificates.
 
     Verdict UNIQUE-IN-WINDOW requires every piece; any failure raises.
-    The regions go to the thread pool largest first, by _grid_cells, so
-    that the longest one (J15) starts at once instead of setting the wall
-    time from the back of the queue; certificates do not depend on the
-    order, and the manifest lists them in REGION_IDS order.
+    The seventeen pieces are independent jobs for _fan_out: up to
+    cfg.threads fork-started worker processes (_worker_count caps them;
+    one runs every piece in this process).  The pool takes the local
+    certificate first and then the regions largest first, by _grid_cells,
+    so that the longest one (J15) starts at once instead of setting the
+    wall time from the back of the queue.  Certificates do not depend on
+    the worker count or the order.  A failure raises the first one in the
+    order local certificate, solution witness, J1..J16, whatever the
+    worker count, and the manifest lists the regions in REGION_IDS order.
     """
     cfg = (config or RunConfig()).validate()
     t0 = time.perf_counter()
-    local = certify_local_uniqueness(delta=cfg.delta_b0)
-    witness = _solution_witness()
-    if not witness["is_solution"]:
-        raise ContractionFailure("pentagon point fails the residual gate")
 
-    def run(rid: str) -> Certificate:
-        return certify_inequality(
-            rid,
-            max_box_width=cfg.max_box_width,
-            truncation=cfg.truncation,
-            delta=cfg.delta_b0,
-            max_depth=cfg.max_depth,
-        )
+    def cost(job) -> float:
+        piece = job[0]
+        if piece == "local":
+            return math.inf
+        return _grid_cells(piece, cfg.max_box_width, cfg.truncation)
 
-    largest_first = sorted(
-        REGION_IDS,
-        key=lambda rid: -_grid_cells(rid, cfg.max_box_width, cfg.truncation))
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        futures = {rid: pool.submit(run, rid) for rid in largest_first}
-        certs = {rid: futures[rid].result() for rid in REGION_IDS}
+    pieces = ("local",) + REGION_IDS
+    with closing(_fan_out(_certify_piece, [(p, cfg) for p in pieces],
+                          cfg.threads, cost)) as results:
+        local = next(results)
+        witness = _solution_witness()
+        if not witness["is_solution"]:
+            raise ContractionFailure("pentagon point fails the residual gate")
+        certs = dict(zip(REGION_IDS, results))
 
     return CertificationManifest(
         verdict="UNIQUE-IN-WINDOW",

@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import closing
 from dataclasses import fields
 from typing import List, Optional, get_args, get_type_hints
 
@@ -36,6 +37,7 @@ from .certify import (
     LocalUniquenessCertificate,
     MalformedCertificate,
     RunConfig,
+    _fan_out,
     certify_all,
     certify_inequality,
     recorded_cuts,
@@ -324,7 +326,47 @@ def _check_composition(path: str, cert: Certificate, delta: float,
             f" require {want!r}")
 
 
+def _verify_piece(path: str, piece: str, delta: float, truncation: float):
+    """_verify_bundle's job for one file of the bundle, checked on its own.
+
+    A region file must hold region `piece`, recording the cuts of the
+    manifest's delta and truncation, and pass verify_certificate; returns
+    its (min_bound, fingerprint, leaf count).  For piece "local" the local
+    certificate's window must be delta and verify_local_certificate pass;
+    returns (containment margin, annulus leaf count)."""
+    payload = _load_payload(path)
+    if piece == "local":
+        local = LocalUniquenessCertificate.from_payload(payload)
+        if local.delta != delta:
+            raise MalformedCertificate(
+                f"{path}: window half-width {local.delta!r} differs from"
+                f" the manifest's delta_b0 {delta!r}")
+        verify_local_certificate(local)
+        return local.containment_margin, int(local.ann_lo3.size)
+    cert = Certificate.from_payload(payload)
+    if cert.region != piece:
+        raise MalformedCertificate(f"{path}: holds region {cert.region}")
+    _check_composition(path, cert, delta, truncation)
+    verify_certificate(cert)
+    return cert.min_bound, cert.fingerprint, cert.n_leaves()
+
+
+def _file_size(job) -> int:
+    try:
+        return os.path.getsize(job[0])
+    except OSError:  # a missing file fails in its job
+        return 0
+
+
 def _verify_bundle(dirpath: str) -> List[str]:
+    """Verify the manifest, the sixteen region files and local.json.
+
+    Each file is a _verify_piece job for _fan_out, on as many fork-started
+    worker processes as there are CPUs (the largest file first); on one
+    CPU they run in this process.  The results are checked against the
+    manifest in the order J1..J16, local, and a job's failure is raised
+    when its turn comes, so the first defect in that order is the one
+    reported, whatever the worker count."""
     manifest_path = os.path.join(dirpath, "manifest.json")
     if not os.path.exists(manifest_path):
         raise MalformedCertificate(f"{dirpath}: no manifest.json")
@@ -332,35 +374,26 @@ def _verify_bundle(dirpath: str) -> List[str]:
     if summary.get("kind") != "manifest":
         raise MalformedCertificate(f"{manifest_path}: not a manifest")
     delta, truncation = _manifest_cuts(manifest_path, summary)
+    pieces = REGION_IDS + ("local",)
+    jobs = [(os.path.join(dirpath, f"{p}.json"), p, delta, truncation) for p in pieces]
     lines = []
-    for rid in REGION_IDS:
-        if rid not in summary.get("regions", {}):
-            raise MalformedCertificate(f"{manifest_path}: region {rid} missing")
-        path = os.path.join(dirpath, f"{rid}.json")
-        cert = Certificate.from_payload(_load_payload(path))
-        if cert.region != rid:
-            raise MalformedCertificate(f"{path}: holds region {cert.region}")
-        _check_composition(path, cert, delta, truncation)
-        verify_certificate(cert)
-        claimed = summary["regions"][rid]["min_bound"]
-        if claimed != cert.min_bound:
-            raise MalformedCertificate(
-                f"{manifest_path}: min_bound for {rid} ({claimed!r}) does not"
-                f" match the certificate ({cert.min_bound!r})")
-        if summary["fingerprint"] != cert.fingerprint:
-            raise MalformedCertificate(
-                f"{path}: fingerprint differs from the manifest")
-        lines.append(f"ACCEPT {rid}: min_gap {cert.min_bound:.6e},"
-                     f" {cert.n_leaves()} leaves")
-    local_path = os.path.join(dirpath, "local.json")
-    local = LocalUniquenessCertificate.from_payload(_load_payload(local_path))
-    if local.delta != delta:
-        raise MalformedCertificate(
-            f"{local_path}: window half-width {local.delta!r} differs from"
-            f" the manifest's delta_b0 {delta!r}")
-    verify_local_certificate(local)
-    lines.append(f"ACCEPT local: margin {local.containment_margin:.4e},"
-                 f" {local.ann_lo3.size} annulus leaves")
+    with closing(_fan_out(_verify_piece, jobs, os.cpu_count() or 1,
+                          _file_size)) as results:
+        for path, rid, _, _ in jobs[:-1]:
+            if rid not in summary.get("regions", {}):
+                raise MalformedCertificate(f"{manifest_path}: region {rid} missing")
+            min_bound, fingerprint, leaves = next(results)
+            claimed = summary["regions"][rid]["min_bound"]
+            if claimed != min_bound:
+                raise MalformedCertificate(
+                    f"{manifest_path}: min_bound for {rid} ({claimed!r}) does not"
+                    f" match the certificate ({min_bound!r})")
+            if summary["fingerprint"] != fingerprint:
+                raise MalformedCertificate(
+                    f"{path}: fingerprint differs from the manifest")
+            lines.append(f"ACCEPT {rid}: min_gap {min_bound:.6e}, {leaves} leaves")
+        margin, annulus = next(results)
+    lines.append(f"ACCEPT local: margin {margin:.4e}, {annulus} annulus leaves")
     lines.append(f"bundle {dirpath}: verdict {summary.get('verdict')!r} confirmed")
     return lines
 
@@ -542,7 +575,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truncate-r5", dest="truncate_r5", type=float,
                    help="truncation for unbounded regions (default 10)")
     p.add_argument("--max-depth", dest="max_depth", type=int)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int,
+                   help="worker processes for 'certify all' (default 4), forked"
+                        " and capped at the CPU count and the 17 pieces; 1 runs"
+                        " in this process; certificates do not depend on it")
     p.add_argument("--output", help=f"output directory (or ${OUTPUT_DIR_ENV})")
     p.set_defaults(func=cmd_certify)
 

@@ -41,6 +41,12 @@ import math
 
 from .geometry import A, COS, SIN
 
+# Lanes per array kernel call: a longer array is evaluated in contiguous
+# slices of _BLOCK lanes, so that the temporaries of one call stay in the
+# L2 cache.  Every kernel operation is elementwise, so the bits of a lane do
+# not depend on the slicing.
+_BLOCK = 16384
+
 LAMBDA_INDICES = tuple(
     (i, k) for i in range(1, 6) for k in (1, 2) if (i, k) != (1, 2)
 )

@@ -47,12 +47,11 @@ import numpy as np
 from . import kernel
 from .forces import residual_vector
 from .geometry import DomainError, quasi_points
-from .kernel import in_domain
+from .kernel import _BLOCK, in_domain
 
 MERGE_RADIUS = 1e-6
 FD_SCALE = 1e-7
 MAX_HALVINGS = 30
-_BLOCK = 16384  # lanes per kernel call: the float kernel's temporaries fit in L2
 _MERIT_BLOWUP = 1e8
 _DECREASE = 1e-4  # sufficient-decrease slope for the backtracking test
 

@@ -1,6 +1,12 @@
 import hashlib
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -565,7 +571,10 @@ def test_local_rejects_out_of_range_delta():
 
 @pytest.fixture(scope="module")
 def manifest_two_threads():
-    return certify_all(RunConfig(max_box_width=0.1, threads=2))
+    # two CPUs, so that the two workers run on a process pool on any machine
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "cpu_count", lambda: 2)
+        return certify_all(RunConfig(max_box_width=0.1, threads=2))
 
 
 def test_certify_all_summary(manifest_two_threads):
@@ -612,3 +621,111 @@ def test_run_config_validation():
         with pytest.raises(ValueError, match="finite"):
             RunConfig(truncation=truncation).validate()
     assert RunConfig(delta_b0=0.0).validate()  # explicit no-excision mode
+
+
+# ---------------------------------------------------------------------------
+# the process pool and the blocked lanes
+
+
+def test_worker_count_is_capped_by_the_jobs_and_the_cpus(monkeypatch):
+    # a fork-started pool starts every worker at once, so a huge --threads
+    # must not become a huge number of processes; nothing is started here
+    cpus = os.cpu_count() or 1
+    assert certify._worker_count(10**6, 17) == min(17, cpus)
+    assert certify._worker_count(1, 17) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert certify._worker_count(10**6, 17) == 17
+    assert certify._worker_count(10**6, 0) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert certify._worker_count(10**6, 17) == 1
+
+
+def test_budget_exhausted_in_a_worker_matches_the_in_process_run(monkeypatch):
+    # max_depth 0 leaves J1 (the first region in REGION_IDS order to need
+    # a bisection) unresolved; the pool must raise what the serial run does
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    seen = []
+    for threads in (1, 2):
+        with pytest.raises(BudgetExhausted) as info:
+            certify_all(RunConfig(max_box_width=0.1, max_depth=0, threads=threads))
+        seen.append((type(info.value), str(info.value)))
+    assert seen[0] == seen[1]
+    assert seen[0][0] is BudgetExhausted
+    assert seen[0][1].startswith("J1: ")
+
+
+def _kill_own_worker(k):
+    """A _fan_out job whose second instance kills the process running it."""
+    if k == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return k
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool needs os.fork")
+def test_fan_out_raises_broken_process_pool_when_a_worker_dies(monkeypatch):
+    from concurrent.futures.process import BrokenProcessPool
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers: a pool
+    caught = []
+
+    def run():
+        try:
+            list(certify._fan_out(_kill_own_worker, [(0,), (1,)], 2, lambda job: 0))
+        except BaseException as exc:  # handed to the test thread below
+            caught.append(exc)
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    t.join(timeout=60)
+    assert not t.is_alive(), "the pool hangs on a dead worker"
+    assert len(caught) == 1 and isinstance(caught[0], BrokenProcessPool), caught
+
+
+def _unblocked_bounds(plan, lo3, hi3, lo5, hi5):
+    """_batch_bounds as one kernel call per check over all the lanes."""
+    checks, cid = plan.route(lo3, hi3, lo5, hi5)
+    lo, hi = np.empty(lo3.size), np.empty(lo3.size)
+    form = np.empty(lo3.size, dtype="<U2")
+    for k, chk in enumerate(checks):
+        m = cid == k
+        if np.any(m):
+            lo[m], hi[m], form[m] = certify._pair_bounds(
+                chk, lo3[m], hi3[m], lo5[m], hi5[m])
+    return lo, hi, form
+
+
+@pytest.mark.parametrize("rid", ["J15", "J1"])
+@pytest.mark.parametrize("size", [
+    certify._BLOCK - 1, certify._BLOCK, certify._BLOCK + 1, 3 * certify._BLOCK + 7,
+], ids=["block-1", "block", "block+1", "3block+7"])
+def test_blocked_bounds_equal_one_kernel_call(rid, size):
+    cover = cover_arrays(rid, 0.02, 10.0, None)
+    pick = np.resize(np.arange(cover[0].size), size)
+    if rid == "J1":
+        # J1's corner zone needs the cleared form: put its boxes on both
+        # sides of every slice edge, and at the end
+        zone = np.flatnonzero(_unblocked_bounds(region_plan(rid), *cover)[2] == "c")
+        for edge in list(range(certify._BLOCK, size, certify._BLOCK)) + [size]:
+            at = np.arange(max(edge - 3, 0), min(edge + 3, size))
+            pick[at] = zone[: at.size]
+    lanes = tuple(a[pick] for a in cover)
+    got = _batch_bounds(region_plan(rid), *lanes)
+    want = _unblocked_bounds(region_plan(rid), *lanes)
+    for g, w in zip(got[:2], want[:2]):
+        assert g.tobytes() == w.tobytes()
+    assert np.array_equal(got[2], want[2])
+    if rid == "J1":
+        assert np.all(got[2][certify._BLOCK - 3 : certify._BLOCK + 3] == "c")
+
+
+def test_importing_starcc_loads_no_pool_machinery():
+    # the pool is imported by its first use; `import starcc` (and the
+    # solver that `scan` runs) must not pay for it
+    root = Path(__file__).resolve().parents[1]
+    path = filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    code = ("import sys, starcc, starcc.solver; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    p = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                       text=True, check=True, timeout=120)
+    assert p.stdout.strip() == "[]"

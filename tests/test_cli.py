@@ -511,6 +511,23 @@ def test_bundle_rejects_dropped_narrowest_j16_leaf(coarse_bundle, tmp_path,
     assert "REJECT" in out and "J16" in out and "holds no leaf" in out
 
 
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pool"])
+def test_bundle_rejection_names_the_first_defect_in_region_order(
+        coarse_bundle, tmp_path, capsys, monkeypatch, cpus):
+    # J15 is verified first on the pool (the largest file) and J9 later, yet
+    # the report is J9's, as on the serial path
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    forged = _copy(coarse_bundle, tmp_path)
+    for rid in ("J9", "J15"):
+        doc = json.loads((forged / f"{rid}.json").read_text())
+        row = doc["leaves"][3]
+        row[5] = (float.fromhex(row[5]) * 2.0).hex()
+        (forged / f"{rid}.json").write_text(json.dumps(doc))
+    code, out = run(["verify", forged], capsys)
+    assert code == cli.EXIT_VERIFY
+    assert out.startswith("REJECT: J9: leaf 3 at "), out
+
+
 @pytest.mark.parametrize("rid", ["J9", "J7"])
 def test_single_region_certify_matches_the_bundle(coarse_bundle, tmp_path,
                                                   capsys, rid):
