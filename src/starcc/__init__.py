@@ -6,7 +6,8 @@ square system F), forces (floating evaluation), intervals (outward-rounded
 arithmetic and the interval backends of the kernel), regions
 (the 16-piece partition and its proof plans), certify (branch-and-bound +
 local uniqueness certificates and their verifier), solver (floating
-companion), cli (console entry point).
+companion), pool (the process pool certify, verify and scan share), cli
+(console entry point).
 """
 
 from .geometry import A, B, DomainError, nz, quasi_points

@@ -57,12 +57,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import time
 from contextlib import closing
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -90,6 +89,7 @@ from .regions import (
     region_excises_b0,
     region_plan,
 )
+from .pool import _fan_out
 
 FORMAT_VERSION = "starcc-certificate/1"
 
@@ -140,7 +140,7 @@ class RunConfig:
     delta_b0: float = DELTA_B0
     truncation: float = TRUNCATION_R5
     max_depth: int = 48
-    threads: int = 4  # worker processes of certify_all (see _worker_count)
+    threads: int = 4  # worker processes of certify_all (see pool._worker_count)
     output_dir: Optional[str] = None
 
     def validate(self) -> "RunConfig":
@@ -1267,48 +1267,6 @@ def _solution_witness() -> Dict[str, object]:
     }
 
 
-def _worker_count(threads: int, jobs: int) -> int:
-    """The worker processes _fan_out starts for jobs when asked for
-    threads: no more than the jobs or the CPUs (a fork-started pool starts
-    every worker at its first job), and at least one."""
-    return max(1, min(threads, jobs, os.cpu_count() or 1))
-
-
-def _fan_out(fn: Callable, jobs: Sequence[tuple], workers: int,
-             cost: Callable[[tuple], float]) -> Iterator:
-    """Yield fn(*job) for every job, in job order.
-
-    With one worker (_worker_count(workers, len(jobs))), or without
-    os.fork, each job runs in this process when its result is reached.
-    Otherwise the jobs run on a fork-started process pool, submitted in
-    descending cost(job) (ties in job order) so that the longest start
-    first; fn must then be a module-level function and its arguments
-    and results picklable.  Either way a job's exception is raised when
-    its result is reached, so both paths raise the same first failure; a
-    worker that dies raises BrokenProcessPool.  The pool lives until the
-    generator is exhausted or closed (wrap it in contextlib.closing when
-    the caller may stop early), and the jobs not yet started are then
-    cancelled.  A spawned or forkserver worker would import numpy and
-    starcc again, about 0.35 s each; a forked one starts with them."""
-    n = _worker_count(workers, len(jobs))
-    if n == 1 or not hasattr(os, "fork"):
-        for job in jobs:
-            yield fn(*job)
-        return
-    # imported on first use, so that `import starcc` stays light
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-
-    order = sorted(range(len(jobs)), key=lambda i: -cost(jobs[i]))
-    pool = ProcessPoolExecutor(max_workers=n, mp_context=get_context("fork"))
-    try:
-        futures = {i: pool.submit(fn, *jobs[i]) for i in order}
-        for i in range(len(jobs)):
-            yield futures[i].result()
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def _certify_piece(piece: str, cfg: RunConfig):
     """certify_all's job for one piece of the bundle: the certificate of
     region `piece`, or the local certificate for piece "local"."""
@@ -1327,8 +1285,8 @@ def certify_all(config: Optional[RunConfig] = None) -> CertificationManifest:
     """Local certificate + all sixteen region certificates.
 
     Verdict UNIQUE-IN-WINDOW requires every piece; any failure raises.
-    The seventeen pieces are independent jobs for _fan_out: up to
-    cfg.threads fork-started worker processes (_worker_count caps them;
+    The seventeen pieces are independent jobs for pool._fan_out: up to
+    cfg.threads fork-started worker processes (pool._worker_count caps them;
     one runs every piece in this process).  The pool takes the local
     certificate first and then the regions largest first, by _grid_cells,
     so that the longest one (J15) starts at once instead of setting the

@@ -37,7 +37,6 @@ from .certify import (
     LocalUniquenessCertificate,
     MalformedCertificate,
     RunConfig,
-    _fan_out,
     certify_all,
     certify_inequality,
     recorded_cuts,
@@ -52,6 +51,7 @@ from .forces import (
     residual_vector,
 )
 from .geometry import GRID_CAP, DomainError
+from .pool import _fan_out
 from .regions import REGION_IDS, TRUNCATION_R5, region_def, region_plan
 from .solver import grid_scan
 

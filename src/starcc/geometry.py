@@ -27,6 +27,7 @@ body coordinates and distances are written once, in the kernel module.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -71,10 +72,12 @@ def quasi_points(n: int, seed: int) -> np.ndarray:
     plastic number and shift = np.random.default_rng(seed).random(2).  The
     points depend only on (k, seed), so a longer run extends a shorter one.
     Scan starts and the partition audit draw from here.  Raises ValueError
-    unless 0 <= n <= GRID_CAP.
+    unless n is an integer (not a bool) with 0 <= n <= GRID_CAP.
     """
-    if not 0 <= n <= GRID_CAP:
-        raise ValueError(f"{n} quasi-random points asked for; need 0..{GRID_CAP}")
+    if (isinstance(n, bool) or not isinstance(n, numbers.Integral)
+            or not 0 <= n <= GRID_CAP):
+        raise ValueError(
+            f"{n!r} quasi-random points asked for; need an integer in 0..{GRID_CAP}")
     shift = np.random.default_rng(seed).random(2)
     k = np.arange(1, int(n) + 1, dtype=float)[:, None]
     return (shift + k * _R2_STEP) % 1.0

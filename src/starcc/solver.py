@@ -30,7 +30,13 @@ which damped steps lie in S.  Kernel calls are few and cache-sized:
     the kernel's temporaries stay in cache.
 
 Every operation is elementwise, so results are bit-identical to running
-the lanes one at a time, one halving per call.
+the lanes one at a time, one halving per call.  So grid_scan, the third
+user of the shared process pool (pool._fan_out) after certify_all and the
+bundle verifier, runs its lanes in contiguous chunks, one per worker, with
+at least _LANES_PER_WORKER (= _BLOCK) lanes per worker and no more workers
+than CPUs, and joins them in order (_lockstep_on_pool).  A smaller scan, or
+one on one CPU, forks nothing; the report does not depend on the CPU
+count.  newton_refine always runs in process.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -48,12 +55,17 @@ from . import kernel
 from .forces import residual_vector
 from .geometry import DomainError, quasi_points
 from .kernel import _BLOCK, in_domain
+from .pool import _fan_out, _worker_count
 
 MERGE_RADIUS = 1e-6
 FD_SCALE = 1e-7
 MAX_HALVINGS = 30
 _MERIT_BLOWUP = 1e8
 _DECREASE = 1e-4  # sufficient-decrease slope for the backtracking test
+# Fewest scan lanes per worker process.  A pool costs about 0.1 s to start
+# and join: on a 2-vCPU VM two workers only break even at 12 500 lanes
+# (20 000 starts over [0.2, 3]^2) and save a quarter at 31 000.
+_LANES_PER_WORKER = _BLOCK
 
 # Lane status codes used by the lockstep core.
 _RUNNING, _CONVERGED, _DIVERGED, _LEFT_DOMAIN, _MAX_ITER = 0, 1, 2, 3, 4
@@ -203,14 +215,33 @@ def _newton_lockstep(r3, r5, tol, max_iter, trace=False):
     return r3, r5, status, iterations, merit, history
 
 
+def _lockstep_on_pool(r3, r5, tol, max_iter):
+    """_newton_lockstep's (r3, r5, status, iterations, merit) for the lanes
+    r3, r5, computed in contiguous chunks on the shared pool.
+
+    One chunk per worker: min(CPUs, lanes // _LANES_PER_WORKER) of them,
+    and with one the lanes run in this process.  The chunks are joined in
+    order; the lanes are independent, so the bits equal one call's."""
+    n = _worker_count(os.cpu_count() or 1, r3.size // _LANES_PER_WORKER)
+    jobs = [(a, b, tol, max_iter)
+            for a, b in zip(np.array_split(r3, n), np.array_split(r5, n))]
+    parts = list(_fan_out(_newton_lockstep, jobs, n, lambda job: job[0].size))
+    return tuple(np.concatenate(col) for col in zip(*(p[:5] for p in parts)))
+
+
+def _check_count(name: str, value) -> None:
+    """DomainError unless value is an integer (not a bool) >= 0."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise DomainError(f"{name} {value!r} must be an integer >= 0")
+
+
 def _check_budget(tol, max_iter) -> None:
     """DomainError unless tol is finite and > 0 and max_iter is an integer
     >= 0: a nan or negative tol converges nothing, and a negative budget
     retires no lane at all."""
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tolerance {tol} must be finite and > 0")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 0:
-        raise DomainError(f"max_iter {max_iter!r} must be an integer >= 0")
+    _check_count("max_iter", max_iter)
 
 
 @dataclass(frozen=True)
@@ -339,13 +370,13 @@ def grid_scan(window, n_starts: int, tol: float = 1e-10, seed: int = 0,
     """Multi-start Newton over window ∩ S with deduplicated roots.
 
     window is ((r3_lo, r3_hi), (r5_lo, r5_hi)), finite and non-degenerate,
-    tol is finite and > 0 and max_iter an integer >= 0 (DomainError
-    otherwise).  Starts are seeded R2 points
+    tol is finite and > 0, max_iter and seed are integers >= 0
+    (DomainError otherwise).  Starts are seeded R2 points
     (geometry.quasi_points) scaled into the window; starts falling
-    outside S are skipped (counted in stats); quasi_points refuses more
-    than GRID_CAP starts (ValueError) before allocating them.  Every
-    reported root passed the full-system gate, and distinct roots are
-    > MERGE_RADIUS apart.
+    outside S are skipped (counted in stats); quasi_points refuses a
+    count that is not an integer in 0..GRID_CAP (ValueError) before
+    allocating the starts.  Every reported root passed the full-system
+    gate, and distinct roots are > MERGE_RADIUS apart.
     """
     (lo3, hi3), (lo5, hi5) = (
         (float(window[0][0]), float(window[0][1])),
@@ -356,7 +387,10 @@ def grid_scan(window, n_starts: int, tol: float = 1e-10, seed: int = 0,
     if not np.all(np.isfinite((lo3, hi3, lo5, hi5))):
         raise DomainError(f"scan window {window} is not finite")
     _check_budget(tol, max_iter)
+    _check_count("seed", seed)
     t0 = time.perf_counter()
+    pts = quasi_points(n_starts, seed)
+    n_starts, seed = int(n_starts), int(seed)
     stats: Dict[str, float] = {
         "starts": n_starts, "in_domain": 0, "converged": 0, "diverged": 0,
         "left_domain": 0, "max_iterations": 0, "escaped_window": 0,
@@ -366,7 +400,6 @@ def grid_scan(window, n_starts: int, tol: float = 1e-10, seed: int = 0,
         stats["wall_seconds"] = round(time.perf_counter() - t0, 6)
         return RootReport(((lo3, hi3), (lo5, hi5)), 0, tol, seed, (), stats)
 
-    pts = quasi_points(n_starts, seed)
     s3 = lo3 + pts[:, 0] * (hi3 - lo3)
     s5 = lo5 + pts[:, 1] * (hi5 - lo5)
     keep = in_domain((s3, s5))
@@ -375,7 +408,7 @@ def grid_scan(window, n_starts: int, tol: float = 1e-10, seed: int = 0,
     s3, s5 = s3[keep], s5[keep]
     stats["in_domain"] = int(s3.size)
 
-    r3, r5, status, _, merit, _ = _newton_lockstep(s3, s5, tol, max_iter)
+    r3, r5, status, _, merit = _lockstep_on_pool(s3, s5, tol, max_iter)
     stats["converged"] = int(np.count_nonzero(status == _CONVERGED))
     stats["diverged"] = int(np.count_nonzero(status == _DIVERGED))
     stats["left_domain"] = int(np.count_nonzero(status == _LEFT_DOMAIN))

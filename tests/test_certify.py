@@ -35,7 +35,7 @@ from starcc.certify import (
     verify_local_certificate,
 )
 from starcc.intervals import Box2, DualBackend, dual_vars
-from starcc import certify, kernel, regions
+from starcc import certify, kernel, pool, regions
 from starcc.regions import PairCheck, RegionPlan, cover_arrays, region_def, region_plan
 
 
@@ -631,13 +631,13 @@ def test_worker_count_is_capped_by_the_jobs_and_the_cpus(monkeypatch):
     # a fork-started pool starts every worker at once, so a huge --threads
     # must not become a huge number of processes; nothing is started here
     cpus = os.cpu_count() or 1
-    assert certify._worker_count(10**6, 17) == min(17, cpus)
-    assert certify._worker_count(1, 17) == 1
+    assert pool._worker_count(10**6, 17) == min(17, cpus)
+    assert pool._worker_count(1, 17) == 1
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert certify._worker_count(10**6, 17) == 17
-    assert certify._worker_count(10**6, 0) == 1
+    assert pool._worker_count(10**6, 17) == 17
+    assert pool._worker_count(10**6, 0) == 1
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert certify._worker_count(10**6, 17) == 1
+    assert pool._worker_count(10**6, 17) == 1
 
 
 def test_budget_exhausted_in_a_worker_matches_the_in_process_run(monkeypatch):
@@ -670,7 +670,7 @@ def test_fan_out_raises_broken_process_pool_when_a_worker_dies(monkeypatch):
 
     def run():
         try:
-            list(certify._fan_out(_kill_own_worker, [(0,), (1,)], 2, lambda job: 0))
+            list(pool._fan_out(_kill_own_worker, [(0,), (1,)], 2, lambda job: 0))
         except BaseException as exc:  # handed to the test thread below
             caught.append(exc)
 

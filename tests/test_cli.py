@@ -334,6 +334,13 @@ def test_scan_with_too_many_starts_exits_2_before_allocating(capsys):
     assert "4000000" in out
 
 
+def test_scan_with_a_negative_seed_exits_2_naming_the_seed(capsys):
+    # numpy's "expected non-negative integer" used to be the whole message
+    code, out = run(["scan", "--starts", 200, "--seed", -1], capsys)
+    assert code == cli.EXIT_DOMAIN
+    assert "seed -1" in out
+
+
 # ---------------------------------------------------------------------------
 # plotdata
 

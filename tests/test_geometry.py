@@ -140,6 +140,14 @@ def test_quasi_points_shape_and_range():
     assert quasi_points(0, 0).shape == (0, 2)
 
 
+@pytest.mark.parametrize("n", [10.5, 10.0, True, "10"], ids=["fraction", "float", "bool", "str"])
+def test_quasi_points_refuse_a_count_that_is_not_an_integer(n):
+    # 10.5 used to give 10 points, and True one
+    with pytest.raises(ValueError, match="integer"):
+        quasi_points(n, 0)
+    assert quasi_points(np.int64(3), 0).shape == (3, 2)
+
+
 def test_quasi_points_are_seeded():
     assert np.array_equal(quasi_points(500, 3), quasi_points(500, 3))
     assert not np.array_equal(quasi_points(500, 3), quasi_points(500, 4))

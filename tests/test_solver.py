@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import signal
+import threading
 
 import numpy as np
 import pytest
@@ -94,6 +97,18 @@ def test_scan_refuses_more_starts_than_the_cap_before_allocating():
         grid_scan(((0.5, 1.5), (0.5, 1.5)), 10**12)
     with pytest.raises(ValueError):
         grid_scan(((0.5, 1.5), (0.5, 1.5)), -1)
+
+
+@pytest.mark.parametrize("n", [10.5, True], ids=["fraction", "bool"])
+def test_scan_refuses_a_count_of_starts_that_is_not_an_integer(n):
+    # 10.5 used to run 10 starts and report "n_starts": 10.5; True reported true
+    with pytest.raises(ValueError, match="integer"):
+        grid_scan(((0.2, 3.0), (0.2, 3.0)), n)
+
+
+def test_scan_refuses_a_negative_seed_naming_it():
+    with pytest.raises(DomainError, match="seed -1"):
+        grid_scan(((0.2, 3.0), (0.2, 3.0)), 10, seed=-1)
 
 
 def test_scan_rejects_degenerate_window():
@@ -211,3 +226,84 @@ def test_scan_report_bytes_are_pinned():
     assert hashlib.sha256(json.dumps(payload).encode()).hexdigest() == (
         "95d81d66b2dce0e5572e6263abc0dd4fc77b245f65b4b06d5f58a5c173d7626b"
     )
+
+
+# ---------------------------------------------------------------------------
+# the scan on the process pool
+
+
+def _payload(report):
+    payload = report.to_payload()
+    del payload["stats"]["wall_seconds"]
+    return payload
+
+
+def _count_forks(monkeypatch):
+    """Patch os.fork to record each call in this process, then fork."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool needs os.fork")
+def test_scan_on_the_pool_equals_the_in_process_scan(monkeypatch):
+    # 2000 starts give about 1 250 lanes: with 100 lanes per worker and two
+    # CPUs the scan forks two workers, whose chunks must join to the bits
+    # of the in-process run
+    window = ((0.2, 3.0), (0.2, 3.0))
+    monkeypatch.setattr(solver, "_LANES_PER_WORKER", 100)
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    alone = grid_scan(window, 2000, seed=7)
+    assert forks == []
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    pooled = grid_scan(window, 2000, seed=7)
+    assert len(forks) == 2
+    assert _payload(pooled) == _payload(alone)
+    assert pooled.stats["in_domain"] >= 2 * 100
+
+
+def test_scan_below_the_lane_threshold_starts_no_process(monkeypatch):
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    report = grid_scan(((0.2, 3.0), (0.2, 3.0)), 2000)
+    assert report.stats["in_domain"] < 2 * solver._LANES_PER_WORKER
+    assert len(report.roots) == 1
+    assert forks == []
+
+
+_TEST_PROCESS = os.getpid()
+
+
+def _die_in_a_worker(*args):
+    """A stand-in for the Newton core that kills the worker running it."""
+    assert os.getpid() != _TEST_PROCESS, "ran in the test process"
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool needs os.fork")
+def test_scan_raises_broken_process_pool_when_a_worker_dies(monkeypatch):
+    from concurrent.futures.process import BrokenProcessPool
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(solver, "_LANES_PER_WORKER", 100)
+    monkeypatch.setattr(solver, "_newton_lockstep", _die_in_a_worker)
+    caught = []
+
+    def run():
+        try:
+            grid_scan(((0.2, 3.0), (0.2, 3.0)), 2000)
+        except BaseException as exc:  # handed to the test thread below
+            caught.append(exc)
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    t.join(timeout=60)
+    assert not t.is_alive(), "the scan hangs on a dead worker"
+    assert len(caught) == 1 and isinstance(caught[0], BrokenProcessPool), caught
