@@ -92,6 +92,8 @@ from .regions import (
 from .pool import _fan_out
 
 FORMAT_VERSION = "starcc-certificate/1"
+# the one verdict certify_all can reach; every failure raises instead
+VERDICT = "UNIQUE-IN-WINDOW"
 
 FORM_QUOTIENT = "q"
 FORM_CLEARED = "c"
@@ -948,18 +950,14 @@ def certify_local_uniqueness(delta: float = DELTA_B0) -> LocalUniquenessCertific
 # ---------------------------------------------------------------------------
 
 
-def _coerce(cert, cls):
-    """cert as a cls instance: passed through, or parsed from its payload
-    dict or JSON string."""
-    if isinstance(cert, str):
-        cert = json.loads(cert)
-    if isinstance(cert, dict):
-        return cls.from_payload(cert)
-    if isinstance(cert, cls):
-        return cert
-    raise MalformedCertificate(
-        f"cannot interpret {type(cert).__name__} as {cls.__name__}"
-    )
+def _require(cert, cls):
+    """cert, which must be a cls instance: callers parse a payload with
+    cls.from_payload first."""
+    if not isinstance(cert, cls):
+        raise MalformedCertificate(
+            f"cannot interpret {type(cert).__name__} as {cls.__name__}"
+        )
+    return cert
 
 
 def _at(leaves, j) -> str:
@@ -1036,7 +1034,7 @@ def verify_certificate(cert) -> bool:
       cover that the header (region, max_box_width, truncation, delta_b0)
       implies (coverage replay, see _replay).
     """
-    c = _coerce(cert, Certificate)
+    c = _require(cert, Certificate)
     if c.region not in REGION_IDS:
         raise MalformedCertificate(f"unknown region {c.region!r}")
     if c.fingerprint != build_fingerprint():
@@ -1179,7 +1177,7 @@ def verify_local_certificate(cert) -> bool:
     contraction evidence and every annulus bound bit-for-bit, re-check the
     acceptance conditions (containment, nonsingularity) and replay the
     annulus cover from the recorded delta."""
-    cert = _coerce(cert, LocalUniquenessCertificate)
+    cert = _require(cert, LocalUniquenessCertificate)
     if cert.fingerprint != build_fingerprint():
         raise MalformedCertificate("fingerprint does not match this build")
     fixed = {
@@ -1284,7 +1282,7 @@ def _certify_piece(piece: str, cfg: RunConfig):
 def certify_all(config: Optional[RunConfig] = None) -> CertificationManifest:
     """Local certificate + all sixteen region certificates.
 
-    Verdict UNIQUE-IN-WINDOW requires every piece; any failure raises.
+    Verdict VERDICT requires every piece; any failure raises.
     The seventeen pieces are independent jobs for pool._fan_out: up to
     cfg.threads fork-started worker processes (pool._worker_count caps them;
     one runs every piece in this process).  The pool takes the local
@@ -1296,6 +1294,8 @@ def certify_all(config: Optional[RunConfig] = None) -> CertificationManifest:
     worker count, and the manifest lists the regions in REGION_IDS order.
     """
     cfg = (config or RunConfig()).validate()
+    # the local certificate's window rule fails first, before any fork
+    _check_window(float(cfg.delta_b0))
     t0 = time.perf_counter()
 
     def cost(job) -> float:
@@ -1314,7 +1314,7 @@ def certify_all(config: Optional[RunConfig] = None) -> CertificationManifest:
         certs = dict(zip(REGION_IDS, results))
 
     return CertificationManifest(
-        verdict="UNIQUE-IN-WINDOW",
+        verdict=VERDICT,
         config={f.name: getattr(cfg, f.name) for f in fields(cfg)
                 if f.name != "output_dir"},
         local=local,

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import kernel
 from .certify import (
+    VERDICT,
     BudgetExhausted,
     Certificate,
     CertificationRefuted,
@@ -373,6 +374,9 @@ def _verify_bundle(dirpath: str) -> List[str]:
     summary = _load_payload(manifest_path)
     if summary.get("kind") != "manifest":
         raise MalformedCertificate(f"{manifest_path}: not a manifest")
+    if summary.get("verdict") != VERDICT:
+        raise MalformedCertificate(
+            f"{manifest_path}: verdict {summary.get('verdict')!r} is not {VERDICT!r}")
     delta, truncation = _manifest_cuts(manifest_path, summary)
     pieces = REGION_IDS + ("local",)
     jobs = [(os.path.join(dirpath, f"{p}.json"), p, delta, truncation) for p in pieces]
@@ -394,7 +398,7 @@ def _verify_bundle(dirpath: str) -> List[str]:
             lines.append(f"ACCEPT {rid}: min_gap {min_bound:.6e}, {leaves} leaves")
         margin, annulus = next(results)
     lines.append(f"ACCEPT local: margin {margin:.4e}, {annulus} annulus leaves")
-    lines.append(f"bundle {dirpath}: verdict {summary.get('verdict')!r} confirmed")
+    lines.append(f"bundle {dirpath}: verdict {VERDICT!r} confirmed")
     return lines
 
 
@@ -571,7 +575,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON file with RunConfig fields")
     p.add_argument("--width", type=float, help="max box width (default 0.02)")
     p.add_argument("--delta", type=float,
-                   help="B0 half-width; 0 disables the excision (default 0.02)")
+                   help="B0 half-width (default 0.02); 'certify all' needs"
+                        " 0.002 < delta < 0.5 for its local window; 0 disables"
+                        " the excision for one region")
     p.add_argument("--truncate-r5", dest="truncate_r5", type=float,
                    help="truncation for unbounded regions (default 10)")
     p.add_argument("--max-depth", dest="max_depth", type=int)

@@ -34,6 +34,7 @@ from starcc.certify import (
     verify_certificate,
     verify_local_certificate,
 )
+from starcc.geometry import DomainError
 from starcc.intervals import Box2, DualBackend, dual_vars
 from starcc import certify, kernel, pool, regions
 from starcc.regions import PairCheck, RegionPlan, cover_arrays, region_def, region_plan
@@ -113,6 +114,17 @@ def test_dropped_leaf_breaks_coverage(j9_cert):
     bad = Certificate.from_payload(payload)
     with pytest.raises(CoverageGap):
         verify_certificate(bad)
+
+
+def test_verifiers_take_only_their_certificate_class(j4_cert, local_cert):
+    # a payload dict or its JSON text is refused: callers parse it with
+    # from_payload first
+    for verify, cert, other in ((verify_certificate, j4_cert, local_cert),
+                                (verify_local_certificate, local_cert, j4_cert)):
+        text = cert.to_json()
+        for raw in (text, json.loads(text), other):
+            with pytest.raises(MalformedCertificate, match="cannot interpret"):
+                verify(raw)
 
 
 def test_wrong_fingerprint_is_rejected(j4_cert):
@@ -652,6 +664,24 @@ def test_budget_exhausted_in_a_worker_matches_the_in_process_run(monkeypatch):
     assert seen[0] == seen[1]
     assert seen[0][0] is BudgetExhausted
     assert seen[0][1].startswith("J1: ")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool needs os.fork")
+def test_certify_all_rejects_the_local_window_before_it_forks(monkeypatch):
+    # the local certificate's window rule fails first whatever the worker
+    # count, so a pool would only make the error wait for running jobs
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(DomainError, match=r"window half-width delta 0\.0 outside"):
+        certify_all(RunConfig(max_box_width=0.1, delta_b0=0.0, threads=2))
+    assert forks == []
 
 
 def _kill_own_worker(k):

@@ -518,6 +518,20 @@ def test_bundle_rejects_dropped_narrowest_j16_leaf(coarse_bundle, tmp_path,
     assert "REJECT" in out and "J16" in out and "holds no leaf" in out
 
 
+@pytest.mark.parametrize("verdict", ["SEVERAL-SOLUTIONS", None])
+def test_bundle_rejects_a_verdict_the_certifier_does_not_write(
+        coarse_bundle, tmp_path, capsys, verdict):
+    # every certificate file verifies; only the manifest's claim is forged
+    forged = _copy(coarse_bundle, tmp_path)
+    manifest = json.loads((forged / "manifest.json").read_text())
+    manifest["verdict"] = verdict
+    (forged / "manifest.json").write_text(json.dumps(manifest))
+    code, out = run(["verify", forged], capsys)
+    assert code == cli.EXIT_VERIFY
+    assert "REJECT" in out and "manifest.json" in out and repr(verdict) in out
+    assert "ACCEPT" not in out
+
+
 @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pool"])
 def test_bundle_rejection_names_the_first_defect_in_region_order(
         coarse_bundle, tmp_path, capsys, monkeypatch, cpus):

@@ -196,8 +196,24 @@ def test_pipeline_loads_no_scipy():
     assert done.stdout.strip() == ""
 
 
-@pytest.mark.parametrize("module", ["certify", "cli", "forces", "geometry",
-                                    "intervals", "kernel", "regions", "solver"])
+# module -> (the starcc modules a fresh import of it loads, exactly, or
+# None; the modules it must not load).  The package itself imports nothing,
+# so a module's import closure is its own dependency graph.
+_IMPORT_CLOSURES = {
+    "starcc": ({"starcc"}, {"numpy"}),
+    "geometry": ({"starcc", "starcc.geometry"}, set()),
+    "intervals": ({"starcc", "starcc.intervals"}, set()),
+    "kernel": ({"starcc", "starcc.geometry", "starcc.kernel"}, set()),
+    "forces": (None, set()),
+    "regions": (None, set()),
+    "pool": (None, set()),
+    "solver": (None, {"starcc.certify", "starcc.regions"}),
+    "certify": (None, {"starcc.solver"}),
+    "cli": (None, set()),
+}
+
+
+@pytest.mark.parametrize("module", sorted(_IMPORT_CLOSURES))
 def test_each_module_imports_in_a_fresh_process(module):
     # an in-process test imports starcc once for the whole session, which
     # can hide an import cycle that a first import of one module trips
@@ -205,6 +221,13 @@ def test_each_module_imports_in_a_fresh_process(module):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", f"import starcc.{module}"],
-                          env=env, capture_output=True, text=True, timeout=120)
+    name = module if module == "starcc" else f"starcc.{module}"
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys, {name}; print(*sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    exactly, never = _IMPORT_CLOSURES[module]
+    if exactly is not None:
+        assert {m for m in loaded if m.split(".")[0] == "starcc"} == exactly
+    assert not loaded & never, sorted(loaded & never)
