@@ -68,7 +68,7 @@ import numpy as np
 from . import kernel
 from .kernel import _BLOCK
 from .forces import residual_vector
-from .geometry import GRID_CAP, DomainError
+from .geometry import GRID_CAP, DomainError, _check_count
 from .intervals import (
     Box2,
     DualBackend,
@@ -147,8 +147,8 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         _check_cuts(self.max_box_width, self.delta_b0, self.truncation)
-        if self.max_depth < 0 or self.threads < 1:
-            raise ValueError("max_depth must be >= 0 and threads >= 1")
+        _check_count("max_depth", self.max_depth)
+        _check_count("threads", self.threads, 1)
         return self
 
 
@@ -226,8 +226,8 @@ def _pair_bounds(check: PairCheck, lo3, hi3, lo5, hi5):
     eng = _MaskedBackend(n)
     radii = kernel.derived_radii(eng, VInterval(lo3, hi3), VInterval(lo5, hi5))
     cache: dict = {}
-    n_lo = kernel.lambda_num(eng, radii, *check.low, d2cache=cache)
-    n_hi = kernel.lambda_num(eng, radii, *check.high, d2cache=cache)
+    n_lo = kernel.lambda_num(eng, radii, *check.low, cache=cache)
+    n_hi = kernel.lambda_num(eng, radii, *check.high, cache=cache)
     q_lo = _broadcast(kernel.lambda_den(eng, radii, *check.low), n)
     q_hi = _broadcast(kernel.lambda_den(eng, radii, *check.high), n)
 
@@ -533,7 +533,7 @@ class Certificate:
             "region": self.region,
             "plan": self.plan,
             **{key: _hex(getattr(self, key)) for key in self._HEXED},
-            "stats": self.stats,
+            "stats": dict(self.stats),  # editing a payload leaves self alone
             "fingerprint": self.fingerprint,
             "leaves": rows,
         }

@@ -19,9 +19,10 @@ r5 = (a/2)(r3 - 1).  On S every body sits at a positive radius on its own
 ray, so no two bodies meet.
 
 This module holds the constants (a, b, the pentagon cosines and sines),
-the DomainError that every float route raises outside S, and the R2
-quasi-random points.  The closure formula, the domain test (in_domain),
-body coordinates and distances are written once, in the kernel module.
+the DomainError that every float route raises outside S (and that
+_check_count raises for a bad count), and the R2 quasi-random points.
+The closure formula, the domain test (in_domain), body coordinates and
+distances are written once, in the kernel module.
 """
 
 from __future__ import annotations
@@ -46,6 +47,13 @@ SIN = (0.0, SIN72, SIN36, -SIN36, -SIN72)
 
 class DomainError(ValueError):
     """Point outside the admissible open domain S (r2 or r4 not positive)."""
+
+
+def _check_count(name: str, value, least: int = 0) -> None:
+    """DomainError naming the field unless value is an integer (not a
+    bool) >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise DomainError(f"{name} {value!r} must be an integer >= {least}")
 
 
 def nz() -> float:

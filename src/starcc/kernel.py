@@ -23,11 +23,15 @@ solver refines it on floats, and the local certificate encloses it on
 vector intervals at (1, 1) and differentiates it on interval jets.
 
 Each lambda_ik touches only the four distances r_ij (j != i); the kernel
-computes exactly those (lazily, cached per call site), from coordinates
-computed once per body and call.  That matters: at isolated closure
+computes exactly those, on first use.  That matters: at isolated closure
 corners two *other* bodies can collide (e.g. bodies 2 and 4 both at the
 origin when r2 = r4 = 0), and an eager all-pairs distance pass would
-evaluate 1/r_24^3 there for no reason.
+evaluate 1/r_24^3 there for no reason.  The lambdas of one evaluation,
+one (r3, r5) on one backend, share a cache: each body's coordinates and
+each r_ij^(-3) are computed once, so x^(-3/2), the costliest interval
+operation, runs once per distance rather than once per lambda.  A cached
+value comes from the same operations on the same operands, so sharing
+changes no bit; a cache is valid for its own (r3, r5) only.
 
 The closure radii r2, r4 (derived_radii) are also the domain test:
 in_domain checks r3, r5 finite and > 0 and r2, r4 > 0 with these
@@ -102,31 +106,28 @@ def dist2(bk, radii, i, j):
     return bk.sq(dx) + bk.sq(dy)
 
 
-def lambda_num(bk, radii, i, k, d2cache=None):
+def lambda_num(bk, radii, i, k, cache=None):
     """Numerator N_ik = sum over the four j != i of (q_ik - q_jk)/r_ij^3.
 
-    Body i's coordinates are computed once, and each j's serve both r_ij^2
-    (the same operations as dist2) and the term; a distance found in
-    d2cache needs only q_jk.  Coordinates are not kept across calls: a
-    cache shared by the lambdas of one evaluation holds ten more arrays
-    alive, which raises the float scan's peak memory for no speed."""
-    xi, yi = coordinate(bk, radii, i, 1), coordinate(bk, radii, i, 2)
-    qik = xi if k == 1 else yi
+    cache holds what the lambdas of one evaluation share: each body's
+    coordinates (key j) and each r_ij^(-3) (key (i, j), i < j), computed on
+    first use by the same operations as without a cache, so a shared cache
+    changes no bit.  It is valid for one (r3, r5) and one backend only."""
+    if cache is None:
+        cache = {}
+    for j in range(1, 6):  # N_ik reads every body
+        if j not in cache:
+            cache[j] = (coordinate(bk, radii, j, 1), coordinate(bk, radii, j, 2))
+    qi = cache[i]
     total = None
     for j in range(1, 6):
         if j == i:
             continue
+        qj = cache[j]
         key = (min(i, j), max(i, j))
-        if d2cache is not None and key in d2cache:
-            d2 = d2cache[key]
-            qjk = coordinate(bk, radii, j, k)
-        else:
-            xj, yj = coordinate(bk, radii, j, 1), coordinate(bk, radii, j, 2)
-            d2 = bk.sq(xi - xj) + bk.sq(yi - yj)
-            if d2cache is not None:
-                d2cache[key] = d2
-            qjk = xj if k == 1 else yj
-        term = (qik - qjk) * bk.powneg32(d2)
+        if key not in cache:
+            cache[key] = bk.powneg32(bk.sq(qi[0] - qj[0]) + bk.sq(qi[1] - qj[1]))
+        term = (qi[k - 1] - qj[k - 1]) * cache[key]
         total = term if total is None else total + term
     return total
 
@@ -136,16 +137,16 @@ def lambda_den(bk, radii, i, k):
     return coordinate(bk, radii, i, k)
 
 
-def lambda_quot(bk, r3, r5, i, k, d2cache=None):
+def lambda_quot(bk, r3, r5, i, k, cache=None):
     """lambda_ik = N_ik / q_ik.  Caller guarantees q_ik is invertible."""
     radii = derived_radii(bk, r3, r5)
-    return lambda_num(bk, radii, i, k, d2cache) / lambda_den(bk, radii, i, k)
+    return lambda_num(bk, radii, i, k, cache) / lambda_den(bk, radii, i, k)
 
 
-def y1_num(bk, r3, r5, d2cache=None):
+def y1_num(bk, r3, r5, cache=None):
     """Body-1 y-equation numerator (q_12 = 0, so no quotient exists)."""
     radii = derived_radii(bk, r3, r5)
-    return lambda_num(bk, radii, 1, 2, d2cache)
+    return lambda_num(bk, radii, 1, 2, cache)
 
 
 # The pairs of F, well-conditioned at the pentagon point (1, 1); a pair
@@ -155,7 +156,7 @@ LOCAL_PAIRS = (((1, 1), (3, 1)), ((1, 1), (5, 1)))
 
 def local_gaps(bk, r3, r5):
     """F(r3, r5): lambda_a - lambda_b for each (a, b) in LOCAL_PAIRS, from
-    one set of radii and one distance cache shared by the three lambdas."""
+    one set of radii and one cache shared by the three lambdas."""
     radii = derived_radii(bk, r3, r5)
     cache: dict = {}
     lam = {}

@@ -261,10 +261,13 @@ class Region:
         return min(c.boundary_distance(r3, r5) for c in self.constraints)
 
     def boxes_outside_closure(self, lo3, hi3, lo5, hi5) -> np.ndarray:
-        """Boolean array marking boxes certainly disjoint from closure(region)."""
+        """Boolean array marking boxes certainly disjoint from closure(region).
+
+        The r3 and r5 edges broadcast against each other, and so does the
+        result: a column of r3 edges and a row of r5 edges mark a grid."""
         r3_iv = VInterval(np.asarray(lo3), np.asarray(hi3))
         r5_iv = VInterval(np.asarray(lo5), np.asarray(hi5))
-        out = np.zeros(np.asarray(lo3).shape, dtype=bool)
+        out = np.zeros(np.broadcast_shapes(r3_iv.lo.shape, r5_iv.lo.shape), dtype=bool)
         for c in self.constraints:
             out |= c.certainly_outside_closure(r3_iv, r5_iv)
         return out
@@ -431,21 +434,27 @@ def cover_arrays(
 ):
     """Boxes covering closure(region) minus the open excised square.
 
-    Returns (lo3, hi3, lo5, hi5) arrays.  Boxes are kept unless they
-    certainly miss the region closure (conservative interval test), so the
-    union always covers the region; boxes may overhang a slanted boundary
-    by less than one cell.  delta=None excises nothing, which is what a
-    certificate recording no delta_b0 claims.  An unbounded region needs
-    a truncation (TruncationRequired otherwise); a bounded one ignores it.
+    Returns (lo3, hi3, lo5, hi5) arrays, r3-major.  Boxes are kept unless
+    they certainly miss the region closure (conservative interval test),
+    so the union always covers the region; boxes may overhang a slanted
+    boundary by less than one cell.  delta=None excises nothing, which is
+    what a certificate recording no delta_b0 claims.  An unbounded region
+    needs a truncation (TruncationRequired otherwise); a bounded one
+    ignores it.
+
+    The closure and excision tests run on the grid's edge vectors, r3 as
+    a column and r5 as a row, so a coefficient times an edge is computed
+    once per column or row and only the sums run per cell; the per-cell
+    operations are the same, so every bit is the one a test of each cell
+    on its own gives.  Only the kept cells' edges are gathered.
     """
     reg = region_def(rid)
     r3lo, r3hi, r5lo, r5hi = reg.bbox(truncation)
     s3, s5 = _region_snaps(rid, delta)
     e3 = _snap_edges(r3lo, r3hi, max_box_width, s3)
     e5 = _snap_edges(r5lo, r5hi, max_box_width, s5)
-    lo3, lo5 = np.meshgrid(e3[:-1], e5[:-1], indexing="ij")
-    hi3, hi5 = np.meshgrid(e3[1:], e5[1:], indexing="ij")
-    lo3, hi3, lo5, hi5 = (a.ravel() for a in (lo3, hi3, lo5, hi5))
+    lo3, hi3 = e3[:-1, None], e3[1:, None]
+    lo5, hi5 = e5[None, :-1], e5[None, 1:]
     keep = ~reg.boxes_outside_closure(lo3, hi3, lo5, hi5)
     if _excises(rid, delta):
         inside_b0 = (
@@ -453,7 +462,8 @@ def cover_arrays(
             & (lo5 >= 1.0 - delta) & (hi5 <= 1.0 + delta)
         )
         keep &= ~inside_b0
-    return lo3[keep], hi3[keep], lo5[keep], hi5[keep]
+    i3, i5 = np.nonzero(keep)
+    return e3[i3], e3[i3 + 1], e5[i5], e5[i5 + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 import time
 from dataclasses import dataclass
@@ -53,7 +52,7 @@ import numpy as np
 
 from . import kernel
 from .forces import residual_vector
-from .geometry import DomainError, quasi_points
+from .geometry import DomainError, _check_count, quasi_points
 from .kernel import _BLOCK, in_domain
 from .pool import _fan_out, _worker_count
 
@@ -227,12 +226,6 @@ def _lockstep_on_pool(r3, r5, tol, max_iter):
             for a, b in zip(np.array_split(r3, n), np.array_split(r5, n))]
     parts = list(_fan_out(_newton_lockstep, jobs, n, lambda job: job[0].size))
     return tuple(np.concatenate(col) for col in zip(*(p[:5] for p in parts)))
-
-
-def _check_count(name: str, value) -> None:
-    """DomainError unless value is an integer (not a bool) >= 0."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise DomainError(f"{name} {value!r} must be an integer >= 0")
 
 
 def _check_budget(tol, max_iter) -> None:

@@ -35,7 +35,7 @@ from starcc.certify import (
     verify_local_certificate,
 )
 from starcc.geometry import DomainError
-from starcc.intervals import Box2, DualBackend, dual_vars
+from starcc.intervals import Box2, Dual, DualBackend, VectorBackend, VInterval, dual_vars
 from starcc import certify, kernel, pool, regions
 from starcc.regions import PairCheck, RegionPlan, cover_arrays, region_def, region_plan
 
@@ -158,7 +158,7 @@ def test_tiny_budget_exhausts():
 
 
 def test_grid_beyond_the_box_cap_is_refused_before_it_is_built():
-    # a far cut or a tiny width would ask numpy for a meshgrid of gigabyte
+    # a far cut or a tiny width would ask numpy for a cell grid of gigabyte
     # size; an infinite cut is out of the range rule before cells count
     with pytest.raises(BudgetExhausted, match="cells"):
         certify_inequality("J15", max_box_width=0.1, truncation=1e7)
@@ -445,6 +445,11 @@ def test_extra_leaf_outside_the_closure_is_a_coverage_gap(j4_cert):
         _replay(cover, extra, reg.boxes_outside_closure, "J4")
 
 
+def test_editing_a_payload_leaves_the_certificate_alone(j4_cert):
+    j4_cert.to_payload()["stats"].pop("wall_seconds")
+    assert "wall_seconds" in j4_cert.stats
+
+
 @pytest.mark.parametrize("field, value", [
     ("max_box_width", (1e-6).hex()),  # a grid far larger than the leaf set
     ("truncation", (10.0).hex()),     # J4 is bounded
@@ -622,6 +627,51 @@ def test_certify_all_is_independent_of_the_thread_count(manifest_two_threads):
     assert one.local.to_json() == two.local.to_json()
 
 
+# sha256 of each piece of the width-0.1 bundle (a region's payload without
+# stats.wall_seconds, and local.to_json()), taken before the cover tested
+# its grid on edge vectors and the kernel cache held r_ij^(-3)
+BUNDLE_PINS = {
+    "J1": "6177d060972189395e1226997b60900b1aba2db12fc229d87ecaf9a9753132a2",
+    "J2": "184fbe340d58aabc39d208d1572619a1efc4c40ed2aa483b92ffae310cda5719",
+    "J3": "059b55a722863e5e6ba17d2c567dafcb6adad59a6ff0e09a78fd8ea1959a78a7",
+    "J4": "b0858dc305a0a19fc716071136b79d8a6cc1469427aac77562a670e7ec04879c",
+    "J5": "1ccd6a84a57c67dbe2ac42bee0f90eafcbaacdd020aabd0d50940d7bd57b2e55",
+    "J6": "d4bed46d0918bb492c9a14baf6458851eee869b1b46f1d630dedef80a1f3e2dd",
+    "J7": "be38997a1ddea0182bce7b2fc277302fac154cfa333ada12f62fc6d3c2f50c21",
+    "J8": "a15408a8791232fced274b4a2cc4d8fd087e4b3a7b65d4ea021df4fba3ebd317",
+    "J9": "8be22a9bf14fbb39468fab901619074806f00b2a857a54e2f38ecdf2306341d3",
+    "J10": "d85b22b3705b89cd182204e90a0653c1401a4411f559eac1042ea0aed24a0e0d",
+    "J11": "49cdd4d83bdae711a717e7c7f71b51da360b0a0fcc6bb50c351682727bcb52c7",
+    "J12": "02eb03173bedc56c543cb0ea6a8804c11b6dee5eb218b99b215d052ebfbb291e",
+    "J13": "5969a78b99210494f01759f043bfebbe166aacaf5027786fe1ec5a1b8509240b",
+    "J14": "348e3f0a623ebefd28e3027ee724fc2d7b959895ae737ca4c60930cd284ed33a",
+    "J15": "7dc16636ee4b3fb61bdb4115e5a000d681564c8f9625a1edf7739235e41d77ed",
+    "J16": "049bf738882405f8babc4dce84c16fe6b1d278c1af00aac4ed51ba9e8dadb33c",
+    "local": "b9b9397a0825d752e781141d47530ae44999ce6f090daad51e4de0ca0721e552",
+}
+
+
+def test_every_piece_of_the_bundle_is_pinned(manifest_two_threads):
+    got = {}
+    for rid, cert in manifest_two_threads.certificates.items():
+        payload = cert.to_payload()
+        payload["stats"].pop("wall_seconds")
+        got[rid] = _sha256(payload)
+    got["local"] = hashlib.sha256(manifest_two_threads.local.to_json().encode()).hexdigest()
+    assert got == BUNDLE_PINS
+
+
+@pytest.mark.parametrize("field, value", [
+    ("threads", 2.5), ("threads", True), ("threads", "2"),
+    ("max_depth", 2.5), ("max_depth", True), ("max_depth", -1),
+])
+def test_run_config_rejects_a_bad_count(field, value):
+    # unchecked, a float thread count fails inside the pool, True runs and
+    # is recorded in the manifest, and a float depth becomes the budget
+    with pytest.raises(DomainError, match=field):
+        RunConfig(**{field: value}).validate()
+
+
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(delta_b0=0.7).validate()
@@ -746,6 +796,63 @@ def test_blocked_bounds_equal_one_kernel_call(rid, size):
     assert np.array_equal(got[2], want[2])
     if rid == "J1":
         assert np.all(got[2][certify._BLOCK - 3 : certify._BLOCK + 3] == "c")
+
+
+def _index_groups():
+    """The lambdas one evaluation shares a cache between: each plan check's
+    (low, high), F's three, and all nine with y1 (as residual_vector)."""
+    groups = []
+    for rid in regions.REGION_IDS:
+        plan = region_plan(rid)
+        groups += [(c.low, c.high) for c in (plan.main,) + tuple(z.check for z in plan.zones)]
+    groups.append(tuple(sorted({idx for pair in kernel.LOCAL_PAIRS for idx in pair})))
+    groups.append(kernel.LAMBDA_INDICES + ((1, 2),))
+    return groups
+
+
+def _bits(v) -> bytes:
+    """Every bit of a kernel value on any backend."""
+    if isinstance(v, Dual):
+        return b"".join(_bits(p) for p in (v.v, v.d3, v.d5))
+    if isinstance(v, VInterval):
+        return v.lo.tobytes() + v.hi.tobytes()
+    return np.asarray(v, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("backend", ["float", "float-scalar", "vector", "masked", "dual"])
+def test_a_shared_kernel_cache_changes_no_bit(backend):
+    if backend == "masked":
+        # J1's cover without an excision reaches the collision corner
+        # (0, 0), where r_35 touches zero; J4's reaches (b/2, 0)
+        lanes = [np.concatenate(a) for a in zip(cover_arrays("J1", 0.05, None, None),
+                                                cover_arrays("J4", 0.05, None, None))]
+    else:
+        lanes = cover_arrays("J16", 0.05, None, None)
+    box = Box2(VInterval(lanes[0], lanes[1]), VInterval(lanes[2], lanes[3]))
+    n = lanes[0].size
+    make = {
+        "float": lambda: kernel.FloatBackend,
+        "float-scalar": lambda: kernel.FloatBackend,
+        "vector": VectorBackend,
+        "masked": lambda: certify._MaskedBackend(n),
+        "dual": DualBackend,
+    }[backend]
+    point = {"float": (box.r3.mid(), box.r5.mid()), "float-scalar": (1.1, 1.2),
+             "dual": dual_vars(box)}.get(backend, box)
+    radii = kernel.derived_radii(make(), *point)
+    for group in _index_groups():
+        shared, cache = make(), {}
+        alone_bad = np.zeros(n, dtype=bool)
+        for idx in group:
+            got = kernel.lambda_num(shared, radii, *idx, cache)
+            alone = make()
+            assert _bits(got) == _bits(kernel.lambda_num(alone, radii, *idx)), (group, idx)
+            if backend == "masked":
+                alone_bad |= alone.bad
+        if backend == "masked":
+            assert np.array_equal(shared.bad, alone_bad), group
+    if backend == "masked":
+        assert shared.bad.any() and not shared.bad.all()
 
 
 def test_importing_starcc_loads_no_pool_machinery():

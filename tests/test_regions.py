@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from starcc.certify import plan_signature
+from starcc import regions
 from starcc.geometry import A, B
 from starcc.regions import (
     CORNER_ZONE_SIDE,
@@ -110,6 +111,38 @@ def test_cover_excises_b0_where_applicable():
         inside_b0 = ((lo3 >= 1.0 - DELTA_B0) & (hi3 <= 1.0 + DELTA_B0)
                      & (lo5 >= 1.0 - DELTA_B0) & (hi5 <= 1.0 + DELTA_B0))
         assert not np.any(inside_b0)
+
+
+def _per_cell_cover(rid, max_box_width, truncation, delta):
+    """cover_arrays as it was before it tested the grid on its edge vectors:
+    every cell of the bounding-box grid on its own, in meshgrid order."""
+    reg = region_def(rid)
+    r3lo, r3hi, r5lo, r5hi = reg.bbox(truncation)
+    s3, s5 = regions._region_snaps(rid, delta)
+    e3 = regions._snap_edges(r3lo, r3hi, max_box_width, s3)
+    e5 = regions._snap_edges(r5lo, r5hi, max_box_width, s5)
+    lo3, lo5 = np.meshgrid(e3[:-1], e5[:-1], indexing="ij")
+    hi3, hi5 = np.meshgrid(e3[1:], e5[1:], indexing="ij")
+    lo3, hi3, lo5, hi5 = (a.ravel() for a in (lo3, hi3, lo5, hi5))
+    keep = ~reg.boxes_outside_closure(lo3, hi3, lo5, hi5)
+    if regions._excises(rid, delta):
+        inside_b0 = (
+            (lo3 >= 1.0 - delta) & (hi3 <= 1.0 + delta)
+            & (lo5 >= 1.0 - delta) & (hi5 <= 1.0 + delta)
+        )
+        keep &= ~inside_b0
+    return lo3[keep], hi3[keep], lo5[keep], hi5[keep]
+
+
+@pytest.mark.parametrize("width", [0.1, 0.05])
+@pytest.mark.parametrize("truncation", [10.0, 40.0])
+@pytest.mark.parametrize("delta", [DELTA_B0, None])
+def test_edge_vector_cover_equals_the_per_cell_cover(width, truncation, delta):
+    for rid in REGION_IDS:
+        got = cover_arrays(rid, width, truncation, delta)
+        want = _per_cell_cover(rid, width, truncation, delta)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), rid
 
 
 def routed(plan, *box):
