@@ -97,6 +97,7 @@ VERDICT = "UNIQUE-IN-WINDOW"
 
 FORM_QUOTIENT = "q"
 FORM_CLEARED = "c"
+_REGION_FORMS = (FORM_QUOTIENT, FORM_CLEARED)
 
 
 class BudgetExhausted(RuntimeError):
@@ -437,9 +438,15 @@ def _json_with(payload: dict, key: str, text: str) -> str:
     ) + "}"
 
 
-def _parse_leaf_rows(rows):
+def _parse_leaf_rows(rows, alphabet):
     """Inverse of _leaf_rows: the (lo3, hi3, lo5, hi5, forms, bounds)
-    arrays of the rows."""
+    arrays of the rows.  ValueError naming the first row that is not six
+    entries with a form in alphabet: the arrays would drop the rest."""
+    for j, r in enumerate(rows):
+        if type(r) is not list or len(r) != 6 or r[4] not in alphabet:
+            raise ValueError(
+                f"row {j} is not [r3_lo, r3_hi, r5_lo, r5_hi, form, bound]"
+                f" with form in {alphabet}: {r!r:.200}")
     fh = float.fromhex
     lo3, hi3, lo5, hi5 = (np.array([fh(r[i]) for r in rows]) for i in range(4))
     forms = np.array([r[4] for r in rows], dtype="<U2")
@@ -466,10 +473,11 @@ def _unhex(v):
     return float.fromhex(v)
 
 
-def _decode(cls, d: dict, kind: str, rows_key: str, plain):
+def _decode(cls, d: dict, kind: str, rows_key: str, alphabet, plain):
     """The cls certificate of payload d: the cls._HEXED fields through
-    _unhex, the rows under rows_key as the cls._LEAVES arrays, and the
-    fields plain(d) gives as they are.  Raises MalformedCertificate."""
+    _unhex, the rows under rows_key as the cls._LEAVES arrays (every form
+    in alphabet), and the fields plain(d) gives as they are.  Raises
+    MalformedCertificate."""
     try:
         if d["format"] != FORMAT_VERSION or d["kind"] != kind:
             raise MalformedCertificate(
@@ -477,7 +485,7 @@ def _decode(cls, d: dict, kind: str, rows_key: str, plain):
             )
         return cls(
             **{key: _unhex(d[key]) for key in cls._HEXED},
-            **dict(zip(cls._LEAVES, _parse_leaf_rows(d[rows_key]))),
+            **dict(zip(cls._LEAVES, _parse_leaf_rows(d[rows_key], alphabet))),
             **plain(d),
         )
     except MalformedCertificate:
@@ -540,7 +548,7 @@ class Certificate:
 
     @staticmethod
     def from_payload(d: dict) -> "Certificate":
-        return _decode(Certificate, d, "inequality", "leaves", lambda d: {
+        return _decode(Certificate, d, "inequality", "leaves", _REGION_FORMS, lambda d: {
             "region": d["region"],
             "plan": d["plan"],
             "stats": dict(d.get("stats", {})),
@@ -806,7 +814,7 @@ class LocalUniquenessCertificate:
     @staticmethod
     def from_payload(d: dict) -> "LocalUniquenessCertificate":
         return _decode(LocalUniquenessCertificate, d, "local-uniqueness", "annulus",
-                       lambda d: {
+                       _ANNULUS_FORMS, lambda d: {
                            "pair_map": tuple(d["pair_map"]),
                            "subdivision": d["subdivision"],
                            "fingerprint": d["fingerprint"],
@@ -871,8 +879,11 @@ def _contraction_evidence(inner_delta: float, subdivision: int):
     }
 
 
-# PairCheck(low, high) certifies the gap lambda_high - lambda_low
+# PairCheck(low, high) certifies the gap lambda_high - lambda_low; an
+# annulus leaf's form "k+" / "k-" says gap component k is positive / negative
 _ANNULUS_CHECKS = tuple(PairCheck(low=b, high=a) for a, b in kernel.LOCAL_PAIRS)
+_ANNULUS_FORMS = tuple(f"{k}{sign}" for k in range(1, len(_ANNULUS_CHECKS) + 1)
+                       for sign in "+-")
 
 
 def _annulus_batch(lo3, hi3, lo5, hi5):
@@ -882,9 +893,9 @@ def _annulus_batch(lo3, hi3, lo5, hi5):
     n = lo3.size
     comp = np.full(n, "", dtype="<U2")
     bound = np.zeros(n)
-    for k, check in enumerate(_ANNULUS_CHECKS, 1):
+    for k, check in enumerate(_ANNULUS_CHECKS):
         glo, ghi, _ = _pair_bounds(check, lo3, hi3, lo5, hi5)
-        for code, val in ((f"{k}+", glo), (f"{k}-", -ghi)):
+        for code, val in zip(_ANNULUS_FORMS[2 * k:2 * k + 2], (glo, -ghi)):
             pick = (comp == "") & (val > 0.0)
             comp[pick] = code
             bound[pick] = val[pick]

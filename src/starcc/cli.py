@@ -30,6 +30,7 @@ import numpy as np
 
 from . import kernel
 from .certify import (
+    FORMAT_VERSION,
     VERDICT,
     BudgetExhausted,
     Certificate,
@@ -51,7 +52,7 @@ from .forces import (
     lambda_component,
     residual_vector,
 )
-from .geometry import GRID_CAP, DomainError
+from .geometry import GRID_CAP, DomainError, _check_tolerance
 from .pool import _fan_out
 from .regions import REGION_IDS, TRUNCATION_R5, region_def, region_plan
 from .solver import grid_scan
@@ -170,8 +171,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_hessian(args) -> int:
-    if not (np.isfinite(args.tol) and args.tol > 0):
-        raise DomainError(f"tolerance {args.tol} must be finite and > 0")
+    _check_tolerance(args.tol)
     h = hessian_measure((1.0, 1.0), h=args.step, richardson=not args.no_richardson)
     det = float(np.linalg.det(h))
     targets = HESSIAN_CLOSED_FORM
@@ -223,6 +223,11 @@ def _print_region_row(cert: Certificate) -> None:
           f"  min_gap {cert.min_bound:.6e}  {s['wall_seconds']:7.2f}s")
 
 
+def _scope(delta: float, truncation: float) -> str:
+    """What a bundle's verdict covers: its r5 cut and window half-width."""
+    return f"r5 <= {truncation:g}, window delta {delta:g}"
+
+
 def cmd_certify(args) -> int:
     target = args.target
     if target != "all" and target not in REGION_IDS:
@@ -246,7 +251,8 @@ def cmd_certify(args) -> int:
               f" containment margin {loc.containment_margin:.4e},"
               f" residual {loc.posteriori_residual:.2e},"
               f" annulus leaves {loc.ann_lo3.size}")
-        print(f"verdict: {manifest.verdict}  ({manifest.wall_seconds:.2f}s total,"
+        print(f"verdict: {manifest.verdict}  ({_scope(cfg.delta_b0, cfg.truncation)};"
+              f" {manifest.wall_seconds:.2f}s total,"
               f" fingerprint {manifest.fingerprint[:16]})")
         print(f"bundle written to {outdir}")
         return 0
@@ -374,9 +380,10 @@ def _verify_bundle(dirpath: str) -> List[str]:
     summary = _load_payload(manifest_path)
     if summary.get("kind") != "manifest":
         raise MalformedCertificate(f"{manifest_path}: not a manifest")
-    if summary.get("verdict") != VERDICT:
-        raise MalformedCertificate(
-            f"{manifest_path}: verdict {summary.get('verdict')!r} is not {VERDICT!r}")
+    for key, want in (("format", FORMAT_VERSION), ("verdict", VERDICT)):
+        if summary.get(key) != want:
+            raise MalformedCertificate(
+                f"{manifest_path}: {key} {summary.get(key)!r} is not {want!r}")
     delta, truncation = _manifest_cuts(manifest_path, summary)
     pieces = REGION_IDS + ("local",)
     jobs = [(os.path.join(dirpath, f"{p}.json"), p, delta, truncation) for p in pieces]
@@ -398,7 +405,8 @@ def _verify_bundle(dirpath: str) -> List[str]:
             lines.append(f"ACCEPT {rid}: min_gap {min_bound:.6e}, {leaves} leaves")
         margin, annulus = next(results)
     lines.append(f"ACCEPT local: margin {margin:.4e}, {annulus} annulus leaves")
-    lines.append(f"bundle {dirpath}: verdict {VERDICT!r} confirmed")
+    lines.append(f"bundle {dirpath}: verdict {VERDICT!r} confirmed"
+                 f" ({_scope(delta, truncation)})")
     return lines
 
 

@@ -1,5 +1,5 @@
-"""Potential, moment of inertia, configuration measure, and the reduced
-force-balance functions lambda_ik / y1, all in floats.
+"""Potential, moment of inertia, configuration measure and its Hessian,
+and the reduced force-balance functions lambda_ik / y1, all in floats.
 
 Every function takes a point p = (r3, r5) of the open domain S and
 evaluates through the kernel with its float backend: _radii closes the
@@ -106,15 +106,6 @@ def lambda_component(idx, p) -> float:
     return _quotient(_radii(p), i, k)
 
 
-def y1_residual(p) -> float:
-    """Numerator of the body-1 y equation, -sum_{j!=1} q_j2 / r_1j^3.
-
-    There is no quotient for (1,2) because q_12 = 0 identically; a central
-    configuration must make this numerator vanish outright.
-    """
-    return kernel.lambda_num(_BK, _radii(p), 1, 2)
-
-
 @dataclass(frozen=True)
 class ResidualVector:
     """All nine lambda values, the y1 numerator, and the lambda spread."""
@@ -128,7 +119,8 @@ class ResidualVector:
 
 
 def residual_vector(p) -> ResidualVector:
-    """Evaluate the full system: nine lambdas, y1, and max-min spread."""
+    """Evaluate the full system: nine lambdas, y1 (the body-1 y numerator
+    -sum_{j!=1} q_j2 / r_1j^3, with no quotient as q_12 = 0), and spread."""
     radii = _radii(p)
     cache = {}
     values = {(i, k): _quotient(radii, i, k, cache)
@@ -136,21 +128,6 @@ def residual_vector(p) -> ResidualVector:
     y1 = kernel.lambda_num(_BK, radii, 1, 2, cache)
     spread = max(values.values()) - min(values.values())
     return ResidualVector(values, y1, spread)
-
-
-def _central_gradient(p, h):
-    r3, r5 = float(p[0]), float(p[1])
-    g3 = (config_measure((r3 + h, r5)) - config_measure((r3 - h, r5))) / (2 * h)
-    g5 = (config_measure((r3, r5 + h)) - config_measure((r3, r5 - h))) / (2 * h)
-    return np.array([g3, g5])
-
-
-def gradient_measure(p, h: float = 1e-4, richardson: bool = True) -> np.ndarray:
-    """Finite-difference gradient of config_measure; Richardson-extrapolated
-    (steps h and h/2) by default, which removes the O(h^2) truncation term."""
-    if richardson:
-        return (4.0 * _central_gradient(p, h / 2) - _central_gradient(p, h)) / 3.0
-    return _central_gradient(p, h)
 
 
 def _central_hessian(p, h):

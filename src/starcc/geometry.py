@@ -20,7 +20,8 @@ ray, so no two bodies meet.
 
 This module holds the constants (a, b, the pentagon cosines and sines),
 the DomainError that every float route raises outside S (and that
-_check_count raises for a bad count), and the R2 quasi-random points.
+_check_count and _check_tolerance raise for a bad count or tolerance),
+and the R2 quasi-random points.
 The closure formula, the domain test (in_domain), body coordinates and
 distances are written once, in the kernel module.
 """
@@ -56,6 +57,12 @@ def _check_count(name: str, value, least: int = 0) -> None:
         raise DomainError(f"{name} {value!r} must be an integer >= {least}")
 
 
+def _check_tolerance(tol) -> None:
+    """DomainError unless tol is finite and > 0."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tolerance {tol} must be finite and > 0")
+
+
 def nz() -> float:
     """The distinguished zeta value 4(b-1)/(2-b); algebraically equal to b."""
     return 4.0 * (B - 1.0) / (2.0 - B)
@@ -79,13 +86,14 @@ def quasi_points(n: int, seed: int) -> np.ndarray:
     Point k (k = 1..n) is frac(shift + k * (1/rho, 1/rho^2)) with rho the
     plastic number and shift = np.random.default_rng(seed).random(2).  The
     points depend only on (k, seed), so a longer run extends a shorter one.
-    Scan starts and the partition audit draw from here.  Raises ValueError
-    unless n is an integer (not a bool) with 0 <= n <= GRID_CAP.
+    Scan starts and the partition audit draw from here.  Raises
+    DomainError (a ValueError) unless n and seed are integers >= 0 (not
+    bools, _check_count) and n <= GRID_CAP.
     """
-    if (isinstance(n, bool) or not isinstance(n, numbers.Integral)
-            or not 0 <= n <= GRID_CAP):
-        raise ValueError(
-            f"{n!r} quasi-random points asked for; need an integer in 0..{GRID_CAP}")
+    _check_count("point count", n)
+    _check_count("seed", seed)
+    if n > GRID_CAP:
+        raise DomainError(f"{n} quasi-random points asked for; at most {GRID_CAP}")
     shift = np.random.default_rng(seed).random(2)
     k = np.arange(1, int(n) + 1, dtype=float)[:, None]
     return (shift + k * _R2_STEP) % 1.0

@@ -503,7 +503,8 @@ def partition_audit(samples: int, window=None, seed: int = 0) -> PartitionReport
 
     Multi-membership points within BOUNDARY_FUZZ of a region boundary are
     expected (shared closed edges); interior multiples indicate a genuine
-    region overlap and are surfaced as anomalies.
+    region overlap and are surfaced as anomalies.  quasi_points raises
+    DomainError unless samples and seed are integers >= 0.
     """
     if window is None:
         t = TRUNCATION_R5

@@ -36,27 +36,28 @@ bundle verifier, runs its lanes in contiguous chunks, one per worker, with
 at least _LANES_PER_WORKER (= _BLOCK) lanes per worker and no more workers
 than CPUs, and joins them in order (_lockstep_on_pool).  A smaller scan, or
 one on one CPU, forks nothing; the report does not depend on the CPU
-count.  newton_refine always runs in process.
+count.  grid_scan is the module's one entry point; every lane gets the
+fixed budget of MAX_ITER Newton iterations.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from . import kernel
 from .forces import residual_vector
-from .geometry import DomainError, _check_count, quasi_points
+from .geometry import DomainError, _check_tolerance, quasi_points
 from .kernel import _BLOCK, in_domain
 from .pool import _fan_out, _worker_count
 
 MERGE_RADIUS = 1e-6
+MAX_ITER = 60  # Newton iterations per scan lane
 FD_SCALE = 1e-7
 MAX_HALVINGS = 30
 _MERIT_BLOWUP = 1e8
@@ -68,18 +69,6 @@ _LANES_PER_WORKER = _BLOCK
 
 # Lane status codes used by the lockstep core.
 _RUNNING, _CONVERGED, _DIVERGED, _LEFT_DOMAIN, _MAX_ITER = 0, 1, 2, 3, 4
-
-
-class Diverged(RuntimeError):
-    """Residual blew up, hit a singular Jacobian, or damping stalled."""
-
-
-class LeftDomain(RuntimeError):
-    """Every damped step out of the current iterate exits the domain."""
-
-
-class MaxIterations(RuntimeError):
-    """Iteration budget exhausted before the residual tolerance."""
 
 
 def _square_residual(r3, r5):
@@ -114,20 +103,18 @@ def _fd_jacobian(r3, r5):
     return j11, j12, j21, j22
 
 
-def _newton_lockstep(r3, r5, tol, max_iter, trace=False):
-    """Damped Newton on all lanes at once.
+def _newton_lockstep(r3, r5, tol, max_iter):
+    """Damped Newton on all lanes at once, at most max_iter iterations.
 
-    Returns (r3, r5, status, iterations, merit, history); history is a
-    list of per-iteration (r3, r5) snapshots when trace is on, else None.
-    Retired lanes keep their final values, so later snapshots of a
-    converged lane just repeat the root.
+    Returns (r3, r5, status, iterations, merit).  Retired lanes keep their
+    final values; a lane still running after max_iter iterations retires
+    as _MAX_ITER holding its max_iter-th iterate.
     """
     r3 = np.array(r3, dtype=float, copy=True)
     r5 = np.array(r5, dtype=float, copy=True)
     n = r3.size
     status = np.full(n, _RUNNING, dtype=np.int8)
     iterations = np.zeros(n, dtype=np.int64)
-    history: Optional[List[Tuple[np.ndarray, np.ndarray]]] = [] if trace else None
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         f1, f2 = _square_residual(r3, r5)
@@ -208,13 +195,11 @@ def _newton_lockstep(r3, r5, tol, max_iter, trace=False):
             f1[upd] = newf1[moved]
             f2[upd] = newf2[moved]
             merit[upd] = newm[moved]
-            if trace:
-                history.append((r3.copy(), r5.copy()))
 
-    return r3, r5, status, iterations, merit, history
+    return r3, r5, status, iterations, merit
 
 
-def _lockstep_on_pool(r3, r5, tol, max_iter):
+def _lockstep_on_pool(r3, r5, tol):
     """_newton_lockstep's (r3, r5, status, iterations, merit) for the lanes
     r3, r5, computed in contiguous chunks on the shared pool.
 
@@ -222,72 +207,10 @@ def _lockstep_on_pool(r3, r5, tol, max_iter):
     and with one the lanes run in this process.  The chunks are joined in
     order; the lanes are independent, so the bits equal one call's."""
     n = _worker_count(os.cpu_count() or 1, r3.size // _LANES_PER_WORKER)
-    jobs = [(a, b, tol, max_iter)
+    jobs = [(a, b, tol, MAX_ITER)
             for a, b in zip(np.array_split(r3, n), np.array_split(r5, n))]
     parts = list(_fan_out(_newton_lockstep, jobs, n, lambda job: job[0].size))
-    return tuple(np.concatenate(col) for col in zip(*(p[:5] for p in parts)))
-
-
-def _check_budget(tol, max_iter) -> None:
-    """DomainError unless tol is finite and > 0 and max_iter is an integer
-    >= 0: a nan or negative tol converges nothing, and a negative budget
-    retires no lane at all."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError(f"tolerance {tol} must be finite and > 0")
-    _check_count("max_iter", max_iter)
-
-
-@dataclass(frozen=True)
-class RefinedRoot:
-    """One Newton outcome, with the full-system acceptance verdict."""
-
-    r3: float
-    r5: float
-    iterations: int
-    square_residual: float
-    spread: float
-    y1: float
-    accepted: bool
-    history: Optional[Tuple[Tuple[float, float], ...]] = None
-
-
-def newton_refine(start, tol: float = 1e-10, max_iter: int = 50,
-                  trace: bool = False) -> RefinedRoot:
-    """Refine one start to a zero of the square subsystem.
-
-    Raises DomainError when the start is outside S or the budget is bad
-    (tol not finite and > 0, max_iter not an integer >= 0), and Diverged /
-    LeftDomain / MaxIterations when the iteration fails.  On success the
-    result carries the full-system check: accepted means the nine-lambda
-    spread and |y1| are both below 10*tol at the refined point.
-    """
-    _check_budget(tol, max_iter)
-    p = (float(start[0]), float(start[1]))
-    if not in_domain(p):
-        raise DomainError(f"start {p} outside the domain")
-    r3, r5, status, iters, merit, hist = _newton_lockstep(
-        np.array([p[0]]), np.array([p[1]]), tol, max_iter, trace=trace
-    )
-    code = int(status[0])
-    where = (float(r3[0]), float(r5[0]))
-    if code == _DIVERGED:
-        raise Diverged(f"diverged from {p}: residual {merit[0]:.3e} at {where}")
-    if code == _LEFT_DOMAIN:
-        raise LeftDomain(f"iteration from {p} pinned against the domain boundary at {where}")
-    if code == _MAX_ITER:
-        raise MaxIterations(f"no convergence from {p} in {max_iter} iterations")
-    full = residual_vector(where)
-    gate = 10.0 * tol
-    return RefinedRoot(
-        r3=where[0],
-        r5=where[1],
-        iterations=int(iters[0]),
-        square_residual=float(merit[0]),
-        spread=full.pairwise_spread,
-        y1=full.y1,
-        accepted=full.pairwise_spread < gate and abs(full.y1) < gate,
-        history=tuple((float(a[0]), float(b[0])) for a, b in hist) if trace else None,
-    )
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 @dataclass(frozen=True)
@@ -358,18 +281,17 @@ def _dedupe(r3, r5, sq) -> List[Tuple[float, float, float, int]]:
     return [(c[0], c[1], c[2], int(c[3])) for c in clusters]
 
 
-def grid_scan(window, n_starts: int, tol: float = 1e-10, seed: int = 0,
-              max_iter: int = 60) -> RootReport:
+def grid_scan(window, n_starts: int, tol: float = 1e-10, seed: int = 0) -> RootReport:
     """Multi-start Newton over window ∩ S with deduplicated roots.
 
     window is ((r3_lo, r3_hi), (r5_lo, r5_hi)), finite and non-degenerate,
-    tol is finite and > 0, max_iter and seed are integers >= 0
-    (DomainError otherwise).  Starts are seeded R2 points
-    (geometry.quasi_points) scaled into the window; starts falling
-    outside S are skipped (counted in stats); quasi_points refuses a
-    count that is not an integer in 0..GRID_CAP (ValueError) before
-    allocating the starts.  Every reported root passed the full-system
-    gate, and distinct roots are > MERGE_RADIUS apart.
+    and tol is finite and > 0 (DomainError otherwise).  Starts are seeded
+    R2 points (geometry.quasi_points, which refuses a count that is not an
+    integer in 0..GRID_CAP or a seed that is not an integer >= 0 before
+    allocating them) scaled into the window; starts falling outside S are
+    skipped (counted in stats).  Each lane runs at most MAX_ITER Newton
+    iterations.  Every reported root passed the full-system gate, and
+    distinct roots are > MERGE_RADIUS apart.
     """
     (lo3, hi3), (lo5, hi5) = (
         (float(window[0][0]), float(window[0][1])),
@@ -379,8 +301,7 @@ def grid_scan(window, n_starts: int, tol: float = 1e-10, seed: int = 0,
         raise DomainError(f"degenerate scan window {window}")
     if not np.all(np.isfinite((lo3, hi3, lo5, hi5))):
         raise DomainError(f"scan window {window} is not finite")
-    _check_budget(tol, max_iter)
-    _check_count("seed", seed)
+    _check_tolerance(tol)
     t0 = time.perf_counter()
     pts = quasi_points(n_starts, seed)
     n_starts, seed = int(n_starts), int(seed)
@@ -401,7 +322,7 @@ def grid_scan(window, n_starts: int, tol: float = 1e-10, seed: int = 0,
     s3, s5 = s3[keep], s5[keep]
     stats["in_domain"] = int(s3.size)
 
-    r3, r5, status, _, merit = _lockstep_on_pool(s3, s5, tol, max_iter)
+    r3, r5, status, _, merit = _lockstep_on_pool(s3, s5, tol)
     stats["converged"] = int(np.count_nonzero(status == _CONVERGED))
     stats["diverged"] = int(np.count_nonzero(status == _DIVERGED))
     stats["left_domain"] = int(np.count_nonzero(status == _LEFT_DOMAIN))

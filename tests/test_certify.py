@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from starcc.certify import (
 )
 from starcc.geometry import DomainError
 from starcc.intervals import Box2, Dual, DualBackend, VectorBackend, VInterval, dual_vars
-from starcc import certify, kernel, pool, regions
+from starcc import certify, cli, kernel, pool, regions
 from starcc.regions import PairCheck, RegionPlan, cover_arrays, region_def, region_plan
 
 
@@ -232,11 +233,42 @@ def test_j16_single_pair_certifies_with_margin(j16_cert):
 
 
 def test_leaf_with_a_y1_form_is_rejected(j16_cert):
-    # a |y1| statement is not a form any plan certifies
+    # a |y1| statement is not a form any plan certifies; the reader refuses
+    # it before the verifier recomputes a bound
     payload = json.loads(j16_cert.to_json())
     payload["leaves"][0][4] = "y+"
-    with pytest.raises(LeafBoundViolation):
-        verify_certificate(Certificate.from_payload(payload))
+    with pytest.raises(MalformedCertificate, match="row 0"):
+        Certificate.from_payload(payload)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda row: row[:5],
+    lambda row: row + [row[5]],
+    lambda row: row[:4] + ["q\x00", row[5]],
+    lambda row: row[:4] + ["qzz", row[5]],
+], ids=["5-entries", "7-entries", "q-nul", "qzz"])
+def test_reader_refuses_a_leaf_row_it_cannot_hold(j4_cert, tmp_path, edit):
+    # a seventh entry used to be dropped and "q\x00" read as "q" (the <U2
+    # cast), so the edited file verified; "qzz" was read as "qz"
+    payload = json.loads(j4_cert.to_json())
+    payload["leaves"][3] = edit(payload["leaves"][3])
+    with pytest.raises(MalformedCertificate, match="row 3"):
+        Certificate.from_payload(payload)
+    path = tmp_path / "J4.json"
+    path.write_text(json.dumps(payload))
+    assert cli.main(["verify", str(path)]) == cli.EXIT_VERIFY
+
+
+@pytest.mark.parametrize("edit", [
+    lambda row: row + [row[5]],
+    lambda row: row[:4] + ["3+", row[5]],
+    lambda row: row[:4] + [row[4] + "\x00", row[5]],
+], ids=["7-entries", "component-3", "nul"])
+def test_reader_refuses_an_annulus_row_it_cannot_hold(local_cert, edit):
+    payload = json.loads(local_cert.to_json())
+    payload["annulus"][5] = edit(payload["annulus"][5])
+    with pytest.raises(MalformedCertificate, match="row 5"):
+        LocalUniquenessCertificate.from_payload(payload)
 
 
 def test_cleared_denominator_form_used_on_collision_edge():
@@ -354,9 +386,10 @@ def test_to_json_is_json_dumps_of_the_payload(zero_edge_certs, j4_cert, local_ce
 
 @pytest.mark.parametrize("label", ['"', "\\", "\u00e9", "\x01", "\x00q"], ids=repr)
 def test_to_json_of_a_label_that_needs_escaping(j4_cert, label):
-    payload = j4_cert.to_payload()
-    payload["leaves"][3][4] = label
-    cert = Certificate.from_payload(payload)
+    # the reader refuses such a label, so the writer gets it directly
+    forms = j4_cert.forms.copy()
+    forms[3] = label
+    cert = replace(j4_cert, forms=forms)
     assert cert.forms[3] == label
     text = cert.to_json()
     assert _text_mismatch(text, json.dumps(cert.to_payload())) is None

@@ -532,6 +532,33 @@ def test_bundle_rejects_a_verdict_the_certifier_does_not_write(
     assert "ACCEPT" not in out
 
 
+def test_bundle_rejects_a_manifest_format_the_certifier_does_not_write(
+        coarse_bundle, tmp_path, capsys):
+    # every certificate file verifies; the manifest claims another layout
+    forged = _copy(coarse_bundle, tmp_path)
+    manifest = json.loads((forged / "manifest.json").read_text())
+    manifest["format"] = "starcc-certificate/0"
+    (forged / "manifest.json").write_text(json.dumps(manifest))
+    code, out = run(["verify", forged], capsys)
+    assert code == cli.EXIT_VERIFY
+    assert "REJECT" in out and "manifest.json" in out and "starcc-certificate/0" in out
+    assert "ACCEPT" not in out
+
+
+def test_both_verdict_lines_name_what_the_verdict_covers(tmp_path, capsys):
+    # a bundle cut at r5 <= 3.1 proves less than one cut at r5 <= 10
+    bundle = tmp_path / "cut"
+    code, out = run(["certify", "all", "--width", "0.1", "--truncate-r5", "3.1",
+                     "--output", bundle], capsys)
+    assert code == 0
+    assert "verdict: UNIQUE-IN-WINDOW  (r5 <= 3.1, window delta 0.02; " in out
+    code, out = run(["verify", bundle], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        f"bundle {bundle}: verdict 'UNIQUE-IN-WINDOW' confirmed"
+        " (r5 <= 3.1, window delta 0.02)")
+
+
 @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pool"])
 def test_bundle_rejection_names_the_first_defect_in_region_order(
         coarse_bundle, tmp_path, capsys, monkeypatch, cpus):

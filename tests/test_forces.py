@@ -9,13 +9,11 @@ from starcc.forces import (
     LAMBDA_STAR,
     NearZeroDenominator,
     config_measure,
-    gradient_measure,
     hessian_measure,
     lambda_component,
     moment_I,
     potential_U,
     residual_vector,
-    y1_residual,
 )
 from starcc.geometry import B, DomainError, nz
 
@@ -78,7 +76,6 @@ def test_asymmetric_point_regression():
     assert res.lambda_values[(5, 2)] == pytest.approx(2.07018691167013, rel=1e-14)
     assert res.y1 == pytest.approx(0.03833568330204806, rel=1e-13)
     assert res.pairwise_spread == pytest.approx(1.2561165880852077, rel=1e-13)
-    assert y1_residual((1.17, 0.93)) == res.y1
 
 
 # float.hex() of every float route at (1.17, 0.93) and of the Hessian at
@@ -124,11 +121,6 @@ def test_float_routes_are_pinned_bit_for_bit():
             for idx in res.lambda_values} == PINNED_LAMBDA_AT_117_093
     h = hessian_measure((1, 1))
     assert tuple(float(x).hex() for x in h.ravel()) == PINNED_HESSIAN_AT_PENTAGON
-
-
-def test_gradient_vanishes_at_pentagon():
-    g = gradient_measure((1.0, 1.0))
-    assert np.all(np.abs(g) < 1e-8)
 
 
 def test_hessian_matches_closed_forms():

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from starcc import kernel
 from starcc.kernel import in_domain
-from starcc.forces import lambda_component, y1_residual
+from starcc.forces import lambda_component, residual_vector
 from starcc.geometry import A, B
 from starcc.intervals import (
     _outward,
@@ -117,7 +117,7 @@ def test_thin_box_lambda_agreement(r3, r5):
         assert abs(0.5 * (enc.lo + enc.hi) - val) <= 1e-14 * scale
         assert enc.hi - enc.lo <= 1e-13 * scale
     y = kernel.y1_num(bk, *box)
-    yv = y1_residual((r3, r5))
+    yv = residual_vector((r3, r5)).y1
     assert y.lo <= yv <= y.hi
     assert y.hi - y.lo <= 1e-13 * max(1.0, abs(yv))
     # the local system F: the float value lies in the vector enclosure, and

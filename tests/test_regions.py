@@ -6,7 +6,7 @@ import pytest
 
 from starcc.certify import plan_signature
 from starcc import regions
-from starcc.geometry import A, B
+from starcc.geometry import A, B, DomainError
 from starcc.regions import (
     CORNER_ZONE_SIDE,
     DELTA_B0,
@@ -174,6 +174,13 @@ def test_partition_audit_small_sample_is_clean():
     assert report.samples_in_domain > 0
     assert 0.0 <= report.uncovered_fraction < 0.01
     assert "uncovered" in report.summary()
+
+
+@pytest.mark.parametrize("seed", [True, 1.5, -1], ids=["bool", "fraction", "negative"])
+def test_partition_audit_refuses_a_seed_that_is_not_a_count(seed):
+    # True used to run with seed 1 and 1.5 to raise numpy's TypeError
+    with pytest.raises(DomainError, match="seed"):
+        partition_audit(1000, seed=seed)
 
 
 def test_partition_audit_respects_window():

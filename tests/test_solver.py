@@ -11,53 +11,21 @@ import pytest
 from starcc import kernel, solver
 from starcc.geometry import DomainError, quasi_points
 from starcc.kernel import in_domain
-from starcc.solver import (
-    MERGE_RADIUS,
-    Diverged,
-    LeftDomain,
-    MaxIterations,
-    RefinedRoot,
-    RootReport,
-    grid_scan,
-    newton_refine,
-)
-
-
-def test_refine_near_the_pentagon():
-    root = newton_refine((1.05, 0.95))
-    assert root.accepted
-    assert root.r3 == pytest.approx(1.0, abs=1e-12)
-    assert root.r5 == pytest.approx(1.0, abs=1e-12)
-    assert root.square_residual <= 1e-10
-    assert root.spread < 1e-9
-    assert abs(root.y1) < 1e-9
-    assert root.iterations < 10
+from starcc.solver import MERGE_RADIUS, grid_scan
 
 
 def test_refine_is_quadratic_once_close():
-    root = newton_refine((1.02, 0.99), trace=True)
-    errs = [math.hypot(a - 1.0, b - 1.0) for a, b in root.history]
+    # with max_iter = k a running lane holds its k-th iterate, and a
+    # converged one its root
+    errs = []
+    for k in range(1, 6):
+        r3, r5, *_ = solver._newton_lockstep(np.array([1.02]), np.array([0.99]), 1e-10, k)
+        errs.append(math.hypot(r3[0] - 1.0, r5[0] - 1.0))
     # drop pre-asymptotic steps and anything at rounding level
     tail = [e for e in errs if 1e-14 < e < 1e-2]
     assert len(tail) >= 2
     for prev, nxt in zip(tail, tail[1:]):
         assert nxt < 5.0 * prev * prev
-
-
-def test_refine_far_start_lands_on_pentagon_or_raises():
-    # no other root exists, so a far start either walks home or fails loudly
-    try:
-        root = newton_refine((0.3, 0.2), max_iter=200)
-    except (Diverged, LeftDomain, MaxIterations):
-        return
-    assert root.accepted
-    assert math.hypot(root.r3 - 1.0, root.r5 - 1.0) < 1e-8
-
-
-def test_refine_rejects_start_outside_domain():
-    with pytest.raises(DomainError):
-        newton_refine((0.9, 0.1))  # r2 < 0 there
-    assert not in_domain((0.9, 0.1))
 
 
 def test_scan_finds_exactly_the_pentagon():
@@ -157,26 +125,22 @@ def test_scan_and_refine_refuse_a_tolerance_that_is_not_finite_and_positive(tol)
     # a nan or negative tol used to run, converge nothing and report 0 roots
     with pytest.raises(DomainError, match="tolerance"):
         grid_scan(((0.2, 3.0), (0.2, 3.0)), 50, tol=tol)
-    with pytest.raises(DomainError, match="tolerance"):
-        newton_refine((1.05, 0.95), tol=tol)
-
-
-@pytest.mark.parametrize("max_iter", [-1, 1.5, True], ids=["negative", "float", "bool"])
-def test_scan_and_refine_refuse_a_budget_that_is_not_a_count(max_iter):
-    # max_iter=-1 used to leave every lane running: grid_scan dropped them
-    # from all status counts and newton_refine returned the start as a root
-    with pytest.raises(DomainError, match="max_iter"):
-        grid_scan(((0.2, 3.0), (0.2, 3.0)), 50, max_iter=max_iter)
-    with pytest.raises(DomainError, match="max_iter"):
-        newton_refine((1.05, 0.95), max_iter=max_iter)
 
 
 def test_a_zero_budget_counts_every_lane():
-    report = grid_scan(((0.2, 3.0), (0.2, 3.0)), 200, seed=4, max_iter=np.int64(0))
-    stats = report.stats
-    assert stats["converged"] + stats["max_iterations"] == stats["in_domain"] > 0
-    with pytest.raises(MaxIterations):
-        newton_refine((1.05, 0.95), max_iter=0)
+    # max_iter=0 retires every lane at once, as converged or out of budget
+    pts = quasi_points(200, 4)
+    s3, s5 = 0.2 + pts[:, 0] * 2.8, 0.2 + pts[:, 1] * 2.8
+    keep = in_domain((s3, s5))
+    r3, r5, status, iters, _ = solver._newton_lockstep(s3[keep], s5[keep], 1e-10, 0)
+    assert set(status.tolist()) <= {solver._CONVERGED, solver._MAX_ITER}
+    assert np.count_nonzero(status == solver._MAX_ITER) > 0
+    assert not iters.any()
+    assert _bits(r3) == _bits(s3[keep]) and _bits(r5) == _bits(s5[keep])
+    # and a scan's four end counts take every in-domain lane
+    stats = grid_scan(((0.2, 3.0), (0.2, 3.0)), 200, seed=4).stats
+    ends = ("converged", "diverged", "left_domain", "max_iterations")
+    assert sum(stats[k] for k in ends) == stats["in_domain"] > 0
 
 
 def _bits(a):
@@ -192,13 +156,13 @@ def test_lockstep_lanes_equal_each_lane_run_alone():
     s5 = 0.2 + pts[:, 1] * 2.8
     keep = in_domain((s3, s5))
     s3, s5 = s3[keep], s5[keep]
-    r3, r5, status, iters, merit, _ = solver._newton_lockstep(s3, s5, 1e-10, 60)
+    r3, r5, status, iters, merit = solver._newton_lockstep(s3, s5, 1e-10, solver.MAX_ITER)
     outcomes = (solver._CONVERGED, solver._DIVERGED, solver._LEFT_DOMAIN, solver._MAX_ITER)
     for code in outcomes:
         lanes = np.flatnonzero(status == code)[:3]
         assert lanes.size > 0, f"no lane with outcome {code}"
         for i in lanes:
-            one = solver._newton_lockstep(s3[i:i + 1], s5[i:i + 1], 1e-10, 60)
+            one = solver._newton_lockstep(s3[i:i + 1], s5[i:i + 1], 1e-10, solver.MAX_ITER)
             for many, alone in zip((r3, r5, status, iters, merit), one):
                 assert _bits(many[i:i + 1]) == _bits(alone), (code, i)
 
