@@ -57,8 +57,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import time
-from contextlib import closing
+from contextlib import closing, suppress
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
@@ -1276,21 +1277,29 @@ def _solution_witness() -> Dict[str, object]:
     }
 
 
-def _certify_piece(piece: str, cfg: RunConfig):
+def _certify_piece(piece: str, cfg: RunConfig, outdir: Optional[str] = None):
     """certify_all's job for one piece of the bundle: the certificate of
-    region `piece`, or the local certificate for piece "local"."""
+    region `piece`, or the local certificate for piece "local".  Given
+    outdir, the job also writes the certificate's to_json() to
+    <outdir>/<piece>.json, so that no JSON text crosses the pool."""
     if piece == "local":
-        return certify_local_uniqueness(delta=cfg.delta_b0)
-    return certify_inequality(
-        piece,
-        max_box_width=cfg.max_box_width,
-        truncation=cfg.truncation,
-        delta=cfg.delta_b0,
-        max_depth=cfg.max_depth,
-    )
+        cert = certify_local_uniqueness(delta=cfg.delta_b0)
+    else:
+        cert = certify_inequality(
+            piece,
+            max_box_width=cfg.max_box_width,
+            truncation=cfg.truncation,
+            delta=cfg.delta_b0,
+            max_depth=cfg.max_depth,
+        )
+    if outdir is not None:
+        with open(os.path.join(outdir, f"{piece}.json"), "w", encoding="utf-8") as fh:
+            fh.write(cert.to_json())
+    return cert
 
 
-def certify_all(config: Optional[RunConfig] = None) -> CertificationManifest:
+def certify_all(config: Optional[RunConfig] = None,
+                outdir: Optional[str] = None) -> CertificationManifest:
     """Local certificate + all sixteen region certificates.
 
     Verdict VERDICT requires every piece; any failure raises.
@@ -1303,10 +1312,19 @@ def certify_all(config: Optional[RunConfig] = None) -> CertificationManifest:
     the worker count or the order.  A failure raises the first one in the
     order local certificate, solution witness, J1..J16, whatever the
     worker count, and the manifest lists the regions in REGION_IDS order.
+
+    Given outdir, the job that certifies a piece writes it there, and any
+    manifest.json in outdir is removed before the first job starts, so a
+    run that fails part way leaves no manifest over a mix of old and new
+    pieces; the caller writes the new one last.  Without outdir nothing
+    is written.
     """
     cfg = (config or RunConfig()).validate()
     # the local certificate's window rule fails first, before any fork
     _check_window(float(cfg.delta_b0))
+    if outdir is not None:
+        with suppress(FileNotFoundError):
+            os.remove(os.path.join(outdir, "manifest.json"))
     t0 = time.perf_counter()
 
     def cost(job) -> float:
@@ -1316,8 +1334,8 @@ def certify_all(config: Optional[RunConfig] = None) -> CertificationManifest:
         return _grid_cells(piece, cfg.max_box_width, cfg.truncation)
 
     pieces = ("local",) + REGION_IDS
-    with closing(_fan_out(_certify_piece, [(p, cfg) for p in pieces],
-                          cfg.threads, cost)) as results:
+    jobs = [(p, cfg, outdir) for p in pieces]
+    with closing(_fan_out(_certify_piece, jobs, cfg.threads, cost)) as results:
         local = next(results)
         witness = _solution_witness()
         if not witness["is_solution"]:

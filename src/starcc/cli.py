@@ -236,14 +236,10 @@ def cmd_certify(args) -> int:
     outdir = _resolve_outdir(cfg)
 
     if target == "all":
-        manifest = certify_all(cfg)
+        # the pool's jobs write the pieces; the manifest goes last
+        manifest = certify_all(cfg, outdir)
         for rid in REGION_IDS:
-            cert = manifest.certificates[rid]
-            with open(os.path.join(outdir, f"{rid}.json"), "w", encoding="utf-8") as fh:
-                fh.write(cert.to_json())
-            _print_region_row(cert)
-        with open(os.path.join(outdir, "local.json"), "w", encoding="utf-8") as fh:
-            fh.write(manifest.local.to_json())
+            _print_region_row(manifest.certificates[rid])
         with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as fh:
             json.dump(manifest.summary_payload(), fh, indent=2)
         loc = manifest.local
@@ -288,16 +284,24 @@ def _load_payload(path: str) -> dict:
     return payload
 
 
+def _from_payload(cls, path: str, payload: dict):
+    """cls.from_payload(payload), its MalformedCertificate naming path."""
+    try:
+        return cls.from_payload(payload)
+    except MalformedCertificate as exc:
+        raise MalformedCertificate(f"{path}: {exc}") from exc
+
+
 def _verify_file(path: str) -> str:
     payload = _load_payload(path)
     kind = payload["kind"]
     if kind == "inequality":
-        cert = Certificate.from_payload(payload)
+        cert = _from_payload(Certificate, path, payload)
         verify_certificate(cert)
         return (f"ACCEPT {path}: region {cert.region}, {cert.n_leaves()} leaves,"
                 f" min_gap {cert.min_bound:.6e}")
     if kind == "local-uniqueness":
-        cert = LocalUniquenessCertificate.from_payload(payload)
+        cert = _from_payload(LocalUniquenessCertificate, path, payload)
         verify_local_certificate(cert)
         return (f"ACCEPT {path}: local uniqueness, margin"
                 f" {cert.containment_margin:.4e}")
@@ -343,14 +347,14 @@ def _verify_piece(path: str, piece: str, delta: float, truncation: float):
     returns (containment margin, annulus leaf count)."""
     payload = _load_payload(path)
     if piece == "local":
-        local = LocalUniquenessCertificate.from_payload(payload)
+        local = _from_payload(LocalUniquenessCertificate, path, payload)
         if local.delta != delta:
             raise MalformedCertificate(
                 f"{path}: window half-width {local.delta!r} differs from"
                 f" the manifest's delta_b0 {delta!r}")
         verify_local_certificate(local)
         return local.containment_margin, int(local.ann_lo3.size)
-    cert = Certificate.from_payload(payload)
+    cert = _from_payload(Certificate, path, payload)
     if cert.region != piece:
         raise MalformedCertificate(f"{path}: holds region {cert.region}")
     _check_composition(path, cert, delta, truncation)

@@ -32,16 +32,19 @@ def _fan_out(fn: Callable, jobs: Sequence[tuple], workers: int,
     worker that dies raises BrokenProcessPool.  The pool lives until the
     generator is exhausted or closed (wrap it in contextlib.closing when
     the caller may stop early), and the jobs not yet started are then
-    cancelled.  A spawned or forkserver worker would import numpy and
-    starcc again, about 0.35 s each; a forked one starts with them.
+    cancelled.  Side effects of jobs after a failure differ: the pool
+    finishes the jobs it has started, in any order, while in process no
+    later job runs.  A spawned or forkserver worker would import numpy
+    and starcc again, about 0.35 s each; a forked one starts with them.
 
     Three callers share the pool, and none of their results depends on
     the worker count: certify_all (one job per region and one for the
-    local certificate), the CLI's bundle verifier (one job per file) and
-    grid_scan (one contiguous chunk of Newton lanes per worker).  A pool
-    still costs about 0.1 s to start and join, so the scan gives each
-    worker at least kernel._BLOCK lanes (solver._LANES_PER_WORKER) and
-    runs a smaller scan in process."""
+    local certificate, each writing its own file when given a directory,
+    so that no JSON text crosses the pool), the CLI's bundle verifier
+    (one job per file) and grid_scan (one contiguous chunk of Newton
+    lanes per worker).  A pool still costs about 0.1 s to start and
+    join, so the scan gives each worker at least kernel._BLOCK lanes
+    (solver._LANES_PER_WORKER) and runs a smaller scan in process."""
     n = _worker_count(workers, len(jobs))
     if n == 1 or not hasattr(os, "fork"):
         for job in jobs:

@@ -749,6 +749,30 @@ def test_budget_exhausted_in_a_worker_matches_the_in_process_run(monkeypatch):
     assert seen[0][1].startswith("J1: ")
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_each_piece_a_job_writes_is_to_json_of_the_returned_certificate(
+        monkeypatch, tmp_path, threads):
+    # the pool's jobs write the pieces; the manifest they return must hold
+    # the very certificates whose bytes are on disk
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    manifest = certify_all(RunConfig(max_box_width=0.1, threads=threads),
+                           str(tmp_path))
+    pieces = dict(manifest.certificates, local=manifest.local)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"{piece}.json" for piece in pieces)
+    for piece, cert in pieces.items():
+        assert (tmp_path / f"{piece}.json").read_text(encoding="utf-8") == cert.to_json()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_certify_all_without_a_directory_writes_nothing(monkeypatch, tmp_path,
+                                                        threads):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.chdir(tmp_path)
+    certify_all(RunConfig(max_box_width=0.1, threads=threads))
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool needs os.fork")
 def test_certify_all_rejects_the_local_window_before_it_forks(monkeypatch):
     # the local certificate's window rule fails first whatever the worker

@@ -545,6 +545,58 @@ def test_bundle_rejects_a_manifest_format_the_certifier_does_not_write(
     assert "ACCEPT" not in out
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_failed_certify_run_leaves_no_manifest(coarse_bundle, tmp_path,
+                                                 capsys, monkeypatch, threads):
+    # the pieces are written as they are certified, so a run that fails
+    # part way must not leave the old manifest to vouch for them
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    bundle = _copy(coarse_bundle, tmp_path)
+    code, out = run(["certify", "all", "--width", "0.1", "--max-depth", "0",
+                     "--threads", threads, "--output", bundle], capsys)
+    assert code == cli.EXIT_BUDGET
+    assert "budget exhausted: J1: " in out
+    assert not (bundle / "manifest.json").exists()
+    code, out = run(["verify", bundle], capsys)
+    assert code == cli.EXIT_VERIFY
+    assert "no manifest.json" in out
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_blocked_piece_path_is_a_usage_error_naming_it(tmp_path, capsys,
+                                                         monkeypatch, threads):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    bundle = tmp_path / "blocked"
+    (bundle / "J9.json").mkdir(parents=True)
+    code = cli.main(["certify", "all", "--width", "0.1", "--threads", threads,
+                     "--output", str(bundle)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_DOMAIN
+    assert err.startswith("error: ") and str(bundle / "J9.json") in err
+    assert not (bundle / "manifest.json").exists()
+
+
+def _seventh_entry_in_row_3(doc):
+    doc["leaves"][3].append(doc["leaves"][3][0])
+
+
+def _no_plan(doc):
+    del doc["plan"]
+
+
+@pytest.mark.parametrize("forge", [_seventh_entry_in_row_3, _no_plan])
+def test_bundle_names_the_file_of_a_malformed_piece(coarse_bundle, tmp_path,
+                                                    capsys, forge):
+    forged = _copy(coarse_bundle, tmp_path)
+    doc = json.loads((forged / "J9.json").read_text())
+    forge(doc)
+    (forged / "J9.json").write_text(json.dumps(doc))
+    code = cli.main(["verify", str(forged)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_VERIFY
+    assert err.startswith(f"REJECT: {forged / 'J9.json'}: ")
+
+
 def test_both_verdict_lines_name_what_the_verdict_covers(tmp_path, capsys):
     # a bundle cut at r5 <= 3.1 proves less than one cut at r5 <= 10
     bundle = tmp_path / "cut"
