@@ -1,29 +1,30 @@
 """Branch-and-bound certification of the region inequalities and the
 Krawczyk local-uniqueness certificate around the regular pentagon.
 
-The batch engine evaluates a region's planned check over whole arrays of
-boxes at once (VInterval lanes); `RegionPlan.route` picks the check of
-every box.  Each lane produces a certified lower bound for the planned
-quantity:
+The batch engine evaluates a region's plan over whole arrays of boxes at
+once (VInterval lanes).  A plan is a set of pairs lambda_low <
+lambda_high; every pair is bounded on every lane, and the lane keeps the
+largest lower bound (_batch_bounds).  A pair's bound is a certified lower
+bound of the gap lambda_high - lambda_low.  When both denominators q are
+bounded away from zero the quotient form N/q is used; when a q encloses
+zero (boxes touching the r3 = 0 edge, or the q22 = 0 closure corner of
+J8) the engine switches to the cleared-denominator form
+(N_high q_low - N_low q_high) * sign(q_low q_high), whose positivity is
+equivalent to the gap's on the open region where the q signs are fixed.
 
-* pair checks: the gap lambda_high - lambda_low.  When both denominators
-  q are bounded away from zero the quotient form N/q is used; when a q
-  encloses zero (boxes touching the r3 = 0 edge, or the q22 = 0 closure
-  corner of J8) the engine switches to the cleared-denominator form
-  (N_high q_low - N_low q_high) * sign(q_low q_high), whose positivity is
-  equivalent to the gap's on the open region where the q signs are fixed.
-
-Lanes whose distance enclosures touch zero (possible only for boxes
-hanging over a collision corner of the closure) are marked undecidable
-and bisected.  One driver, _branch_and_bound, grows both the sixteen
-region certificates and the annulus around the Krawczyk window: boxes
-with certified bound > 0 become leaves; the rest are bisected along their
-wider side (_bisect), children certainly outside the region closure are
-dropped, and the loop continues until done or the depth budget runs out.
-A region box whose certified *upper* bound is negative (with its center
-inside the region) disproves the inequality outright and aborts with
-CertificationRefuted — this is what the reversed-orientation negative
-control exercises.
+A pair's bound is undecidable (NaN) on lanes where one of its distance
+enclosures touches zero, which happens only for boxes hanging over a
+collision corner of the closure; such a lane takes another pair's
+bound, and it is NaN, so bisected, only when every pair is.  One loop,
+_branch_and_bound, grows both the sixteen region certificates and the
+annulus around the Krawczyk window: boxes with certified bound > 0
+become leaves; the rest are bisected along their wider side (_bisect),
+children certainly outside the region closure are dropped, and the loop
+continues until done or the depth budget runs out.
+A region box on which every pair's certified *upper* bound is negative
+(with its center inside the region) disproves the plan outright and
+aborts with CertificationRefuted — this is what the reversed-orientation
+negative control exercises.
 
 Certificates serialize every leaf as one row of float.hex() endpoints,
 so that verification can recompute each bound bit-for-bit and replay the
@@ -256,7 +257,12 @@ def _pair_bounds(check: PairCheck, lo3, hi3, lo5, hi5):
 
 
 def _batch_bounds(plan: RegionPlan, lo3, hi3, lo5, hi5):
-    """_pair_bounds of every box under the check plan.route picks for it.
+    """The pair-set bound: _pair_bounds of every pair of the plan on every
+    box, each pair on its own backend.  Per box, returns the largest lower
+    bound that is not NaN, that pair's form and its index in plan.pairs
+    (the first such pair on ties; pair 0 and NaN when every pair is NaN),
+    and the largest upper bound, NaN when any pair's is, so that a box is
+    certified negative only when every pair is.
 
     The lanes are evaluated in contiguous slices of at most _BLOCK, so the
     kernel's temporaries stay in cache; every operation is elementwise, so
@@ -265,16 +271,19 @@ def _batch_bounds(plan: RegionPlan, lo3, hi3, lo5, hi5):
     lo = np.empty(n)
     hi = np.empty(n)
     form = np.empty(n, dtype="<U2")
+    pair = np.empty(n, dtype=np.int64)
     for start in range(0, n, _BLOCK):
         s = slice(start, start + _BLOCK)
-        b3, B3, b5, B5 = lo3[s], hi3[s], lo5[s], hi5[s]
-        blo, bhi, bform = lo[s], hi[s], form[s]  # views: writes land in lo, hi, form
-        checks, cid = plan.route(b3, B3, b5, B5)
-        for k, chk in enumerate(checks):
-            m = cid == k
-            if np.any(m):
-                blo[m], bhi[m], bform[m] = _pair_bounds(chk, b3[m], B3[m], b5[m], B5[m])
-    return lo, hi, form
+        box = lo3[s], hi3[s], lo5[s], hi5[s]
+        blo, bhi, bform, bpair = lo[s], hi[s], form[s], pair[s]  # views into the outputs
+        blo[:], bhi[:], bform[:] = _pair_bounds(plan.pairs[0], *box)
+        bpair[:] = 0
+        for k, check in enumerate(plan.pairs[1:], 1):
+            klo, khi, kform = _pair_bounds(check, *box)
+            take = (klo > blo) | (np.isnan(blo) & ~np.isnan(klo))
+            blo[take], bform[take], bpair[take] = klo[take], kform[take], k
+            np.maximum(bhi, khi, out=bhi)  # maximum propagates NaN
+    return lo, hi, form, pair
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +292,7 @@ def _batch_bounds(plan: RegionPlan, lo3, hi3, lo5, hi5):
 
 
 def plan_signature(plan: RegionPlan) -> str:
-    parts = ["main=" + plan.main.describe()]
-    for z in plan.zones:
-        parts.append(
-            f"zone[{z.r3_lo.hex()},{z.r3_hi.hex()}]x"
-            f"[{z.r5_lo.hex()},{z.r5_hi.hex()}]={z.check.describe()}"
-        )
-    return plan.region + "{" + ";".join(parts) + "}"
+    return plan.region + "{" + ";".join(p.describe() for p in plan.pairs) + "}"
 
 
 def build_fingerprint() -> str:
@@ -499,8 +502,9 @@ def _decode(cls, d: dict, kind: str, rows_key: str, alphabet, plain):
 class Certificate:
     """Verified-inequality certificate for one region.
 
-    Leaves are parallel arrays; `bounds` holds the certified lower bound
-    of the leaf's planned gap, all strictly positive.
+    Leaves are parallel arrays; `bounds` holds the leaf's largest
+    certified lower bound over the gaps of the plan's pairs, all strictly
+    positive.
     """
 
     region: str
@@ -655,7 +659,7 @@ def certify_inequality(
     max_depth: int = 48,
     plan: Optional[RegionPlan] = None,
 ) -> Certificate:
-    """Certify the region's planned inequality over its whole cover.
+    """Certify the region's plan over its whole cover.
 
     delta and truncation are the run's cuts; the region records and uses
     what recorded_cuts gives for them.  Raises ValueError, before any grid
@@ -676,7 +680,7 @@ def certify_inequality(
     the_plan = plan if plan is not None else region_plan(region_id)
 
     def bounds(lo3, hi3, lo5, hi5):
-        blo, bhi, form = _batch_bounds(the_plan, lo3, hi3, lo5, hi5)
+        blo, bhi, form, _ = _batch_bounds(the_plan, lo3, hi3, lo5, hi5)
         for j in np.flatnonzero(np.isfinite(bhi) & (bhi < 0.0)):
             cx = 0.5 * (lo3[j] + hi3[j])
             cy = 0.5 * (lo5[j] + hi5[j])
@@ -1057,7 +1061,7 @@ def verify_certificate(cert) -> bool:
     _check_header(c)
 
     def recompute(lo3, hi3, lo5, hi5):
-        blo, _, form = _batch_bounds(plan, lo3, hi3, lo5, hi5)
+        blo, _, form, _ = _batch_bounds(plan, lo3, hi3, lo5, hi5)
         return blo, form
 
     _check_leaves(

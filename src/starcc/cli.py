@@ -518,21 +518,17 @@ def _plot_gap(args, rid: str) -> None:
     r3, r5 = _grid_axes(region.bbox(args.truncate_r5), args.grid)
     keep = region.holds(r3, r5)
     r3, r5 = r3[keep], r5[keep]
-    # each node is a point box, routed as the certifier routes boxes
-    checks, cid = plan.route(r3, r3, r5, r5)
+    # each node is a point box; like the certifier, it takes the largest
+    # gap over the plan's pairs
     bk = kernel.FloatBackend
-    value = np.empty(r3.size)
-    for k, check in enumerate(checks):
-        m = cid == k
-        a, b = r3[m], r5[m]
-        cache: dict = {}
-        hi = kernel.lambda_quot(bk, a, b, *check.high, cache)
-        lo = kernel.lambda_quot(bk, a, b, *check.low, cache)
-        value[m] = hi - lo
-    labels = [f'"{c.describe()}"' for c in checks]
+    cache: dict = {}
+    gaps = np.array([kernel.lambda_quot(bk, r3, r5, *check.high, cache)
+                     - kernel.lambda_quot(bk, r3, r5, *check.low, cache)
+                     for check in plan.pairs])
+    labels = [f'"{c.describe()}"' for c in plan.pairs]
     rows = (
         (_g17(a), _g17(b), _g17(v), labels[k])
-        for a, b, v, k in zip(r3, r5, value, cid)
+        for a, b, v, k in zip(r3, r5, gaps.max(axis=0), gaps.argmax(axis=0))
     )
     _emit_csv(args.out, ("r3", "r5", "value", "check"), rows)
 
@@ -621,7 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
                     " region is 'none' on uncovered boundary nodes);"
                     " 'spread' (columns r3,r5,spread,y1);"
                     " 'gap-J<n>' (columns r3,r5,value,check over that region;"
-                    " value is lambda_high - lambda_low of the routed check).",
+                    " value is the largest lambda_high - lambda_low over the"
+                    " region's pairs, and check is that pair).",
     )
     p.add_argument("what", help="regions | spread | gap-J<n>")
     p.add_argument("grid", type=int, help="nodes per axis")

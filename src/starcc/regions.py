@@ -22,7 +22,7 @@ import; `region_def` and `region_plan` look rows up.  A row holds:
   The edges are stated rather than derived from the constraints, since
   derived ones differ in the last bits on J4, J5 and J6, which would
   change those covers;
-* the plan: the pair the region certifies and its corner zones.
+* the plan: the pairs the region certifies.
 
 Two documented deviations from the paper's printed tables:
 
@@ -44,14 +44,15 @@ Two documented deviations from the paper's printed tables:
   theorem is the same, and every region rests on one kind of certified
   statement, a strict inequality between two multipliers.
 
-Plans: each region certifies one ordered pair lambda_low < lambda_high.
-Two regions carry corner sub-plans where the main pair degenerates at a
-closure collision: J1 near (0,0) (bodies 3, 5 collide at the origin) and
-J4 near (b/2, 0) (bodies 2, 5 collide at the origin); there the certifier
-switches to a pair whose lambda functions never reference the colliding
-pair's distance.  One router, `RegionPlan.route`, gives every box of an
-array its check in one vectorized pass; the certifier, the verifier and
-the gap plot all use it.
+Plans: a plan is a set of ordered pairs lambda_low < lambda_high, and a
+box is certified when one of them holds strictly on it.  Fourteen regions
+need one pair.  J1 and J4 add a second pair for their collision corners,
+J1 near (0,0) (bodies 3 and 5 collide at the origin) and J4 near
+(b/2, 0) (bodies 2 and 5 collide at the origin), where the first pair
+degenerates; the second pair's lambda functions never reference the
+colliding pair's distance.  The certifier bounds every pair of the plan
+on every box and keeps the largest lower bound (`certify._batch_bounds`),
+so no rule says which box takes which pair.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ from .kernel import in_domain
 # Default geometry knobs shared with the certifier.
 DELTA_B0 = 0.02
 TRUNCATION_R5 = 10.0
-CORNER_ZONE_SIDE = 0.06
 
 REGION_IDS = tuple(f"J{n}" for n in range(1, 17))
 
@@ -196,36 +196,11 @@ class PairCheck:
 
 
 @dataclass(frozen=True)
-class CornerZone:
-    """Boxes fully inside this rectangle switch to the alternate check."""
-
-    r3_lo: float
-    r3_hi: float
-    r5_lo: float
-    r5_hi: float
-    check: PairCheck
-    reason: str
-
-
-@dataclass(frozen=True)
 class RegionPlan:
+    """The pairs a region certifies: every box must satisfy one of them."""
+
     region: str
-    main: PairCheck
-    zones: Tuple[CornerZone, ...] = ()
-
-    def route(self, lo3, hi3, lo5, hi5):
-        """The plan's checks (main, then zones) and the index of the check
-        each box uses, for arrays of boxes.
-
-        A box takes the main check unless it lies inside a zone; the last
-        zone that matches wins."""
-        checks = [self.main]
-        cid = np.zeros(lo3.shape, dtype=np.int64)
-        for z in self.zones:
-            m = (lo3 >= z.r3_lo) & (hi3 <= z.r3_hi) & (lo5 >= z.r5_lo) & (hi5 <= z.r5_hi)
-            cid[m] = len(checks)
-            checks.append(z.check)
-        return checks, cid
+    pairs: Tuple[PairCheck, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -297,39 +272,33 @@ class Region:
         return box
 
 
-def _row(rid, constraints, edges, pair, zones=()) -> Region:
-    """A region from its constraint, edge and plan entries; a zone is
-    (edges, pair, reason) with edges named as the region's are."""
-    plan = RegionPlan(rid, PairCheck(*pair), tuple(
-        CornerZone(*_edges(box), PairCheck(*check), reason)
-        for box, check, reason in zones))
+def _row(rid, constraints, edges, *pairs) -> Region:
+    """A region from its constraint, edge and plan entries; a pair is
+    (low, high)."""
+    plan = RegionPlan(rid, tuple(PairCheck(*pair) for pair in pairs))
     return Region(rid, tuple(_c(*c) for c in constraints), _edges(edges), plan)
 
 
-_Z = CORNER_ZONE_SIDE
-
-# id; constraints; edges (r3lo, r3hi, r5lo, r5hi); pair (low, high); zones
+# id; constraints; edges (r3lo, r3hi, r5lo, r5hi); pairs (low, high)
 _TABLE = (
     _row("J1", [("r3", ">", 0.0), ("r3", "<=", "b/2"),
                 ("r5", ">", 0.0), ("r5", "<=", "b/2")],
          (0.0, "b/2", 0.0, "b/2"), ((1, 1), (3, 1)),
-         [((0.0, _Z, 0.0, _Z), ((4, 1), (1, 1)),
-           "bodies 3 and 5 collide at the origin corner (0,0); "
-           "lambda_41/lambda_11 never reference r_35")]),
+         # bodies 3 and 5 collide at the corner (0, 0); lambda_41 and
+         # lambda_11 never reference r_35
+         ((4, 1), (1, 1))),
     _row("J2", [("r3", ">", 0.0), ("r3", "<=", "b/2"),
                 ("r5", ">", "b/2"), ("r5", "<=", 1.0)],
          (0.0, "b/2", "b/2", 1.0), ((4, 1), (3, 1))),
     _row("J3", [("r3", ">", "b/2"), ("r3", "<", 1.0),
                 ("r5", ">=", "(2-b)/2"), ("r5", "<", "b/2")],
          ("b/2", 1.0, "(2-b)/2", "b/2"), ((1, 1), (5, 2))),
-    # the zone starts at the region's outward b/2 edge, so the first cover
-    # column is routed away from the main pair, which degenerates there
     _row("J4", [("r3", ">", "b/2"), ("slant-r2", "<"),
                 ("r5", ">=", 0.0), ("r5", "<", "(2-b)/2")],
          ("b/2", 1.0, 0.0, "(2-b)/2"), ((1, 1), (5, 2)),
-         [(("b/2", 1.0, 0.0, _Z), ((1, 1), (3, 1)),
-           "bodies 2 and 5 collide at the origin corner (b/2, 0); "
-           "lambda_11/lambda_31 never reference r_25 or divide by r2")]),
+         # bodies 2 and 5 collide at the corner (b/2, 0); lambda_11 and
+         # lambda_31 never reference r_25 or divide by r2
+         ((1, 1), (3, 1))),
     _row("J5", [("r3", ">", 1.0), ("slant-r2", "<"),
                 ("r5", ">=", "(2-b)/2"), ("r5", "<", "b/2")],
          (1.0, "b", "(2-b)/2", "b/2"), ((1, 1), (5, 2))),
@@ -414,16 +383,10 @@ def _excises(rid: str, delta: Optional[float]) -> bool:
 
 
 def _region_snaps(rid: str, delta: Optional[float]):
-    """Per-region grid lines that box edges must align with."""
-    s3, s5 = [], []
-    if _excises(rid, delta):
-        s3 += [1.0 - delta, 1.0 + delta]
-        s5 += [1.0 - delta, 1.0 + delta]
-    plan = region_plan(rid)
-    for z in plan.zones:
-        s3 += [z.r3_lo, z.r3_hi]
-        s5 += [z.r5_lo, z.r5_hi]
-    return s3, s5
+    """The (r3, r5) grid lines that box edges must align with: the edges
+    of the excised square, if the region excises it."""
+    s = [1.0 - delta, 1.0 + delta] if _excises(rid, delta) else []
+    return s, s
 
 
 def cover_arrays(

@@ -237,8 +237,7 @@ def test_partition_covers_without_interior_overlap():
 
 def test_negative_controls_are_rejected():
     plan = region_plan("J2")
-    flipped = RegionPlan(region="J2",
-                         main=PairCheck(low=plan.main.high, high=plan.main.low))
+    flipped = RegionPlan("J2", tuple(PairCheck(low=p.high, high=p.low) for p in plan.pairs))
     with pytest.raises(CertificationRefuted):
         certify_inequality("J2", max_box_width=0.1, plan=flipped)
 

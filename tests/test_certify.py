@@ -58,8 +58,8 @@ def local_cert():
 
 def test_j4_certificate_shape(j4_cert):
     assert j4_cert.region == "J4"
-    assert j4_cert.n_leaves() == 46
-    assert j4_cert.min_bound == pytest.approx(1.0454212771322322, rel=1e-12)
+    assert j4_cert.n_leaves() == 43
+    assert j4_cert.min_bound == pytest.approx(0.27766476908678767, rel=1e-12)
     assert np.all(j4_cert.bounds > 0.0)
     assert j4_cert.min_bound == j4_cert.bounds.min()
     assert j4_cert.truncation is None
@@ -136,6 +136,41 @@ def test_wrong_fingerprint_is_rejected(j4_cert):
         verify_certificate(bad)
 
 
+def test_local_certificate_with_another_fingerprint_is_rejected(local_cert):
+    payload = json.loads(local_cert.to_json())
+    payload["fingerprint"] = "0" * 64
+    bad = LocalUniquenessCertificate.from_payload(payload)
+    with pytest.raises(MalformedCertificate, match="fingerprint does not match"):
+        verify_local_certificate(bad)
+
+
+def test_min_bound_one_ulp_above_the_leaf_minimum_is_rejected(j4_cert):
+    payload = json.loads(j4_cert.to_json())
+    payload["min_bound"] = math.nextafter(j4_cert.min_bound, math.inf).hex()
+    bad = Certificate.from_payload(payload)
+    with pytest.raises(LeafBoundViolation, match="min_bound does not equal the leaf minimum"):
+        verify_certificate(bad)
+
+
+def test_two_sibling_leaves_merged_into_their_parent_are_rejected():
+    # J7's first two leaves are the halves of one box; that box, stored as
+    # a leaf with its true (negative) bound, recomputes bit for bit and
+    # tiles the cover, so only the sign of the stored bound is wrong
+    cert = certify_inequality("J7", max_box_width=0.1)
+    payload = json.loads(cert.to_json())
+    first, second = payload["leaves"][:2]
+    parent = [float.fromhex(v) for v in first[:2] + [first[2], second[3]]]
+    halves = _bisect(*(np.array([v]) for v in parent))
+    assert [h.tolist() for h in halves] == [
+        [float.fromhex(row[k]) for row in (first, second)] for k in range(4)]
+    lo, _, form, _ = _batch_bounds(region_plan("J7"), *(np.array([v]) for v in parent))
+    assert -0.31 < lo[0] < -0.30
+    payload["leaves"][:2] = [[v.hex() for v in parent] + [str(form[0]), lo[0].hex()]]
+    payload["min_bound"] = min(float.fromhex(r[5]) for r in payload["leaves"]).hex()
+    with pytest.raises(LeafBoundViolation, match="finite and positive"):
+        verify_certificate(Certificate.from_payload(payload))
+
+
 def test_truncated_payload_is_malformed(j4_cert):
     payload = json.loads(j4_cert.to_json())
     del payload["leaves"]
@@ -145,12 +180,60 @@ def test_truncated_payload_is_malformed(j4_cert):
 
 def test_reversed_orientation_refutes():
     plan = region_plan("J3")
-    flipped = RegionPlan(
-        region=plan.region,
-        main=PairCheck(low=plan.main.high, high=plan.main.low),
-    )
+    flipped = RegionPlan(plan.region, tuple(
+        PairCheck(low=p.high, high=p.low) for p in plan.pairs))
     with pytest.raises(CertificationRefuted):
         certify_inequality("J3", max_box_width=0.1, plan=flipped)
+
+
+def test_the_second_pair_carries_the_collision_corner():
+    # bodies 3 and 5 collide at (0, 0): J1's first pair reads r_35 and is
+    # NaN on the cover box at that corner, and its second pair certifies it
+    plan = region_plan("J1")
+    cover = cover_arrays("J1", 0.02)
+    corner = (cover[0] == 0.0) & (cover[2] == 0.0)
+    assert corner.sum() == 1
+    lo, hi, form, pair = _batch_bounds(plan, *cover)
+    assert pair[corner] == [1] and lo[corner] > 0.0
+    first = certify._pair_bounds(plan.pairs[0], *(a[corner] for a in cover))
+    assert np.isnan(first[0]).all()
+
+
+@pytest.mark.parametrize("rid", ["J1", "J4"])
+def test_the_pair_set_bound_is_the_best_pair_on_every_box(rid):
+    plan = region_plan(rid)
+    cover = cover_arrays(rid, 0.02)
+    lo, hi, form, pair = _batch_bounds(plan, *cover)
+    per_pair = [certify._pair_bounds(c, *cover) for c in plan.pairs]
+    lane = np.arange(lo.size)
+    for k, (klo, khi, kform) in enumerate(per_pair):
+        finite = ~np.isnan(klo)
+        assert np.all(lo[finite] >= klo[finite]), plan.pairs[k]
+        assert np.all(np.isnan(hi[np.isnan(khi)]))
+        assert np.all(np.isnan(hi) | (hi >= khi))
+    # the carrying pair's own bound and form, bit for bit
+    assert np.array_equal(lo, np.array([p[0] for p in per_pair])[pair, lane], equal_nan=True)
+    assert np.array_equal(form, np.array([p[2] for p in per_pair])[pair, lane])
+    assert set(pair.tolist()) == {0, 1}
+
+
+def test_a_negative_pair_next_to_an_undecided_pair_is_bisected():
+    # on J1's corner box the first pair is NaN and the reversed second pair
+    # is finite negative: the box is bisected, since the first pair may
+    # still hold on its children; with the reversed pair alone it refutes
+    first, second = region_plan("J1").pairs
+    reversed_second = PairCheck(low=second.high, high=second.low)
+    cover = cover_arrays("J1", 0.02)
+    corner = [a[(cover[0] == 0.0) & (cover[2] == 0.0)] for a in cover]
+    lo, hi, _, pair = _batch_bounds(RegionPlan("J1", (first, reversed_second)), *corner)
+    assert pair == [1] and lo < 0.0 and np.isnan(hi)
+    # the corner box alone was bisected: its two children are left
+    with pytest.raises(BudgetExhausted, match="2 boxes unresolved at depth 0"):
+        certify_inequality("J1", 0.02, plan=RegionPlan("J1", (first, reversed_second)),
+                           max_depth=0)
+    with pytest.raises(CertificationRefuted):
+        certify_inequality("J1", 0.02, plan=RegionPlan("J1", (reversed_second,)),
+                           max_depth=0)
 
 
 def test_tiny_budget_exhausts():
@@ -225,7 +308,7 @@ def j16_cert():
 def test_j16_single_pair_certifies_with_margin(j16_cert):
     # one pair on all of J16: the paper's four-strip plan needed depth 35
     # and min gap 1.6e-8 at this width
-    assert j16_cert.plan == "J16{main=lambda_31 < lambda_11}"
+    assert j16_cert.plan == "J16{lambda_31 < lambda_11}"
     assert set(j16_cert.forms.tolist()) <= {"q", "c"}
     assert j16_cert.stats["max_depth"] <= 16
     assert j16_cert.min_bound > 1e-7
@@ -290,7 +373,7 @@ def test_certificate_bytes_are_pinned(j4_cert, local_cert):
     payload = j4_cert.to_payload()
     del payload["stats"]  # wall time varies
     assert _sha256(payload) == (
-        "31e8ed45a5a8cb2b26037dab157923f37818894d8f980b09b978609078127d5d"
+        "6b9c208c3b2869984cd11beb815d5d2b0fe339d95c25a9fbb860a7ab2911193c"
     )
     assert _sha256(local_cert.to_payload()["annulus"]) == (
         "97b00e2e0e8f76563b909867b27867a56807f0d50955a6d7d4ffb8c6af561bfa"
@@ -398,7 +481,7 @@ def test_to_json_of_a_label_that_needs_escaping(j4_cert, label):
 
 def test_fingerprint_is_stable():
     assert build_fingerprint() == (
-        "26ebe8b5faeb0f20b248023b22b474ddd42fdd50ac5b14048e9d3bb59f078389"
+        "f30d235fe4573812435e6c0149387e7fd5e3e96074d9770f53aa2262d6b4d294"
     )
 
 
@@ -453,7 +536,7 @@ def test_leaf_edge_moved_by_one_ulp_is_a_coverage_gap(j5_cert, edge):
     # re-sign the nudged leaf honestly so only coverage can object
     bad = Certificate.from_payload(payload)
     plan = region_plan("J5")
-    lo, _, form = _batch_bounds(plan, bad.lo3, bad.hi3, bad.lo5, bad.hi5)
+    lo, _, form, _ = _batch_bounds(plan, bad.lo3, bad.hi3, bad.lo5, bad.hi5)
     bad.bounds, bad.forms = lo, form
     bad.min_bound = float(lo.min())
     with pytest.raises(CoverageGap):
@@ -661,26 +744,26 @@ def test_certify_all_is_independent_of_the_thread_count(manifest_two_threads):
 
 
 # sha256 of each piece of the width-0.1 bundle (a region's payload without
-# stats.wall_seconds, and local.to_json()), taken before the cover tested
-# its grid on edge vectors and the kernel cache held r_ij^(-3)
+# stats.wall_seconds, and local.to_json()), taken when the plans became
+# pair sets; apart from J1 and J4, only the fingerprint moved them
 BUNDLE_PINS = {
-    "J1": "6177d060972189395e1226997b60900b1aba2db12fc229d87ecaf9a9753132a2",
-    "J2": "184fbe340d58aabc39d208d1572619a1efc4c40ed2aa483b92ffae310cda5719",
-    "J3": "059b55a722863e5e6ba17d2c567dafcb6adad59a6ff0e09a78fd8ea1959a78a7",
-    "J4": "b0858dc305a0a19fc716071136b79d8a6cc1469427aac77562a670e7ec04879c",
-    "J5": "1ccd6a84a57c67dbe2ac42bee0f90eafcbaacdd020aabd0d50940d7bd57b2e55",
-    "J6": "d4bed46d0918bb492c9a14baf6458851eee869b1b46f1d630dedef80a1f3e2dd",
-    "J7": "be38997a1ddea0182bce7b2fc277302fac154cfa333ada12f62fc6d3c2f50c21",
-    "J8": "a15408a8791232fced274b4a2cc4d8fd087e4b3a7b65d4ea021df4fba3ebd317",
-    "J9": "8be22a9bf14fbb39468fab901619074806f00b2a857a54e2f38ecdf2306341d3",
-    "J10": "d85b22b3705b89cd182204e90a0653c1401a4411f559eac1042ea0aed24a0e0d",
-    "J11": "49cdd4d83bdae711a717e7c7f71b51da360b0a0fcc6bb50c351682727bcb52c7",
-    "J12": "02eb03173bedc56c543cb0ea6a8804c11b6dee5eb218b99b215d052ebfbb291e",
-    "J13": "5969a78b99210494f01759f043bfebbe166aacaf5027786fe1ec5a1b8509240b",
-    "J14": "348e3f0a623ebefd28e3027ee724fc2d7b959895ae737ca4c60930cd284ed33a",
-    "J15": "7dc16636ee4b3fb61bdb4115e5a000d681564c8f9625a1edf7739235e41d77ed",
-    "J16": "049bf738882405f8babc4dce84c16fe6b1d278c1af00aac4ed51ba9e8dadb33c",
-    "local": "b9b9397a0825d752e781141d47530ae44999ce6f090daad51e4de0ca0721e552",
+    "J1": "075c8659913dc629d59fbe59fba1b1fb64cc9c1436dd461042d6ed1d7607bb3a",
+    "J2": "f7d61fd05085581fa3380f4810eeedb1de3f728ed598ef42269339649a3c5241",
+    "J3": "7d3fa3098a71252f833ab27b1dd368214796db2825a2a8b95697a8abb58b621d",
+    "J4": "ada84142658915071933d354c3c3c51c29d0ef41eb8d189e63f024d7f4e69c13",
+    "J5": "e6b2891a99c5e5da165981ffd6463253f1110642a95665600b52f81bd078c989",
+    "J6": "e21462c313a4c5f501835b0706b9bbf25ffdbe573ce7438fe7a4911728c1aaa3",
+    "J7": "3dfe4c77f001bbf55a2820c5eac44eafb7941bd6857117a859b6c60bdbbdcc38",
+    "J8": "2444940eaaed0701083c402e663edf5be9c3cc95a772ef54df0e97632494bd38",
+    "J9": "80b5b33005ffc66af2e0078b66188f14d61da52d28d63572ed76d9e2c3f6cfbf",
+    "J10": "e0bbef25023f8c01b917b45454e30876fc92c90643a2577c55b72ff592de6114",
+    "J11": "3ddaf32e856e9b9d64133c55cd67e5d98641e4dedcb7b57ded46cb74707eb9a1",
+    "J12": "c6c7cddfb85752487003931a967e48e6e3a08ef35d4a72a1a01868e41f466a18",
+    "J13": "156f70847df82acedc03855863c631b85186dd156ee641b289b813a10ff64223",
+    "J14": "59e19dd19734ca9c765a6bb53e2932209430e82551c710141bdd64c8f4da5e48",
+    "J15": "5d15cb795fc6b8471d1c6234f2362ebeb6b3ee4832911ddf1faebf87214c8ee4",
+    "J16": "950b88b05e05e694601063707d73afd575b9e72ecefd54276716abbefe217e50",
+    "local": "6926e23a50726bf94c0113ffdd639254097e6722a2d8f469834ee47b8dd14ce4",
 }
 
 
@@ -819,16 +902,15 @@ def test_fan_out_raises_broken_process_pool_when_a_worker_dies(monkeypatch):
 
 
 def _unblocked_bounds(plan, lo3, hi3, lo5, hi5):
-    """_batch_bounds as one kernel call per check over all the lanes."""
-    checks, cid = plan.route(lo3, hi3, lo5, hi5)
-    lo, hi = np.empty(lo3.size), np.empty(lo3.size)
-    form = np.empty(lo3.size, dtype="<U2")
-    for k, chk in enumerate(checks):
-        m = cid == k
-        if np.any(m):
-            lo[m], hi[m], form[m] = certify._pair_bounds(
-                chk, lo3[m], hi3[m], lo5[m], hi5[m])
-    return lo, hi, form
+    """_batch_bounds as one kernel call per pair over all the lanes, with
+    the pairs stacked: the lane's bound is the largest that is not NaN
+    (fmax skips NaN), and its pair the first that reaches it (pair 0 where
+    every pair is NaN)."""
+    lows, highs, forms = (np.array(a) for a in zip(*(
+        certify._pair_bounds(c, lo3, hi3, lo5, hi5) for c in plan.pairs)))
+    lo = np.fmax.reduce(lows, axis=0)
+    pair = np.argmax(lows == lo, axis=0)
+    return lo, highs.max(axis=0), forms[pair, np.arange(lo.size)], pair
 
 
 @pytest.mark.parametrize("rid", ["J15", "J1"])
@@ -839,29 +921,27 @@ def test_blocked_bounds_equal_one_kernel_call(rid, size):
     cover = cover_arrays(rid, 0.02, 10.0, None)
     pick = np.resize(np.arange(cover[0].size), size)
     if rid == "J1":
-        # J1's corner zone needs the cleared form: put its boxes on both
-        # sides of every slice edge, and at the end
-        zone = np.flatnonzero(_unblocked_bounds(region_plan(rid), *cover)[2] == "c")
+        # J1's second pair carries the boxes at its collision corner: put
+        # them on both sides of every slice edge, and at the end
+        corner = np.flatnonzero(_unblocked_bounds(region_plan(rid), *cover)[3] == 1)
         for edge in list(range(certify._BLOCK, size, certify._BLOCK)) + [size]:
             at = np.arange(max(edge - 3, 0), min(edge + 3, size))
-            pick[at] = zone[: at.size]
+            pick[at] = np.resize(corner, at.size)
     lanes = tuple(a[pick] for a in cover)
     got = _batch_bounds(region_plan(rid), *lanes)
     want = _unblocked_bounds(region_plan(rid), *lanes)
-    for g, w in zip(got[:2], want[:2]):
-        assert g.tobytes() == w.tobytes()
-    assert np.array_equal(got[2], want[2])
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
     if rid == "J1":
-        assert np.all(got[2][certify._BLOCK - 3 : certify._BLOCK + 3] == "c")
+        assert np.all(got[3][certify._BLOCK - 3 : certify._BLOCK + 3] == 1)
 
 
 def _index_groups():
-    """The lambdas one evaluation shares a cache between: each plan check's
+    """The lambdas one evaluation shares a cache between: each plan pair's
     (low, high), F's three, and all nine with y1 (as residual_vector)."""
     groups = []
     for rid in regions.REGION_IDS:
-        plan = region_plan(rid)
-        groups += [(c.low, c.high) for c in (plan.main,) + tuple(z.check for z in plan.zones)]
+        groups += [(c.low, c.high) for c in region_plan(rid).pairs]
     groups.append(tuple(sorted({idx for pair in kernel.LOCAL_PAIRS for idx in pair})))
     groups.append(kernel.LAMBDA_INDICES + ((1, 2),))
     return groups

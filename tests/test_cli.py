@@ -7,15 +7,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from starcc import cli
+from starcc import cli, kernel
 from starcc.certify import (
     certify_inequality,
     certify_local_uniqueness,
     verify_certificate,
     verify_local_certificate,
 )
+from starcc.regions import region_plan
 
 
 def run(argv, capsys):
@@ -133,7 +135,7 @@ def test_certify_single_region_writes_file(tmp_path, capsys):
     assert path.exists()
     doc = json.loads(path.read_text())
     assert doc["region"] == "J4"
-    assert len(doc["leaves"]) == 46
+    assert len(doc["leaves"]) == 43
     assert "min_gap" in out
 
     code, out = run(["verify", path], capsys)
@@ -359,8 +361,9 @@ def test_plotdata_regions_csv(capsys):
 
 
 @pytest.mark.parametrize("rid, checks", [
-    # J1's corner zone shows up next to its main pair
-    ("J1", {"lambda_11 < lambda_31", "lambda_41 < lambda_11"}),
+    # at a point of J1 the first pair's gap is the larger one; the second
+    # pair only carries interval boxes that reach the collision corner
+    ("J1", {"lambda_11 < lambda_31"}),
     ("J16", {"lambda_31 < lambda_11"}),
 ], ids=["J1", "J16"])
 def test_plotdata_gap_csv_is_positive(rid, checks, capsys):
@@ -371,6 +374,12 @@ def test_plotdata_gap_csv_is_positive(rid, checks, capsys):
     vals = [float(r["value"]) for r in rows]
     assert vals and min(vals) > 0.0
     assert {r["check"] for r in rows} == checks
+    # each value is the largest gap over the plan's pairs
+    r3, r5 = (np.array([float(r[k]) for r in rows]) for k in ("r3", "r5"))
+    gaps = [kernel.lambda_quot(kernel.FloatBackend, r3, r5, *c.high)
+            - kernel.lambda_quot(kernel.FloatBackend, r3, r5, *c.low)
+            for c in region_plan(rid).pairs]
+    assert np.array_equal(vals, np.max(gaps, axis=0))
 
 
 def test_plotdata_spread_csv(capsys):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from starcc import kernel
-from starcc.certify import INNER_DELTA, _contraction_evidence, certify_inequality
+from starcc.certify import INNER_DELTA, _batch_bounds, _contraction_evidence, certify_inequality
 from starcc.intervals import VInterval, pentagon_constants
 from starcc.regions import REGION_IDS, TRUNCATION_R5, region_def, region_plan
 
@@ -188,8 +188,9 @@ def test_tightest_leaf_bound_holds_in_exact_arithmetic(rid):
     cert = certify_inequality(rid, max_box_width=0.1, truncation=trunc)
     j = int(np.argmin(cert.bounds))
     box = tuple(float(a[j]) for a in (cert.lo3, cert.hi3, cert.lo5, cert.hi5))
-    checks, cid = region_plan(rid).route(*(np.array([e]) for e in box))
-    exact = _exact_bound(checks[cid[0]], box, cert.forms[j])
+    plan = region_plan(rid)
+    *_, pair = _batch_bounds(plan, *(np.array([e]) for e in box))
+    exact = _exact_bound(plan.pairs[pair[0]], box, cert.forms[j])
     assert exact > 0
     assert exact >= Fraction(float(cert.bounds[j]))
 

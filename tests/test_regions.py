@@ -8,7 +8,6 @@ from starcc.certify import plan_signature
 from starcc import regions
 from starcc.geometry import A, B, DomainError
 from starcc.regions import (
-    CORNER_ZONE_SIDE,
     DELTA_B0,
     REGION_IDS,
     TRUNCATION_R5,
@@ -56,7 +55,7 @@ def test_every_region_has_a_plan():
     for rid in REGION_IDS:
         plan = region_plan(rid)
         assert plan.region == rid
-        assert plan.main.describe()
+        assert plan.pairs and all(p.describe() for p in plan.pairs)
 
 
 def test_b0_excision_set():
@@ -83,7 +82,7 @@ def test_unbounded_regions_require_truncation():
 
 def test_cover_counts_are_stable():
     # Deterministic covers at width 0.05 (unbounded regions truncated at 10).
-    expected = {"J1": 196, "J9": 3800, "J16": 62}
+    expected = {"J1": 169, "J9": 3800, "J16": 62}
     total = 0
     for rid in REGION_IDS:
         tr = 10.0 if region_def(rid).unbounded else None
@@ -93,7 +92,7 @@ def test_cover_counts_are_stable():
         total += lo3.size
         if rid in expected:
             assert lo3.size == expected[rid]
-    assert total == 17041
+    assert total == 17013
 
 
 def test_cover_boxes_meet_their_region():
@@ -143,21 +142,6 @@ def test_edge_vector_cover_equals_the_per_cell_cover(width, truncation, delta):
         want = _per_cell_cover(rid, width, truncation, delta)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), rid
-
-
-def routed(plan, *box):
-    """The check that plan.route gives one box."""
-    checks, cid = plan.route(*(np.array([v]) for v in box))
-    return checks[cid[0]]
-
-
-def test_j1_corner_zone_routing():
-    plan = region_plan("J1")
-    z = CORNER_ZONE_SIDE
-    inside = routed(plan, z / 4, z / 2, z / 4, z / 2)
-    outside = routed(plan, 0.3, 0.32, 0.3, 0.32)
-    assert inside.describe() == "lambda_41 < lambda_11"
-    assert outside.describe() == "lambda_11 < lambda_31"
 
 
 def test_region_bounds_use_golden_constants():
@@ -231,17 +215,9 @@ def test_bbox_edges_are_rounded_outward():
             assert abs(e - ref) <= Decimal("1e-14"), (rid, k, edge)
 
 
-def test_j4_corner_zone_starts_at_the_outward_edge():
-    # a zone edge at the float b/2 would leave J4's first cover column,
-    # which starts at the outward b/2, on the main pair that degenerates
-    # at the collision corner (b/2, 0)
-    zone = region_plan("J4").zones[0]
-    assert zone.r3_lo == region_def("J4").bbox()[0]
-
-
-# sha256 of _table_digest(), taken on the region table before its facts
-# were merged into one row per region; the rows restate them bit for bit
-TABLE_DIGEST = "9ded2d6a4706cf04f4b406c240d980bd15598b08670c7a36bbbebb8371a7d6d9"
+# sha256 of _table_digest(), taken when the plans became pair sets and J1
+# and J4 lost the grid lines of their corner rectangles
+TABLE_DIGEST = "33ef800e611d76955e0002ea7944dede26b99b33e90b5d354efe4271c5fb9430"
 
 
 def _table_digest():
