@@ -17,10 +17,12 @@ enclosures touches zero, which happens only for boxes hanging over a
 collision corner of the closure; such a lane takes another pair's
 bound, and it is NaN, so bisected, only when every pair is.  One loop,
 _branch_and_bound, grows both the sixteen region certificates and the
-annulus around the Krawczyk window: boxes with certified bound > 0
-become leaves; the rest are bisected along their wider side (_bisect),
-children certainly outside the region closure are dropped, and the loop
-continues until done or the depth budget runs out.
+annulus around the Krawczyk window, whose plan is the four ordered pairs
+of the two gap components of kernel.LOCAL_PAIRS (a box where one of them
+holds strictly has no zero of the gap map): boxes with certified bound
+> 0 become leaves; the rest are bisected along their wider side
+(_bisect), children certainly outside the region closure are dropped,
+and the loop continues until done or the depth budget runs out.
 A region box on which every pair's certified *upper* bound is negative
 (with its center inside the region) disproves the plan outright and
 aborts with CertificationRefuted — this is what the reversed-orientation
@@ -84,9 +86,10 @@ from .regions import (
     REGION_IDS,
     TRUNCATION_R5,
     PairCheck,
+    Region,
     RegionPlan,
-    _snap_edges,
     cover_arrays,
+    grid_cover,
     region_def,
     region_excises_b0,
     region_plan,
@@ -99,7 +102,7 @@ VERDICT = "UNIQUE-IN-WINDOW"
 
 FORM_QUOTIENT = "q"
 FORM_CLEARED = "c"
-_REGION_FORMS = (FORM_QUOTIENT, FORM_CLEARED)
+_FORMS = (FORM_QUOTIENT, FORM_CLEARED)
 
 
 class BudgetExhausted(RuntimeError):
@@ -442,15 +445,15 @@ def _json_with(payload: dict, key: str, text: str) -> str:
     ) + "}"
 
 
-def _parse_leaf_rows(rows, alphabet):
+def _parse_leaf_rows(rows):
     """Inverse of _leaf_rows: the (lo3, hi3, lo5, hi5, forms, bounds)
     arrays of the rows.  ValueError naming the first row that is not six
-    entries with a form in alphabet: the arrays would drop the rest."""
+    entries with a form in _FORMS: the arrays would drop the rest."""
     for j, r in enumerate(rows):
-        if type(r) is not list or len(r) != 6 or r[4] not in alphabet:
+        if type(r) is not list or len(r) != 6 or r[4] not in _FORMS:
             raise ValueError(
                 f"row {j} is not [r3_lo, r3_hi, r5_lo, r5_hi, form, bound]"
-                f" with form in {alphabet}: {r!r:.200}")
+                f" with form in {_FORMS}: {r!r:.200}")
     fh = float.fromhex
     lo3, hi3, lo5, hi5 = (np.array([fh(r[i]) for r in rows]) for i in range(4))
     forms = np.array([r[4] for r in rows], dtype="<U2")
@@ -477,11 +480,10 @@ def _unhex(v):
     return float.fromhex(v)
 
 
-def _decode(cls, d: dict, kind: str, rows_key: str, alphabet, plain):
+def _decode(cls, d: dict, kind: str, rows_key: str, plain):
     """The cls certificate of payload d: the cls._HEXED fields through
-    _unhex, the rows under rows_key as the cls._LEAVES arrays (every form
-    in alphabet), and the fields plain(d) gives as they are.  Raises
-    MalformedCertificate."""
+    _unhex, the rows under rows_key as the cls._LEAVES arrays, and the
+    fields plain(d) gives as they are.  Raises MalformedCertificate."""
     try:
         if d["format"] != FORMAT_VERSION or d["kind"] != kind:
             raise MalformedCertificate(
@@ -489,7 +491,7 @@ def _decode(cls, d: dict, kind: str, rows_key: str, alphabet, plain):
             )
         return cls(
             **{key: _unhex(d[key]) for key in cls._HEXED},
-            **dict(zip(cls._LEAVES, _parse_leaf_rows(d[rows_key], alphabet))),
+            **dict(zip(cls._LEAVES, _parse_leaf_rows(d[rows_key]))),
             **plain(d),
         )
     except MalformedCertificate:
@@ -553,7 +555,7 @@ class Certificate:
 
     @staticmethod
     def from_payload(d: dict) -> "Certificate":
-        return _decode(Certificate, d, "inequality", "leaves", _REGION_FORMS, lambda d: {
+        return _decode(Certificate, d, "inequality", "leaves", lambda d: {
             "region": d["region"],
             "plan": d["plan"],
             "stats": dict(d.get("stats", {})),
@@ -594,18 +596,23 @@ def _bisect(l3, h3, l5, h5):
     )
 
 
-def _branch_and_bound(what: str, boxes, bounds, outside, max_depth: int):
-    """Certify every box of the initial cover, bisecting until done.
+def _branch_and_bound(plan: RegionPlan, boxes, max_depth: int,
+                      region: Optional[Region] = None):
+    """Certify the plan on every box of the initial cover, bisecting until
+    done.
 
-    bounds(lo3, hi3, lo5, hi5) returns a certified lower bound and a form
-    label per box; a box with bound > 0 becomes a leaf (NaN never does).
-    The others are split by _bisect, and the children that
-    outside(lo3, hi3, lo5, hi5) certifies to miss the region closure are
-    dropped (outside=None drops none).  Raises BudgetExhausted once boxes
-    remain after max_depth generations or more than _BOX_CAP boxes were
-    made.  Returns the leaves (lo3, hi3, lo5, hi5, forms, bounds) sorted
+    _batch_bounds gives each box a certified lower bound and its form; a
+    box with bound > 0 becomes a leaf (NaN never does).  The others are
+    split by _bisect.  Given the region, the children that its
+    boxes_outside_closure certifies to miss the closure are dropped, and a
+    box with a certified negative upper bound whose center lies in the
+    region raises CertificationRefuted; without one, neither happens.
+    Raises BudgetExhausted once boxes remain after max_depth generations
+    or more than _BOX_CAP boxes were made.  Errors name plan.region.
+    Returns the leaves (lo3, hi3, lo5, hi5, forms, bounds) sorted
     lexicographically, and the counters a certificate's stats record.
     """
+    what = plan.region
     lo3, hi3, lo5, hi5 = boxes
     del boxes  # so that the first bisection frees the initial cover
     n_initial = int(lo3.size)
@@ -622,7 +629,15 @@ def _branch_and_bound(what: str, boxes, bounds, outside, max_depth: int):
             )
         if total_boxes > _BOX_CAP:
             raise BudgetExhausted(f"{what}: box count exceeded {_BOX_CAP}")
-        bound, form = bounds(lo3, hi3, lo5, hi5)
+        bound, upper, form, _ = _batch_bounds(plan, lo3, hi3, lo5, hi5)
+        refuted = () if region is None else np.flatnonzero(
+            np.isfinite(upper) & (upper < 0.0))
+        for j in refuted:
+            if region.contains((0.5 * (lo3[j] + hi3[j]), 0.5 * (lo5[j] + hi5[j]))):
+                raise CertificationRefuted(
+                    f"{what}: certified negative gap {upper[j]:.6g} on "
+                    f"r3=[{lo3[j]}, {hi3[j]}], r5=[{lo5[j]}, {hi5[j]}]"
+                )
         evals += int(lo3.size)
         ok = bound > 0.0  # NaN compares false
         if np.any(ok):
@@ -631,8 +646,8 @@ def _branch_and_bound(what: str, boxes, bounds, outside, max_depth: int):
         if not np.any(rest):
             break
         lo3, hi3, lo5, hi5 = _bisect(lo3[rest], hi3[rest], lo5[rest], hi5[rest])
-        if outside is not None:
-            keep = ~outside(lo3, hi3, lo5, hi5)
+        if region is not None:
+            keep = ~region.boxes_outside_closure(lo3, hi3, lo5, hi5)
             lo3, hi3, lo5, hi5 = lo3[keep], hi3[keep], lo5[keep], hi5[keep]
         total_boxes += int(lo3.size)
         depth += 1
@@ -678,25 +693,11 @@ def certify_inequality(
             f"{region_id}: width {max_box_width!r} and truncation"
             f" {cut!r} imply a grid of {cells:.3g} cells")
     the_plan = plan if plan is not None else region_plan(region_id)
-
-    def bounds(lo3, hi3, lo5, hi5):
-        blo, bhi, form, _ = _batch_bounds(the_plan, lo3, hi3, lo5, hi5)
-        for j in np.flatnonzero(np.isfinite(bhi) & (bhi < 0.0)):
-            cx = 0.5 * (lo3[j] + hi3[j])
-            cy = 0.5 * (lo5[j] + hi5[j])
-            if reg.contains((cx, cy)):
-                raise CertificationRefuted(
-                    f"{region_id}: certified negative gap {bhi[j]:.6g} on "
-                    f"r3=[{lo3[j]}, {hi3[j]}], r5=[{lo5[j]}, {hi5[j]}]"
-                )
-        return blo, form
-
     (lo3, hi3, lo5, hi5, forms, leaf_bounds), stats = _branch_and_bound(
-        region_id,
+        the_plan,
         cover_arrays(region_id, max_box_width, cut, delta_b0),
-        bounds,
-        reg.boxes_outside_closure,
         max_depth,
+        reg,
     )
     stats["wall_seconds"] = round(time.perf_counter() - t0, 3)
     return Certificate(
@@ -757,10 +758,12 @@ class LocalUniquenessCertificate:
 
     Structure: the Krawczyk map contracts the inner (1±INNER_DELTA) box
     into itself (existence and uniqueness there, with a nonsingular
-    Jacobian enclosure), and every box of the surrounding annulus carries
-    a certified sign for one of the two gap components (no zero outside
-    the inner box).  The center residual pins that unique zero to the
-    pentagon point."""
+    Jacobian enclosure), and every box of the surrounding annulus is a
+    leaf of _ANNULUS_PLAN: one of the two gap components has a certified
+    sign on it, so no zero lies outside the inner box.  Like a region
+    leaf, an annulus leaf stores the form and the largest certified lower
+    bound over the plan's pairs (_batch_bounds).  The center residual pins
+    that unique zero to the pentagon point."""
 
     delta: float
     inner_delta: float
@@ -778,13 +781,13 @@ class LocalUniquenessCertificate:
     ann_hi3: np.ndarray = field(default_factory=lambda: np.zeros(0))
     ann_lo5: np.ndarray = field(default_factory=lambda: np.zeros(0))
     ann_hi5: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    ann_comp: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype="<U2"))
+    ann_form: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype="<U2"))
     ann_bound: np.ndarray = field(default_factory=lambda: np.zeros(0))
     fingerprint: str = ""
 
     _HEXED = ("delta", "inner_delta", "center", "y_matrix", "f_center", "jacobian",
               "det_jacobian", "k_image", "containment_margin", "posteriori_residual")
-    _LEAVES = ("ann_lo3", "ann_hi3", "ann_lo5", "ann_hi5", "ann_comp", "ann_bound")
+    _LEAVES = ("ann_lo3", "ann_hi3", "ann_lo5", "ann_hi5", "ann_form", "ann_bound")
 
     def _leaves(self):
         return tuple(getattr(self, key) for key in self._LEAVES)
@@ -819,7 +822,7 @@ class LocalUniquenessCertificate:
     @staticmethod
     def from_payload(d: dict) -> "LocalUniquenessCertificate":
         return _decode(LocalUniquenessCertificate, d, "local-uniqueness", "annulus",
-                       _ANNULUS_FORMS, lambda d: {
+                       lambda d: {
                            "pair_map": tuple(d["pair_map"]),
                            "subdivision": d["subdivision"],
                            "fingerprint": d["fingerprint"],
@@ -884,39 +887,18 @@ def _contraction_evidence(inner_delta: float, subdivision: int):
     }
 
 
-# PairCheck(low, high) certifies the gap lambda_high - lambda_low; an
-# annulus leaf's form "k+" / "k-" says gap component k is positive / negative
-_ANNULUS_CHECKS = tuple(PairCheck(low=b, high=a) for a, b in kernel.LOCAL_PAIRS)
-_ANNULUS_FORMS = tuple(f"{k}{sign}" for k in range(1, len(_ANNULUS_CHECKS) + 1)
-                       for sign in "+-")
-
-
-def _annulus_batch(lo3, hi3, lo5, hi5):
-    """For every box, the distance from zero of the first certified-nonzero
-    gap component in the fixed order 1+, 1-, 2+, 2-, and its code (0 and
-    "" if none)."""
-    n = lo3.size
-    comp = np.full(n, "", dtype="<U2")
-    bound = np.zeros(n)
-    for k, check in enumerate(_ANNULUS_CHECKS):
-        glo, ghi, _ = _pair_bounds(check, lo3, hi3, lo5, hi5)
-        for code, val in zip(_ANNULUS_FORMS[2 * k:2 * k + 2], (glo, -ghi)):
-            pick = (comp == "") & (val > 0.0)
-            comp[pick] = code
-            bound[pick] = val[pick]
-    return bound, comp
+# For each gap component lambda_a - lambda_b of F, the pairs that give it
+# a certified sign: lambda_b < lambda_a (positive) and lambda_a < lambda_b
+# (negative).
+_ANNULUS_PLAN = RegionPlan("annulus", tuple(
+    PairCheck(low, high) for a, b in kernel.LOCAL_PAIRS for low, high in ((b, a), (a, b))))
 
 
 def _annulus_cover(delta):
     """Grid boxes of width <= ANNULUS_BOX_WIDTH covering the window
     [1-delta, 1+delta]^2 minus the inner box, as (lo3, hi3, lo5, hi5)."""
-    lo, hi = 1.0 - INNER_DELTA, 1.0 + INNER_DELTA
-    edges = _snap_edges(1.0 - delta, 1.0 + delta, ANNULUS_BOX_WIDTH, (lo, hi))
-    lo3, lo5 = np.meshgrid(edges[:-1], edges[:-1], indexing="ij")
-    hi3, hi5 = np.meshgrid(edges[1:], edges[1:], indexing="ij")
-    lo3, hi3, lo5, hi5 = (a.ravel() for a in (lo3, hi3, lo5, hi5))
-    in_inner = (lo3 >= lo) & (hi3 <= hi) & (lo5 >= lo) & (hi5 <= hi)
-    return tuple(a[~in_inner] for a in (lo3, hi3, lo5, hi5))
+    return grid_cover((1.0 - delta, 1.0 + delta) * 2, ANNULUS_BOX_WIDTH,
+                      (1.0 - INNER_DELTA, 1.0 + INNER_DELTA))
 
 
 def certify_local_uniqueness(delta: float = DELTA_B0) -> LocalUniquenessCertificate:
@@ -937,13 +919,7 @@ def certify_local_uniqueness(delta: float = DELTA_B0) -> LocalUniquenessCertific
         raise ContractionFailure(
             f"center residual {ev['posteriori_residual']:.3e} > {_POSTERIORI_TOL}"
         )
-    ann, _ = _branch_and_bound(
-        "annulus",
-        _annulus_cover(delta),
-        _annulus_batch,
-        None,
-        _ANNULUS_MAX_DEPTH,
-    )
+    ann, _ = _branch_and_bound(_ANNULUS_PLAN, _annulus_cover(delta), _ANNULUS_MAX_DEPTH)
     return LocalUniquenessCertificate(
         delta=float(delta),
         inner_delta=INNER_DELTA,
@@ -955,7 +931,7 @@ def certify_local_uniqueness(delta: float = DELTA_B0) -> LocalUniquenessCertific
         ann_hi3=ann[1],
         ann_lo5=ann[2],
         ann_hi5=ann[3],
-        ann_comp=ann[4],
+        ann_form=ann[4],
         ann_bound=ann[5],
         fingerprint=build_fingerprint(),
     )
@@ -984,14 +960,16 @@ def _at(leaves, j) -> str:
     )
 
 
-def _check_leaves(what: str, leaves, recompute, cover, outside) -> None:
+def _check_leaves(plan: RegionPlan, leaves, cover, outside) -> None:
     """The leaf check both verifiers share.
 
     leaves is (lo3, hi3, lo5, hi5, forms, bounds) as stored.  Every bound
     must be finite and positive and equal, together with its form, the
-    bit-exact recomputation recompute(lo3, hi3, lo5, hi5) -> (bounds,
-    forms); then the leaves must tile the cover (_replay with outside).
+    plan's pair-set bound (_batch_bounds) recomputed bit for bit; then
+    the leaves must tile the cover (_replay with outside).  Errors name
+    plan.region.
     """
+    what = plan.region
     lo3, hi3, lo5, hi5, forms, bounds = leaves
     if lo3.size == 0:
         raise MalformedCertificate(f"{what}: certificate has no leaves")
@@ -999,7 +977,7 @@ def _check_leaves(what: str, leaves, recompute, cover, outside) -> None:
         raise LeafBoundViolation(
             f"{what}: stored bounds must all be finite and positive"
         )
-    got, form = recompute(lo3, hi3, lo5, hi5)
+    got, _, form, _ = _batch_bounds(plan, lo3, hi3, lo5, hi5)
     same = (got == bounds) & (form == forms)
     if not np.all(same):
         j = int(np.flatnonzero(~same)[0])
@@ -1059,15 +1037,9 @@ def verify_certificate(cert) -> bool:
     if c.plan != plan_signature(plan):
         raise MalformedCertificate("plan does not match this build")
     _check_header(c)
-
-    def recompute(lo3, hi3, lo5, hi5):
-        blo, _, form, _ = _batch_bounds(plan, lo3, hi3, lo5, hi5)
-        return blo, form
-
     _check_leaves(
-        c.region,
+        plan,
         c._leaves(),
-        recompute,
         cover_arrays(c.region, c.max_box_width, c.truncation, c.delta_b0),
         region_def(c.region).boxes_outside_closure,
     )
@@ -1190,9 +1162,10 @@ def _same_shape(a, b) -> bool:
 def verify_local_certificate(cert) -> bool:
     """Require the fixed construction (center, pair_map, inner_delta and
     subdivision exactly) and a window delta in range, recompute the
-    contraction evidence and every annulus bound bit-for-bit, re-check the
-    acceptance conditions (containment, nonsingularity) and replay the
-    annulus cover from the recorded delta."""
+    contraction evidence and every annulus bound (the pair-set bound of
+    _ANNULUS_PLAN) bit-for-bit, re-check the acceptance conditions
+    (containment, nonsingularity) and replay the annulus cover from the
+    recorded delta."""
     cert = _require(cert, LocalUniquenessCertificate)
     if cert.fingerprint != build_fingerprint():
         raise MalformedCertificate("fingerprint does not match this build")
@@ -1220,9 +1193,7 @@ def verify_local_certificate(cert) -> bool:
     if dlo <= 0.0 <= dhi:
         raise ContractionFailure("stored Jacobian determinant encloses zero")
 
-    _check_leaves(
-        "annulus", cert._leaves(), _annulus_batch, _annulus_cover(cert.delta), None
-    )
+    _check_leaves(_ANNULUS_PLAN, cert._leaves(), _annulus_cover(cert.delta), None)
     return True
 
 
@@ -1281,11 +1252,11 @@ def _solution_witness() -> Dict[str, object]:
     }
 
 
-def _certify_piece(piece: str, cfg: RunConfig, outdir: Optional[str] = None):
-    """certify_all's job for one piece of the bundle: the certificate of
-    region `piece`, or the local certificate for piece "local".  Given
-    outdir, the job also writes the certificate's to_json() to
-    <outdir>/<piece>.json, so that no JSON text crosses the pool."""
+def _certify_piece(piece: str, cfg: RunConfig):
+    """The job for one piece of the bundle: the certificate of region
+    `piece`, or the local certificate for piece "local".  Given
+    cfg.output_dir, the job also writes the certificate's to_json() to
+    <output_dir>/<piece>.json, so that no JSON text crosses the pool."""
     if piece == "local":
         cert = certify_local_uniqueness(delta=cfg.delta_b0)
     else:
@@ -1296,14 +1267,14 @@ def _certify_piece(piece: str, cfg: RunConfig, outdir: Optional[str] = None):
             delta=cfg.delta_b0,
             max_depth=cfg.max_depth,
         )
-    if outdir is not None:
-        with open(os.path.join(outdir, f"{piece}.json"), "w", encoding="utf-8") as fh:
+    if cfg.output_dir is not None:
+        with open(os.path.join(cfg.output_dir, f"{piece}.json"), "w",
+                  encoding="utf-8") as fh:
             fh.write(cert.to_json())
     return cert
 
 
-def certify_all(config: Optional[RunConfig] = None,
-                outdir: Optional[str] = None) -> CertificationManifest:
+def certify_all(config: Optional[RunConfig] = None) -> CertificationManifest:
     """Local certificate + all sixteen region certificates.
 
     Verdict VERDICT requires every piece; any failure raises.
@@ -1317,18 +1288,18 @@ def certify_all(config: Optional[RunConfig] = None,
     order local certificate, solution witness, J1..J16, whatever the
     worker count, and the manifest lists the regions in REGION_IDS order.
 
-    Given outdir, the job that certifies a piece writes it there, and any
-    manifest.json in outdir is removed before the first job starts, so a
-    run that fails part way leaves no manifest over a mix of old and new
-    pieces; the caller writes the new one last.  Without outdir nothing
-    is written.
+    Given cfg.output_dir, the job that certifies a piece writes it there,
+    and any manifest.json there is removed before the first job starts, so
+    a run that fails part way leaves no manifest over a mix of old and new
+    pieces; the caller writes the new one last.  Without an output_dir
+    nothing is written.
     """
     cfg = (config or RunConfig()).validate()
     # the local certificate's window rule fails first, before any fork
     _check_window(float(cfg.delta_b0))
-    if outdir is not None:
+    if cfg.output_dir is not None:
         with suppress(FileNotFoundError):
-            os.remove(os.path.join(outdir, "manifest.json"))
+            os.remove(os.path.join(cfg.output_dir, "manifest.json"))
     t0 = time.perf_counter()
 
     def cost(job) -> float:
@@ -1338,7 +1309,7 @@ def certify_all(config: Optional[RunConfig] = None,
         return _grid_cells(piece, cfg.max_box_width, cfg.truncation)
 
     pieces = ("local",) + REGION_IDS
-    jobs = [(p, cfg, outdir) for p in pieces]
+    jobs = [(p, cfg) for p in pieces]
     with closing(_fan_out(_certify_piece, jobs, cfg.threads, cost)) as results:
         local = next(results)
         witness = _solution_witness()

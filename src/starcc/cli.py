@@ -39,8 +39,8 @@ from .certify import (
     LocalUniquenessCertificate,
     MalformedCertificate,
     RunConfig,
+    _certify_piece,
     certify_all,
-    certify_inequality,
     recorded_cuts,
     verify_certificate,
     verify_local_certificate,
@@ -122,9 +122,10 @@ def _load_run_config(args) -> RunConfig:
 
 
 def _resolve_outdir(cfg: RunConfig) -> str:
-    out = cfg.output_dir or DEFAULT_OUTPUT_DIR
-    os.makedirs(out, exist_ok=True)
-    return out
+    """Put the directory certificates go to on cfg, made if missing."""
+    cfg.output_dir = cfg.output_dir or DEFAULT_OUTPUT_DIR
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    return cfg.output_dir
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +238,7 @@ def cmd_certify(args) -> int:
 
     if target == "all":
         # the pool's jobs write the pieces; the manifest goes last
-        manifest = certify_all(cfg, outdir)
+        manifest = certify_all(cfg)
         for rid in REGION_IDS:
             _print_region_row(manifest.certificates[rid])
         with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as fh:
@@ -253,15 +254,7 @@ def cmd_certify(args) -> int:
         print(f"bundle written to {outdir}")
         return 0
 
-    cert = certify_inequality(
-        target,
-        max_box_width=cfg.max_box_width,
-        truncation=cfg.truncation,
-        delta=cfg.delta_b0,
-        max_depth=cfg.max_depth,
-    )
-    with open(os.path.join(outdir, f"{target}.json"), "w", encoding="utf-8") as fh:
-        fh.write(cert.to_json())
+    cert = _certify_piece(target, cfg)
     _print_region_row(cert)
     if cert.truncation is not None:
         print(f"  truncated at r5 <= {cert.truncation:g} (recorded in the certificate)")

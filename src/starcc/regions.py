@@ -382,11 +382,32 @@ def _excises(rid: str, delta: Optional[float]) -> bool:
     return delta is not None and region_excises_b0(rid, delta)
 
 
-def _region_snaps(rid: str, delta: Optional[float]):
-    """The (r3, r5) grid lines that box edges must align with: the edges
-    of the excised square, if the region excises it."""
-    s = [1.0 - delta, 1.0 + delta] if _excises(rid, delta) else []
-    return s, s
+def grid_cover(bbox, width: float, square=None, outside=None):
+    """The cells of a grid of width <= width on bbox = (r3lo, r3hi, r5lo,
+    r5hi), as (lo3, hi3, lo5, hi5) arrays, r3-major.
+
+    Given square = (lo, hi), the grid lines pass through lo and hi on both
+    axes and the cells inside [lo, hi]^2 are left out; given outside, so
+    are the cells that outside(lo3, hi3, lo5, hi5) marks.  Both tests run
+    on the grid's edge vectors, r3 as a column and r5 as a row, so a
+    coefficient times an edge is computed once per column or row and only
+    the sums run per cell; the per-cell operations are the same, so every
+    bit is the one a test of each cell on its own gives.  Only the kept
+    cells' edges are gathered."""
+    r3lo, r3hi, r5lo, r5hi = bbox
+    snaps = square or ()
+    e3 = _snap_edges(r3lo, r3hi, width, snaps)
+    e5 = _snap_edges(r5lo, r5hi, width, snaps)
+    lo3, hi3 = e3[:-1, None], e3[1:, None]
+    lo5, hi5 = e5[None, :-1], e5[None, 1:]
+    keep = np.ones((lo3.size, lo5.size), dtype=bool)
+    if outside is not None:
+        keep &= ~outside(lo3, hi3, lo5, hi5)
+    if square is not None:
+        lo, hi = square
+        keep &= ~((lo3 >= lo) & (hi3 <= hi) & (lo5 >= lo) & (hi5 <= hi))
+    i3, i5 = np.nonzero(keep)
+    return e3[i3], e3[i3 + 1], e5[i5], e5[i5 + 1]
 
 
 def cover_arrays(
@@ -403,30 +424,13 @@ def cover_arrays(
     boundary by less than one cell.  delta=None excises nothing, which is
     what a certificate recording no delta_b0 claims.  An unbounded region
     needs a truncation (TruncationRequired otherwise); a bounded one
-    ignores it.
-
-    The closure and excision tests run on the grid's edge vectors, r3 as
-    a column and r5 as a row, so a coefficient times an edge is computed
-    once per column or row and only the sums run per cell; the per-cell
-    operations are the same, so every bit is the one a test of each cell
-    on its own gives.  Only the kept cells' edges are gathered.
+    ignores it.  The grid is grid_cover's, with the closure test and the
+    excised square.
     """
     reg = region_def(rid)
-    r3lo, r3hi, r5lo, r5hi = reg.bbox(truncation)
-    s3, s5 = _region_snaps(rid, delta)
-    e3 = _snap_edges(r3lo, r3hi, max_box_width, s3)
-    e5 = _snap_edges(r5lo, r5hi, max_box_width, s5)
-    lo3, hi3 = e3[:-1, None], e3[1:, None]
-    lo5, hi5 = e5[None, :-1], e5[None, 1:]
-    keep = ~reg.boxes_outside_closure(lo3, hi3, lo5, hi5)
-    if _excises(rid, delta):
-        inside_b0 = (
-            (lo3 >= 1.0 - delta) & (hi3 <= 1.0 + delta)
-            & (lo5 >= 1.0 - delta) & (hi5 <= 1.0 + delta)
-        )
-        keep &= ~inside_b0
-    i3, i5 = np.nonzero(keep)
-    return e3[i3], e3[i3 + 1], e5[i5], e5[i5 + 1]
+    square = (1.0 - delta, 1.0 + delta) if _excises(rid, delta) else None
+    return grid_cover(reg.bbox(truncation), max_box_width, square,
+                      reg.boxes_outside_closure)
 
 
 # ---------------------------------------------------------------------------

@@ -348,9 +348,10 @@ def test_reader_refuses_a_leaf_row_it_cannot_hold(j4_cert, tmp_path, edit):
     lambda row: row[:4] + [row[4] + "\x00", row[5]],
 ], ids=["7-entries", "component-3", "nul"])
 def test_reader_refuses_an_annulus_row_it_cannot_hold(local_cert, edit):
+    # an annulus row takes the region forms, nothing else
     payload = json.loads(local_cert.to_json())
     payload["annulus"][5] = edit(payload["annulus"][5])
-    with pytest.raises(MalformedCertificate, match="row 5"):
+    with pytest.raises(MalformedCertificate, match=r"row 5 is not .* in \('q', 'c'\)"):
         LocalUniquenessCertificate.from_payload(payload)
 
 
@@ -375,8 +376,14 @@ def test_certificate_bytes_are_pinned(j4_cert, local_cert):
     assert _sha256(payload) == (
         "6b9c208c3b2869984cd11beb815d5d2b0fe339d95c25a9fbb860a7ab2911193c"
     )
-    assert _sha256(local_cert.to_payload()["annulus"]) == (
-        "97b00e2e0e8f76563b909867b27867a56807f0d50955a6d7d4ffb8c6af561bfa"
+    rows = local_cert.to_payload()["annulus"]
+    assert _sha256(rows) == (
+        "f71e5a4c798ab6eaa6f31418324ece23262e2ba99cebe1cf2a127ee209e4cf2e"
+    )
+    # the boxes alone: those of the component-labelled annulus before it
+    # became a pair-set plan
+    assert _sha256([row[:4] for row in rows]) == (
+        "28f09bf828fd9351dab83c41f8679c4692bae7ca08f82dfef27b65351e199420"
     )
 
 
@@ -643,9 +650,83 @@ def test_local_certificate_round_trip(local_cert):
 def test_local_tampered_annulus_is_rejected(local_cert):
     payload = json.loads(local_cert.to_json())
     row = payload["annulus"][100]
-    row[4] = "2+" if row[4] != "2+" else "1-"
+    assert row[4] == "q"
+    row[4] = "c"
     bad = LocalUniquenessCertificate.from_payload(payload)
-    with pytest.raises((LeafBoundViolation, ValueError)):
+    with pytest.raises(LeafBoundViolation, match="annulus: leaf 100 .* recomputes to"):
+        verify_local_certificate(bad)
+
+
+def _annulus_pair_bounds(cert):
+    """_pair_bounds of each pair of the annulus plan on the stored leaves."""
+    box = (cert.ann_lo3, cert.ann_hi3, cert.ann_lo5, cert.ann_hi5)
+    return [certify._pair_bounds(check, *box) for check in certify._ANNULUS_PLAN.pairs]
+
+
+def test_each_annulus_bound_is_the_largest_over_the_four_pairs(local_cert):
+    assert [c.describe() for c in certify._ANNULUS_PLAN.pairs] == [
+        "lambda_31 < lambda_11", "lambda_11 < lambda_31",
+        "lambda_51 < lambda_11", "lambda_11 < lambda_51"]
+    pairs = _annulus_pair_bounds(local_cert)
+    lows = np.array([lo for lo, _, _ in pairs])
+    assert not np.any(np.isnan(lows))
+    assert np.array_equal(local_cert.ann_bound, lows.max(axis=0))
+    assert set(local_cert.ann_form.tolist()) == {"q"}
+    # a reversed pair's lower bound is minus the pair's upper bound, bit
+    # for bit: the four pairs bound each gap component's distance from 0
+    for k in (0, 2):
+        assert np.array_equal(pairs[k + 1][0], -pairs[k][1])
+        assert np.array_equal(pairs[k][0], -pairs[k + 1][1])
+
+
+def test_a_component_labelled_local_certificate_is_malformed(local_cert, tmp_path):
+    # rebuild the rows the annulus had before it became a pair-set plan:
+    # the first of the codes 1+, 1-, 2+, 2- whose distance from zero is
+    # certified positive, with that distance as the bound
+    pairs = _annulus_pair_bounds(local_cert)
+    codes = ("1+", pairs[0][0]), ("1-", -pairs[0][1]), ("2+", pairs[2][0]), ("2-", -pairs[2][1])
+    payload = json.loads(local_cert.to_json())
+    for j, row in enumerate(payload["annulus"]):
+        code, bound = next((c, float(v[j])) for c, v in codes if v[j] > 0.0)
+        assert bound <= local_cert.ann_bound[j]
+        row[4:] = [code, bound.hex()]
+    assert _sha256(payload["annulus"]) == (
+        "97b00e2e0e8f76563b909867b27867a56807f0d50955a6d7d4ffb8c6af561bfa"
+    )
+    path = tmp_path / "local.json"
+    path.write_text(json.dumps(payload))
+    assert cli.main(["verify", str(path)]) == cli.EXIT_VERIFY
+    # one such row among the current ones is named
+    j = next(j for j, row in enumerate(payload["annulus"]) if row[4] == "1+")
+    current = json.loads(local_cert.to_json())
+    current["annulus"][j] = payload["annulus"][j]
+    with pytest.raises(MalformedCertificate, match=rf"row {j} is not .*'1\+'"):
+        LocalUniquenessCertificate.from_payload(current)
+
+
+def _with_evidence(local_cert, monkeypatch, evidence):
+    """local_cert carrying the contraction evidence `evidence`, parsed from
+    its payload, with the verifier's recomputation returning the same."""
+    monkeypatch.setattr(certify, "_contraction_evidence", lambda *args: evidence)
+    payload = json.loads(replace(local_cert, **evidence).to_json())
+    return LocalUniquenessCertificate.from_payload(payload)
+
+
+def test_local_evidence_that_does_not_contract_is_rejected(local_cert, monkeypatch):
+    # the real evidence on an inner box ten times wider does not contract
+    evidence = _contraction_evidence(0.02, certify.SUBDIVISION)
+    assert evidence["containment_margin"] == pytest.approx(-1.5e-2, rel=0.1)
+    bad = _with_evidence(local_cert, monkeypatch, evidence)
+    with pytest.raises(ContractionFailure, match="containment margin is not positive"):
+        verify_local_certificate(bad)
+
+
+def test_local_evidence_with_a_singular_jacobian_is_rejected(local_cert, monkeypatch):
+    evidence = dict(_contraction_evidence(certify.INNER_DELTA, certify.SUBDIVISION),
+                    det_jacobian=(-1.0, 1.0))
+    assert evidence["containment_margin"] > 0.0
+    bad = _with_evidence(local_cert, monkeypatch, evidence)
+    with pytest.raises(ContractionFailure, match="determinant encloses zero"):
         verify_local_certificate(bad)
 
 
@@ -745,7 +826,8 @@ def test_certify_all_is_independent_of_the_thread_count(manifest_two_threads):
 
 # sha256 of each piece of the width-0.1 bundle (a region's payload without
 # stats.wall_seconds, and local.to_json()), taken when the plans became
-# pair sets; apart from J1 and J4, only the fingerprint moved them
+# pair sets (apart from J1 and J4, only the fingerprint moved them); local
+# was taken again when the annulus became a pair-set plan
 BUNDLE_PINS = {
     "J1": "075c8659913dc629d59fbe59fba1b1fb64cc9c1436dd461042d6ed1d7607bb3a",
     "J2": "f7d61fd05085581fa3380f4810eeedb1de3f728ed598ef42269339649a3c5241",
@@ -763,7 +845,7 @@ BUNDLE_PINS = {
     "J14": "59e19dd19734ca9c765a6bb53e2932209430e82551c710141bdd64c8f4da5e48",
     "J15": "5d15cb795fc6b8471d1c6234f2362ebeb6b3ee4832911ddf1faebf87214c8ee4",
     "J16": "950b88b05e05e694601063707d73afd575b9e72ecefd54276716abbefe217e50",
-    "local": "6926e23a50726bf94c0113ffdd639254097e6722a2d8f469834ee47b8dd14ce4",
+    "local": "4cfebdbc2b4ff9d99e6266ab8f694f1b088660d99e8dbb7d59ea5fcfb34aa718",
 }
 
 
@@ -838,8 +920,8 @@ def test_each_piece_a_job_writes_is_to_json_of_the_returned_certificate(
     # the pool's jobs write the pieces; the manifest they return must hold
     # the very certificates whose bytes are on disk
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    manifest = certify_all(RunConfig(max_box_width=0.1, threads=threads),
-                           str(tmp_path))
+    manifest = certify_all(RunConfig(max_box_width=0.1, threads=threads,
+                                     output_dir=str(tmp_path)))
     pieces = dict(manifest.certificates, local=manifest.local)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         f"{piece}.json" for piece in pieces)

@@ -117,9 +117,9 @@ def _per_cell_cover(rid, max_box_width, truncation, delta):
     every cell of the bounding-box grid on its own, in meshgrid order."""
     reg = region_def(rid)
     r3lo, r3hi, r5lo, r5hi = reg.bbox(truncation)
-    s3, s5 = regions._region_snaps(rid, delta)
-    e3 = regions._snap_edges(r3lo, r3hi, max_box_width, s3)
-    e5 = regions._snap_edges(r5lo, r5hi, max_box_width, s5)
+    snaps = [1.0 - delta, 1.0 + delta] if regions._excises(rid, delta) else []
+    e3 = regions._snap_edges(r3lo, r3hi, max_box_width, snaps)
+    e5 = regions._snap_edges(r5lo, r5hi, max_box_width, snaps)
     lo3, lo5 = np.meshgrid(e3[:-1], e5[:-1], indexing="ij")
     hi3, hi5 = np.meshgrid(e3[1:], e5[1:], indexing="ij")
     lo3, hi3, lo5, hi5 = (a.ravel() for a in (lo3, hi3, lo5, hi5))
