@@ -1,14 +1,40 @@
 """The one process pool: independent jobs on fork-started workers.
 
 _fan_out runs the jobs and _worker_count sizes the pool; see _fan_out for
-its three users.  concurrent.futures and multiprocessing are imported by
-the first call that starts a pool, so that `import starcc` stays light.
+its three users.  concurrent.futures, multiprocessing and ctypes are
+imported by the first call that starts a pool, so that `import starcc`
+stays light.
 """
 
 from __future__ import annotations
 
 import os
 from typing import Callable, Iterator, Sequence
+
+# (trim, mmap) thresholds of glibc's malloc in the process collecting a
+# pool's results.  glibc raises its mmap threshold to the size of each
+# large block freed, so from the second pool on the unpickled leaf arrays
+# (11 MB for J15 at width 0.01) landed on the heap, and the peak RSS of a
+# process running certify_all again and again varied by 5 MB with the
+# order in which the jobs finished.  _COLLECT (glibc's initial values)
+# maps each large block on its own; it is set after the workers fork, as
+# it makes their numpy kernel 2.5 times slower.  _COMPUTE (the ceiling of
+# the sliding values on a 64-bit build) is set when the pool ends.
+_COLLECT = (128 << 10, 128 << 10)
+_COMPUTE = (64 << 20, 32 << 20)
+
+
+def _set_thresholds(trim: int, mmap: int) -> None:
+    """Set glibc's M_TRIM_THRESHOLD and M_MMAP_THRESHOLD; elsewhere, nothing."""
+    try:
+        if os.confstr("CS_GNU_LIBC_VERSION"):
+            import ctypes
+
+            mallopt = ctypes.CDLL(None).mallopt
+            mallopt(-1, trim)
+            mallopt(-3, mmap)
+    except (AttributeError, OSError, ValueError):
+        pass
 
 
 def _worker_count(threads: int, jobs: int) -> int:
@@ -57,8 +83,11 @@ def _fan_out(fn: Callable, jobs: Sequence[tuple], workers: int,
     order = sorted(range(len(jobs)), key=lambda i: -cost(jobs[i]))
     pool = ProcessPoolExecutor(max_workers=n, mp_context=get_context("fork"))
     try:
-        futures = {i: pool.submit(fn, *jobs[i]) for i in order}
+        futures = {order[0]: pool.submit(fn, *jobs[order[0]])}
+        _set_thresholds(*_COLLECT)  # the first submit forked every worker
+        futures.update((i, pool.submit(fn, *jobs[i])) for i in order[1:])
         for i in range(len(jobs)):
             yield futures[i].result()
     finally:
         pool.shutdown(cancel_futures=True)
+        _set_thresholds(*_COMPUTE)

@@ -983,6 +983,27 @@ def test_fan_out_raises_broken_process_pool_when_a_worker_dies(monkeypatch):
     assert len(caught) == 1 and isinstance(caught[0], BrokenProcessPool), caught
 
 
+_THRESHOLDS_SET = []  # pool._set_thresholds calls, as the test below records them
+
+
+def _thresholds_set_here(k):
+    """A _fan_out job: the threshold calls its worker made or forked with."""
+    return list(_THRESHOLDS_SET)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool needs os.fork")
+def test_fan_out_sets_collect_thresholds_after_the_workers_fork(monkeypatch):
+    # the workers must fork before _COLLECT is set (their numpy temporaries
+    # stay on the heap), and the caller must leave the pool with _COMPUTE
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers: a pool
+    monkeypatch.setattr(pool, "_set_thresholds", lambda *t: _THRESHOLDS_SET.append(t))
+    _THRESHOLDS_SET.clear()
+    seen = list(pool._fan_out(_thresholds_set_here, [(0,), (1,), (2,)], 2, lambda job: 0))
+    assert seen == [[], [], []]
+    assert _THRESHOLDS_SET == [pool._COLLECT, pool._COMPUTE]
+    _THRESHOLDS_SET.clear()
+
+
 def _unblocked_bounds(plan, lo3, hi3, lo5, hi5):
     """_batch_bounds as one kernel call per pair over all the lanes, with
     the pairs stacked: the lane's bound is the largest that is not NaN
