@@ -12,10 +12,12 @@ J8) the engine switches to the cleared-denominator form
 (N_high q_low - N_low q_high) * sign(q_low q_high), whose positivity is
 equivalent to the gap's on the open region where the q signs are fixed.
 
-A pair's bound is undecidable (NaN) on lanes where one of its distance
-enclosures touches zero, which happens only for boxes hanging over a
-collision corner of the closure; such a lane takes another pair's
-bound, and it is NaN, so bisected, only when every pair is.  One loop,
+A distance enclosure touching zero (only for boxes hanging over a
+collision corner of the closure) is undecidable: its r_ij^(-3) is NaN on
+that lane (_MaskedBackend), and so is every lambda and pair bound that
+reads it, so the pairs of a plan share one evaluation per slice of boxes.
+A lane whose pair bound is NaN takes another pair's bound, and it is
+NaN, so bisected, only when every pair is.  One loop,
 _branch_and_bound, grows both the sixteen region certificates and the
 annulus around the Krawczyk window, whose plan is the four ordered pairs
 of the two gap components of kernel.LOCAL_PAIRS (a box where one of them
@@ -206,36 +208,29 @@ def _excluded(delta_b0: Optional[float]):
 
 
 class _MaskedBackend(VectorBackend):
-    """VectorBackend that records lanes whose squared-distance enclosure
-    touches zero instead of raising, substituting a harmless [1,1]."""
-
-    def __init__(self, n: int):
-        super().__init__()
-        self.bad = np.zeros(n, dtype=bool)
+    """VectorBackend whose x^(-3/2) is NaN, not an exception, on lanes where
+    the squared-distance enclosure touches zero: those lanes run on a
+    harmless [1, 1] stand-in and come out NaN, so every lambda that reads
+    that distance is NaN there and the others are not.  It holds no state,
+    so one evaluation's radii and cache can serve any set of lambdas."""
 
     def powneg32(self, x: VInterval) -> VInterval:  # type: ignore[override]
         bad = x.lo <= 0.0
-        if np.any(bad):
-            self.bad = self.bad | bad
-            x = VInterval(np.where(bad, 1.0, x.lo), np.where(bad, 1.0, x.hi))
-        return x.powneg32()
+        if not np.any(bad):
+            return x.powneg32()
+        p = VInterval(np.where(bad, 1.0, x.lo), np.where(bad, 1.0, x.hi)).powneg32()
+        return VInterval(np.where(bad, np.nan, p.lo), np.where(bad, np.nan, p.hi))
 
 
-def _broadcast(v: VInterval, n: int) -> VInterval:
-    return VInterval(np.broadcast_to(v.lo, (n,)), np.broadcast_to(v.hi, (n,)))
-
-
-def _pair_bounds(check: PairCheck, lo3, hi3, lo5, hi5):
-    """Certified (lower, upper) bounds of the gap and the form used,
-    per lane; NaN bounds mark undecidable lanes."""
-    n = lo3.size
-    eng = _MaskedBackend(n)
-    radii = kernel.derived_radii(eng, VInterval(lo3, hi3), VInterval(lo5, hi5))
-    cache: dict = {}
+def _pair_bounds(check: PairCheck, eng: _MaskedBackend, radii, cache: dict):
+    """Certified (lower, upper) bounds of the gap and the form used, per
+    lane of radii, from the lambdas of one evaluation on eng and its shared
+    cache; NaN bounds mark the lanes where a distance of either lambda
+    touches zero (undecidable)."""
     n_lo = kernel.lambda_num(eng, radii, *check.low, cache=cache)
     n_hi = kernel.lambda_num(eng, radii, *check.high, cache=cache)
-    q_lo = _broadcast(kernel.lambda_den(eng, radii, *check.low), n)
-    q_hi = _broadcast(kernel.lambda_den(eng, radii, *check.high), n)
+    q_lo = kernel.lambda_den(eng, radii, *check.low)  # 0-d for body 1
+    q_hi = kernel.lambda_den(eng, radii, *check.high)
 
     straddle = q_lo.straddles_zero() | q_hi.straddles_zero()
     safe_lo = VInterval(
@@ -253,36 +248,37 @@ def _pair_bounds(check: PairCheck, lo3, hi3, lo5, hi5):
 
     lo = np.where(straddle, cl_lo, gap.lo)
     hi = np.where(straddle, cl_hi, gap.hi)
-    form = np.where(straddle, FORM_CLEARED, FORM_QUOTIENT)
-    lo = np.where(eng.bad, np.nan, lo)
-    hi = np.where(eng.bad, np.nan, hi)
-    return lo, hi, form.astype("<U2")
+    return lo, hi, np.where(straddle, FORM_CLEARED, FORM_QUOTIENT)
 
 
 def _batch_bounds(plan: RegionPlan, lo3, hi3, lo5, hi5):
     """The pair-set bound: _pair_bounds of every pair of the plan on every
-    box, each pair on its own backend.  Per box, returns the largest lower
-    bound that is not NaN, that pair's form and its index in plan.pairs
-    (the first such pair on ties; pair 0 and NaN when every pair is NaN),
-    and the largest upper bound, NaN when any pair's is, so that a box is
-    certified negative only when every pair is.
+    box.  Per box, returns the largest lower bound that is not NaN, that
+    pair's form and its index in plan.pairs (the first such pair on ties;
+    pair 0 and NaN when every pair is NaN), and the largest upper bound,
+    NaN when any pair's is, so that a box is certified negative only when
+    every pair is.
 
     The lanes are evaluated in contiguous slices of at most _BLOCK, so the
-    kernel's temporaries stay in cache; every operation is elementwise, so
-    the bits do not depend on the slicing."""
+    kernel's temporaries stay in cache; each slice has one backend, one set
+    of radii and one cache, which every pair reads, so a lambda is computed
+    once per slice.  Every operation is elementwise and a cached value is
+    the one computed alone, so the bits depend neither on the slicing nor
+    on the other pairs of the plan."""
     n = lo3.size
     lo = np.empty(n)
     hi = np.empty(n)
-    form = np.empty(n, dtype="<U2")
+    form = np.empty(n, dtype="<U1")
     pair = np.empty(n, dtype=np.int64)
     for start in range(0, n, _BLOCK):
         s = slice(start, start + _BLOCK)
-        box = lo3[s], hi3[s], lo5[s], hi5[s]
+        eng, cache = _MaskedBackend(), {}
+        radii = kernel.derived_radii(eng, VInterval(lo3[s], hi3[s]), VInterval(lo5[s], hi5[s]))
         blo, bhi, bform, bpair = lo[s], hi[s], form[s], pair[s]  # views into the outputs
-        blo[:], bhi[:], bform[:] = _pair_bounds(plan.pairs[0], *box)
+        blo[:], bhi[:], bform[:] = _pair_bounds(plan.pairs[0], eng, radii, cache)
         bpair[:] = 0
         for k, check in enumerate(plan.pairs[1:], 1):
-            klo, khi, kform = _pair_bounds(check, *box)
+            klo, khi, kform = _pair_bounds(check, eng, radii, cache)
             take = (klo > blo) | (np.isnan(blo) & ~np.isnan(klo))
             blo[take], bform[take], bpair[take] = klo[take], kform[take], k
             np.maximum(bhi, khi, out=bhi)  # maximum propagates NaN
@@ -456,7 +452,7 @@ def _parse_leaf_rows(rows):
                 f" with form in {_FORMS}: {r!r:.200}")
     fh = float.fromhex
     lo3, hi3, lo5, hi5 = (np.array([fh(r[i]) for r in rows]) for i in range(4))
-    forms = np.array([r[4] for r in rows], dtype="<U2")
+    forms = np.array([r[4] for r in rows], dtype="<U1")
     bounds = np.array([fh(r[5]) for r in rows])
     return lo3, hi3, lo5, hi5, forms, bounds
 
@@ -781,7 +777,7 @@ class LocalUniquenessCertificate:
     ann_hi3: np.ndarray = field(default_factory=lambda: np.zeros(0))
     ann_lo5: np.ndarray = field(default_factory=lambda: np.zeros(0))
     ann_hi5: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    ann_form: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype="<U2"))
+    ann_form: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype="<U1"))
     ann_bound: np.ndarray = field(default_factory=lambda: np.zeros(0))
     fingerprint: str = ""
 
@@ -1291,13 +1287,16 @@ def certify_all(config: Optional[RunConfig] = None) -> CertificationManifest:
     Given cfg.output_dir, the job that certifies a piece writes it there,
     and any manifest.json there is removed before the first job starts, so
     a run that fails part way leaves no manifest over a mix of old and new
-    pieces; the caller writes the new one last.  Without an output_dir
-    nothing is written.
+    pieces; the caller writes the new one last.  An output_dir that is not
+    a directory raises FileNotFoundError before any job.  Without an
+    output_dir nothing is written.
     """
     cfg = (config or RunConfig()).validate()
     # the local certificate's window rule fails first, before any fork
     _check_window(float(cfg.delta_b0))
     if cfg.output_dir is not None:
+        if not os.path.isdir(cfg.output_dir):
+            raise FileNotFoundError(f"no output directory {cfg.output_dir!r}")
         with suppress(FileNotFoundError):
             os.remove(os.path.join(cfg.output_dir, "manifest.json"))
     t0 = time.perf_counter()

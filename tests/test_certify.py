@@ -2,12 +2,14 @@ import hashlib
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
 import threading
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -186,6 +188,12 @@ def test_reversed_orientation_refutes():
         certify_inequality("J3", max_box_width=0.1, plan=flipped)
 
 
+def _alone(check, *box):
+    """One pair's (lower, upper, form), evaluated alone: the pair-set
+    bound of the one-pair plan, so no other pair shares its cache."""
+    return _batch_bounds(RegionPlan("alone", (check,)), *box)[:3]
+
+
 def test_the_second_pair_carries_the_collision_corner():
     # bodies 3 and 5 collide at (0, 0): J1's first pair reads r_35 and is
     # NaN on the cover box at that corner, and its second pair certifies it
@@ -195,7 +203,7 @@ def test_the_second_pair_carries_the_collision_corner():
     assert corner.sum() == 1
     lo, hi, form, pair = _batch_bounds(plan, *cover)
     assert pair[corner] == [1] and lo[corner] > 0.0
-    first = certify._pair_bounds(plan.pairs[0], *(a[corner] for a in cover))
+    first = _alone(plan.pairs[0], *(a[corner] for a in cover))
     assert np.isnan(first[0]).all()
 
 
@@ -204,7 +212,7 @@ def test_the_pair_set_bound_is_the_best_pair_on_every_box(rid):
     plan = region_plan(rid)
     cover = cover_arrays(rid, 0.02)
     lo, hi, form, pair = _batch_bounds(plan, *cover)
-    per_pair = [certify._pair_bounds(c, *cover) for c in plan.pairs]
+    per_pair = [_alone(c, *cover) for c in plan.pairs]
     lane = np.arange(lo.size)
     for k, (klo, khi, kform) in enumerate(per_pair):
         finite = ~np.isnan(klo)
@@ -476,8 +484,9 @@ def test_to_json_is_json_dumps_of_the_payload(zero_edge_certs, j4_cert, local_ce
 
 @pytest.mark.parametrize("label", ['"', "\\", "\u00e9", "\x01", "\x00q"], ids=repr)
 def test_to_json_of_a_label_that_needs_escaping(j4_cert, label):
-    # the reader refuses such a label, so the writer gets it directly
-    forms = j4_cert.forms.copy()
+    # the reader refuses such a label, so the writer gets it directly; the
+    # certifier's labels are one character, so the copy is widened to two
+    forms = j4_cert.forms.astype("<U2")
     forms[3] = label
     cert = replace(j4_cert, forms=forms)
     assert cert.forms[3] == label
@@ -658,9 +667,9 @@ def test_local_tampered_annulus_is_rejected(local_cert):
 
 
 def _annulus_pair_bounds(cert):
-    """_pair_bounds of each pair of the annulus plan on the stored leaves."""
+    """Each pair of the annulus plan, alone, on the stored leaves."""
     box = (cert.ann_lo3, cert.ann_hi3, cert.ann_lo5, cert.ann_hi5)
-    return [certify._pair_bounds(check, *box) for check in certify._ANNULUS_PLAN.pairs]
+    return [_alone(check, *box) for check in certify._ANNULUS_PLAN.pairs]
 
 
 def test_each_annulus_bound_is_the_largest_over_the_four_pairs(local_cert):
@@ -938,6 +947,21 @@ def test_certify_all_without_a_directory_writes_nothing(monkeypatch, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_certify_all_rejects_a_missing_output_dir_before_any_job(monkeypatch, tmp_path,
+                                                                 threads):
+    # the local job used to find out when it wrote local.json, after the
+    # pool had started
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    ran = []
+    monkeypatch.setattr(certify, "_certify_piece", lambda *job: ran.append(job))
+    missing = tmp_path / "missing"
+    message = re.escape(f"no output directory {str(missing)!r}")
+    with pytest.raises(FileNotFoundError, match=message):
+        certify_all(RunConfig(max_box_width=0.1, threads=threads, output_dir=str(missing)))
+    assert ran == [] and not missing.exists()
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool needs os.fork")
 def test_certify_all_rejects_the_local_window_before_it_forks(monkeypatch):
     # the local certificate's window rule fails first whatever the worker
@@ -1005,34 +1029,43 @@ def test_fan_out_sets_collect_thresholds_after_the_workers_fork(monkeypatch):
 
 
 def _unblocked_bounds(plan, lo3, hi3, lo5, hi5):
-    """_batch_bounds as one kernel call per pair over all the lanes, with
-    the pairs stacked: the lane's bound is the largest that is not NaN
-    (fmax skips NaN), and its pair the first that reaches it (pair 0 where
-    every pair is NaN)."""
-    lows, highs, forms = (np.array(a) for a in zip(*(
-        certify._pair_bounds(c, lo3, hi3, lo5, hi5) for c in plan.pairs)))
+    """_batch_bounds as one kernel call per pair over all the lanes, each
+    pair alone, with the pairs stacked: the lane's bound is the largest
+    that is not NaN (fmax skips NaN), and its pair the first that reaches
+    it (pair 0 where every pair is NaN)."""
+    with mock.patch.object(certify, "_BLOCK", max(lo3.size, 1)):
+        lows, highs, forms = (np.array(a) for a in zip(*(
+            _alone(c, lo3, hi3, lo5, hi5) for c in plan.pairs)))
     lo = np.fmax.reduce(lows, axis=0)
     pair = np.argmax(lows == lo, axis=0)
     return lo, highs.max(axis=0), forms[pair, np.arange(lo.size)], pair
 
 
-@pytest.mark.parametrize("rid", ["J15", "J1"])
+@pytest.mark.parametrize("rid", ["J15", "J1", "annulus-0.02", "annulus-0.1"])
 @pytest.mark.parametrize("size", [
     certify._BLOCK - 1, certify._BLOCK, certify._BLOCK + 1, 3 * certify._BLOCK + 7,
 ], ids=["block-1", "block", "block+1", "3block+7"])
 def test_blocked_bounds_equal_one_kernel_call(rid, size):
-    cover = cover_arrays(rid, 0.02, 10.0, None)
+    # the sliced evaluation, where the pairs of a slice share one cache,
+    # against each pair alone on all the lanes at once; all four pairs of
+    # the annulus plan read lambda_11, and two each read lambda_31, lambda_51
+    if rid.startswith("annulus"):
+        plan = certify._ANNULUS_PLAN
+        cover = certify._annulus_cover(float(rid.split("-")[1]))
+    else:
+        plan = region_plan(rid)
+        cover = cover_arrays(rid, 0.02, 10.0, None)
     pick = np.resize(np.arange(cover[0].size), size)
     if rid == "J1":
         # J1's second pair carries the boxes at its collision corner: put
         # them on both sides of every slice edge, and at the end
-        corner = np.flatnonzero(_unblocked_bounds(region_plan(rid), *cover)[3] == 1)
+        corner = np.flatnonzero(_unblocked_bounds(plan, *cover)[3] == 1)
         for edge in list(range(certify._BLOCK, size, certify._BLOCK)) + [size]:
             at = np.arange(max(edge - 3, 0), min(edge + 3, size))
             pick[at] = np.resize(corner, at.size)
     lanes = tuple(a[pick] for a in cover)
-    got = _batch_bounds(region_plan(rid), *lanes)
-    want = _unblocked_bounds(region_plan(rid), *lanes)
+    got = _batch_bounds(plan, *lanes)
+    want = _unblocked_bounds(plan, *lanes)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
     if rid == "J1":
@@ -1074,25 +1107,28 @@ def test_a_shared_kernel_cache_changes_no_bit(backend):
         "float": lambda: kernel.FloatBackend,
         "float-scalar": lambda: kernel.FloatBackend,
         "vector": VectorBackend,
-        "masked": lambda: certify._MaskedBackend(n),
+        "masked": certify._MaskedBackend,
         "dual": DualBackend,
     }[backend]
     point = {"float": (box.r3.mid(), box.r5.mid()), "float-scalar": (1.1, 1.2),
              "dual": dual_vars(box)}.get(backend, box)
     radii = kernel.derived_radii(make(), *point)
+    nan = np.zeros(n, dtype=bool)
     for group in _index_groups():
         shared, cache = make(), {}
-        alone_bad = np.zeros(n, dtype=bool)
         for idx in group:
             got = kernel.lambda_num(shared, radii, *idx, cache)
-            alone = make()
-            assert _bits(got) == _bits(kernel.lambda_num(alone, radii, *idx)), (group, idx)
+            assert _bits(got) == _bits(kernel.lambda_num(make(), radii, *idx)), (group, idx)
             if backend == "masked":
-                alone_bad |= alone.bad
-        if backend == "masked":
-            assert np.array_equal(shared.bad, alone_bad), group
+                # NaN exactly where one of the lambda's four distances touches 0
+                i = idx[0]
+                touch = np.logical_or.reduce([
+                    kernel.dist2(shared, radii, i, j).lo <= 0.0 for j in range(1, 6) if j != i])
+                assert np.array_equal(np.isnan(got.lo), touch), (group, idx)
+                assert np.array_equal(np.isnan(got.hi), touch), (group, idx)
+                nan |= touch
     if backend == "masked":
-        assert shared.bad.any() and not shared.bad.all()
+        assert nan.any() and not nan.all()
 
 
 def test_importing_starcc_loads_no_pool_machinery():
