@@ -78,6 +78,7 @@ from .geometry import GRID_CAP, DomainError, _check_count
 from .intervals import (
     Box2,
     DualBackend,
+    NegativeArgument,
     VectorBackend,
     VInterval,
     dual_vars,
@@ -215,9 +216,9 @@ class _MaskedBackend(VectorBackend):
     so one evaluation's radii and cache can serve any set of lambdas."""
 
     def powneg32(self, x: VInterval) -> VInterval:  # type: ignore[override]
-        bad = x.lo <= 0.0
-        if not np.any(bad):
+        with suppress(NegativeArgument):  # every lane is > 0 but at a corner
             return x.powneg32()
+        bad = x.lo <= 0.0
         p = VInterval(np.where(bad, 1.0, x.lo), np.where(bad, 1.0, x.hi)).powneg32()
         return VInterval(np.where(bad, np.nan, p.lo), np.where(bad, np.nan, p.hi))
 
@@ -226,13 +227,22 @@ def _pair_bounds(check: PairCheck, eng: _MaskedBackend, radii, cache: dict):
     """Certified (lower, upper) bounds of the gap and the form used, per
     lane of radii, from the lambdas of one evaluation on eng and its shared
     cache; NaN bounds mark the lanes where a distance of either lambda
-    touches zero (undecidable)."""
+    touches zero (undecidable).
+
+    A lane takes the quotient form N_high/q_high - N_low/q_low unless one
+    of its two denominators straddles 0, where it takes the cleared form.
+    On a slice where no denominator straddles 0, nearly every slice, only
+    the quotient form is computed; the bits are those of the lane-wise
+    choice."""
     n_lo = kernel.lambda_num(eng, radii, *check.low, cache=cache)
     n_hi = kernel.lambda_num(eng, radii, *check.high, cache=cache)
     q_lo = kernel.lambda_den(eng, radii, *check.low)  # 0-d for body 1
     q_hi = kernel.lambda_den(eng, radii, *check.high)
 
     straddle = q_lo.straddles_zero() | q_hi.straddles_zero()
+    if not straddle.any():
+        gap = n_hi / q_hi - n_lo / q_lo
+        return gap.lo, gap.hi, np.full(gap.lo.shape, FORM_QUOTIENT)
     safe_lo = VInterval(
         np.where(straddle, 1.0, q_lo.lo), np.where(straddle, 1.0, q_lo.hi)
     )
@@ -386,19 +396,17 @@ def _hex_bytes(x, out: Optional[np.ndarray] = None) -> np.ndarray:
 
 
 def _plain_labels(forms) -> Optional[np.ndarray]:
-    """The form labels as an (n, width) uint8 matrix (0 = no byte), or
-    None if a label needs JSON escaping: a quote, a backslash, or a
-    character outside printable ASCII."""
+    """The one-character form labels as uint8 codes, or None unless forms
+    is a non-empty 1-d '<U1' array whose labels need no JSON escaping: no
+    quote, no backslash and nothing outside printable ASCII (an empty
+    label, code 0, included)."""
     f = np.asarray(forms)
-    if f.dtype.kind != "U" or f.ndim != 1 or f.size == 0:
+    if f.dtype != np.dtype("<U1") or f.ndim != 1 or f.size == 0:
         return None
-    codes = np.ascontiguousarray(f).view(np.uint32).reshape(f.size, -1)
-    pad = codes == 0
-    plain = pad | (
+    codes = f.view(np.uint32)
+    if not np.all(
         (codes >= 0x20) & (codes < 0x7F) & (codes != ord('"')) & (codes != ord("\\"))
-    )
-    # a NUL inside a label is a character, not padding
-    if not (np.all(plain) and np.all(pad[:, :-1] <= pad[:, 1:])):
+    ):
         return None
     return codes.astype(np.uint8)
 
@@ -409,23 +417,23 @@ def _leaf_rows_json(lo3, hi3, lo5, hi5, forms, bounds) -> str:
 
     Each row is laid out in one byte matrix: '["', the four hex endpoints
     separated by '", "', the form, '", "', the hex bound and '"], '.  The
-    pad bytes are then dropped and the last ', ' becomes the closing ']'.
-    Labels that need escaping and an empty list take the reference path."""
+    hex pad bytes are then dropped and the last ', ' becomes the closing
+    ']'.  Labels that are not one plain character (_plain_labels) and an
+    empty list take the reference path."""
     labels = _plain_labels(forms)
     if labels is None:
         return json.dumps(_leaf_rows(lo3, hi3, lo5, hi5, forms, bounds))
-    n, w = labels.shape
     sep = np.frombuffer(b'", "', dtype=np.uint8)
-    rows = np.empty((n, 2 + 5 * (_HEX_WIDTH + 4) + w + 4), dtype=np.uint8)
+    rows = np.empty((labels.size, 2 + 5 * (_HEX_WIDTH + 4) + 1 + 4), dtype=np.uint8)
     rows[:, :2] = np.frombuffer(b'["', dtype=np.uint8)
     at = 2
     for v in (lo3, hi3, lo5, hi5):
         _hex_bytes(v, rows[:, at : at + _HEX_WIDTH])
         rows[:, at + _HEX_WIDTH : at + _HEX_WIDTH + 4] = sep
         at += _HEX_WIDTH + 4
-    rows[:, at : at + w] = labels
-    rows[:, at + w : at + w + 4] = sep
-    at += w + 4
+    rows[:, at] = labels
+    rows[:, at + 1 : at + 5] = sep
+    at += 5
     _hex_bytes(bounds, rows[:, at : at + _HEX_WIDTH])
     rows[:, at + _HEX_WIDTH :] = np.frombuffer(b'"], ', dtype=np.uint8)
     body = rows[rows != 0].tobytes().decode("ascii")

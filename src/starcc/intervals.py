@@ -5,16 +5,27 @@ real result for all points of its operands.  Endpoints are computed in
 IEEE double and then nudged one ulp outward, which is portable, costs one
 bit of tightness per operation, and never depends on a global rounding
 mode.  The nudge (`_outward`) equals ``np.nextafter`` toward -inf or
-+inf bit for bit, which the tier-1 tests check; on a finite lane array it
-steps the IEEE-754 bit pattern viewed as int64 in place, several times
-cheaper than ``np.nextafter`` on long lanes.  There is one interval type,
-`VInterval`: numpy lo/hi arrays, 0-d for a single interval and 1-d for a
-lane of boxes (the certifier's hot path).  The first-order jet `Dual`
-(value + d/dr3 + d/dr5, each a `VInterval`) serves the Krawczyk Jacobian.
-Arithmetic is elementwise, so a lane's endpoints are the ones a 0-d
-evaluation of the same box gives, bit for bit.  The tier-1 tests check
-every primitive and the certified leaf bounds against exact rational
-arithmetic.
++inf bit for bit, which the tier-1 tests check.  Which route runs is
+decided by the lanes' own values, and every route gives the same bits:
+
+* `_outward`: a lane array whose lanes are all finite and of one strict
+  sign is stepped by one int64 add on its bit pattern, in place; any
+  other finite array takes a general in-place route (zero mapping and a
+  sign-dependent step); 0-d values, empty arrays and arrays holding NaN
+  or the infinity the step cannot leave go through ``np.nextafter``.
+* a product computes only its two extreme corners when each operand lies
+  on one side of 0 with finite ends (`_sign`), and all four otherwise
+  (an infinite end can meet a zero, and inf * 0 must stay NaN);
+* a square skips abs, min, max and the straddle mask on the same test.
+
+There is one interval type, `VInterval`: numpy lo/hi arrays, 0-d for a
+single interval and 1-d for a lane of boxes (the certifier's hot path).
+The first-order jet `Dual` (value + d/dr3 + d/dr5, each a `VInterval`)
+serves the Krawczyk Jacobian.  Arithmetic is elementwise, so a lane's
+endpoints are the ones a 0-d evaluation of the same box gives, bit for
+bit.  The tier-1 tests check every primitive and the certified leaf
+bounds against exact rational arithmetic, and each fast route against
+the general one.
 
 This module holds arithmetic and backends only and imports no other
 starcc module.  The formulas are the kernel's: an enclosure of a
@@ -48,25 +59,38 @@ class NegativeArgument(ValueError):
 
 _NINF = float("-inf")
 _PINF = float("inf")
+# _MIN(x, None) is x.min() over every axis without the method's Python
+# wrapper, which costs as much as the reduction on the jets' short lanes
+_MIN = np.minimum.reduce
+_MAX = np.maximum.reduce
 
 
 def _outward(x, toward):
     """np.nextafter(x, toward) for toward = -inf or +inf, bit for bit.
 
-    x must be a result the caller has just computed and owns: a finite
-    float64 lane array is stepped in place.  Among doubles of one sign,
-    the next larger magnitude has the next larger bit pattern, so the step
-    up adds 1 to the pattern (read as int64) of x >= +0 and subtracts 1
-    from that of x < 0, after mapping -0 to +0 (x + 0.0).  The step down
-    is -up(-x), with 0.0 - x doing the negation and the zero mapping in
-    one pass.  0-d values, empty arrays and arrays holding a NaN or the
-    infinity the step cannot leave (+inf up, -inf down) go through
-    np.nextafter.
+    x must be a result the caller has just computed and owns: a float64
+    lane array is stepped in place.  Among doubles of one sign, the next
+    larger magnitude has the next larger bit pattern (read as int64).  So
+    when every lane is finite and of one strict sign, x.min() and x.max()
+    say so, and the step is one int64 add: +1 to grow the magnitude, -1 to
+    shrink it (5e-324 down is +0, -5e-324 up is -0, DBL_MAX up is inf).
+    Any other finite array takes the general route: the step up adds 1 to
+    the pattern of x >= +0 and subtracts 1 from that of x < 0, after
+    mapping -0 to +0 (x + 0.0), and the step down is -up(-x), with 0.0 - x
+    doing the negation and the zero mapping in one pass.  0-d values,
+    empty arrays and arrays holding a NaN or the infinity the step cannot
+    leave (+inf up, -inf down) go through np.nextafter.
     """
     if getattr(x, "ndim", 0) == 0 or x.size == 0:
         return np.nextafter(x, toward)
     up = toward > 0.0
-    if not (x.max() < _PINF if up else x.min() > _NINF):  # NaN fails both
+    lo = _MIN(x, None)
+    hi = _MAX(x, None)
+    if 0.0 < lo and hi < _PINF or _NINF < lo and hi < 0.0:  # NaN fails both
+        bits = x.view(np.int64)
+        bits += 1 if (lo > 0.0) == up else -1
+        return x
+    if not (hi < _PINF if up else lo > _NINF):
         return np.nextafter(x, toward)
     if up:
         x += 0.0
@@ -79,6 +103,24 @@ def _outward(x, toward):
     if not up:
         np.negative(x, out=x)
     return x
+
+
+def _sign(iv) -> int:
+    """+1 if every lane of iv lies in [0, inf), -1 if every lane lies in
+    (-inf, 0], else 0: a lane straddles 0, an endpoint is infinite or NaN,
+    or iv is empty."""
+    lo, hi = iv.lo, iv.hi
+    if lo.ndim == 0:  # a Python float compares faster than a 0-d array
+        lo, hi = float(lo), float(hi)
+    elif lo.size:
+        lo, hi = _MIN(lo, None), _MAX(hi, None)
+    else:
+        return 0
+    if lo >= 0.0 and hi < _PINF:
+        return 1
+    if hi <= 0.0 and lo > _NINF:
+        return -1
+    return 0
 
 
 class VInterval:
@@ -141,6 +183,17 @@ class VInterval:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
+        s = _sign(self)
+        t = _sign(o) if s else 0
+        if t:
+            # each operand has one sign and finite endpoints, so rounding is
+            # monotone in every corner and the extremes are two known ones;
+            # the guard keeps inf * 0, NaN in the four corners, off this route
+            a_lo, a_hi = (self.lo, self.hi) if t > 0 else (self.hi, self.lo)
+            b_lo, b_hi = (o.lo, o.hi) if s > 0 else (o.hi, o.lo)
+            return VInterval(
+                _outward(a_lo * b_lo, _NINF), _outward(a_hi * b_hi, _PINF)
+            )
         c1 = self.lo * o.lo
         c2 = self.lo * o.hi
         c3 = self.hi * o.lo
@@ -172,7 +225,19 @@ class VInterval:
         return self._coerce(other).__truediv__(self)
 
     def sq(self) -> "VInterval":
-        """Tight square: range of x^2 over the interval (not self*self)."""
+        """Tight square: range of x^2 over the interval (not self*self).
+
+        When every lane lies on one side of 0 with finite ends (_sign), the
+        end nearer 0 is lo (all >= 0) or hi (all <= 0) on every lane, and
+        abs, minimum, maximum and where are skipped; a lane touching 0 gets
+        max(0, 0 rounded down) = 0, which is what the where gives it."""
+        s = _sign(self)
+        if s:
+            near, far = (self.lo, self.hi) if s > 0 else (self.hi, self.lo)
+            return VInterval(
+                np.maximum(0.0, _outward(near * near, _NINF)),
+                _outward(far * far, _PINF),
+            )
         a = np.abs(self.lo)
         b = np.abs(self.hi)
         m = np.minimum(a, b)
@@ -185,6 +250,10 @@ class VInterval:
     def sqrt(self) -> "VInterval":
         if np.any(self.lo < 0.0):
             raise NegativeArgument("sqrt of a partly negative interval")
+        return self._sqrt()
+
+    def _sqrt(self) -> "VInterval":
+        """sqrt of an interval whose lanes are all >= 0 or NaN, unchecked."""
         return VInterval(
             np.maximum(0.0, _outward(np.sqrt(self.lo), _NINF)),
             _outward(np.sqrt(self.hi), _PINF),
@@ -196,10 +265,12 @@ class VInterval:
         Every factor is positive, so each step's lower endpoint comes from
         the lower endpoints (the upper from the upper) and rounding is
         monotone: the result equals 1.0 / (self * self.sqrt()) bit for bit
-        without the generic product's four corners."""
+        without the generic product's four corners.  One positivity test
+        covers the square root too; the second test catches a product that
+        underflows to 0."""
         if np.any(self.lo <= 0.0):
             raise NegativeArgument("x^(-3/2) of an interval touching 0")
-        s = self.sqrt()
+        s = self._sqrt()
         plo = _outward(self.lo * s.lo, _NINF)
         phi = _outward(self.hi * s.hi, _PINF)
         if np.any(plo <= 0.0):

@@ -559,6 +559,73 @@ def test_leaf_edge_moved_by_one_ulp_is_a_coverage_gap(j5_cert, edge):
         verify_certificate(bad)
 
 
+def _resigned(cert, edit):
+    """Certificate whose leaf rows are edit(rows), with every bound and form
+    recomputed and positive, so that the bound check passes and only the
+    coverage replay can object."""
+    bad = _with_rows(cert, edit)
+    lo, _, form, _ = _batch_bounds(region_plan(cert.region), *bad._leaves()[:4])
+    assert np.all(lo > 0.0)
+    bad.bounds, bad.forms, bad.min_bound = lo, form, float(lo.min())
+    return bad
+
+
+def _cells_of(cert):
+    """Per leaf, the four edges of the initial cover cell it nests in."""
+    cover = np.array(cover_arrays(cert.region, cert.max_box_width, cert.truncation,
+                                  cert.delta_b0))
+    leaves = np.array(cert._leaves()[:4])
+    inside = ((leaves[0][:, None] >= cover[0]) & (leaves[1][:, None] <= cover[1])
+              & (leaves[2][:, None] >= cover[2]) & (leaves[3][:, None] <= cover[3]))
+    assert np.all(inside.sum(axis=1) == 1)
+    return cover[:, inside.argmax(axis=1)]
+
+
+def _grow(row, edge):
+    """Move one edge of a leaf row outward by one ulp."""
+    toward = -math.inf if edge % 2 == 0 else math.inf
+    row[edge] = math.nextafter(float.fromhex(row[edge]), toward).hex()
+
+
+def test_flat_leaf_is_a_coverage_gap(j5_cert):
+    def flatten(rows):
+        rows[7][1] = rows[7][0]  # r3 = [lo, lo]
+        return rows
+
+    with pytest.raises(CoverageGap, match="leaf 7 .* has an empty interior"):
+        verify_certificate(_resigned(j5_cert, flatten))
+
+
+def test_leaf_in_no_cover_cell_is_a_coverage_gap(j5_cert):
+    # a leaf whose right edge is its cell's, grown by one ulp, reaches into
+    # the next column, so no cell holds it
+    j = int(np.flatnonzero(j5_cert.hi3 == _cells_of(j5_cert)[1])[0])
+
+    def grow(rows):
+        _grow(rows[j], 1)
+        return rows
+
+    with pytest.raises(CoverageGap, match=f"leaf {j} .* lies in no box of the initial cover"):
+        verify_certificate(_resigned(j5_cert, grow))
+
+
+def test_leaf_across_its_split_line_is_a_coverage_gap(j5_cert):
+    # an edge inside the leaf's cell is the line a bisection split an
+    # ancestor along; grown by one ulp, the leaf nests in neither child
+    cells = _cells_of(j5_cert)
+    leaves = j5_cert._leaves()[:4]
+    interior = [leaves[e] != cells[e] for e in range(4)]
+    j, edge = next((j, e) for j in range(j5_cert.n_leaves()) for e in range(4)
+                   if interior[e][j])
+
+    def grow(rows):
+        _grow(rows[j], edge)
+        return rows
+
+    with pytest.raises(CoverageGap, match=f"leaf {j} .* straddles the split of its box"):
+        verify_certificate(_resigned(j5_cert, grow))
+
+
 def test_extra_leaf_outside_the_closure_is_a_coverage_gap(j4_cert):
     # J4's slanted edge makes the bisection drop some children of the
     # uncertified initial cells; a leaf on one of them is a stray
@@ -1129,6 +1196,29 @@ def test_a_shared_kernel_cache_changes_no_bit(backend):
                 nan |= touch
     if backend == "masked":
         assert nan.any() and not nan.all()
+
+
+def test_a_slice_without_a_straddling_denominator_keeps_the_lane_wise_bits():
+    # _pair_bounds computes only the quotient form on a slice where no
+    # denominator straddles 0; the same boxes next to ones where some q
+    # does (J1 touches r3 = 0) take the lane-wise route, to the same bits
+    plan = region_plan("J1")
+    lanes = cover_arrays("J1", 0.05, None, None)
+
+    def pair_bounds(keep):
+        eng = certify._MaskedBackend()
+        r3, r5 = (VInterval(lanes[k][keep], lanes[k + 1][keep]) for k in (0, 2))
+        radii = kernel.derived_radii(eng, r3, r5)
+        return [certify._pair_bounds(check, eng, radii, {}) for check in plan.pairs]
+
+    every = pair_bounds(np.ones(lanes[0].size, dtype=bool))
+    cleared = np.logical_or.reduce([form == certify.FORM_CLEARED for *_, form in every])
+    assert cleared.any() and not cleared.all()
+    for whole, alone in zip(every, pair_bounds(~cleared)):
+        lo, hi, form = (a[~cleared] for a in whole)
+        assert alone[0].tobytes() == lo.tobytes()
+        assert alone[1].tobytes() == hi.tobytes()
+        assert np.array_equal(alone[2], form) and alone[2].dtype == form.dtype
 
 
 def test_importing_starcc_loads_no_pool_machinery():

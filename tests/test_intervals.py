@@ -10,6 +10,7 @@ from starcc.forces import lambda_component, residual_vector
 from starcc.geometry import A, B
 from starcc.intervals import (
     _outward,
+    _sign,
     Box2,
     DivisionByZeroInterval,
     Dual,
@@ -295,3 +296,134 @@ def test_no_operation_writes_to_its_operands():
                 assert not np.shares_memory(a, iv.lo)
                 assert not np.shares_memory(a, iv.hi)
     assert [(iv.lo.tobytes(), iv.hi.tobytes()) for iv in operands] == before
+
+
+# ---------------------------------------------------------------------------
+# Sign-uniform fast routes: lanes of one sign take a shorter route that
+# must give the bits of the general one
+
+
+_POWERS_OF_TWO = [2.0**e for e in (-1074, -1073, -1023, -1022, -1021, -1, 0, 1, 52, 1023)]
+ONE_SIGN = np.array([
+    5e-324, 1e-323, _DBL_MIN, np.nextafter(_DBL_MIN, 0.0), np.nextafter(_DBL_MIN, 1.0),
+    _DBL_MAX, np.nextafter(_DBL_MAX, 0.0), 1.0, np.nextafter(1.0, 0.0), 0.1, 3.0,
+    *_POWERS_OF_TWO,
+])
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+def test_outward_step_on_lanes_of_one_sign(sign):
+    x = sign * ONE_SIGN
+    _assert_steps_like_nextafter(x)
+    _assert_steps_like_nextafter(x.reshape(3, -1))
+    for value in x:
+        _assert_steps_like_nextafter([value])
+        _assert_steps_like_nextafter([value, sign * 2.0])
+
+
+def test_outward_step_at_the_ends_of_the_range():
+    def step(values, toward):
+        return _outward(np.array(values), toward)
+
+    down = step([5e-324, 1.0], -math.inf)
+    assert down.tobytes() == np.array([0.0, np.nextafter(1.0, 0.0)]).tobytes()  # +0
+    up = step([-5e-324, -1.0], math.inf)
+    assert up.tobytes() == np.array([-0.0, np.nextafter(-1.0, 0.0)]).tobytes()  # -0
+    assert step([_DBL_MAX, 1.0], math.inf)[0] == math.inf
+    assert step([-_DBL_MAX, -1.0], -math.inf)[0] == -math.inf
+    assert step([_DBL_MIN, 1.0], -math.inf)[0] == np.nextafter(_DBL_MIN, 0.0)
+    assert step([-np.nextafter(_DBL_MIN, 0.0), -1.0], -math.inf)[0] == -_DBL_MIN
+
+
+def _mul_reference(x, y):
+    """The four-corner product, rounded outward with np.nextafter."""
+    c = (x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi)
+    lo = np.minimum(np.minimum(c[0], c[1]), np.minimum(c[2], c[3]))
+    hi = np.maximum(np.maximum(c[0], c[1]), np.maximum(c[2], c[3]))
+    return np.nextafter(lo, -math.inf), np.nextafter(hi, math.inf)
+
+
+def _sq_reference(x):
+    """The abs/min/max square, rounded outward with np.nextafter."""
+    a, b = np.abs(x.lo), np.abs(x.hi)
+    m, M = np.minimum(a, b), np.maximum(a, b)
+    straddle = (x.lo <= 0.0) & (x.hi >= 0.0)
+    lo = np.where(straddle, 0.0, np.maximum(0.0, np.nextafter(m * m, -math.inf)))
+    return lo, np.nextafter(M * M, math.inf)
+
+
+# endpoint magnitudes: zeros, subnormals, the normal range's ends, overflow
+_MAGNITUDES = np.array([0.0, 5e-324, 3e-320, _DBL_MIN, 1e-200, 0.3, 1.0, 2.5, 1e150, 1e300, _DBL_MAX])
+
+
+def _lane_kinds(rng, n=61):
+    """Seeded interval lanes by kind: the first two are of one sign with
+    finite ends (the fast routes), the others take the general route."""
+    def one_sign(sign):
+        ends = np.sort(rng.choice(_MAGNITUDES, size=(n, 2)), axis=1)
+        lo, hi = (ends[:, 0], ends[:, 1]) if sign > 0 else (-ends[:, 1], -ends[:, 0])
+        # a zero end gets a random sign
+        lo = np.where(lo == 0.0, np.copysign(0.0, rng.choice([-1.0, 1.0], n)), lo)
+        hi = np.where(hi == 0.0, np.copysign(0.0, rng.choice([-1.0, 1.0], n)), hi)
+        return VInterval(lo, hi)
+
+    pos, neg = one_sign(1.0), one_sign(-1.0)
+    nan = VInterval(pos.lo.copy(), pos.hi.copy())
+    nan.lo[::7] = nan.hi[::7] = np.nan  # as _MaskedBackend leaves a lane
+    inf = VInterval(pos.lo, pos.hi.copy())
+    inf.hi[::5] = math.inf
+    mixed = VInterval(neg.lo, pos.hi)
+    return {"pos": pos, "neg": neg, "nan": nan, "inf": inf, "mixed": mixed}
+
+
+def _variants(iv):
+    """The lanes, the same as a 2-d array, and one lane as a 0-d value."""
+    return [iv, VInterval(iv.lo[:60].reshape(6, 10), iv.hi[:60].reshape(6, 10)),
+            VInterval(iv.lo[3], iv.hi[3])]
+
+
+def _assert_same_bits(got, want):
+    assert np.asarray(got.lo).tobytes() == np.asarray(want[0]).tobytes()
+    assert np.asarray(got.hi).tobytes() == np.asarray(want[1]).tobytes()
+
+
+def test_mul_fast_route_equals_the_four_corner_product():
+    kinds = _lane_kinds(np.random.default_rng(24))
+    assert _sign(kinds["pos"]) == 1 and _sign(kinds["neg"]) == -1
+    assert all(_sign(kinds[k]) == 0 for k in ("nan", "inf", "mixed"))
+    for a in kinds.values():
+        for b in kinds.values():
+            # lanes by lanes, 2-d by 2-d, 0-d by 0-d, and 0-d by lanes
+            pairs = list(zip(_variants(a), _variants(b)))
+            pairs.append((_variants(a)[2], b))
+            for x, y in pairs:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = x * y
+                    want = _mul_reference(x, y)
+                _assert_same_bits(got, want)
+
+
+def test_mul_with_an_infinite_end_keeps_the_nan_of_inf_times_zero():
+    # [1, inf] is of one sign but not finite: the two-corner route would
+    # give [-5e-324, inf] where the four corners hold inf * 0 = NaN
+    x, y = VInterval(1.0, math.inf), VInterval(0.0, 1.0)
+    for p, q in ((x, y), (y, x), (_lanes((1.0, math.inf), (2.0, 3.0)), y)):
+        with np.errstate(invalid="ignore"):
+            r = p * q
+            want = _mul_reference(p, q)
+        assert np.isnan(r.hi).flat[0]
+        _assert_same_bits(r, want)
+
+
+def test_sq_fast_route_equals_the_abs_min_max_square():
+    kinds = _lane_kinds(np.random.default_rng(2024))
+    for iv in kinds.values():
+        for x in _variants(iv):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = x.sq()
+                want = _sq_reference(x)
+            _assert_same_bits(got, want)
+    # lanes that touch 0 from either side square to a lower end of exactly 0
+    for x in (_lanes((-0.0, 2.0), (0.0, 1.0)), _lanes((-3.0, -0.0), (-1.0, 0.0))):
+        _assert_same_bits(x.sq(), _sq_reference(x))
+        assert np.all(x.sq().lo == 0.0)
