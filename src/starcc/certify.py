@@ -34,9 +34,11 @@ Certificates serialize every leaf as one row of float.hex() endpoints,
 so that verification can recompute each bound bit-for-bit and replay the
 bisection from the cover the header implies to check that the leaves tile
 it exactly (_check_leaves, _replay).  A certificate file is exactly
-json.dumps(to_payload()), whose rows _leaf_rows builds; to_json writes
-the same bytes without a Python string per endpoint, through the numpy
-float.hex() encoder _hex_bytes and the row joiner _leaf_rows_json.
+json.dumps(to_payload()), whose rows _leaf_rows builds; _write_json
+writes the same bytes to a file without a Python string per endpoint,
+_BLOCK rows at a time, through the numpy float.hex() encoder _hex_bytes
+and the row joiner _leaf_rows_json, and to_json is _write_json into a
+string.
 
 Every rule a certificate header obeys is stated once, here, and the
 certifier, the verifier and the CLI all call it:
@@ -60,6 +62,7 @@ certifier, the verifier and the CLI all call it:
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -449,6 +452,29 @@ def _json_with(payload: dict, key: str, text: str) -> str:
     ) + "}"
 
 
+def _write_json(fh, cert) -> None:
+    """Write json.dumps(cert.to_payload()), byte for byte, to the text file
+    fh: the header from _json_with around the rows key cert._ROWS, and the
+    rows in blocks of _BLOCK (_leaf_rows_json of each block, joined by
+    ", "), so that no text of the whole certificate is built."""
+    # json.dumps escapes every control character, so the one NUL is the rows'
+    head, tail = _json_with(cert._payload(None), cert._ROWS, "\0").split("\0")
+    leaves = cert._leaves()
+    fh.write(head + "[")
+    for start in range(0, len(leaves[0]), _BLOCK):
+        if start:
+            fh.write(", ")
+        fh.write(_leaf_rows_json(*(a[start : start + _BLOCK] for a in leaves))[1:-1])
+    fh.write("]" + tail)
+
+
+def _json_text(cert) -> str:
+    """_write_json into a string: the certificate's to_json()."""
+    buf = io.StringIO()
+    _write_json(buf, cert)
+    return buf.getvalue()
+
+
 def _parse_leaf_rows(rows):
     """Inverse of _leaf_rows: the (lo3, hi3, lo5, hi5, forms, bounds)
     arrays of the rows.  ValueError naming the first row that is not six
@@ -484,18 +510,23 @@ def _unhex(v):
     return float.fromhex(v)
 
 
-def _decode(cls, d: dict, kind: str, rows_key: str, plain):
+def _decode(cls, d: dict, kind: str, plain):
     """The cls certificate of payload d: the cls._HEXED fields through
-    _unhex, the rows under rows_key as the cls._LEAVES arrays, and the
-    fields plain(d) gives as they are.  Raises MalformedCertificate."""
+    _unhex, the rows under cls._ROWS as the cls._LEAVES arrays, and the
+    fields plain(d) gives as they are.  The rows may also be given already
+    parsed, as the tuple _parse_leaf_rows returns (cli._load_payload reads
+    them so).  Raises MalformedCertificate."""
     try:
         if d["format"] != FORMAT_VERSION or d["kind"] != kind:
             raise MalformedCertificate(
                 f"unsupported format {d.get('format')!r}/{d.get('kind')!r}"
             )
+        rows = d[cls._ROWS]
+        if type(rows) is not tuple:  # JSON gives lists, never tuples
+            rows = _parse_leaf_rows(rows)
         return cls(
             **{key: _unhex(d[key]) for key in cls._HEXED},
-            **dict(zip(cls._LEAVES, _parse_leaf_rows(d[rows_key]))),
+            **dict(zip(cls._LEAVES, rows)),
             **plain(d),
         )
     except MalformedCertificate:
@@ -531,6 +562,7 @@ class Certificate:
 
     _HEXED = ("max_box_width", "delta_b0", "truncation", "excluded", "min_bound")
     _LEAVES = ("lo3", "hi3", "lo5", "hi5", "forms", "bounds")
+    _ROWS = "leaves"
 
     def n_leaves(self) -> int:
         return int(self.lo3.size)
@@ -543,7 +575,7 @@ class Certificate:
 
     def to_json(self) -> str:
         """json.dumps(self.to_payload()), byte for byte."""
-        return _json_with(self._payload(None), "leaves", _leaf_rows_json(*self._leaves()))
+        return _json_text(self)
 
     def _payload(self, rows) -> dict:
         return {
@@ -559,7 +591,7 @@ class Certificate:
 
     @staticmethod
     def from_payload(d: dict) -> "Certificate":
-        return _decode(Certificate, d, "inequality", "leaves", lambda d: {
+        return _decode(Certificate, d, "inequality", lambda d: {
             "region": d["region"],
             "plan": d["plan"],
             "stats": dict(d.get("stats", {})),
@@ -792,6 +824,7 @@ class LocalUniquenessCertificate:
     _HEXED = ("delta", "inner_delta", "center", "y_matrix", "f_center", "jacobian",
               "det_jacobian", "k_image", "containment_margin", "posteriori_residual")
     _LEAVES = ("ann_lo3", "ann_hi3", "ann_lo5", "ann_hi5", "ann_form", "ann_bound")
+    _ROWS = "annulus"
 
     def _leaves(self):
         return tuple(getattr(self, key) for key in self._LEAVES)
@@ -801,7 +834,7 @@ class LocalUniquenessCertificate:
 
     def to_json(self) -> str:
         """json.dumps(self.to_payload()), byte for byte."""
-        return _json_with(self._payload(None), "annulus", _leaf_rows_json(*self._leaves()))
+        return _json_text(self)
 
     def _payload(self, rows) -> dict:
         return {
@@ -825,12 +858,11 @@ class LocalUniquenessCertificate:
 
     @staticmethod
     def from_payload(d: dict) -> "LocalUniquenessCertificate":
-        return _decode(LocalUniquenessCertificate, d, "local-uniqueness", "annulus",
-                       lambda d: {
-                           "pair_map": tuple(d["pair_map"]),
-                           "subdivision": d["subdivision"],
-                           "fingerprint": d["fingerprint"],
-                       })
+        return _decode(LocalUniquenessCertificate, d, "local-uniqueness", lambda d: {
+            "pair_map": tuple(d["pair_map"]),
+            "subdivision": d["subdivision"],
+            "fingerprint": d["fingerprint"],
+        })
 
 
 def _contraction_evidence(inner_delta: float, subdivision: int):
@@ -1259,8 +1291,9 @@ def _solution_witness() -> Dict[str, object]:
 def _certify_piece(piece: str, cfg: RunConfig):
     """The job for one piece of the bundle: the certificate of region
     `piece`, or the local certificate for piece "local".  Given
-    cfg.output_dir, the job also writes the certificate's to_json() to
-    <output_dir>/<piece>.json, so that no JSON text crosses the pool."""
+    cfg.output_dir, the job also writes the certificate's JSON to
+    <output_dir>/<piece>.json (_write_json, so no text of the whole file is
+    built), and no JSON text crosses the pool."""
     if piece == "local":
         cert = certify_local_uniqueness(delta=cfg.delta_b0)
     else:
@@ -1274,7 +1307,7 @@ def _certify_piece(piece: str, cfg: RunConfig):
     if cfg.output_dir is not None:
         with open(os.path.join(cfg.output_dir, f"{piece}.json"), "w",
                   encoding="utf-8") as fh:
-            fh.write(cert.to_json())
+            _write_json(fh, cert)
     return cert
 
 

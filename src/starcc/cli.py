@@ -40,6 +40,7 @@ from .certify import (
     MalformedCertificate,
     RunConfig,
     _certify_piece,
+    _parse_leaf_rows,
     certify_all,
     recorded_cuts,
     verify_certificate,
@@ -53,6 +54,7 @@ from .forces import (
     residual_vector,
 )
 from .geometry import GRID_CAP, DomainError, _check_tolerance
+from .kernel import _BLOCK
 from .pool import _fan_out
 from .regions import REGION_IDS, TRUNCATION_R5, region_def, region_plan
 from .solver import grid_scan
@@ -266,12 +268,89 @@ def cmd_certify(args) -> int:
 # verify
 
 
+# json's own pieces, which json.decoder.JSONObject walks an object with
+_scan_once = json.JSONDecoder().scan_once
+_ws = json.decoder.WHITESPACE.match
+# the top-level arrays of leaf rows, read in chunks of about _CHUNK_ROWS
+# rows: the lists and strings json.loads makes of a row take about 480
+# bytes, so a chunk takes less than the whole text, which reading the file
+# held twice (bytes and str) already
+_ROWS_KEYS = (Certificate._ROWS, LocalUniquenessCertificate._ROWS)
+_CHUNK_ROWS = _BLOCK // 2
+
+
+def _scan_rows(text: str, at: int):
+    """_parse_leaf_rows of the JSON array that opens at text[at], and the
+    index just past it.
+
+    The array is cut after a row's "]" wherever "], [" follows, about
+    every _CHUNK_ROWS rows (as wide as the first), and each piece goes
+    through json.loads("[" + piece + "]") and _parse_leaf_rows at once;
+    the last piece goes through _scan_once("[" + rest), which also finds
+    where the array ends.  When every piece is an array, joining the
+    pieces with the cut commas gives the whole array, by the JSON grammar,
+    so the arrays are those of _parse_leaf_rows(json.loads(array)).
+    Raises what a piece raises (so does a cut past the array's end)."""
+    pos = at + 1
+    first = text.find("], [", pos)
+    stride = max((_CHUNK_ROWS - 1) * (first + 3 - pos), 0)
+    parts = []
+    while (cut := text.find("], [", pos + stride)) >= 0:
+        parts.append(_parse_leaf_rows(json.loads("[" + text[pos : cut + 1] + "]")))
+        pos = cut + 2
+    rows, end = _scan_once("[" + text[pos:], 0)
+    parts.append(_parse_leaf_rows(rows))
+    return tuple(map(np.concatenate, zip(*parts))), pos - 1 + end
+
+
+def _scan_payload(text: str) -> dict:
+    """json.loads(text) for a JSON object with at least one key, the arrays
+    under its top-level _ROWS_KEYS read by _scan_rows.  The object is
+    walked as json.decoder.JSONObject walks it (of two equal keys the last
+    wins, in the first one's place); anything else raises, including every
+    text that json.loads rejects."""
+    end = _ws(text, 0).end()
+    if text[end : end + 1] != "{":
+        raise ValueError("not an object")
+    payload: dict = {}
+    sep = ","
+    while sep == ",":
+        end = _ws(text, end + 1).end()
+        if text[end : end + 1] != '"':
+            raise ValueError("expected a key")
+        key, end = json.decoder.scanstring(text, end + 1)
+        end = _ws(text, end).end()
+        if text[end : end + 1] != ":":
+            raise ValueError("expected ':'")
+        end = _ws(text, end + 1).end()
+        if key in _ROWS_KEYS and text[end : end + 1] == "[":
+            payload[key], end = _scan_rows(text, end)
+        else:
+            payload[key], end = _scan_once(text, end)
+        end = _ws(text, end).end()
+        sep = text[end : end + 1]
+    if sep != "}" or _ws(text, end + 1).end() != len(text):
+        raise ValueError("expected ',' or '}' and nothing after it")
+    return payload
+
+
 def _load_payload(path: str) -> dict:
+    """The JSON object in the file at path, its top-level leaf rows already
+    parsed when _scan_payload reads it; on any error in that reader,
+    json.loads(text) with the rows left as lists, so that every rejection
+    keeps the plain path's message."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise MalformedCertificate(f"{path}: not valid JSON ({exc})") from exc
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedCertificate(f"{path}: not valid UTF-8 ({exc})") from exc
+    try:
+        payload = _scan_payload(text)
+    except Exception:  # the plain path below names the defect
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise MalformedCertificate(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict) or "kind" not in payload:
         raise MalformedCertificate(f"{path}: missing 'kind' discriminator")
     return payload

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -669,3 +670,82 @@ def test_bench_forgeries_are_all_rejected(coarse_bundle, tmp_path, capsys):
         code, out = run(["verify", d], capsys)
         assert code == cli.EXIT_VERIFY, name
         assert "REJECT" in out, name
+
+
+@pytest.mark.parametrize("alone", [False, True], ids=["bundle", "file"])
+def test_a_piece_that_is_not_utf8_is_rejected_naming_it(coarse_bundle, tmp_path,
+                                                       capsys, alone):
+    forged = _copy(coarse_bundle, tmp_path)
+    path = forged / "J9.json"
+    with open(path, "ab") as fh:
+        fh.write(b"\xff")
+    code = cli.main(["verify", str(path if alone else forged)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_VERIFY
+    assert err.startswith(f"REJECT: {path}: not valid UTF-8 ("), err
+
+
+# ---------------------------------------------------------------------------
+# controls for verifier rejections, each through `starcc verify`: a forgery
+# that only the named check rejects
+
+
+def _verify_forged(bundle, tmp_path, capsys, rid, forge, alone=True):
+    """Exit code and stderr of `verify` on a copy of the bundle whose
+    region rid is forge(payload); the file alone or the whole bundle."""
+    forged = _copy(bundle, tmp_path)
+    path = forged / f"{rid}.json"
+    doc = json.loads(path.read_text())
+    forge(doc)
+    path.write_text(json.dumps(doc))
+    code = cli.main(["verify", str(path if alone else forged)])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alone", [False, True], ids=["bundle", "file"])
+def test_a_region_file_of_another_format_is_rejected(coarse_bundle, tmp_path,
+                                                    capsys, alone):
+    code, err = _verify_forged(coarse_bundle, tmp_path, capsys, "J9",
+                               lambda doc: doc.update(format="starcc-certificate/2"),
+                               alone)
+    assert code == cli.EXIT_VERIFY
+    assert re.search(r"J9\.json: unsupported format 'starcc-certificate/2'/'inequality'$",
+                     err.strip()), err
+
+
+def test_a_region_file_of_the_local_kind_is_rejected(coarse_bundle, tmp_path, capsys):
+    # alone, the file would be read as what its kind says; in a bundle the
+    # J9 slot is read as a region certificate, and only the kind differs
+    code, err = _verify_forged(coarse_bundle, tmp_path, capsys, "J9",
+                               lambda doc: doc.update(kind="local-uniqueness"),
+                               alone=False)
+    assert code == cli.EXIT_VERIFY
+    assert re.search(
+        r"J9\.json: unsupported format 'starcc-certificate/1'/'local-uniqueness'$",
+        err.strip()), err
+
+
+def test_a_region_file_without_leaves_is_rejected(coarse_bundle, tmp_path, capsys):
+    code, err = _verify_forged(coarse_bundle, tmp_path, capsys, "J9",
+                               lambda doc: doc.update(leaves=[]))
+    assert code == cli.EXIT_VERIFY
+    assert err.strip() == "REJECT: J9: certificate has no leaves", err
+
+
+def test_a_certificate_of_an_unknown_region_is_rejected(coarse_bundle, tmp_path, capsys):
+    code, err = _verify_forged(coarse_bundle, tmp_path, capsys, "J9",
+                               lambda doc: doc.update(region="J17"))
+    assert code == cli.EXIT_VERIFY
+    assert err.strip() == "REJECT: unknown region 'J17'", err
+
+
+def test_a_plan_short_of_a_pair_is_rejected(coarse_bundle, tmp_path, capsys):
+    # J4 stored with its first pair only: the verifier recomputes every
+    # bound from the build's two pairs, so only the plan check sees it
+    def first_pair(doc):
+        assert doc["plan"] == "J4{lambda_11 < lambda_52;lambda_11 < lambda_31}"
+        doc["plan"] = "J4{lambda_11 < lambda_52}"
+
+    code, err = _verify_forged(coarse_bundle, tmp_path, capsys, "J4", first_pair)
+    assert code == cli.EXIT_VERIFY
+    assert err.strip() == "REJECT: plan does not match this build", err
