@@ -16,8 +16,13 @@ A distance enclosure touching zero (only for boxes hanging over a
 collision corner of the closure) is undecidable: its r_ij^(-3) is NaN on
 that lane (_MaskedBackend), and so is every lambda and pair bound that
 reads it, so the pairs of a plan share one evaluation per slice of boxes.
-A lane whose pair bound is NaN takes another pair's bound, and it is
-NaN, so bisected, only when every pair is.  One loop,
+That evaluation keeps each lambda's quotient enclosure N/q in the slice's
+cache as well (_quotient): a pair whose denominators do not straddle 0 on
+the slice is lambda_high - lambda_low of two cached quotients, so a plan
+of any number of pairs computes each of the nine quotients at most once
+per slice, and only a slice where a q straddles 0 recomputes N and q for
+the cleared form.  A lane whose pair bound is NaN takes another pair's
+bound, and it is NaN, so bisected, only when every pair is.  One loop,
 _branch_and_bound, grows both the sixteen region certificates and the
 annulus around the Krawczyk window, whose plan is the four ordered pairs
 of the two gap components of kernel.LOCAL_PAIRS (a box where one of them
@@ -226,6 +231,19 @@ class _MaskedBackend(VectorBackend):
         return VInterval(np.where(bad, np.nan, p.lo), np.where(bad, np.nan, p.hi))
 
 
+def _quotient(idx, eng: _MaskedBackend, radii, cache: dict):
+    """The enclosure N/q of lambda idx on the slice of radii, or None when
+    its denominator q straddles 0 on some lane.  It is computed once per
+    slice and kept in the slice's cache under ("lambda", idx), which no
+    kernel key equals, so every pair that reads the lambda shares it."""
+    key = ("lambda", idx)
+    if key not in cache:
+        q = kernel.lambda_den(eng, radii, *idx)
+        cache[key] = None if q.straddles_zero().any() else (
+            kernel.lambda_num(eng, radii, *idx, cache=cache) / q)
+    return cache[key]
+
+
 def _pair_bounds(check: PairCheck, eng: _MaskedBackend, radii, cache: dict):
     """Certified (lower, upper) bounds of the gap and the form used, per
     lane of radii, from the lambdas of one evaluation on eng and its shared
@@ -234,18 +252,23 @@ def _pair_bounds(check: PairCheck, eng: _MaskedBackend, radii, cache: dict):
 
     A lane takes the quotient form N_high/q_high - N_low/q_low unless one
     of its two denominators straddles 0, where it takes the cleared form.
-    On a slice where no denominator straddles 0, nearly every slice, only
-    the quotient form is computed; the bits are those of the lane-wise
-    choice."""
+    On a slice where neither denominator straddles 0, nearly every slice,
+    the bound is lambda_high - lambda_low of the two quotients in the
+    slice's cache (_quotient), so a plan computes each lambda's quotient
+    once per slice whatever its number of pairs; only on a slice where one
+    does are N and q computed again, for both forms.  The bits are those of
+    the lane-wise choice."""
+    lam_lo = _quotient(check.low, eng, radii, cache)
+    lam_hi = _quotient(check.high, eng, radii, cache)
+    if lam_lo is not None and lam_hi is not None:
+        gap = lam_hi - lam_lo
+        return gap.lo, gap.hi, np.full(gap.lo.shape, FORM_QUOTIENT)
     n_lo = kernel.lambda_num(eng, radii, *check.low, cache=cache)
     n_hi = kernel.lambda_num(eng, radii, *check.high, cache=cache)
     q_lo = kernel.lambda_den(eng, radii, *check.low)  # 0-d for body 1
     q_hi = kernel.lambda_den(eng, radii, *check.high)
 
     straddle = q_lo.straddles_zero() | q_hi.straddles_zero()
-    if not straddle.any():
-        gap = n_hi / q_hi - n_lo / q_lo
-        return gap.lo, gap.hi, np.full(gap.lo.shape, FORM_QUOTIENT)
     safe_lo = VInterval(
         np.where(straddle, 1.0, q_lo.lo), np.where(straddle, 1.0, q_lo.hi)
     )
@@ -274,10 +297,10 @@ def _batch_bounds(plan: RegionPlan, lo3, hi3, lo5, hi5):
 
     The lanes are evaluated in contiguous slices of at most _BLOCK, so the
     kernel's temporaries stay in cache; each slice has one backend, one set
-    of radii and one cache, which every pair reads, so a lambda is computed
-    once per slice.  Every operation is elementwise and a cached value is
-    the one computed alone, so the bits depend neither on the slicing nor
-    on the other pairs of the plan."""
+    of radii and one cache, which every pair reads, so a lambda and its
+    quotient are computed once per slice.  Every operation is elementwise
+    and a cached value is the one computed alone, so the bits depend
+    neither on the slicing nor on the other pairs of the plan."""
     n = lo3.size
     lo = np.empty(n)
     hi = np.empty(n)
@@ -515,7 +538,8 @@ def _decode(cls, d: dict, kind: str, plain):
     _unhex, the rows under cls._ROWS as the cls._LEAVES arrays, and the
     fields plain(d) gives as they are.  The rows may also be given already
     parsed, as the tuple _parse_leaf_rows returns (cli._load_payload reads
-    them so).  Raises MalformedCertificate."""
+    them so).  Raises MalformedCertificate; a key that d lacks is named as
+    a missing field."""
     try:
         if d["format"] != FORMAT_VERSION or d["kind"] != kind:
             raise MalformedCertificate(
@@ -531,6 +555,9 @@ def _decode(cls, d: dict, kind: str, plain):
         )
     except MalformedCertificate:
         raise
+    except KeyError as exc:
+        raise MalformedCertificate(
+            f"bad {kind} certificate: missing field {exc.args[0]!r}") from exc
     except Exception as exc:
         raise MalformedCertificate(f"bad {kind} certificate: {exc}") from exc
 
@@ -632,6 +659,18 @@ def _bisect(l3, h3, l5, h5):
     )
 
 
+def _lex_ordered(keys) -> bool:
+    """Whether the rows of the key arrays are already in the order
+    np.lexsort(keys[::-1]) gives, first key first: every row compares <=
+    the next.  The sort is stable, so it would then return every row in
+    place, and skipping it changes no byte."""
+    le = keys[-1][:-1] <= keys[-1][1:]
+    for k in keys[-2::-1]:
+        a, b = k[:-1], k[1:]
+        le = (a < b) | ((a == b) & le)
+    return bool(le.all())
+
+
 def _branch_and_bound(plan: RegionPlan, boxes, max_depth: int,
                       region: Optional[Region] = None):
     """Certify the plan on every box of the initial cover, bisecting until
@@ -691,15 +730,17 @@ def _branch_and_bound(plan: RegionPlan, boxes, max_depth: int,
     if not parts:
         raise BudgetExhausted(f"{what}: no box could be certified")
     leaves = [np.concatenate([p[i] for p in parts]) for i in range(6)]
-    order = np.lexsort((leaves[3], leaves[2], leaves[1], leaves[0]))
+    if not _lex_ordered(leaves[:4]):
+        order = np.lexsort((leaves[3], leaves[2], leaves[1], leaves[0]))
+        leaves = [a[order] for a in leaves]
     stats = {
         "boxes_initial": n_initial,
         "boxes_total": total_boxes,
-        "leaves": int(order.size),
+        "leaves": int(leaves[0].size),
         "max_depth": depth,
         "evaluations": evals,
     }
-    return tuple(a[order] for a in leaves), stats
+    return tuple(leaves), stats
 
 
 def certify_inequality(

@@ -4,19 +4,25 @@ Rigor model: every operation returns an interval that contains the exact
 real result for all points of its operands.  Endpoints are computed in
 IEEE double and then nudged one ulp outward, which is portable, costs one
 bit of tightness per operation, and never depends on a global rounding
-mode.  The nudge (`_outward`) equals ``np.nextafter`` toward -inf or
-+inf bit for bit, which the tier-1 tests check.  Which route runs is
-decided by the lanes' own values, and every route gives the same bits:
+mode.  The nudge equals ``np.nextafter`` toward -inf or +inf bit for bit,
+which the tier-1 tests check.  Which route runs is decided by the lanes'
+own values, and every route gives the same bits:
 
-* `_outward`: a lane array whose lanes are all finite and of one strict
-  sign is stepped by one int64 add on its bit pattern, in place; any
-  other finite array takes a general in-place route (zero mapping and a
-  sign-dependent step); 0-d values, empty arrays and arrays holding NaN
-  or the infinity the step cannot leave go through ``np.nextafter``.
+* one rounding decision per result (`_rounded`): every operation hands
+  the fresh (lo, hi) pair of its result to one helper, which takes
+  min(lo) and max(hi) once; when both ends are finite and of one strict
+  sign on every lane, each array is stepped by one int64 add on its bit
+  pattern, in place, and every other case (0-d values, empty arrays,
+  zeros, infinities, NaN, mixed signs) goes through `_outward` on each
+  end, whose own routes are an in-place step and ``np.nextafter``;
+* a carried sign: the helper knows the sign of what it rounds, and the
+  result keeps it (VInterval.sign, which negation flips), so `_sign`
+  reads no lane of a result whose sign is known;
 * a product computes only its two extreme corners when each operand lies
   on one side of 0 with finite ends (`_sign`), and all four otherwise
   (an infinite end can meet a zero, and inf * 0 must stay NaN);
-* a square skips abs, min, max and the straddle mask on the same test.
+* a square skips abs, min, max and the straddle mask on the same test,
+  and a square or square root of known sign +1 skips its max with 0.
 
 There is one interval type, `VInterval`: numpy lo/hi arrays, 0-d for a
 single interval and 1-d for a lane of boxes (the certifier's hot path).
@@ -59,6 +65,7 @@ class NegativeArgument(ValueError):
 
 _NINF = float("-inf")
 _PINF = float("inf")
+_DBL_MAX = float(np.finfo(np.float64).max)
 # _MIN(x, None) is x.min() over every axis without the method's Python
 # wrapper, which costs as much as the reduction on the jets' short lanes
 _MIN = np.minimum.reduce
@@ -105,10 +112,47 @@ def _outward(x, toward):
     return x
 
 
+def _rounded(lo, hi) -> "VInterval":
+    """The interval [lo, hi] of a result whose endpoints the caller has just
+    computed and owns, lo rounded toward -inf and hi toward +inf, each end
+    bit for bit np.nextafter (`_outward`), carrying its sign.
+
+    One rounding decision serves both ends: lo and hi are lane arrays of
+    one shape with lo <= hi on every lane that holds no NaN, so min(lo) and
+    max(hi) alone tell when every endpoint is finite and of one strict
+    sign (0 < min(lo) and max(hi) < inf, or the mirror), and then each
+    array is stepped in place by one int64 add on its bit pattern, as
+    `_outward` steps it.  The result carries sign +1 when moreover
+    max(hi) < DBL_MAX (so no end steps to inf, and a lo of 5e-324 steps to
+    +0), -1 in the mirror case, and None (not known) otherwise.  Every
+    other case, among them 0-d values, empty arrays, zeros, infinities,
+    NaN and mixed signs, goes through `_outward` on each end and carries
+    None."""
+    if getattr(lo, "ndim", 0) and lo.size:
+        m = _MIN(lo, None)
+        M = _MAX(hi, None)  # NaN fails every test below
+        if 0.0 < m and M < _PINF:
+            bits = lo.view(np.int64)
+            bits -= 1
+            bits = hi.view(np.int64)
+            bits += 1
+            return VInterval(lo, hi, 1 if M < _DBL_MAX else None)
+        if M < 0.0 and _NINF < m:
+            bits = lo.view(np.int64)
+            bits += 1
+            bits = hi.view(np.int64)
+            bits -= 1
+            return VInterval(lo, hi, -1 if -_DBL_MAX < m else None)
+    return VInterval(_outward(lo, _NINF), _outward(hi, _PINF))
+
+
 def _sign(iv) -> int:
     """+1 if every lane of iv lies in [0, inf), -1 if every lane lies in
     (-inf, 0], else 0: a lane straddles 0, an endpoint is infinite or NaN,
-    or iv is empty."""
+    or iv is empty.  The sign a result carries (`_rounded`) is returned
+    without reading a lane."""
+    if iv.sign is not None:
+        return iv.sign
     lo, hi = iv.lo, iv.hi
     if lo.ndim == 0:  # a Python float compares faster than a 0-d array
         lo, hi = float(lo), float(hi)
@@ -125,13 +169,19 @@ def _sign(iv) -> int:
 
 class VInterval:
     """Closed intervals [lo, hi] over numpy arrays (0-d or lanes), with
-    outward-rounded elementwise arithmetic."""
+    outward-rounded elementwise arithmetic.
 
-    __slots__ = ("lo", "hi")
+    sign is what `_sign` would compute from the lanes, +1 or -1, when the
+    interval is known to be of one sign, and None when it is not known.  It
+    is fixed when the interval is built, so no code writes into the lo or
+    hi of a VInterval after building it."""
 
-    def __init__(self, lo, hi):
+    __slots__ = ("lo", "hi", "sign")
+
+    def __init__(self, lo, hi, sign=None):
         self.lo = np.asarray(lo, dtype=np.float64)
         self.hi = np.asarray(hi, dtype=np.float64)
+        self.sign = sign
 
     @staticmethod
     def _coerce(x):
@@ -159,22 +209,19 @@ class VInterval:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return VInterval(
-            _outward(self.lo + o.lo, _NINF), _outward(self.hi + o.hi, _PINF)
-        )
+        return _rounded(self.lo + o.lo, self.hi + o.hi)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return VInterval(-self.hi, -self.lo)
+        s = self.sign
+        return VInterval(-self.hi, -self.lo, None if s is None else -s)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return VInterval(
-            _outward(self.lo - o.hi, _NINF), _outward(self.hi - o.lo, _PINF)
-        )
+        return _rounded(self.lo - o.hi, self.hi - o.lo)
 
     def __rsub__(self, other):
         return self._coerce(other).__sub__(self)
@@ -191,16 +238,14 @@ class VInterval:
             # the guard keeps inf * 0, NaN in the four corners, off this route
             a_lo, a_hi = (self.lo, self.hi) if t > 0 else (self.hi, self.lo)
             b_lo, b_hi = (o.lo, o.hi) if s > 0 else (o.hi, o.lo)
-            return VInterval(
-                _outward(a_lo * b_lo, _NINF), _outward(a_hi * b_hi, _PINF)
-            )
+            return _rounded(a_lo * b_lo, a_hi * b_hi)
         c1 = self.lo * o.lo
         c2 = self.lo * o.hi
         c3 = self.hi * o.lo
         c4 = self.hi * o.hi
         lo = np.minimum(np.minimum(c1, c2), np.minimum(c3, c4))
         hi = np.maximum(np.maximum(c1, c2), np.maximum(c3, c4))
-        return VInterval(_outward(lo, _NINF), _outward(hi, _PINF))
+        return _rounded(lo, hi)
 
     __rmul__ = __mul__
 
@@ -219,7 +264,7 @@ class VInterval:
             c4 = self.hi / o.hi
         lo = np.minimum(np.minimum(c1, c2), np.minimum(c3, c4))
         hi = np.maximum(np.maximum(c1, c2), np.maximum(c3, c4))
-        return VInterval(_outward(lo, _NINF), _outward(hi, _PINF))
+        return _rounded(lo, hi)
 
     def __rtruediv__(self, other):
         return self._coerce(other).__truediv__(self)
@@ -230,22 +275,21 @@ class VInterval:
         When every lane lies on one side of 0 with finite ends (_sign), the
         end nearer 0 is lo (all >= 0) or hi (all <= 0) on every lane, and
         abs, minimum, maximum and where are skipped; a lane touching 0 gets
-        max(0, 0 rounded down) = 0, which is what the where gives it."""
+        max(0, 0 rounded down) = 0, which is what the where gives it.  The
+        max with 0 is skipped too when the rounded result carries sign +1,
+        since its lower ends are then >= +0 already."""
         s = _sign(self)
         if s:
             near, far = (self.lo, self.hi) if s > 0 else (self.hi, self.lo)
-            return VInterval(
-                np.maximum(0.0, _outward(near * near, _NINF)),
-                _outward(far * far, _PINF),
-            )
+            r = _rounded(near * near, far * far)
+            return r if r.sign == 1 else VInterval(np.maximum(0.0, r.lo), r.hi)
         a = np.abs(self.lo)
         b = np.abs(self.hi)
         m = np.minimum(a, b)
         M = np.maximum(a, b)
-        lo = np.where(
-            self.straddles_zero(), 0.0, np.maximum(0.0, _outward(m * m, _NINF))
-        )
-        return VInterval(lo, _outward(M * M, _PINF))
+        r = _rounded(m * m, M * M)
+        lo = np.where(self.straddles_zero(), 0.0, np.maximum(0.0, r.lo))
+        return VInterval(lo, r.hi)
 
     def sqrt(self) -> "VInterval":
         if np.any(self.lo < 0.0):
@@ -253,11 +297,10 @@ class VInterval:
         return self._sqrt()
 
     def _sqrt(self) -> "VInterval":
-        """sqrt of an interval whose lanes are all >= 0 or NaN, unchecked."""
-        return VInterval(
-            np.maximum(0.0, _outward(np.sqrt(self.lo), _NINF)),
-            _outward(np.sqrt(self.hi), _PINF),
-        )
+        """sqrt of an interval whose lanes are all >= 0 or NaN, unchecked;
+        the max with 0 is skipped as in sq."""
+        r = _rounded(np.sqrt(self.lo), np.sqrt(self.hi))
+        return r if r.sign == 1 else VInterval(np.maximum(0.0, r.lo), r.hi)
 
     def powneg32(self) -> "VInterval":
         """x^(-3/2) as reciprocal of x*sqrt(x), each step outward-rounded.
@@ -271,11 +314,10 @@ class VInterval:
         if np.any(self.lo <= 0.0):
             raise NegativeArgument("x^(-3/2) of an interval touching 0")
         s = self._sqrt()
-        plo = _outward(self.lo * s.lo, _NINF)
-        phi = _outward(self.hi * s.hi, _PINF)
-        if np.any(plo <= 0.0):
+        p = _rounded(self.lo * s.lo, self.hi * s.hi)
+        if np.any(p.lo <= 0.0):
             raise DivisionByZeroInterval("divisor interval contains zero")
-        return VInterval(_outward(1.0 / phi, _NINF), _outward(1.0 / plo, _PINF))
+        return _rounded(1.0 / p.hi, 1.0 / p.lo)
 
 
 class Box2(NamedTuple):

@@ -31,7 +31,13 @@ one (r3, r5) on one backend, share a cache: each body's coordinates and
 each r_ij^(-3) are computed once, so x^(-3/2), the costliest interval
 operation, runs once per distance rather than once per lambda.  A cached
 value comes from the same operations on the same operands, so sharing
-changes no bit; a cache is valid for its own (r3, r5) only.
+changes no bit; a cache is valid for its own (r3, r5) only.  When a
+lambda computes a distance first, its term (q_ik - q_jk) / r_ij^3 reuses
+the difference q_ik - q_jk that the distance was computed from: the same
+operands in the same order, so that changes no bit either.  The
+differences are not cached, and each is dropped once its term is formed,
+so a cache holds no per-distance array beyond r_ij^(-3) and a slice's
+peak memory is what it was without the reuse.
 
 The closure radii r2, r4 (derived_radii) are also the domain test:
 in_domain checks r3, r5 finite and > 0 and r2, r4 > 0 with these
@@ -112,7 +118,9 @@ def lambda_num(bk, radii, i, k, cache=None):
     cache holds what the lambdas of one evaluation share: each body's
     coordinates (key j) and each r_ij^(-3) (key (i, j), i < j), computed on
     first use by the same operations as without a cache, so a shared cache
-    changes no bit.  It is valid for one (r3, r5) and one backend only."""
+    changes no bit.  It is valid for one (r3, r5) and one backend only.
+    The differences q_i - q_j that a new distance is computed from are
+    reused for this lambda's own term; they are not kept in the cache."""
     if cache is None:
         cache = {}
     for j in range(1, 6):  # N_ik reads every body
@@ -125,10 +133,22 @@ def lambda_num(bk, radii, i, k, cache=None):
             continue
         qj = cache[j]
         key = (min(i, j), max(i, j))
-        if key not in cache:
-            cache[key] = bk.powneg32(bk.sq(qi[0] - qj[0]) + bk.sq(qi[1] - qj[1]))
-        term = (qi[k - 1] - qj[k - 1]) * cache[key]
+        # each temporary is dropped once spent: the reused difference is
+        # alive through x^(-3/2), so nothing else may be, or the peak
+        # memory of a slice grows by a lane array pair
+        if key in cache:
+            diff = qi[k - 1] - qj[k - 1]
+        else:
+            dx, dy = qi[0] - qj[0], qi[1] - qj[1]
+            r2 = bk.sq(dx) + bk.sq(dy)
+            diff = dx if k == 1 else dy
+            del dx, dy
+            cache[key] = bk.powneg32(r2)
+            del r2
+        term = diff * cache[key]
+        del diff
         total = term if total is None else total + term
+        del term
     return total
 
 

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -1219,6 +1220,164 @@ def test_a_slice_without_a_straddling_denominator_keeps_the_lane_wise_bits():
         assert alone[0].tobytes() == lo.tobytes()
         assert alone[1].tobytes() == hi.tobytes()
         assert np.array_equal(alone[2], form) and alone[2].dtype == form.dtype
+
+
+def _seeded_boxes(n=4096, seed=26):
+    """n seeded boxes of width <= 0.05 where every radius and q is
+    positive and bounded away from 0; every eighth box is a point."""
+    rng = np.random.default_rng(seed)
+    lo3 = rng.uniform(0.3, 2.0, n)
+    lo5 = np.maximum(lo3 + rng.uniform(-0.3, 0.45, n), 0.2)
+    w3, w5 = rng.uniform(0.0, 0.05, (2, n))
+    w3[::8] = w5[::8] = 0.0
+    return lo3, lo3 + w3, lo5, lo5 + w5
+
+
+def _corner_boxes():
+    """_seeded_boxes with every 16th box at the collision corner (0, 0),
+    where r_35 touches 0 (NaN lanes on _MaskedBackend), and every 16th
+    from the fifth on at r3 = 0, where q_3k straddles 0."""
+    lo3, hi3, lo5, hi5 = (a.copy() for a in _seeded_boxes())
+    lo3[::16] = lo5[::16] = 0.0
+    lo3[5::16] = 0.0
+    return lo3, hi3, lo5, hi5
+
+
+# SHA-256 of every bit of the nine lambda enclosures (numerator and
+# quotient) on the seeded boxes, taken before the interval arithmetic
+# rounded both ends of a result in one decision and carried its sign
+_LAMBDA_BITS = {
+    "vector": "551adc6a005a9056e98af5bbb6d8d75be86b71f5c8a521851ac378749ac7c603",
+    "vector-0d": "44ddf294a2c7c489bd9db4887510780bbcabc6c0922a2caa38df94077983d32c",
+    "masked": "f2da5129bc8ab3dd4fdd86f9c9565cef40815313fdb477d86b9547c5eca22100",
+    "dual": "468719f7968be48a5c18a4cc9cce06e8f1f7db3fc0d3b29a17e4d4b0a5918acb",
+    "dual-nan": "2118ccb7e2cb0bb8c8279e3e383875a0a43844f2c2d9e94a9fcab88331129f8c",
+    "float": "bfe0cdc8876ade077a9f7d2c2df4e598bf041731273d9e4220b353905e5d1f2c",
+}
+
+
+@pytest.mark.parametrize("backend", sorted(_LAMBDA_BITS))
+def test_the_kernel_gives_the_pinned_bits_of_every_lambda(backend):
+    lo3, hi3, lo5, hi5 = _corner_boxes() if backend == "masked" else _seeded_boxes()
+    if backend == "dual-nan":
+        lo3, hi3 = lo3.copy(), hi3.copy()
+        lo3[::16] = hi3[::16] = np.nan
+    box = Box2(VInterval(lo3, hi3), VInterval(lo5, hi5))
+    make = {"vector": VectorBackend, "vector-0d": VectorBackend,
+            "masked": certify._MaskedBackend, "dual": DualBackend,
+            "dual-nan": DualBackend, "float": lambda: kernel.FloatBackend}[backend]
+    if backend == "vector-0d":
+        points = [Box2(VInterval(lo3[j], hi3[j]), VInterval(lo5[j], hi5[j]))
+                  for j in range(16)]
+    elif backend == "float":
+        points = [(box.r3.mid(), box.r5.mid())]
+    elif backend.startswith("dual"):
+        points = [dual_vars(box)]
+    else:
+        points = [box]
+    h = hashlib.sha256()
+    nan = 0
+    for p in points:
+        bk, cache = make(), {}
+        radii = kernel.derived_radii(bk, *p)
+        for idx in kernel.LAMBDA_INDICES:
+            n = kernel.lambda_num(bk, radii, *idx, cache)
+            q = kernel.lambda_den(bk, radii, *idx)
+            if backend == "masked":
+                st = q.straddles_zero()
+                q = VInterval(np.where(st, 1.0, q.lo), np.where(st, 1.0, q.hi))
+                nan += int(np.isnan(n.lo).sum())
+            h.update(_bits(n) + _bits(n / q))
+    if backend == "masked":
+        assert 0 < nan < 9 * lo3.size
+    assert h.hexdigest() == _LAMBDA_BITS[backend]
+
+
+def _lambda_num_without_reuse(bk, radii, i, k, cache=None):
+    """kernel.lambda_num as it was before a new distance's differences were
+    reused for the lambda's own term: the reference for bits and memory."""
+    for j in range(1, 6):
+        if j not in cache:
+            cache[j] = tuple(kernel.coordinate(bk, radii, j, c) for c in (1, 2))
+    qi, total = cache[i], None
+    for j in range(1, 6):
+        if j == i:
+            continue
+        qj = cache[j]
+        key = (min(i, j), max(i, j))
+        if key not in cache:
+            cache[key] = bk.powneg32(bk.sq(qi[0] - qj[0]) + bk.sq(qi[1] - qj[1]))
+        term = (qi[k - 1] - qj[k - 1]) * cache[key]
+        total = term if total is None else total + term
+    return total
+
+
+def test_reusing_the_differences_changes_no_bit_and_no_peak_memory(monkeypatch):
+    # one slice of a one-pair plan, as verify recomputes J15: a difference
+    # kept alive one step too long costs a lane array pair (256 KiB here)
+    lanes = [np.tile(a, 4) for a in _seeded_boxes()]
+    assert lanes[0].size == kernel._BLOCK
+    plan = region_plan("J15")
+    runs = {}
+    for name, num in (("reference", _lambda_num_without_reuse),
+                      ("kernel", kernel.lambda_num)):
+        monkeypatch.setattr(kernel, "lambda_num", num)
+        _batch_bounds(plan, *lanes)
+        tracemalloc.start()
+        try:
+            out = _batch_bounds(plan, *lanes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        runs[name] = out, peak
+    (got, peak), (want, ref_peak) = runs["kernel"], runs["reference"]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    assert peak <= ref_peak + 64 * 1024, (peak, ref_peak)
+
+
+def _all_pairs_plan() -> RegionPlan:
+    idx = kernel.LAMBDA_INDICES
+    return RegionPlan("all", tuple(PairCheck(a, b) for a in idx for b in idx if a != b))
+
+
+@pytest.mark.parametrize("boxes", ["inside", "corner"])
+def test_an_all_pairs_plan_costs_nine_lambdas_per_slice(boxes, monkeypatch):
+    # each lambda's quotient is computed once per slice and shared by
+    # every pair that reads it; a pair's bounds are those of its own
+    # one-pair plan, bit for bit
+    plan = _all_pairs_plan()
+    assert len(plan.pairs) == 72
+    lanes = _seeded_boxes() if boxes == "inside" else _corner_boxes()
+    block = 1024
+    monkeypatch.setattr(certify, "_BLOCK", block)
+    calls = []
+    num = kernel.lambda_num
+    monkeypatch.setattr(kernel, "lambda_num", lambda *a, **k: calls.append(a[2:4]) or num(*a, **k))
+    lo, hi, form, pair = _batch_bounds(plan, *lanes)
+    n_slices = lanes[0].size // block
+    if boxes == "inside":  # no q straddles 0
+        assert sorted(calls) == sorted(kernel.LAMBDA_INDICES * n_slices)
+    else:  # a pair with a straddling q computes its N and q again
+        assert len(calls) > 9 * n_slices
+    singles = [_batch_bounds(RegionPlan("one", (check,)), *lanes) for check in plan.pairs]
+    for start in range(0, lanes[0].size, block):
+        s = slice(start, start + block)
+        eng, cache = certify._MaskedBackend(), {}
+        r3, r5 = (VInterval(lanes[k][s], lanes[k + 1][s]) for k in (0, 2))
+        radii = kernel.derived_radii(eng, r3, r5)
+        for check, one in zip(plan.pairs, singles):
+            got = certify._pair_bounds(check, eng, radii, cache)
+            assert got[0].tobytes() == one[0][s].tobytes(), check
+            assert got[1].tobytes() == one[1][s].tobytes(), check
+            assert np.array_equal(got[2], one[2][s]), check
+    # the all-pairs bound is the first largest lower bound that is not NaN
+    los = np.array([one[0] for one in singles])
+    best = np.where(np.isnan(los), -np.inf, los).argmax(axis=0)
+    cols = np.arange(lo.size)
+    assert lo.tobytes() == los[best, cols].tobytes()
+    assert np.array_equal(pair, np.where(np.isnan(los).all(axis=0), 0, best))
+    assert np.array_equal(form, np.array([one[2] for one in singles])[pair, cols])
+    assert hi.tobytes() == np.max([one[1] for one in singles], axis=0).tobytes()
 
 
 def test_importing_starcc_loads_no_pool_machinery():

@@ -749,3 +749,52 @@ def test_a_plan_short_of_a_pair_is_rejected(coarse_bundle, tmp_path, capsys):
     code, err = _verify_forged(coarse_bundle, tmp_path, capsys, "J4", first_pair)
     assert code == cli.EXIT_VERIFY
     assert err.strip() == "REJECT: plan does not match this build", err
+
+
+def test_a_manifest_file_alone_is_rejected(coarse_bundle, capsys):
+    path = coarse_bundle / "manifest.json"
+    code = cli.main(["verify", str(path)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_VERIFY
+    assert err.strip() == (f"REJECT: {path}: manifests are verified as part of"
+                           " their bundle directory"), err
+
+
+def test_a_piece_of_an_unknown_kind_is_rejected(coarse_bundle, tmp_path, capsys):
+    code, err = _verify_forged(coarse_bundle, tmp_path, capsys, "J9",
+                               lambda doc: doc.update(kind="lemma"))
+    assert code == cli.EXIT_VERIFY
+    assert re.search(r"J9\.json: unknown certificate kind 'lemma'$", err.strip()), err
+
+
+def test_a_region_file_alone_relabelled_local_names_the_missing_field(
+        coarse_bundle, tmp_path, capsys):
+    # read as what its kind says, the file lacks the local certificate's
+    # rows, the first field the decoder reads
+    code, err = _verify_forged(coarse_bundle, tmp_path, capsys, "J9",
+                               lambda doc: doc.update(kind="local-uniqueness"))
+    assert code == cli.EXIT_VERIFY
+    assert re.search(r"J9\.json: bad local-uniqueness certificate: missing field 'annulus'$",
+                     err.strip()), err
+
+
+@pytest.mark.parametrize("where, message", [
+    ("object", "Expecting value: line 1 column 1 (char 0)"),
+    ("key", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("colon", "Expecting ':' delimiter: line 1 column 10 (char 9)"),
+], ids=["object", "key", "colon"])
+def test_a_stray_character_in_the_object_syntax_is_rejected(coarse_bundle, tmp_path,
+                                                            capsys, where, message):
+    # the chunked reader walks the object's own syntax; one stray character
+    # in place of the opening "{", of a key's opening quote or of a ":" must
+    # send the text to json.loads, which rejects it
+    forged = _copy(coarse_bundle, tmp_path)
+    path = forged / "J9.json"
+    text = path.read_text()
+    assert text.startswith('{"format": ')
+    at = {"object": 0, "key": 1, "colon": 9}[where]
+    path.write_text(text[:at] + "x" + text[at + 1:])
+    code = cli.main(["verify", str(path)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_VERIFY
+    assert err.strip() == f"REJECT: {path}: not valid JSON ({message})", err

@@ -10,6 +10,7 @@ from starcc.forces import lambda_component, residual_vector
 from starcc.geometry import A, B
 from starcc.intervals import (
     _outward,
+    _rounded,
     _sign,
     Box2,
     DivisionByZeroInterval,
@@ -427,3 +428,94 @@ def test_sq_fast_route_equals_the_abs_min_max_square():
     for x in (_lanes((-0.0, 2.0), (0.0, 1.0)), _lanes((-3.0, -0.0), (-1.0, 0.0))):
         _assert_same_bits(x.sq(), _sq_reference(x))
         assert np.all(x.sq().lo == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# One rounding decision per result: _rounded steps both ends of a fresh
+# result like np.nextafter and carries the sign _sign computes from lanes
+
+
+def _assert_rounds_like_nextafter(lo, hi):
+    lo, hi = (np.asarray(a, dtype=np.float64) for a in (lo, hi))
+    fresh = (lo.copy(), hi.copy()) if lo.ndim else (lo[()], hi[()])
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.nextafter(lo, -math.inf), np.nextafter(hi, math.inf)
+        got = _rounded(*fresh)
+    assert got.lo.shape == lo.shape and got.hi.shape == hi.shape
+    _assert_same_bits(got, want)
+    if got.sign is not None:
+        # the carried sign is the one _sign reads from the lanes
+        assert got.sign == _sign(VInterval(got.lo, got.hi)), (lo, hi)
+    return got
+
+
+def _ordered(x, y):
+    """Lanes [min, max] of x and y, NaN where either is."""
+    return np.minimum(x, y), np.maximum(x, y)
+
+
+@pytest.mark.parametrize("value", SPECIALS,
+                         ids=[f"{v:#018x}" for v in SPECIALS.view(np.uint64)])
+def test_rounded_steps_each_end_like_nextafter_on_special_values(value):
+    _assert_rounds_like_nextafter(value, value)  # 0-d
+    _assert_rounds_like_nextafter([value], [value])
+    lanes = np.array([1.5, value, -0.0, value, 3.0, -7.25, 0.0])
+    _assert_rounds_like_nextafter(lanes, lanes)
+    _assert_rounds_like_nextafter(*_ordered(lanes, lanes[::-1]))
+
+
+def test_rounded_steps_each_end_like_nextafter_on_random_bit_patterns():
+    rng = np.random.default_rng(20261019)
+    x, y = (rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, size=200_003,
+                         dtype=np.int64, endpoint=True).view(np.float64) for _ in range(2))
+    keep = np.isfinite(x) & np.isfinite(y)
+    _assert_rounds_like_nextafter(*_ordered(x[keep], y[keep]))  # mixed signs
+    _assert_rounds_like_nextafter(*_ordered(x, y))  # NaN lanes
+    for sign in (1.0, -1.0):  # one sign, also subnormal and DBL_MAX ends
+        a, b = sign * np.abs(x[keep]), sign * np.abs(y[keep])
+        _assert_rounds_like_nextafter(*_ordered(a, b))
+        _assert_rounds_like_nextafter(*_ordered(a[a != 0.0], b[a != 0.0]))
+        one = sign * ONE_SIGN
+        _assert_rounds_like_nextafter(*_ordered(one, one[::-1]))
+        _assert_rounds_like_nextafter(*_ordered(one.reshape(3, -1), one[::-1].reshape(3, -1)))
+    _assert_rounds_like_nextafter(np.empty(0), np.empty(0))
+    _assert_rounds_like_nextafter(np.empty((0, 3)), np.empty((0, 3)))
+
+
+def test_rounded_carries_a_sign_only_where_no_end_can_leave_it():
+    up = _assert_rounds_like_nextafter([0.5, 1.0], [2.0, _DBL_MAX])
+    assert up.hi[1] == math.inf and up.sign is None  # DBL_MAX steps to inf
+    down = _assert_rounds_like_nextafter([5e-324, 1.0], [2.0, 3.0])
+    assert down.lo.tobytes()[:8] == np.float64(0.0).tobytes()  # +0, not -0
+    assert down.sign == 1
+    low = _assert_rounds_like_nextafter([-_DBL_MAX, -1.0], [-2.0, -0.5])
+    assert low.lo[0] == -math.inf and low.sign is None
+    high = _assert_rounds_like_nextafter([-3.0, -1.0], [-2.0, -5e-324])
+    assert high.hi.tobytes()[8:] == np.float64(-0.0).tobytes()  # -0
+    assert high.sign == -1
+    for lo, hi in (([0.0, 1.0], [1.0, 2.0]), ([-1.0, 1.0], [1.0, 2.0]),
+                   ([1.0, 1.0], [math.inf, 2.0]), ([1.0, math.nan], [2.0, math.nan]),
+                   (1.0, 2.0)):
+        assert _assert_rounds_like_nextafter(lo, hi).sign is None
+
+
+def test_every_result_carries_the_sign_of_its_lanes():
+    rng = np.random.default_rng(26)
+    kinds = _lane_kinds(rng)
+    ends = np.sort(10.0 ** rng.uniform(-100.0, 100.0, (61, 2)), axis=1)
+    kinds["strict"] = VInterval(ends[:, 0], ends[:, 1])
+    kinds["-strict"] = -kinds["strict"]
+    kinds["tiny"] = VInterval(np.where(ends[:, 0] < 1.0, 5e-324, ends[:, 0]), ends[:, 1])
+    pos = VInterval(np.abs(kinds["pos"].hi) + 0.5, np.abs(kinds["pos"].hi) + 1.0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        results = [pos.powneg32()]
+        for a in kinds.values():
+            results += [a.sq(), -a.sq(), a / pos]
+            if np.all(~(a.lo < 0.0)):  # NaN lanes pass, as in the kernel
+                results.append(a._sqrt())
+            for b in kinds.values():
+                results += [a + b, a - b, a * b, -(a * b)]
+    known = [r for r in results if r.sign is not None]
+    assert len(known) >= 20
+    for r in known:
+        assert r.sign == _sign(VInterval(r.lo, r.hi))
