@@ -1279,6 +1279,16 @@ def verify_local_certificate(cert) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _summary(cert) -> dict:
+    """What the bundle manifest states of a verified piece, apart from the
+    informative stats: a region's min_bound and leaf count, or the local
+    certificate's containment margin and center residual."""
+    if isinstance(cert, LocalUniquenessCertificate):
+        return {"containment_margin": cert.containment_margin,
+                "posteriori_residual": cert.posteriori_residual}
+    return {"min_bound": cert.min_bound, "leaves": cert.n_leaves()}
+
+
 @dataclass
 class CertificationManifest:
     verdict: str
@@ -1298,18 +1308,9 @@ class CertificationManifest:
             "fingerprint": self.fingerprint,
             "wall_seconds": self.wall_seconds,
             "solution_witness": self.solution_witness,
-            "local": {
-                "containment_margin": self.local.containment_margin,
-                "posteriori_residual": self.local.posteriori_residual,
-            },
-            "regions": {
-                rid: {
-                    "min_bound": cert.min_bound,
-                    "leaves": cert.n_leaves(),
-                    "stats": cert.stats,
-                }
-                for rid, cert in self.certificates.items()
-            },
+            "local": _summary(self.local),
+            "regions": {rid: {**_summary(cert), "stats": cert.stats}
+                        for rid, cert in self.certificates.items()},
         }
 
 

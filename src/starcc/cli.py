@@ -24,7 +24,7 @@ import os
 import sys
 from contextlib import closing
 from dataclasses import fields
-from typing import List, Optional, get_args, get_type_hints
+from typing import List, Optional, Tuple, get_args, get_type_hints
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .certify import (
     RunConfig,
     _certify_piece,
     _parse_leaf_rows,
+    _summary,
     certify_all,
     recorded_cuts,
     verify_certificate,
@@ -356,82 +357,58 @@ def _load_payload(path: str) -> dict:
     return payload
 
 
-def _from_payload(cls, path: str, payload: dict):
-    """cls.from_payload(payload), its MalformedCertificate naming path."""
-    try:
-        return cls.from_payload(payload)
-    except MalformedCertificate as exc:
-        raise MalformedCertificate(f"{path}: {exc}") from exc
+def _verify_piece(path: str, piece: Optional[str] = None,
+                  cuts: Optional[Tuple[float, float]] = None):
+    """Read, decode and verify the certificate file at path; return its
+    manifest entry (certify._summary), its fingerprint and its ACCEPT line.
 
-
-def _verify_file(path: str) -> str:
+    Alone (piece None), the file is read as the kind it names.  As piece
+    `piece` of a bundle (a region id or "local"), the slot fixes the kind,
+    and cuts is the manifest's (delta_b0, truncation), which every piece
+    must share, or the pieces prove different claims: before the verifier
+    runs, a region file must hold region `piece` and record the cuts that
+    recorded_cuts gives for them (verify_certificate ties `excluded` to
+    delta_b0), and the local window must be delta_b0.  No leaf array is
+    returned, so none crosses the pool."""
     payload = _load_payload(path)
-    kind = payload["kind"]
-    if kind == "inequality":
-        cert = _from_payload(Certificate, path, payload)
-        verify_certificate(cert)
-        return (f"ACCEPT {path}: region {cert.region}, {cert.n_leaves()} leaves,"
-                f" min_gap {cert.min_bound:.6e}")
-    if kind == "local-uniqueness":
-        cert = _from_payload(LocalUniquenessCertificate, path, payload)
-        verify_local_certificate(cert)
-        return (f"ACCEPT {path}: local uniqueness, margin"
-                f" {cert.containment_margin:.4e}")
+    # looked up at each call, so that a wrapped verifier is the one that runs
+    kinds = {"inequality": (Certificate, verify_certificate),
+             "local-uniqueness": (LocalUniquenessCertificate, verify_local_certificate)}
+    kind = payload["kind"] if piece is None else (
+        "local-uniqueness" if piece == "local" else "inequality")
     if kind == "manifest":
         raise MalformedCertificate(
             f"{path}: manifests are verified as part of their bundle directory")
-    raise MalformedCertificate(f"{path}: unknown certificate kind {kind!r}")
-
-
-def _manifest_cuts(manifest_path: str, summary: dict):
-    """The (delta_b0, truncation) pair every piece of the bundle must share."""
-    config = summary.get("config")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise MalformedCertificate(f"{path}: unknown certificate kind {kind!r}")
+    cls, verify = kinds[kind]
     try:
-        return float(config["delta_b0"]), float(config["truncation"])
-    except (KeyError, TypeError, ValueError) as exc:
+        cert = cls.from_payload(payload)
+    except MalformedCertificate as exc:
+        raise MalformedCertificate(f"{path}: {exc}") from exc
+    if piece == "local" and cert.delta != cuts[0]:
         raise MalformedCertificate(
-            f"{manifest_path}: config must give numeric delta_b0 and truncation"
-        ) from exc
-
-
-def _check_composition(path: str, cert: Certificate, delta: float,
-                       truncation: float) -> None:
-    """A region certificate must record what the cut rule (recorded_cuts)
-    gives for the manifest's delta and truncation: otherwise the pieces
-    prove different claims.  verify_certificate ties `excluded` to
-    `delta_b0`."""
-    want = recorded_cuts(cert.region, delta, truncation)
-    got = (cert.delta_b0, cert.truncation)
-    if got != want:
-        raise MalformedCertificate(
-            f"{path}: {cert.region} records (delta_b0, truncation) {got!r};"
-            f" the manifest's delta {delta!r} and truncation {truncation!r}"
-            f" require {want!r}")
-
-
-def _verify_piece(path: str, piece: str, delta: float, truncation: float):
-    """_verify_bundle's job for one file of the bundle, checked on its own.
-
-    A region file must hold region `piece`, recording the cuts of the
-    manifest's delta and truncation, and pass verify_certificate; returns
-    its (min_bound, fingerprint, leaf count).  For piece "local" the local
-    certificate's window must be delta and verify_local_certificate pass;
-    returns (containment margin, annulus leaf count)."""
-    payload = _load_payload(path)
-    if piece == "local":
-        local = _from_payload(LocalUniquenessCertificate, path, payload)
-        if local.delta != delta:
+            f"{path}: window half-width {cert.delta!r} differs from"
+            f" the manifest's delta_b0 {cuts[0]!r}")
+    if piece not in (None, "local"):
+        if cert.region != piece:
+            raise MalformedCertificate(f"{path}: holds region {cert.region}")
+        want, got = recorded_cuts(piece, *cuts), (cert.delta_b0, cert.truncation)
+        if got != want:
             raise MalformedCertificate(
-                f"{path}: window half-width {local.delta!r} differs from"
-                f" the manifest's delta_b0 {delta!r}")
-        verify_local_certificate(local)
-        return local.containment_margin, int(local.ann_lo3.size)
-    cert = _from_payload(Certificate, path, payload)
-    if cert.region != piece:
-        raise MalformedCertificate(f"{path}: holds region {cert.region}")
-    _check_composition(path, cert, delta, truncation)
-    verify_certificate(cert)
-    return cert.min_bound, cert.fingerprint, cert.n_leaves()
+                f"{path}: {piece} records (delta_b0, truncation) {got!r};"
+                f" the manifest's delta {cuts[0]!r} and truncation {cuts[1]!r}"
+                f" require {want!r}")
+    verify(cert)
+    if kind == "inequality":
+        gap = f"min_gap {cert.min_bound:.6e}"
+        line = (f"{piece}: {gap}, {cert.n_leaves()} leaves" if piece else
+                f"{path}: region {cert.region}, {cert.n_leaves()} leaves, {gap}")
+    else:
+        margin = f"margin {cert.containment_margin:.4e}"
+        line = (f"local: {margin}, {cert.ann_lo3.size} annulus leaves" if piece
+                else f"{path}: local uniqueness, {margin}")
+    return _summary(cert), cert.fingerprint, "ACCEPT " + line
 
 
 def _file_size(job) -> int:
@@ -442,47 +419,54 @@ def _file_size(job) -> int:
 
 
 def _verify_bundle(dirpath: str) -> List[str]:
-    """Verify the manifest, the sixteen region files and local.json.
+    """Verify the sixteen region files and local.json, and that the
+    manifest says what they say.
 
-    Each file is a _verify_piece job for _fan_out, on as many fork-started
-    worker processes as there are CPUs (the largest file first); on one
-    CPU they run in this process.  The results are checked against the
-    manifest in the order J1..J16, local, and a job's failure is raised
-    when its turn comes, so the first defect in that order is the one
-    reported, whatever the worker count."""
+    The manifest must list exactly the pieces J1..J16 and local, and each
+    entry, without its informative stats, must equal the verified piece's
+    (certify._summary), under the pieces' fingerprint.  Each file is a
+    _verify_piece job for _fan_out, on as many fork-started worker
+    processes as there are CPUs (the largest file first); on one CPU they
+    run in this process.  The results are checked in the order J1..J16,
+    local, and a job's failure is raised when its turn comes, so the first
+    defect in that order is the one reported, whatever the worker count."""
     manifest_path = os.path.join(dirpath, "manifest.json")
     if not os.path.exists(manifest_path):
         raise MalformedCertificate(f"{dirpath}: no manifest.json")
-    summary = _load_payload(manifest_path)
-    if summary.get("kind") != "manifest":
-        raise MalformedCertificate(f"{manifest_path}: not a manifest")
-    for key, want in (("format", FORMAT_VERSION), ("verdict", VERDICT)):
-        if summary.get(key) != want:
+    manifest = _load_payload(manifest_path)
+    for key, want in (("kind", "manifest"), ("format", FORMAT_VERSION),
+                      ("verdict", VERDICT)):
+        if manifest.get(key) != want:
             raise MalformedCertificate(
-                f"{manifest_path}: {key} {summary.get(key)!r} is not {want!r}")
-    delta, truncation = _manifest_cuts(manifest_path, summary)
-    pieces = REGION_IDS + ("local",)
-    jobs = [(os.path.join(dirpath, f"{p}.json"), p, delta, truncation) for p in pieces]
+                f"{manifest_path}: {key} {manifest.get(key)!r} is not {want!r}")
+    config, regions = manifest.get("config"), manifest.get("regions")
+    try:
+        cuts = float(config["delta_b0"]), float(config["truncation"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedCertificate(
+            f"{manifest_path}: config must give numeric delta_b0 and truncation"
+        ) from exc
+    if not (isinstance(regions, dict) and set(regions) == set(REGION_IDS)
+            and "local" in manifest):
+        raise MalformedCertificate(
+            f"{manifest_path}: must list the regions J1..J16 and local, no others")
+    claims = {**regions, "local": manifest["local"]}
+    jobs = [(os.path.join(dirpath, f"{p}.json"), p, cuts)
+            for p in REGION_IDS + ("local",)]
     lines = []
     with closing(_fan_out(_verify_piece, jobs, os.cpu_count() or 1,
                           _file_size)) as results:
-        for path, rid, _, _ in jobs[:-1]:
-            if rid not in summary.get("regions", {}):
-                raise MalformedCertificate(f"{manifest_path}: region {rid} missing")
-            min_bound, fingerprint, leaves = next(results)
-            claimed = summary["regions"][rid]["min_bound"]
-            if claimed != min_bound:
+        for (path, piece, _), (entry, fingerprint, line) in zip(jobs, results):
+            claim = claims[piece]
+            if isinstance(claim, dict):
+                claim = {k: v for k, v in claim.items() if k != "stats"}
+            if (claim, manifest.get("fingerprint")) != (entry, fingerprint):
                 raise MalformedCertificate(
-                    f"{manifest_path}: min_bound for {rid} ({claimed!r}) does not"
-                    f" match the certificate ({min_bound!r})")
-            if summary["fingerprint"] != fingerprint:
-                raise MalformedCertificate(
-                    f"{path}: fingerprint differs from the manifest")
-            lines.append(f"ACCEPT {rid}: min_gap {min_bound:.6e}, {leaves} leaves")
-        margin, annulus = next(results)
-    lines.append(f"ACCEPT local: margin {margin:.4e}, {annulus} annulus leaves")
-    lines.append(f"bundle {dirpath}: verdict {VERDICT!r} confirmed"
-                 f" ({_scope(delta, truncation)})")
+                    f"{manifest_path}: says {claim!r} of {piece}, fingerprint"
+                    f" {manifest.get('fingerprint')!r}; {path} verifies as"
+                    f" {entry!r}, fingerprint {fingerprint!r}")
+            lines.append(line)
+    lines.append(f"bundle {dirpath}: verdict {VERDICT!r} confirmed ({_scope(*cuts)})")
     return lines
 
 
@@ -495,7 +479,7 @@ def cmd_verify(args) -> int:
             for line in _verify_bundle(args.path):
                 print(line)
         else:
-            print(_verify_file(args.path))
+            print(_verify_piece(args.path)[2])
         return 0
     except Exception as exc:  # any defect means rejection
         print(f"REJECT: {exc}", file=sys.stderr)

@@ -798,3 +798,125 @@ def test_a_stray_character_in_the_object_syntax_is_rejected(coarse_bundle, tmp_p
     err = capsys.readouterr().err
     assert code == cli.EXIT_VERIFY
     assert err.strip() == f"REJECT: {path}: not valid JSON ({message})", err
+
+
+# ---------------------------------------------------------------------------
+# controls for the bundle checker: every file verifies, and only the
+# manifest is forged; each rejection names manifest.json
+
+
+def _verify_manifest_forged(bundle, tmp_path, capsys, forge):
+    """Exit code, stdout and stderr of `verify` on a copy of the bundle
+    whose manifest is forge(manifest) (forge edits it in place)."""
+    forged = _copy(bundle, tmp_path)
+    path = forged / "manifest.json"
+    manifest = json.loads(path.read_text())
+    forge(manifest)
+    path.write_text(json.dumps(manifest, indent=2))
+    code = cli.main(["verify", str(forged)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err.strip(), path
+
+
+_FINGERPRINT = "'f30d235f[0-9a-f]{56}'"
+
+
+def _entry_mismatch(path, piece, said, got, said_fingerprint=_FINGERPRINT):
+    """The message of the manifest entry check, as a regex: the manifest
+    at path says `said` of piece under the fingerprint that
+    said_fingerprint matches, and the piece verifies as `got`."""
+    return (re.escape(f"REJECT: {path}: says {said!r} of {piece}, fingerprint ")
+            + said_fingerprint + re.escape(
+                f"; {path.parent / (piece + '.json')} verifies as {got!r}, fingerprint ")
+            + _FINGERPRINT + "$")
+
+
+@pytest.mark.parametrize("forge", [
+    lambda m: m["config"].pop("delta_b0"),
+    lambda m: m["config"].update(truncation="ten"),
+    lambda m: m.update(config=[0.02, 10.0]),
+], ids=["no-delta", "truncation-text", "config-list"])
+def test_a_manifest_config_without_numeric_cuts_is_rejected(coarse_bundle, tmp_path,
+                                                            capsys, forge):
+    code, out, err, path = _verify_manifest_forged(coarse_bundle, tmp_path, capsys, forge)
+    assert code == cli.EXIT_VERIFY and out == ""
+    assert err == (f"REJECT: {path}: config must give numeric delta_b0"
+                   " and truncation"), err
+
+
+def test_a_manifest_of_another_kind_is_rejected(coarse_bundle, tmp_path, capsys):
+    code, out, err, path = _verify_manifest_forged(
+        coarse_bundle, tmp_path, capsys, lambda m: m.update(kind="inequality"))
+    assert code == cli.EXIT_VERIFY and out == ""
+    assert err == f"REJECT: {path}: kind 'inequality' is not 'manifest'", err
+
+
+@pytest.mark.parametrize("forge", [
+    lambda m: m["regions"].pop("J9"),
+    lambda m: m["regions"].update(J17=m["regions"]["J16"]),
+    lambda m: m.pop("local"),
+    lambda m: m.update(regions=sorted(m["regions"])),
+    lambda m: m["regions"].update(local=m.pop("local")),
+], ids=["J9-missing", "J17-listed", "local-missing", "regions-list", "local-in-regions"])
+def test_a_manifest_that_does_not_list_exactly_the_17_pieces_is_rejected(
+        coarse_bundle, tmp_path, capsys, forge):
+    code, out, err, path = _verify_manifest_forged(coarse_bundle, tmp_path, capsys, forge)
+    assert code == cli.EXIT_VERIFY and out == ""
+    assert err == (f"REJECT: {path}: must list the regions J1..J16 and local,"
+                   " no others"), err
+
+
+def _claims(bundle, piece):
+    """The genuine manifest's entry for piece, without its stats."""
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    entry = manifest["local"] if piece == "local" else manifest["regions"][piece]
+    return {k: v for k, v in entry.items() if k != "stats"}
+
+
+@pytest.mark.parametrize("piece, edit", [
+    ("J9", lambda e: dict(e, min_bound=2.0 * e["min_bound"])),
+    ("J9", lambda e: dict(e, leaves=999)),
+    ("J15", lambda e: dict(e, leaves=e["leaves"] + 1)),
+    ("local", lambda e: dict(e, containment_margin=0.5)),
+    ("local", lambda e: dict(e, containment_margin=2.0 * e["containment_margin"])),
+    ("J3", lambda e: 7),
+], ids=["J9-min_bound", "J9-999-leaves", "J15-one-more-leaf", "local-margin-0.5",
+        "local-margin-doubled", "J3-not-an-object"])
+def test_a_manifest_entry_that_differs_from_its_piece_is_rejected(
+        coarse_bundle, tmp_path, capsys, piece, edit):
+    got = _claims(coarse_bundle, piece)
+    said = edit(got)
+
+    def forge(m):
+        (m if piece == "local" else m["regions"])[piece] = said
+
+    code, out, err, path = _verify_manifest_forged(coarse_bundle, tmp_path, capsys, forge)
+    assert code == cli.EXIT_VERIFY and out == ""
+    assert re.match(_entry_mismatch(path, piece, said, got), err), err
+
+
+@pytest.mark.parametrize("fingerprint", ["0" * 64, None], ids=["other", "missing"])
+def test_a_manifest_of_another_fingerprint_is_rejected(coarse_bundle, tmp_path, capsys,
+                                                       fingerprint):
+    def forge(m):
+        if fingerprint is None:
+            del m["fingerprint"]
+        else:
+            m["fingerprint"] = fingerprint
+
+    got = _claims(coarse_bundle, "J1")
+    code, out, err, path = _verify_manifest_forged(coarse_bundle, tmp_path, capsys, forge)
+    assert code == cli.EXIT_VERIFY and out == ""
+    assert re.match(_entry_mismatch(path, "J1", got, got, re.escape(repr(fingerprint))),
+                    err), err
+
+
+def test_a_manifest_with_other_stats_still_verifies(coarse_bundle, tmp_path, capsys):
+    # stats are informative: the checker compares every entry without them
+    def forge(m):
+        m["regions"]["J9"]["stats"] = {"evaluations": -1}
+        del m["regions"]["J15"]["stats"]
+
+    code, out, err, _ = _verify_manifest_forged(coarse_bundle, tmp_path, capsys, forge)
+    assert code == 0 and err == "", err
+    assert sum(line.startswith("ACCEPT ") for line in out.splitlines()) == 17
