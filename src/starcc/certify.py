@@ -29,7 +29,8 @@ of the two gap components of kernel.LOCAL_PAIRS (a box where one of them
 holds strictly has no zero of the gap map): boxes with certified bound
 > 0 become leaves; the rest are bisected along their wider side
 (_bisect), children certainly outside the region closure are dropped,
-and the loop continues until done or the depth budget runs out.
+and the loop continues until done or the depth budget MAX_DEPTH runs
+out.
 A region box on which every pair's certified *upper* bound is negative
 (with its center inside the region) disproves the plan outright and
 aborts with CertificationRefuted — this is what the reversed-orientation
@@ -73,7 +74,7 @@ import math
 import os
 import time
 from contextlib import closing, suppress
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
@@ -151,20 +152,27 @@ class CoverageGap(ValueError):
 # ---------------------------------------------------------------------------
 
 
+# bisection generations _branch_and_bound runs before BudgetExhausted, for
+# the regions and for the annulus; read at each call
+MAX_DEPTH = 48
+# a run's scope: the RunConfig fields a bundle manifest's config holds, and
+# no others
+_SCOPE = ("max_box_width", "delta_b0", "truncation")
+
+
 @dataclass
 class RunConfig:
-    """Knobs shared by the CLI and certify_all."""
+    """One run of certify_all: its scope (_SCOPE), which the manifest
+    records, and how it runs (the rest)."""
 
     max_box_width: float = 0.02
     delta_b0: float = DELTA_B0
     truncation: float = TRUNCATION_R5
-    max_depth: int = 48
     threads: int = 4  # worker processes of certify_all (see pool._worker_count)
     output_dir: Optional[str] = None
 
     def validate(self) -> "RunConfig":
         _check_cuts(self.max_box_width, self.delta_b0, self.truncation)
-        _check_count("max_depth", self.max_depth)
         _check_count("threads", self.threads, 1)
         return self
 
@@ -421,20 +429,16 @@ def _hex_bytes(x, out: Optional[np.ndarray] = None) -> np.ndarray:
     return out
 
 
-def _plain_labels(forms) -> Optional[np.ndarray]:
-    """The one-character form labels as uint8 codes, or None unless forms
-    is a non-empty 1-d '<U1' array whose labels need no JSON escaping: no
-    quote, no backslash and nothing outside printable ASCII (an empty
-    label, code 0, included)."""
+def _form_codes(forms) -> np.ndarray:
+    """The form labels as uint8 codes.  ValueError naming the first row
+    whose label is not one character of _FORMS, as _parse_leaf_rows
+    refuses it on read."""
     f = np.asarray(forms)
-    if f.dtype != np.dtype("<U1") or f.ndim != 1 or f.size == 0:
-        return None
-    codes = f.view(np.uint32)
-    if not np.all(
-        (codes >= 0x20) & (codes < 0x7F) & (codes != ord('"')) & (codes != ord("\\"))
-    ):
-        return None
-    return codes.astype(np.uint8)
+    bad = np.flatnonzero((f != FORM_QUOTIENT) & (f != FORM_CLEARED))
+    if bad.size:
+        j = int(bad[0])
+        raise ValueError(f"row {j} has form {str(f[j])!r}, not one of {_FORMS}")
+    return f.astype("<U1", copy=False).view(np.uint32).astype(np.uint8)
 
 
 def _leaf_rows_json(lo3, hi3, lo5, hi5, forms, bounds) -> str:
@@ -444,11 +448,8 @@ def _leaf_rows_json(lo3, hi3, lo5, hi5, forms, bounds) -> str:
     Each row is laid out in one byte matrix: '["', the four hex endpoints
     separated by '", "', the form, '", "', the hex bound and '"], '.  The
     hex pad bytes are then dropped and the last ', ' becomes the closing
-    ']'.  Labels that are not one plain character (_plain_labels) and an
-    empty list take the reference path."""
-    labels = _plain_labels(forms)
-    if labels is None:
-        return json.dumps(_leaf_rows(lo3, hi3, lo5, hi5, forms, bounds))
+    ']'.  A label outside _FORMS raises ValueError (_form_codes)."""
+    labels = _form_codes(forms)
     sep = np.frombuffer(b'", "', dtype=np.uint8)
     rows = np.empty((labels.size, 2 + 5 * (_HEX_WIDTH + 4) + 1 + 4), dtype=np.uint8)
     rows[:, :2] = np.frombuffer(b'["', dtype=np.uint8)
@@ -671,8 +672,7 @@ def _lex_ordered(keys) -> bool:
     return bool(le.all())
 
 
-def _branch_and_bound(plan: RegionPlan, boxes, max_depth: int,
-                      region: Optional[Region] = None):
+def _branch_and_bound(plan: RegionPlan, boxes, region: Optional[Region] = None):
     """Certify the plan on every box of the initial cover, bisecting until
     done.
 
@@ -682,7 +682,7 @@ def _branch_and_bound(plan: RegionPlan, boxes, max_depth: int,
     boxes_outside_closure certifies to miss the closure are dropped, and a
     box with a certified negative upper bound whose center lies in the
     region raises CertificationRefuted; without one, neither happens.
-    Raises BudgetExhausted once boxes remain after max_depth generations
+    Raises BudgetExhausted once boxes remain after MAX_DEPTH generations
     or more than _BOX_CAP boxes were made.  Errors name plan.region.
     Returns the leaves (lo3, hi3, lo5, hi5, forms, bounds) sorted
     lexicographically, and the counters a certificate's stats record.
@@ -696,10 +696,10 @@ def _branch_and_bound(plan: RegionPlan, boxes, max_depth: int,
     evals = 0
     total_boxes = n_initial
     while lo3.size:
-        if depth > max_depth:
+        if depth > MAX_DEPTH:
             j = int(np.argmax(hi3 - lo3))
             raise BudgetExhausted(
-                f"{what}: {lo3.size} boxes unresolved at depth {max_depth}, "
+                f"{what}: {lo3.size} boxes unresolved at depth {MAX_DEPTH}, "
                 f"e.g. r3=[{lo3[j]}, {hi3[j]}], r5=[{lo5[j]}, {hi5[j]}]"
             )
         if total_boxes > _BOX_CAP:
@@ -748,7 +748,6 @@ def certify_inequality(
     max_box_width: float = 0.02,
     truncation: Optional[float] = None,
     delta: float = DELTA_B0,
-    max_depth: int = 48,
     plan: Optional[RegionPlan] = None,
 ) -> Certificate:
     """Certify the region's plan over its whole cover.
@@ -758,7 +757,7 @@ def certify_inequality(
     is built, for a header _check_header would reject,
     CertificationRefuted if a box inside the region has a certified
     negative gap, BudgetExhausted if the grid exceeds _BOX_CAP cells or
-    boxes remain unresolved after max_depth bisection generations.
+    boxes remain unresolved after MAX_DEPTH bisection generations.
     """
     t0 = time.perf_counter()
     reg = region_def(region_id)
@@ -773,7 +772,6 @@ def certify_inequality(
     (lo3, hi3, lo5, hi5, forms, leaf_bounds), stats = _branch_and_bound(
         the_plan,
         cover_arrays(region_id, max_box_width, cut, delta_b0),
-        max_depth,
         reg,
     )
     stats["wall_seconds"] = round(time.perf_counter() - t0, 3)
@@ -811,7 +809,6 @@ CENTER = (1.0, 1.0)
 INNER_DELTA = 0.002
 SUBDIVISION = 8
 ANNULUS_BOX_WIDTH = 0.002
-_ANNULUS_MAX_DEPTH = 30
 # Largest center residual |F(1, 1)| the local certifier accepts.
 _POSTERIORI_TOL = 1e-10
 
@@ -996,7 +993,7 @@ def certify_local_uniqueness(delta: float = DELTA_B0) -> LocalUniquenessCertific
         raise ContractionFailure(
             f"center residual {ev['posteriori_residual']:.3e} > {_POSTERIORI_TOL}"
         )
-    ann, _ = _branch_and_bound(_ANNULUS_PLAN, _annulus_cover(delta), _ANNULUS_MAX_DEPTH)
+    ann, _ = _branch_and_bound(_ANNULUS_PLAN, _annulus_cover(delta))
     return LocalUniquenessCertificate(
         delta=float(delta),
         inner_delta=INNER_DELTA,
@@ -1344,7 +1341,6 @@ def _certify_piece(piece: str, cfg: RunConfig):
             max_box_width=cfg.max_box_width,
             truncation=cfg.truncation,
             delta=cfg.delta_b0,
-            max_depth=cfg.max_depth,
         )
     if cfg.output_dir is not None:
         with open(os.path.join(cfg.output_dir, f"{piece}.json"), "w",
@@ -1401,8 +1397,7 @@ def certify_all(config: Optional[RunConfig] = None) -> CertificationManifest:
 
     return CertificationManifest(
         verdict=VERDICT,
-        config={f.name: getattr(cfg, f.name) for f in fields(cfg)
-                if f.name != "output_dir"},
+        config={key: getattr(cfg, key) for key in _SCOPE},
         local=local,
         certificates=certs,
         solution_witness=witness,

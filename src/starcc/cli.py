@@ -12,8 +12,9 @@ Exit codes: 0 success; 2 domain error / bad window / bad config;
 3 certification refuted or contraction failure; 4 budget exhausted;
 5 verification rejected.  CSV floats carry 17 significant digits,
 evaluated values print with 15; see docs/formats.md for the column and
-JSON layouts.  The output directory for certificates resolves in order:
---output flag, STARCC_OUTPUT_DIR, config file, then ./certificates.
+JSON layouts.  A run of `certify` is set by its flags alone; the output
+directory for certificates resolves in order: --output flag,
+STARCC_OUTPUT_DIR, then ./certificates.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ import json
 import os
 import sys
 from contextlib import closing
-from dataclasses import fields
-from typing import List, Optional, Tuple, get_args, get_type_hints
+from typing import List, Optional
 
 import numpy as np
 
@@ -39,8 +39,10 @@ from .certify import (
     LocalUniquenessCertificate,
     MalformedCertificate,
     RunConfig,
+    _SCOPE,
     _certify_piece,
     _parse_leaf_rows,
+    _solution_witness,
     _summary,
     certify_all,
     recorded_cuts,
@@ -68,9 +70,9 @@ EXIT_CERTIFICATION = 3
 EXIT_BUDGET = 4
 EXIT_VERIFY = 5
 
-# `certify` options whose dest is not the RunConfig field's own name
-_FLAGS = {"max_box_width": "width", "delta_b0": "delta",
-          "truncation": "truncate_r5", "output_dir": "output"}
+# the RunConfig field each `certify` option sets, by the option's dest
+_FLAGS = {"width": "max_box_width", "delta": "delta_b0", "truncate_r5": "truncation",
+          "threads": "threads", "output": "output_dir"}
 
 
 def _g15(x: float) -> str:
@@ -81,44 +83,14 @@ def _g17(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _config_value(path: str, key: str, value):
-    """A config file value checked against its RunConfig field's type; a
-    float field also takes a JSON integer (as a float), and bool is not a
-    number."""
-    hint = get_type_hints(RunConfig)[key]
-    allowed = get_args(hint) or (hint,)  # Optional[str] -> (str, NoneType)
-    if float in allowed:
-        allowed += (int,)
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        names = " or ".join(t.__name__ for t in allowed)
-        raise ValueError(f"config key {key!r} in {path}: {value!r} is not {names}")
-    if float not in allowed:
-        return value
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"config key {key!r} in {path} overflows a float") from None
-
-
 def _load_run_config(args) -> RunConfig:
-    """Defaults <- config file <- STARCC_OUTPUT_DIR <- flags."""
-    keys = [f.name for f in fields(RunConfig)]
+    """Defaults <- STARCC_OUTPUT_DIR <- flags."""
     values = {}
-    path = getattr(args, "config", None)
-    if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ValueError(f"config file {path} does not hold a JSON object")
-        for key, value in raw.items():
-            if key not in keys:
-                raise ValueError(f"unknown config key {key!r} in {path}")
-            values[key] = _config_value(path, key, value)
     env_dir = os.environ.get(OUTPUT_DIR_ENV)
     if env_dir:
         values["output_dir"] = env_dir
-    for key in keys:
-        v = getattr(args, _FLAGS.get(key, key), None)
+    for dest, key in _FLAGS.items():
+        v = getattr(args, dest)
         if v is not None:
             values[key] = v
     return RunConfig(**values).validate()
@@ -287,17 +259,23 @@ def _scan_rows(text: str, at: int):
     The array is cut after a row's "]" wherever "], [" follows, about
     every _CHUNK_ROWS rows (as wide as the first), and each piece goes
     through json.loads("[" + piece + "]") and _parse_leaf_rows at once;
-    the last piece goes through _scan_once("[" + rest), which also finds
-    where the array ends.  When every piece is an array, joining the
+    the rest goes through _scan_once("[" + rest), which also finds where
+    the array ends.  A piece that is not JSON ends the cutting, and the
+    rest starts where it did: a piece that runs past the array's end holds
+    the next member's '"key":', so it never parses, and one that parses
+    lies inside the array.  When every piece is an array, joining the
     pieces with the cut commas gives the whole array, by the JSON grammar,
     so the arrays are those of _parse_leaf_rows(json.loads(array)).
-    Raises what a piece raises (so does a cut past the array's end)."""
+    Raises what _parse_leaf_rows or the rest raises."""
     pos = at + 1
     first = text.find("], [", pos)
     stride = max((_CHUNK_ROWS - 1) * (first + 3 - pos), 0)
     parts = []
     while (cut := text.find("], [", pos + stride)) >= 0:
-        parts.append(_parse_leaf_rows(json.loads("[" + text[pos : cut + 1] + "]")))
+        try:  # only json.loads raises JSONDecodeError
+            parts.append(_parse_leaf_rows(json.loads("[" + text[pos : cut + 1] + "]")))
+        except json.JSONDecodeError:
+            break
         pos = cut + 2
     rows, end = _scan_once("[" + text[pos:], 0)
     parts.append(_parse_leaf_rows(rows))
@@ -358,18 +336,19 @@ def _load_payload(path: str) -> dict:
 
 
 def _verify_piece(path: str, piece: Optional[str] = None,
-                  cuts: Optional[Tuple[float, float]] = None):
+                  config: Optional[dict] = None):
     """Read, decode and verify the certificate file at path; return its
     manifest entry (certify._summary), its fingerprint and its ACCEPT line.
 
     Alone (piece None), the file is read as the kind it names.  As piece
     `piece` of a bundle (a region id or "local"), the slot fixes the kind,
-    and cuts is the manifest's (delta_b0, truncation), which every piece
-    must share, or the pieces prove different claims: before the verifier
-    runs, a region file must hold region `piece` and record the cuts that
-    recorded_cuts gives for them (verify_certificate ties `excluded` to
-    delta_b0), and the local window must be delta_b0.  No leaf array is
-    returned, so none crosses the pool."""
+    and config is the manifest's scope (_SCOPE), which every piece must
+    share, or the pieces prove different claims: before the verifier runs,
+    a region file must hold region `piece`, record the cuts that
+    recorded_cuts gives for delta_b0 and truncation (verify_certificate
+    ties `excluded` to delta_b0) and record max_box_width, and the local
+    window must be delta_b0.  No leaf array is returned, so none crosses
+    the pool."""
     payload = _load_payload(path)
     # looked up at each call, so that a wrapped verifier is the one that runs
     kinds = {"inequality": (Certificate, verify_certificate),
@@ -386,19 +365,24 @@ def _verify_piece(path: str, piece: Optional[str] = None,
         cert = cls.from_payload(payload)
     except MalformedCertificate as exc:
         raise MalformedCertificate(f"{path}: {exc}") from exc
-    if piece == "local" and cert.delta != cuts[0]:
+    if piece == "local" and cert.delta != config["delta_b0"]:
         raise MalformedCertificate(
             f"{path}: window half-width {cert.delta!r} differs from"
-            f" the manifest's delta_b0 {cuts[0]!r}")
+            f" the manifest's delta_b0 {config['delta_b0']!r}")
     if piece not in (None, "local"):
         if cert.region != piece:
             raise MalformedCertificate(f"{path}: holds region {cert.region}")
+        cuts = config["delta_b0"], config["truncation"]
         want, got = recorded_cuts(piece, *cuts), (cert.delta_b0, cert.truncation)
         if got != want:
             raise MalformedCertificate(
                 f"{path}: {piece} records (delta_b0, truncation) {got!r};"
                 f" the manifest's delta {cuts[0]!r} and truncation {cuts[1]!r}"
                 f" require {want!r}")
+        if cert.max_box_width != config["max_box_width"]:
+            raise MalformedCertificate(
+                f"{path}: max_box_width {cert.max_box_width!r} differs from"
+                f" {config['max_box_width']!r} in manifest.json")
     verify(cert)
     if kind == "inequality":
         gap = f"min_gap {cert.min_bound:.6e}"
@@ -418,10 +402,21 @@ def _file_size(job) -> int:
         return 0
 
 
+def _is_number(v) -> bool:
+    """Whether v is what json.loads makes of a JSON number (a JSON true
+    loads as a bool, which is an int too)."""
+    return type(v) in (int, float)
+
+
 def _verify_bundle(dirpath: str) -> List[str]:
     """Verify the sixteen region files and local.json, and that the
     manifest says what they say.
 
+    The manifest's config must be exactly the numbers _SCOPE, which every
+    piece must share (_verify_piece), and its solution_witness must have
+    the keys and the true booleans that certify._solution_witness() gives
+    here; its floats go through libm's pow, which is not correctly rounded
+    on every platform, so they are informative.
     The manifest must list exactly the pieces J1..J16 and local, and each
     entry, without its informative stats, must equal the verified piece's
     (certify._summary), under the pieces' fingerprint.  Each file is a
@@ -440,18 +435,27 @@ def _verify_bundle(dirpath: str) -> List[str]:
             raise MalformedCertificate(
                 f"{manifest_path}: {key} {manifest.get(key)!r} is not {want!r}")
     config, regions = manifest.get("config"), manifest.get("regions")
-    try:
-        cuts = float(config["delta_b0"]), float(config["truncation"])
-    except (KeyError, TypeError, ValueError) as exc:
+    if not (isinstance(config, dict) and _is_number(config.get("delta_b0"))
+            and _is_number(config.get("truncation"))):
         raise MalformedCertificate(
-            f"{manifest_path}: config must give numeric delta_b0 and truncation"
-        ) from exc
+            f"{manifest_path}: config must give numeric delta_b0 and truncation")
+    if config.keys() != set(_SCOPE) or not _is_number(config["max_box_width"]):
+        raise MalformedCertificate(
+            f"{manifest_path}: config must hold exactly the numbers"
+            f" {', '.join(_SCOPE)}, not {config!r}")
+    witness, said = _solution_witness(), manifest.get("solution_witness")
+    flags = [k for k, v in witness.items() if type(v) is bool]
+    if not (isinstance(said, dict) and said.keys() == witness.keys()
+            and all(said[k] is witness[k] is True for k in flags)):
+        raise MalformedCertificate(
+            f"{manifest_path}: solution_witness {said!r} does not hold the"
+            f" true {', '.join(flags)} recomputed here: {witness!r}")
     if not (isinstance(regions, dict) and set(regions) == set(REGION_IDS)
             and "local" in manifest):
         raise MalformedCertificate(
             f"{manifest_path}: must list the regions J1..J16 and local, no others")
     claims = {**regions, "local": manifest["local"]}
-    jobs = [(os.path.join(dirpath, f"{p}.json"), p, cuts)
+    jobs = [(os.path.join(dirpath, f"{p}.json"), p, config)
             for p in REGION_IDS + ("local",)]
     lines = []
     with closing(_fan_out(_verify_piece, jobs, os.cpu_count() or 1,
@@ -466,7 +470,8 @@ def _verify_bundle(dirpath: str) -> List[str]:
                     f" {manifest.get('fingerprint')!r}; {path} verifies as"
                     f" {entry!r}, fingerprint {fingerprint!r}")
             lines.append(line)
-    lines.append(f"bundle {dirpath}: verdict {VERDICT!r} confirmed ({_scope(*cuts)})")
+    scope = _scope(config["delta_b0"], config["truncation"])
+    lines.append(f"bundle {dirpath}: verdict {VERDICT!r} confirmed ({scope})")
     return lines
 
 
@@ -636,7 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="certify one region or everything")
     p.add_argument("target", help="J1..J16 or 'all'")
-    p.add_argument("--config", help="JSON file with RunConfig fields")
     p.add_argument("--width", type=float, help="max box width (default 0.02)")
     p.add_argument("--delta", type=float,
                    help="B0 half-width (default 0.02); 'certify all' needs"
@@ -644,7 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
                         " the excision for one region")
     p.add_argument("--truncate-r5", dest="truncate_r5", type=float,
                    help="truncation for unbounded regions (default 10)")
-    p.add_argument("--max-depth", dest="max_depth", type=int)
     p.add_argument("--threads", type=int,
                    help="worker processes for 'certify all' (default 4), forked"
                         " and capped at the CPU count and the 17 pieces; 1 runs"

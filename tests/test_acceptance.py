@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from starcc import cli
+from starcc import certify, cli
 from starcc.certify import (
     BudgetExhausted,
     Certificate,
@@ -235,7 +235,7 @@ def test_partition_covers_without_interior_overlap():
           f" uncovered fraction {report.uncovered_fraction:.2e}")
 
 
-def test_negative_controls_are_rejected():
+def test_negative_controls_are_rejected(monkeypatch):
     plan = region_plan("J2")
     flipped = RegionPlan("J2", tuple(PairCheck(low=p.high, high=p.low) for p in plan.pairs))
     with pytest.raises(CertificationRefuted):
@@ -247,8 +247,9 @@ def test_negative_controls_are_rejected():
     with pytest.raises(ValueError):
         verify_certificate(Certificate.from_payload(payload))
 
+    monkeypatch.setattr(certify, "MAX_DEPTH", 2)
     with pytest.raises(BudgetExhausted):
-        certify_inequality("J9", max_box_width=0.05, truncation=10.0, max_depth=2)
+        certify_inequality("J9", max_box_width=0.05, truncation=10.0)
 
     print("\nPASS negative controls: reversed orientation refuted,"
           " tampered bound rejected, starved budget reported")

@@ -254,6 +254,29 @@ def test_chunked_reader_cuts_a_real_file_into_chunks(tmp_path):
     assert cls.from_payload(payload).to_json() == text
 
 
+def test_chunked_reader_stops_cutting_at_the_end_of_the_rows(tmp_path):
+    # a later top-level array holds "], [", and the blanks before it put it
+    # past where the last cut search starts, so that search runs past the
+    # rows; that piece is not JSON, and the rest is read without the
+    # whole-text json.loads
+    text = certify_inequality("J16", max_box_width=0.1).to_json()
+    text = text[:-1] + ", " + " " * len(text) + '"later": [[1], [2]]}'
+    path = tmp_path / "J16.json"
+    path.write_text(text, encoding="utf-8")
+    want = _parse_leaf_rows(json.loads(text)["leaves"])
+    real = json.loads
+
+    def loads(s, *args, **kwargs):
+        assert s != text, "the whole text went to json.loads"
+        return real(s, *args, **kwargs)
+
+    with mock.patch.object(cli, "_CHUNK_ROWS", 1000), \
+            mock.patch.object(cli.json, "loads", loads):
+        payload = cli._load_payload(path)
+    assert _same_arrays(payload["leaves"], want)
+    assert payload["later"] == [[1], [2]]
+
+
 # ---------------------------------------------------------------------------
 # the writer: the bytes of json.dumps(to_payload()) at every block edge
 

@@ -226,7 +226,7 @@ def test_the_pair_set_bound_is_the_best_pair_on_every_box(rid):
     assert set(pair.tolist()) == {0, 1}
 
 
-def test_a_negative_pair_next_to_an_undecided_pair_is_bisected():
+def test_a_negative_pair_next_to_an_undecided_pair_is_bisected(monkeypatch):
     # on J1's corner box the first pair is NaN and the reversed second pair
     # is finite negative: the box is bisected, since the first pair may
     # still hold on its children; with the reversed pair alone it refutes
@@ -237,17 +237,17 @@ def test_a_negative_pair_next_to_an_undecided_pair_is_bisected():
     lo, hi, _, pair = _batch_bounds(RegionPlan("J1", (first, reversed_second)), *corner)
     assert pair == [1] and lo < 0.0 and np.isnan(hi)
     # the corner box alone was bisected: its two children are left
+    monkeypatch.setattr(certify, "MAX_DEPTH", 0)
     with pytest.raises(BudgetExhausted, match="2 boxes unresolved at depth 0"):
-        certify_inequality("J1", 0.02, plan=RegionPlan("J1", (first, reversed_second)),
-                           max_depth=0)
+        certify_inequality("J1", 0.02, plan=RegionPlan("J1", (first, reversed_second)))
     with pytest.raises(CertificationRefuted):
-        certify_inequality("J1", 0.02, plan=RegionPlan("J1", (reversed_second,)),
-                           max_depth=0)
+        certify_inequality("J1", 0.02, plan=RegionPlan("J1", (reversed_second,)))
 
 
-def test_tiny_budget_exhausts():
+def test_tiny_budget_exhausts(monkeypatch):
+    monkeypatch.setattr(certify, "MAX_DEPTH", 2)
     with pytest.raises(BudgetExhausted):
-        certify_inequality("J7", max_box_width=0.05, max_depth=2)
+        certify_inequality("J7", max_box_width=0.05)
 
 
 def test_grid_beyond_the_box_cap_is_refused_before_it_is_built():
@@ -303,9 +303,10 @@ def test_certificate_truncated_below_the_floor_is_malformed(monkeypatch):
         verify_certificate(Certificate.from_payload(json.loads(forged.to_json())))
 
 
-def test_no_excision_fails_next_to_the_solution():
+def test_no_excision_fails_next_to_the_solution(monkeypatch):
+    monkeypatch.setattr(certify, "MAX_DEPTH", 8)
     with pytest.raises(BudgetExhausted) as err:
-        certify_inequality("J16", max_box_width=0.05, delta=0.0, max_depth=8)
+        certify_inequality("J16", max_box_width=0.05, delta=0.0)
     assert "unresolved" in str(err.value)
 
 
@@ -483,17 +484,17 @@ def test_to_json_is_json_dumps_of_the_payload(zero_edge_certs, j4_cert, local_ce
         assert _text_mismatch(cert.to_json(), json.dumps(cert.to_payload())) is None
 
 
-@pytest.mark.parametrize("label", ['"', "\\", "\u00e9", "\x01", "\x00q"], ids=repr)
-def test_to_json_of_a_label_that_needs_escaping(j4_cert, label):
-    # the reader refuses such a label, so the writer gets it directly; the
-    # certifier's labels are one character, so the copy is widened to two
+@pytest.mark.parametrize("label", ['"', "\\", "\u00e9", "\x01", "\x00q", "", "qc"],
+                         ids=repr)
+def test_to_json_refuses_a_label_outside_the_form_alphabet(j4_cert, label):
+    # the reader refuses such a label, so the writer does too, naming the row;
+    # the certifier's labels are one character, so the copy is widened to two
     forms = j4_cert.forms.astype("<U2")
     forms[3] = label
     cert = replace(j4_cert, forms=forms)
     assert cert.forms[3] == label
-    text = cert.to_json()
-    assert _text_mismatch(text, json.dumps(cert.to_payload())) is None
-    assert json.loads(text)["leaves"][3][4] == label
+    with pytest.raises(ValueError, match=f"^row 3 has form {re.escape(repr(label))}, "):
+        cert.to_json()
 
 
 def test_fingerprint_is_stable():
@@ -938,11 +939,9 @@ def test_every_piece_of_the_bundle_is_pinned(manifest_two_threads):
 
 @pytest.mark.parametrize("field, value", [
     ("threads", 2.5), ("threads", True), ("threads", "2"),
-    ("max_depth", 2.5), ("max_depth", True), ("max_depth", -1),
 ])
 def test_run_config_rejects_a_bad_count(field, value):
-    # unchecked, a float thread count fails inside the pool, True runs and
-    # is recorded in the manifest, and a float depth becomes the budget
+    # unchecked, a float thread count fails inside the pool, and True runs
     with pytest.raises(DomainError, match=field):
         RunConfig(**{field: value}).validate()
 
@@ -978,17 +977,18 @@ def test_worker_count_is_capped_by_the_jobs_and_the_cpus(monkeypatch):
 
 
 def test_budget_exhausted_in_a_worker_matches_the_in_process_run(monkeypatch):
-    # max_depth 0 leaves J1 (the first region in REGION_IDS order to need
-    # a bisection) unresolved; the pool must raise what the serial run does
+    # depth 0 leaves the local piece's annulus (the first job) unresolved,
+    # in the forked workers too; the pool must raise what the serial run does
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(certify, "MAX_DEPTH", 0)
     seen = []
     for threads in (1, 2):
         with pytest.raises(BudgetExhausted) as info:
-            certify_all(RunConfig(max_box_width=0.1, max_depth=0, threads=threads))
+            certify_all(RunConfig(max_box_width=0.1, threads=threads))
         seen.append((type(info.value), str(info.value)))
     assert seen[0] == seen[1]
     assert seen[0][0] is BudgetExhausted
-    assert seen[0][1].startswith("J1: ")
+    assert seen[0][1].startswith("annulus: ")
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from starcc import cli, kernel
+from starcc import certify, cli, kernel
 from starcc.certify import (
     certify_inequality,
     certify_local_uniqueness,
@@ -191,9 +191,9 @@ def test_verify_rejects_a_header_truncated_below_the_floor(tmp_path, capsys):
     assert "truncation" in out
 
 
-def test_certify_budget_exhaustion_exits_4(capsys):
-    code, out = run(["certify", "J7", "--width", "0.05", "--max-depth", "2"],
-                    capsys)
+def test_certify_budget_exhaustion_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(certify, "MAX_DEPTH", 2)
+    code, out = run(["certify", "J7", "--width", "0.05"], capsys)
     assert code == cli.EXIT_BUDGET
 
 
@@ -222,76 +222,10 @@ def test_verify_missing_file_exits_2(tmp_path, capsys):
     assert code == cli.EXIT_DOMAIN
 
 
-def test_certify_region_without_excision_fails_next_to_the_root(capsys):
-    code, out = run(
-        ["certify", "J16", "--width", "0.05", "--delta", "0",
-         "--max-depth", "6"],
-        capsys,
-    )
+def test_certify_region_without_excision_fails_next_to_the_root(capsys, monkeypatch):
+    monkeypatch.setattr(certify, "MAX_DEPTH", 6)
+    code, out = run(["certify", "J16", "--width", "0.05", "--delta", "0"], capsys)
     assert code == cli.EXIT_BUDGET
-
-
-def test_config_file_flag_and_env_precedence(tmp_path, monkeypatch, capsys):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({
-        "max_box_width": 0.1,
-        "output_dir": str(tmp_path / "from-config"),
-    }))
-    # env beats config file for the output dir...
-    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "from-env"))
-    code, _ = run(["certify", "J4", "--config", cfg], capsys)
-    assert code == 0
-    assert (tmp_path / "from-env" / "J4.json").exists()
-    assert not (tmp_path / "from-config").exists()
-    # ...and an explicit flag beats both
-    code, _ = run(["certify", "J4", "--config", cfg,
-                   "--output", tmp_path / "from-flag"], capsys)
-    assert code == 0
-    assert (tmp_path / "from-flag" / "J4.json").exists()
-    # width came from the config file both times
-    doc = json.loads((tmp_path / "from-flag" / "J4.json").read_text())
-    assert doc["max_box_width"] == float(0.1).hex()
-
-
-def test_config_file_with_unknown_key_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"max_box_widht": 0.1}))
-    code, _ = run(["certify", "J4", "--config", cfg], capsys)
-    assert code == cli.EXIT_DOMAIN
-    # a residual tolerance is a constant, not a config key
-    cfg.write_text(json.dumps({"max_box_width": 0.1, "posteriori_tol": 1e-9}))
-    code, _ = run(["certify", "J4", "--config", cfg], capsys)
-    assert code == cli.EXIT_DOMAIN
-
-
-@pytest.mark.parametrize("raw", [
-    {"max_box_width": "0.1"}, {"threads": 1.5}, {"threads": True},
-    {"output_dir": 3}, {"truncation": 10**400}, 5,
-], ids=["width-string", "threads-float", "threads-bool", "output-dir-number",
-        "truncation-overflows", "not-an-object"])
-def test_config_file_value_of_the_wrong_type_exits_2(raw, tmp_path, capsys):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps(raw))
-    code, out = run(["certify", "J4", "--config", cfg], capsys)
-    assert code == cli.EXIT_DOMAIN
-    assert "Traceback" not in out
-
-
-def test_config_file_integer_for_a_float_field_is_a_float(tmp_path):
-    # as from the flag, so a manifest records 10.0 either way, never 10
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"truncation": 10}))
-    args = cli.build_parser().parse_args(["certify", "all", "--config", str(cfg)])
-    got = cli._load_run_config(args).truncation
-    assert type(got) is float and got == 10.0
-
-
-def test_config_file_with_seed_exits_2(tmp_path, capsys):
-    # certification is deterministic; a seed key is a stale config
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"max_box_width": 0.1, "seed": 3}))
-    code, _ = run(["certify", "J4", "--config", cfg], capsys)
-    assert code == cli.EXIT_DOMAIN
 
 
 # ---------------------------------------------------------------------------
@@ -561,11 +495,12 @@ def test_a_failed_certify_run_leaves_no_manifest(coarse_bundle, tmp_path,
     # the pieces are written as they are certified, so a run that fails
     # part way must not leave the old manifest to vouch for them
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(certify, "MAX_DEPTH", 0)
     bundle = _copy(coarse_bundle, tmp_path)
-    code, out = run(["certify", "all", "--width", "0.1", "--max-depth", "0",
+    code, out = run(["certify", "all", "--width", "0.1",
                      "--threads", threads, "--output", bundle], capsys)
     assert code == cli.EXIT_BUDGET
-    assert "budget exhausted: J1: " in out
+    assert "budget exhausted: annulus: " in out
     assert not (bundle / "manifest.json").exists()
     code, out = run(["verify", bundle], capsys)
     assert code == cli.EXIT_VERIFY
@@ -842,6 +777,45 @@ def test_a_manifest_config_without_numeric_cuts_is_rejected(coarse_bundle, tmp_p
     assert code == cli.EXIT_VERIFY and out == ""
     assert err == (f"REJECT: {path}: config must give numeric delta_b0"
                    " and truncation"), err
+
+
+_CONFIG_KEYS = (r"manifest\.json: config must hold exactly the numbers max_box_width,"
+                r" delta_b0, truncation, not \{")
+_WITNESS = r"manifest\.json: solution_witness "
+
+
+@pytest.mark.parametrize("forge, message", [
+    (lambda m: m["config"].update(max_box_width=0.001),
+     r"J1\.json: max_box_width 0\.1 differs from 0\.001 in manifest\.json$"),
+    (lambda m: m["config"].update(delta_b0="0.02"),
+     r"manifest\.json: config must give numeric delta_b0 and truncation$"),
+    (lambda m: m["config"].update(truncation="10"),
+     r"manifest\.json: config must give numeric delta_b0 and truncation$"),
+    (lambda m: m["config"].update(max_box_width=True), _CONFIG_KEYS + r".*: True"),
+    (lambda m: m["config"].update(threads=4), _CONFIG_KEYS + r".*'threads': 4\}$"),
+    (lambda m: m["config"].update(max_depth=48, threads=4), _CONFIG_KEYS + r".*'max_depth'"),
+    (lambda m: m["config"].pop("max_box_width"), _CONFIG_KEYS + r"'delta_b0'"),
+    (lambda m: m["solution_witness"].update(is_solution=False),
+     _WITNESS + r"\{.*'is_solution': False.*\} does not hold the true is_solution, "),
+    (lambda m: m["solution_witness"].pop("y1"), _WITNESS + r"\{.*\} does not hold "),
+    (lambda m: m.pop("solution_witness"), _WITNESS + r"None does not hold "),
+], ids=["width-0.001", "delta-text", "truncation-text", "width-true", "threads",
+        "old-five-key-config", "no-width", "not-a-solution", "witness-without-y1", "no-witness"])
+def test_a_manifest_whose_scope_or_witness_is_not_the_bundles_is_rejected(
+        coarse_bundle, tmp_path, capsys, forge, message):
+    code, out, err, path = _verify_manifest_forged(coarse_bundle, tmp_path, capsys, forge)
+    assert code == cli.EXIT_VERIFY and out == ""
+    assert err.startswith("REJECT: ") and re.search(message, err), err
+
+
+def test_the_witness_floats_are_informative(coarse_bundle, tmp_path, capsys):
+    # libm's pow computes them, and it is not correctly rounded everywhere
+    def forge(m):
+        m["solution_witness"].update(pairwise_spread=0.0, y1=1e-300)
+
+    code, out, err, _ = _verify_manifest_forged(coarse_bundle, tmp_path, capsys, forge)
+    assert code == 0 and err == "", err
+    assert sum(line.startswith("ACCEPT ") for line in out.splitlines()) == 17
 
 
 def test_a_manifest_of_another_kind_is_rejected(coarse_bundle, tmp_path, capsys):

@@ -465,6 +465,11 @@ def local_window_smaller(genuine, d):
     return d
 
 
+@control(r"J1\.json: max_box_width 0\.1 differs from 0\.001 in manifest\.json$", bundle=True)
+def manifest_box_width_below_the_pieces(genuine, d):
+    return _manifest(d, lambda m: m["config"].update(max_box_width=0.001))
+
+
 # -- the manifest (cli._verify_bundle) -----------------------------------------
 
 
@@ -485,6 +490,18 @@ def manifest_of_another_kind(genuine, d):
          bundle=True)
 def manifest_config_without_delta(genuine, d):
     return _manifest(d, lambda m: m["config"].pop("delta_b0"))
+
+
+@control(r"manifest\.json: config must hold exactly the numbers max_box_width, delta_b0,"
+         r" truncation, not \{.*'threads': 2\}$", bundle=True)
+def manifest_config_with_threads(genuine, d):
+    return _manifest(d, lambda m: m["config"].update(threads=2))
+
+
+@control(r"manifest\.json: solution_witness \{.*'is_solution': False.*\} does not hold"
+         r" the true is_solution, ", bundle=True)
+def manifest_witness_not_a_solution(genuine, d):
+    return _manifest(d, lambda m: m["solution_witness"].update(is_solution=False))
 
 
 @control(r"manifest\.json: must list the regions J1\.\.J16 and local, no others$",
