@@ -73,9 +73,9 @@ import json
 import math
 import os
 import time
-from contextlib import closing, suppress
-from dataclasses import dataclass, field
-from functools import lru_cache
+from contextlib import closing, nullcontext, suppress
+from dataclasses import dataclass, field, replace
+from functools import lru_cache, partial
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -106,7 +106,7 @@ from .regions import (
     region_excises_b0,
     region_plan,
 )
-from .pool import _fan_out
+from .pool import _fan_out, _forks
 
 FORMAT_VERSION = "starcc-certificate/1"
 # the one verdict certify_all can reach; every failure raises instead
@@ -539,13 +539,20 @@ def _decode(cls, d: dict, kind: str, plain):
     _unhex, the rows under cls._ROWS as the cls._LEAVES arrays, and the
     fields plain(d) gives as they are.  The rows may also be given already
     parsed, as the tuple _parse_leaf_rows returns (cli._load_payload reads
-    them so).  Raises MalformedCertificate; a key that d lacks is named as
-    a missing field."""
+    them so).  Raises MalformedCertificate; rows under the other kind's key
+    (_ROWS_KEYS) are named as a kind that does not match them, and any
+    other key that d lacks as a missing field."""
     try:
         if d["format"] != FORMAT_VERSION or d["kind"] != kind:
             raise MalformedCertificate(
                 f"unsupported format {d.get('format')!r}/{d.get('kind')!r}"
             )
+        if cls._ROWS not in d:
+            for key in _ROWS_KEYS:
+                if key in d:
+                    raise MalformedCertificate(
+                        f"bad {kind} certificate: kind {kind!r} does not match its"
+                        f" rows key {key!r} (a {kind} certificate has {cls._ROWS!r})")
         rows = d[cls._ROWS]
         if type(rows) is not tuple:  # JSON gives lists, never tuples
             rows = _parse_leaf_rows(rows)
@@ -901,6 +908,10 @@ class LocalUniquenessCertificate:
             "subdivision": d["subdivision"],
             "fingerprint": d["fingerprint"],
         })
+
+
+# the rows key of each certificate kind
+_ROWS_KEYS = (Certificate._ROWS, LocalUniquenessCertificate._ROWS)
 
 
 def _contraction_evidence(inner_delta: float, subdivision: int):
@@ -1327,12 +1338,16 @@ def _solution_witness() -> Dict[str, object]:
     }
 
 
-def _certify_piece(piece: str, cfg: RunConfig):
+def _certify_piece(piece: str, cfg: RunConfig, spool: Optional[str] = None):
     """The job for one piece of the bundle: the certificate of region
     `piece`, or the local certificate for piece "local".  Given
     cfg.output_dir, the job also writes the certificate's JSON to
     <output_dir>/<piece>.json (_write_json, so no text of the whole file is
-    built), and no JSON text crosses the pool."""
+    built).  Given a spool directory, it saves the six arrays of
+    cert._leaves() one after another with np.save to <spool>/<piece>.npy
+    and returns the certificate with those six fields None, which
+    _unspool fills again; so no JSON text and no leaf array crosses the
+    pool."""
     if piece == "local":
         cert = certify_local_uniqueness(delta=cfg.delta_b0)
     else:
@@ -1346,7 +1361,23 @@ def _certify_piece(piece: str, cfg: RunConfig):
         with open(os.path.join(cfg.output_dir, f"{piece}.json"), "w",
                   encoding="utf-8") as fh:
             _write_json(fh, cert)
-    return cert
+    if spool is None:
+        return cert
+    with open(os.path.join(spool, f"{piece}.npy"), "wb") as fh:
+        for leaves in cert._leaves():
+            np.save(fh, leaves)
+    return replace(cert, **dict.fromkeys(cert._LEAVES))
+
+
+def _unspool(spool: str, piece: str, cert):
+    """cert, returned by _certify_piece(piece, cfg, spool), with its leaf
+    arrays read back from <spool>/<piece>.npy as plain writeable arrays
+    of the dtypes they were saved with; the file is deleted."""
+    path = os.path.join(spool, f"{piece}.npy")
+    with open(path, "rb") as fh:
+        leaves = [np.load(fh) for _ in cert._LEAVES]
+    os.remove(path)
+    return replace(cert, **dict(zip(cert._LEAVES, leaves)))
 
 
 def certify_all(config: Optional[RunConfig] = None) -> CertificationManifest:
@@ -1362,6 +1393,14 @@ def certify_all(config: Optional[RunConfig] = None) -> CertificationManifest:
     the worker count or the order.  A failure raises the first one in the
     order local certificate, solution witness, J1..J16, whatever the
     worker count, and the manifest lists the regions in REGION_IDS order.
+
+    When the run forks (pool._forks), each job saves its leaf arrays to a
+    spool directory that tempfile makes (prefix "starcc-", under TMPDIR
+    when that is writable), and they are read back here in job order
+    (_unspool), so no JSON text and no leaf array crosses the pool.  The
+    directory is removed once the pool has closed, after a failure too.
+    A spool that cannot be made raises tempfile's OSError, which names the
+    path.  In process no spool is made.
 
     Given cfg.output_dir, the job that certifies a piece writes it there,
     and any manifest.json there is removed before the first job starts, so
@@ -1387,13 +1426,22 @@ def certify_all(config: Optional[RunConfig] = None) -> CertificationManifest:
         return _grid_cells(piece, cfg.max_box_width, cfg.truncation)
 
     pieces = ("local",) + REGION_IDS
-    jobs = [(p, cfg) for p in pieces]
-    with closing(_fan_out(_certify_piece, jobs, cfg.threads, cost)) as results:
-        local = next(results)
-        witness = _solution_witness()
-        if not witness["is_solution"]:
-            raise ContractionFailure("pentagon point fails the residual gate")
-        certs = dict(zip(REGION_IDS, results))
+    spool_dir = nullcontext()  # in process: no spool
+    if _forks(cfg.threads, len(pieces)):
+        import tempfile  # on first use, so that `import starcc` stays light
+
+        spool_dir = tempfile.TemporaryDirectory(prefix="starcc-")
+    with spool_dir as spool:
+        jobs = [(p, cfg, spool) for p in pieces]
+        # closed before the spool goes: shutdown waits for the started jobs
+        with closing(_fan_out(_certify_piece, jobs, cfg.threads, cost)) as results:
+            if spool is not None:
+                results = map(partial(_unspool, spool), pieces, results)
+            local = next(results)
+            witness = _solution_witness()
+            if not witness["is_solution"]:
+                raise ContractionFailure("pentagon point fails the residual gate")
+            certs = dict(zip(REGION_IDS, results))
 
     return CertificationManifest(
         verdict=VERDICT,

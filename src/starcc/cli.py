@@ -39,6 +39,7 @@ from .certify import (
     LocalUniquenessCertificate,
     MalformedCertificate,
     RunConfig,
+    _ROWS_KEYS,
     _SCOPE,
     _certify_piece,
     _parse_leaf_rows,
@@ -244,11 +245,10 @@ def cmd_certify(args) -> int:
 # json's own pieces, which json.decoder.JSONObject walks an object with
 _scan_once = json.JSONDecoder().scan_once
 _ws = json.decoder.WHITESPACE.match
-# the top-level arrays of leaf rows, read in chunks of about _CHUNK_ROWS
-# rows: the lists and strings json.loads makes of a row take about 480
-# bytes, so a chunk takes less than the whole text, which reading the file
-# held twice (bytes and str) already
-_ROWS_KEYS = (Certificate._ROWS, LocalUniquenessCertificate._ROWS)
+# the top-level arrays of leaf rows (under certify._ROWS_KEYS), read in
+# chunks of about _CHUNK_ROWS rows: the lists and strings json.loads makes
+# of a row take about 480 bytes, so a chunk takes less than the whole
+# text, which reading the file held twice (bytes and str) already
 _CHUNK_ROWS = _BLOCK // 2
 
 

@@ -18,9 +18,10 @@ own values, and every route gives the same bits:
 * a carried sign: the helper knows the sign of what it rounds, and the
   result keeps it (VInterval.sign, which negation flips), so `_sign`
   reads no lane of a result whose sign is known;
-* a product computes only its two extreme corners when each operand lies
-  on one side of 0 with finite ends (`_sign`), and all four otherwise
-  (an infinite end can meet a zero, and inf * 0 must stay NaN);
+* a product or a quotient computes only its two extreme corners when
+  each operand lies on one side of 0 with finite ends (`_sign`), and all
+  four otherwise (an infinite end can meet a zero, and inf * 0 must stay
+  NaN); a divisor that straddles 0 raises before either route;
 * a square skips abs, min, max and the straddle mask on the same test,
   and a square or square root of known sign +1 skips its max with 0.
 
@@ -255,9 +256,17 @@ class VInterval:
             return o
         if np.any(o.straddles_zero()):
             raise DivisionByZeroInterval("divisor interval contains zero")
+        s = _sign(self)
+        t = _sign(o) if s else 0
         # a quotient beyond the float range rounds to +-inf, which is a
         # valid outward endpoint; numpy would warn about it
         with np.errstate(over="ignore"):
+            if t:
+                # as in __mul__, by the reciprocal [1/hi, 1/lo] of o, whose
+                # lanes lie strictly on one side of 0 after the check above
+                a_lo, a_hi = (self.lo, self.hi) if t > 0 else (self.hi, self.lo)
+                b_lo, b_hi = (o.hi, o.lo) if s > 0 else (o.lo, o.hi)
+                return _rounded(a_lo / b_lo, a_hi / b_hi)
             c1 = self.lo / o.lo
             c2 = self.lo / o.hi
             c3 = self.hi / o.lo

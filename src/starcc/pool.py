@@ -1,9 +1,9 @@
 """The one process pool: independent jobs on fork-started workers.
 
-_fan_out runs the jobs and _worker_count sizes the pool; see _fan_out for
-its three users.  concurrent.futures, multiprocessing and ctypes are
-imported by the first call that starts a pool, so that `import starcc`
-stays light.
+_fan_out runs the jobs, _worker_count sizes the pool and _forks says
+whether a run starts one; see _fan_out for its three users.
+concurrent.futures, multiprocessing and ctypes are imported by the first
+call that starts a pool, so that `import starcc` stays light.
 """
 
 from __future__ import annotations
@@ -44,12 +44,18 @@ def _worker_count(threads: int, jobs: int) -> int:
     return max(1, min(threads, jobs, os.cpu_count() or 1))
 
 
+def _forks(workers: int, jobs: int) -> bool:
+    """Whether _fan_out runs jobs on a pool of forked workers when asked
+    for workers; otherwise each job runs in the calling process."""
+    return _worker_count(workers, jobs) > 1 and hasattr(os, "fork")
+
+
 def _fan_out(fn: Callable, jobs: Sequence[tuple], workers: int,
              cost: Callable[[tuple], float]) -> Iterator:
     """Yield fn(*job) for every job, in job order.
 
-    With one worker (_worker_count(workers, len(jobs))), or without
-    os.fork, each job runs in this process when its result is reached.
+    Unless _forks(workers, len(jobs)) (one worker, or no os.fork), each
+    job runs in this process when its result is reached.
     Otherwise the jobs run on a fork-started process pool, submitted in
     descending cost(job) (ties in job order) so that the longest start
     first; fn must then be a module-level function and its arguments
@@ -65,17 +71,18 @@ def _fan_out(fn: Callable, jobs: Sequence[tuple], workers: int,
 
     Three callers share the pool, and none of their results depends on
     the worker count: certify_all (one job per region and one for the
-    local certificate, each writing its own file when given a directory,
-    so that no JSON text crosses the pool), the CLI's bundle verifier
+    local certificate, each writing its own file when given a directory
+    and its leaf arrays to certify_all's spool directory, so that no JSON
+    text and no leaf array crosses the pool), the CLI's bundle verifier
     (one job per file) and grid_scan (one contiguous chunk of Newton
     lanes per worker).  A pool still costs about 0.1 s to start and
     join, so the scan gives each worker at least kernel._BLOCK lanes
     (solver._LANES_PER_WORKER) and runs a smaller scan in process."""
-    n = _worker_count(workers, len(jobs))
-    if n == 1 or not hasattr(os, "fork"):
+    if not _forks(workers, len(jobs)):
         for job in jobs:
             yield fn(*job)
         return
+    n = _worker_count(workers, len(jobs))
     # imported on first use, so that `import starcc` stays light
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context

@@ -869,6 +869,11 @@ def manifest_two_threads():
         return certify_all(RunConfig(max_box_width=0.1, threads=2))
 
 
+@pytest.fixture(scope="module")
+def manifest_one_thread():
+    return certify_all(RunConfig(max_box_width=0.1, threads=1))
+
+
 def test_certify_all_summary(manifest_two_threads):
     manifest = manifest_two_threads
     assert manifest.verdict == "UNIQUE-IN-WINDOW"
@@ -882,10 +887,11 @@ def test_certify_all_summary(manifest_two_threads):
     assert summary["regions"]["J4"]["min_bound"] > 0.0
 
 
-def test_certify_all_is_independent_of_the_thread_count(manifest_two_threads):
+def test_certify_all_is_independent_of_the_thread_count(manifest_one_thread,
+                                                       manifest_two_threads):
     # regions are submitted largest first; the payloads and the manifest's
     # J1..J16 order must not show which thread ran what, or when
-    one = certify_all(RunConfig(max_box_width=0.1, threads=1))
+    one = manifest_one_thread
     two = manifest_two_threads
 
     def payloads(manifest):
@@ -900,6 +906,100 @@ def test_certify_all_is_independent_of_the_thread_count(manifest_two_threads):
     assert list(two.summary_payload()["regions"]) == list(regions.REGION_IDS)
     assert payloads(one) == payloads(two)
     assert one.local.to_json() == two.local.to_json()
+
+
+def _pieces(manifest):
+    return dict(manifest.certificates, local=manifest.local)
+
+
+def test_a_forked_run_hands_back_the_leaf_arrays_of_the_in_process_run(
+        manifest_one_thread, manifest_two_threads):
+    # the forked jobs' arrays come back through the spool files
+    one, two = _pieces(manifest_one_thread), _pieces(manifest_two_threads)
+    for piece, cert in two.items():
+        for want, got in zip(one[piece]._leaves(), cert._leaves()):
+            assert type(got) is np.ndarray and got.flags.writeable, piece
+            assert got.dtype == want.dtype and got.shape == want.shape, piece
+            assert got.tobytes() == want.tobytes(), piece
+    assert [a.dtype.str for a in two["J1"]._leaves()] == ["<f8"] * 4 + ["<U1", "<f8"]
+    assert two["local"].ann_form.dtype.str == "<U1"
+
+
+def _without_wall_time(cert) -> dict:
+    payload = cert.to_payload()
+    payload.get("stats", {}).pop("wall_seconds", None)
+    return payload
+
+
+@pytest.mark.parametrize("piece", ["J4", "local"])
+def test_a_job_given_a_spool_saves_its_leaf_arrays_and_returns_none_for_them(
+        tmp_path, piece):
+    cfg = RunConfig(max_box_width=0.1)
+    want = certify._certify_piece(piece, cfg)
+    got = certify._certify_piece(piece, cfg, str(tmp_path))
+    assert all(getattr(got, key) is None for key in got._LEAVES)
+    assert _without_wall_time(replace(got, **dict(zip(got._LEAVES, want._leaves())))) \
+        == _without_wall_time(want)
+    assert [p.name for p in tmp_path.iterdir()] == [f"{piece}.npy"]
+    with open(tmp_path / f"{piece}.npy", "rb") as fh:
+        for leaves in want._leaves():
+            saved = np.load(fh)
+            assert saved.dtype == leaves.dtype and saved.tobytes() == leaves.tobytes()
+        assert fh.read() == b""
+    back = certify._unspool(str(tmp_path), piece, got)
+    assert _without_wall_time(back) == _without_wall_time(want)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture
+def spools(monkeypatch, tmp_path):
+    """The directories tempfile makes from here on, all under tmp_path."""
+    import tempfile
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    made = []
+    real = tempfile.mkdtemp
+
+    def mkdtemp(*args, **kw):
+        made.append(real(*args, **kw))
+        return made[-1]
+
+    monkeypatch.setattr(tempfile, "mkdtemp", mkdtemp)
+    return made
+
+
+def _refuted_witness():
+    return {"is_solution": False}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool needs os.fork")
+@pytest.mark.parametrize("patch, error", [
+    ({}, None),
+    ({"MAX_DEPTH": 0}, BudgetExhausted),
+    # raised in this process after the local piece came back, while the
+    # workers still certify regions and save their arrays to the spool
+    ({"_solution_witness": _refuted_witness}, ContractionFailure),
+], ids=["certified", "out-of-depth", "witness-refuted"])
+def test_a_forked_run_removes_its_spool(monkeypatch, tmp_path, spools, patch, error):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for name, value in patch.items():
+        monkeypatch.setattr(certify, name, value)
+    if error is None:
+        certify_all(RunConfig(max_box_width=0.1, threads=2))
+    else:
+        with pytest.raises(error):
+            certify_all(RunConfig(max_box_width=0.1, threads=2))
+    # multiprocessing may make a pymp-* directory of its own here
+    made = [Path(p) for p in spools if Path(p).name.startswith("starcc-")]
+    assert len(made) == 1 and made[0].parent == tmp_path
+    assert list(tmp_path.glob("starcc-*")) == []
+
+
+@pytest.mark.parametrize("threads, cpus", [(1, 2), (2, 1)])
+def test_an_in_process_run_makes_no_spool(monkeypatch, tmp_path, spools, threads, cpus):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    certify_all(RunConfig(max_box_width=0.1, threads=threads))
+    assert spools == [] and list(tmp_path.iterdir()) == []
 
 
 # sha256 of each piece of the width-0.1 bundle (a region's payload without

@@ -702,15 +702,21 @@ def test_a_piece_of_an_unknown_kind_is_rejected(coarse_bundle, tmp_path, capsys)
     assert re.search(r"J9\.json: unknown certificate kind 'lemma'$", err.strip()), err
 
 
-def test_a_region_file_alone_relabelled_local_names_the_missing_field(
-        coarse_bundle, tmp_path, capsys):
-    # read as what its kind says, the file lacks the local certificate's
-    # rows, the first field the decoder reads
-    code, err = _verify_forged(coarse_bundle, tmp_path, capsys, "J9",
-                               lambda doc: doc.update(kind="local-uniqueness"))
+@pytest.mark.parametrize("rid, kind, rows, want", [
+    ("J9", "local-uniqueness", "leaves", "annulus"),
+    ("local", "inequality", "annulus", "leaves"),
+])
+def test_a_file_alone_relabelled_to_the_other_kind_names_the_mismatch(
+        coarse_bundle, tmp_path, capsys, rid, kind, rows, want):
+    # alone, the file is read as the kind it names, whose rows key it lacks;
+    # the rejection names the mismatch, not a missing field
+    code, err = _verify_forged(coarse_bundle, tmp_path, capsys, rid,
+                               lambda doc: doc.update(kind=kind))
     assert code == cli.EXIT_VERIFY
-    assert re.search(r"J9\.json: bad local-uniqueness certificate: missing field 'annulus'$",
-                     err.strip()), err
+    assert re.search(
+        rf"{rid}\.json: bad {kind} certificate: kind '{kind}' does not match its"
+        rf" rows key '{rows}' \(a {kind} certificate has '{want}'\)$", err.strip()), err
+    assert "missing field" not in err
 
 
 @pytest.mark.parametrize("where, message", [

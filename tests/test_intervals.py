@@ -344,6 +344,14 @@ def _mul_reference(x, y):
     return np.nextafter(lo, -math.inf), np.nextafter(hi, math.inf)
 
 
+def _div_reference(x, y):
+    """The four-corner quotient, rounded outward with np.nextafter."""
+    c = (x.lo / y.lo, x.lo / y.hi, x.hi / y.lo, x.hi / y.hi)
+    lo = np.minimum(np.minimum(c[0], c[1]), np.minimum(c[2], c[3]))
+    hi = np.maximum(np.maximum(c[0], c[1]), np.maximum(c[2], c[3]))
+    return np.nextafter(lo, -math.inf), np.nextafter(hi, math.inf)
+
+
 def _sq_reference(x):
     """The abs/min/max square, rounded outward with np.nextafter."""
     a, b = np.abs(x.lo), np.abs(x.hi)
@@ -357,11 +365,11 @@ def _sq_reference(x):
 _MAGNITUDES = np.array([0.0, 5e-324, 3e-320, _DBL_MIN, 1e-200, 0.3, 1.0, 2.5, 1e150, 1e300, _DBL_MAX])
 
 
-def _lane_kinds(rng, n=61):
+def _lane_kinds(rng, n=61, magnitudes=_MAGNITUDES):
     """Seeded interval lanes by kind: the first two are of one sign with
     finite ends (the fast routes), the others take the general route."""
     def one_sign(sign):
-        ends = np.sort(rng.choice(_MAGNITUDES, size=(n, 2)), axis=1)
+        ends = np.sort(rng.choice(magnitudes, size=(n, 2)), axis=1)
         lo, hi = (ends[:, 0], ends[:, 1]) if sign > 0 else (-ends[:, 1], -ends[:, 0])
         # a zero end gets a random sign
         lo = np.where(lo == 0.0, np.copysign(0.0, rng.choice([-1.0, 1.0], n)), lo)
@@ -414,6 +422,31 @@ def test_mul_with_an_infinite_end_keeps_the_nan_of_inf_times_zero():
             want = _mul_reference(p, q)
         assert np.isnan(r.hi).flat[0]
         _assert_same_bits(r, want)
+
+
+def test_div_fast_route_equals_the_four_corner_quotient():
+    kinds = _lane_kinds(np.random.default_rng(30))
+    # divisors keep clear of 0, so that no lane straddles it
+    divisors = _lane_kinds(np.random.default_rng(31), magnitudes=_MAGNITUDES[1:])
+    del divisors["mixed"]
+    assert _sign(divisors["pos"]) == 1 and _sign(divisors["neg"]) == -1
+    # +0.0 and -0.0 ends reach both routes, and the quotients of the
+    # extreme magnitudes overflow to inf and underflow to 0
+    assert {np.copysign(1.0, v) for v in kinds["pos"].lo[kinds["pos"].lo == 0.0]} == {-1.0, 1.0}
+    for a in kinds.values():
+        for b in divisors.values():
+            pairs = list(zip(_variants(a), _variants(b)))
+            pairs.append((_variants(a)[2], b))
+            for x, y in pairs:
+                with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                    got = x / y
+                    want = _div_reference(x, y)
+                _assert_same_bits(got, want)
+    with np.errstate(over="ignore", under="ignore"):
+        big = _lanes((_DBL_MAX, _DBL_MAX)) / _lanes((0.5, 0.5))
+        tiny = _lanes((5e-324, 5e-324)) / _lanes((2.0, 4.0))
+    assert big.lo[0] == _DBL_MAX and big.hi[0] == math.inf
+    assert tiny.lo[0] == -5e-324 and tiny.hi[0] == 5e-324
 
 
 def test_sq_fast_route_equals_the_abs_min_max_square():

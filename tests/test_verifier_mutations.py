@@ -240,6 +240,12 @@ def other_format(genuine, d):
     return _piece(genuine, d, "J9", lambda doc: doc.update(format="starcc-certificate/2"))
 
 
+@control(r"J9\.json: bad local-uniqueness certificate: kind 'local-uniqueness' does not"
+         r" match its rows key 'leaves' \(a local-uniqueness certificate has 'annulus'\)$")
+def region_relabelled_local(genuine, d):
+    return _piece(genuine, d, "J9", lambda doc: doc.update(kind="local-uniqueness"))
+
+
 @control(r"J9\.json: bad inequality certificate: missing field 'plan'$")
 def no_plan(genuine, d):
     return _piece(genuine, d, "J9", lambda doc: doc.pop("plan"))
