@@ -12,16 +12,16 @@ J8) the engine switches to the cleared-denominator form
 (N_high q_low - N_low q_high) * sign(q_low q_high), whose positivity is
 equivalent to the gap's on the open region where the q signs are fixed.
 
-A distance enclosure touching zero (only for boxes hanging over a
-collision corner of the closure) is undecidable: its r_ij^(-3) is NaN on
-that lane (_MaskedBackend), and so is every lambda and pair bound that
-reads it, so the pairs of a plan share one evaluation per slice of boxes.
-That evaluation keeps each lambda's quotient enclosure N/q in the slice's
-cache as well (_quotient): a pair whose denominators do not straddle 0 on
-the slice is lambda_high - lambda_low of two cached quotients, so a plan
-of any number of pairs computes each of the nine quotients at most once
-per slice, and only a slice where a q straddles 0 recomputes N and q for
-the cleared form.  A lane whose pair bound is NaN takes another pair's
+One rule, _masked, makes a lane undecidable: it runs on a [1, 1]
+stand-in and comes out NaN.  A distance enclosure touching zero (only
+for boxes hanging over a collision corner of the closure) is masked in
+its r_ij^(-3) (_MaskedBackend), so every lambda and pair bound that
+reads it is NaN there, and the pairs of a plan share one evaluation per
+slice of boxes.  A straddling q is masked in its lambda's quotient N/q,
+which the slice's cache keeps with the straddle mask (_quotient), so a
+plan of any number of pairs computes each of the nine quotients once per
+slice; N and q are computed again for the cleared form only where a q
+straddles 0.  A lane whose pair bound is NaN takes another pair's
 bound, and it is NaN, so bisected, only when every pair is.  One loop,
 _branch_and_bound, grows both the sixteen region certificates and the
 annulus around the Krawczyk window, whose plan is the four ordered pairs
@@ -87,7 +87,6 @@ from .geometry import GRID_CAP, DomainError, _check_count
 from .intervals import (
     Box2,
     DualBackend,
-    NegativeArgument,
     VectorBackend,
     VInterval,
     dual_vars,
@@ -224,31 +223,38 @@ def _excluded(delta_b0: Optional[float]):
 # ---------------------------------------------------------------------------
 
 
+def _masked(bad, x: VInterval, f) -> VInterval:
+    """f(x) with NaN on the bad lanes, where f runs on a [1, 1] stand-in:
+    the one rule for a lane the arithmetic cannot decide.  f is
+    elementwise, so the other lanes keep the bits of f(x)."""
+    if not bad.any():
+        return f(x)
+    y = f(VInterval(np.where(bad, 1.0, x.lo), np.where(bad, 1.0, x.hi)))
+    return VInterval(np.where(bad, np.nan, y.lo), np.where(bad, np.nan, y.hi))
+
+
 class _MaskedBackend(VectorBackend):
     """VectorBackend whose x^(-3/2) is NaN, not an exception, on lanes where
-    the squared-distance enclosure touches zero: those lanes run on a
-    harmless [1, 1] stand-in and come out NaN, so every lambda that reads
-    that distance is NaN there and the others are not.  It holds no state,
-    so one evaluation's radii and cache can serve any set of lambdas."""
+    the squared-distance enclosure touches zero (_masked), so every lambda
+    that reads that distance is NaN there and the others are not.  It holds
+    no state, so one evaluation's radii and cache can serve any set of
+    lambdas."""
 
     def powneg32(self, x: VInterval) -> VInterval:  # type: ignore[override]
-        with suppress(NegativeArgument):  # every lane is > 0 but at a corner
-            return x.powneg32()
-        bad = x.lo <= 0.0
-        p = VInterval(np.where(bad, 1.0, x.lo), np.where(bad, 1.0, x.hi)).powneg32()
-        return VInterval(np.where(bad, np.nan, p.lo), np.where(bad, np.nan, p.hi))
+        return _masked(x.lo <= 0.0, x, VInterval.powneg32)
 
 
 def _quotient(idx, eng: _MaskedBackend, radii, cache: dict):
-    """The enclosure N/q of lambda idx on the slice of radii, or None when
-    its denominator q straddles 0 on some lane.  It is computed once per
-    slice and kept in the slice's cache under ("lambda", idx), which no
-    kernel key equals, so every pair that reads the lambda shares it."""
+    """(straddle, N/q) of lambda idx on the slice of radii: the lanes where
+    its q straddles 0, and its quotient, NaN there (_masked).  It is kept
+    in the slice's cache under ("lambda", idx), which no kernel key equals,
+    so every pair that reads the lambda shares it; N and q are not kept."""
     key = ("lambda", idx)
     if key not in cache:
-        q = kernel.lambda_den(eng, radii, *idx)
-        cache[key] = None if q.straddles_zero().any() else (
-            kernel.lambda_num(eng, radii, *idx, cache=cache) / q)
+        q = kernel.lambda_den(eng, radii, *idx)  # 0-d for body 1
+        n = kernel.lambda_num(eng, radii, *idx, cache=cache)
+        straddle = q.straddles_zero()
+        cache[key] = straddle, _masked(straddle, q, n.__truediv__)
     return cache[key]
 
 
@@ -258,34 +264,24 @@ def _pair_bounds(check: PairCheck, eng: _MaskedBackend, radii, cache: dict):
     cache; NaN bounds mark the lanes where a distance of either lambda
     touches zero (undecidable).
 
-    A lane takes the quotient form N_high/q_high - N_low/q_low unless one
-    of its two denominators straddles 0, where it takes the cleared form.
-    On a slice where neither denominator straddles 0, nearly every slice,
-    the bound is lambda_high - lambda_low of the two quotients in the
-    slice's cache (_quotient), so a plan computes each lambda's quotient
-    once per slice whatever its number of pairs; only on a slice where one
-    does are N and q computed again, for both forms.  The bits are those of
-    the lane-wise choice."""
-    lam_lo = _quotient(check.low, eng, radii, cache)
-    lam_hi = _quotient(check.high, eng, radii, cache)
-    if lam_lo is not None and lam_hi is not None:
-        gap = lam_hi - lam_lo
+    A lane takes the quotient form lambda_high - lambda_low of the two
+    quotients in the slice's cache (_quotient) unless one of its two
+    denominators straddles 0, where it takes the cleared form; so a plan
+    computes each lambda's quotient once per slice whatever its number of
+    pairs, and N and q are computed again only for a pair with a
+    straddling lane.  The bits are those of the lane-wise choice."""
+    st_lo, lam_lo = _quotient(check.low, eng, radii, cache)
+    st_hi, lam_hi = _quotient(check.high, eng, radii, cache)
+    gap = lam_hi - lam_lo
+    straddle = st_lo | st_hi
+    if not straddle.any():
         return gap.lo, gap.hi, np.full(gap.lo.shape, FORM_QUOTIENT)
-    n_lo = kernel.lambda_num(eng, radii, *check.low, cache=cache)
-    n_hi = kernel.lambda_num(eng, radii, *check.high, cache=cache)
-    q_lo = kernel.lambda_den(eng, radii, *check.low)  # 0-d for body 1
-    q_hi = kernel.lambda_den(eng, radii, *check.high)
-
-    straddle = q_lo.straddles_zero() | q_hi.straddles_zero()
-    safe_lo = VInterval(
-        np.where(straddle, 1.0, q_lo.lo), np.where(straddle, 1.0, q_lo.hi)
-    )
-    safe_hi = VInterval(
-        np.where(straddle, 1.0, q_hi.lo), np.where(straddle, 1.0, q_hi.hi)
-    )
-    gap = n_hi / safe_hi - n_lo / safe_lo
 
     # cleared form: (N_high q_low - N_low q_high) * sign(q_low q_high)
+    n_lo = kernel.lambda_num(eng, radii, *check.low, cache=cache)
+    n_hi = kernel.lambda_num(eng, radii, *check.high, cache=cache)
+    q_lo = kernel.lambda_den(eng, radii, *check.low)
+    q_hi = kernel.lambda_den(eng, radii, *check.high)
     expr = n_hi * q_lo - n_lo * q_hi
     s = kernel.Q_SIGN[check.low] * kernel.Q_SIGN[check.high]
     cl_lo, cl_hi = (expr.lo, expr.hi) if s > 0 else (-expr.hi, -expr.lo)

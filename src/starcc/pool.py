@@ -13,13 +13,12 @@ from typing import Callable, Iterator, Sequence
 
 # (trim, mmap) thresholds of glibc's malloc in the process collecting a
 # pool's results.  glibc raises its mmap threshold to the size of each
-# large block freed, so from the second pool on the unpickled leaf arrays
-# (11 MB for J15 at width 0.01) landed on the heap, and the peak RSS of a
-# process running certify_all again and again varied by 5 MB with the
-# order in which the jobs finished.  _COLLECT (glibc's initial values)
-# maps each large block on its own; it is set after the workers fork, as
-# it makes their numpy kernel 2.5 times slower.  _COMPUTE (the ceiling of
-# the sliding values on a 64-bit build) is set when the pool ends.
+# large block freed; _COLLECT (its initial values) maps each result array
+# the caller unpickles on its own, which keeps the scan benchmark's peak
+# RSS at 47.6-47.8 MB, not 48.8-49.5 MB (10 pairs, 2 vCPUs).  It is set
+# after the workers fork, as it makes their numpy kernel 2.5 times
+# slower.  _COMPUTE (the ceiling of the sliding values on a 64-bit build)
+# is set when the pool ends.
 _COLLECT = (128 << 10, 128 << 10)
 _COMPUTE = (64 << 20, 32 << 20)
 

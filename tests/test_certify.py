@@ -1299,27 +1299,93 @@ def test_a_shared_kernel_cache_changes_no_bit(backend):
         assert nan.any() and not nan.all()
 
 
-def test_a_slice_without_a_straddling_denominator_keeps_the_lane_wise_bits():
-    # _pair_bounds computes only the quotient form on a slice where no
-    # denominator straddles 0; the same boxes next to ones where some q
-    # does (J1 touches r3 = 0) take the lane-wise route, to the same bits
-    plan = region_plan("J1")
-    lanes = cover_arrays("J1", 0.05, None, None)
+# the regions whose width-0.05 cover without an excision has boxes of
+# both forms: J1 and J2 reach the r3 = 0 edge, J4 the r5 = 0 edge and J8
+# the q22 = 0 corner of its closure
+_MIXED_FORM_REGIONS = ("J1", "J2", "J4", "J8")
 
-    def pair_bounds(keep):
-        eng = certify._MaskedBackend()
-        r3, r5 = (VInterval(lanes[k][keep], lanes[k + 1][keep]) for k in (0, 2))
-        radii = kernel.derived_radii(eng, r3, r5)
-        return [certify._pair_bounds(check, eng, radii, {}) for check in plan.pairs]
 
-    every = pair_bounds(np.ones(lanes[0].size, dtype=bool))
-    cleared = np.logical_or.reduce([form == certify.FORM_CLEARED for *_, form in every])
+def _cover_pair_bounds(rid, keep=None):
+    """_pair_bounds of every pair of rid's plan on its width-0.05 cover
+    (the lanes keep of it), one evaluation and cache shared by the pairs."""
+    reg = region_def(rid)
+    lanes = cover_arrays(rid, 0.05, 10.0 if reg.unbounded else None, None)
+    keep = slice(None) if keep is None else keep
+    eng, cache = certify._MaskedBackend(), {}
+    r3, r5 = (VInterval(lanes[k][keep], lanes[k + 1][keep]) for k in (0, 2))
+    radii = kernel.derived_radii(eng, r3, r5)
+    return [certify._pair_bounds(check, eng, radii, cache) for check in region_plan(rid).pairs]
+
+
+def _cleared(bounds):
+    return np.logical_or.reduce([form == certify.FORM_CLEARED for *_, form in bounds])
+
+
+def test_the_mixed_form_regions_are_every_region_whose_cover_mixes_forms():
+    mixed = [rid for rid in regions.REGION_IDS if _cleared(_cover_pair_bounds(rid)).any()]
+    assert tuple(mixed) == _MIXED_FORM_REGIONS
+
+
+@pytest.mark.parametrize("rid", _MIXED_FORM_REGIONS)
+def test_a_slice_without_a_straddling_denominator_keeps_the_lane_wise_bits(rid):
+    """_pair_bounds computes only the quotient form on a slice where no
+    denominator straddles 0; the same boxes next to ones where some q does
+    (the r3 = 0 edge of J1 and J2, the r5 = 0 edge of J4, the q22 = 0
+    corner of J8) take the cleared form on those lanes alone, and every
+    other lane keeps the same bits."""
+    every = _cover_pair_bounds(rid)
+    cleared = _cleared(every)
     assert cleared.any() and not cleared.all()
-    for whole, alone in zip(every, pair_bounds(~cleared)):
+    for whole, alone in zip(every, _cover_pair_bounds(rid, ~cleared)):
         lo, hi, form = (a[~cleared] for a in whole)
         assert alone[0].tobytes() == lo.tobytes()
         assert alone[1].tobytes() == hi.tobytes()
         assert np.array_equal(alone[2], form) and alone[2].dtype == form.dtype
+        assert (alone[2] == certify.FORM_QUOTIENT).all()
+
+
+@pytest.mark.parametrize("boxes", ["J1", "mixed"])
+def test_a_straddling_denominator_masks_its_quotient_per_lane(boxes):
+    # _quotient is NaN on exactly the lanes where its q straddles 0 (and
+    # where a distance of the lambda touches 0), not on the whole slice,
+    # and every other lane has the bits of _quotient on those lanes alone.
+    # J1's cover reaches the r3 = 0 edge and the (0, 0) corner; the mixed
+    # slice puts every 16th seeded box on the r3 = 0 edge
+    if boxes == "J1":
+        lanes = cover_arrays("J1", 0.05, None, None)
+    else:
+        lanes = [a.copy() for a in _seeded_boxes()]
+        lanes[0][5::16] = 0.0
+
+    def quotient(idx, keep):
+        eng, cache = certify._MaskedBackend(), {}
+        r3, r5 = (VInterval(lanes[k][keep], lanes[k + 1][keep]) for k in (0, 2))
+        radii = kernel.derived_radii(eng, r3, r5)
+        straddle, lam = certify._quotient(idx, eng, radii, cache)
+        n = kernel.lambda_num(eng, radii, *idx, cache=cache)
+        return straddle, lam, kernel.lambda_den(eng, radii, *idx), n
+
+    every = np.ones(lanes[0].size, dtype=bool)
+    mixed = []
+    for idx in kernel.LAMBDA_INDICES:
+        straddle, lam, q, n = quotient(idx, every)
+        assert np.array_equal(straddle, q.straddles_zero()), idx
+        undecided = straddle | np.isnan(n.lo)
+        assert np.array_equal(np.isnan(lam.lo), undecided), idx
+        assert np.array_equal(np.isnan(lam.hi), undecided), idx
+        if boxes == "mixed":
+            assert not np.isnan(n.lo).any(), idx
+        if not straddle.any():
+            continue
+        assert not straddle.all(), idx
+        mixed.append(idx)
+        keep = ~straddle
+        alone_straddle, alone = quotient(idx, keep)[:2]
+        assert not alone_straddle.any(), idx
+        assert alone.lo.tobytes() == lam.lo[keep].tobytes(), idx
+        assert alone.hi.tobytes() == lam.hi[keep].tobytes(), idx
+    assert mixed == ([(3, 1), (3, 2)] if boxes == "mixed" else
+                     [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2)])
 
 
 def _seeded_boxes(n=4096, seed=26):
@@ -1455,10 +1521,20 @@ def test_an_all_pairs_plan_costs_nine_lambdas_per_slice(boxes, monkeypatch):
     monkeypatch.setattr(kernel, "lambda_num", lambda *a, **k: calls.append(a[2:4]) or num(*a, **k))
     lo, hi, form, pair = _batch_bounds(plan, *lanes)
     n_slices = lanes[0].size // block
-    if boxes == "inside":  # no q straddles 0
+    again = 0  # a pair with a straddling lane computes its two N again
+    for start in range(0, lanes[0].size, block):
+        eng = certify._MaskedBackend()
+        r3, r5 = (VInterval(lanes[k][start:start + block], lanes[k + 1][start:start + block])
+                  for k in (0, 2))
+        radii = kernel.derived_radii(eng, r3, r5)
+        straddles = {idx for idx in kernel.LAMBDA_INDICES
+                     if kernel.lambda_den(eng, radii, *idx).straddles_zero().any()}
+        again += 2 * sum(c.low in straddles or c.high in straddles for c in plan.pairs)
+    if boxes == "inside":  # no q straddles 0: each lambda once per slice
+        assert again == 0
         assert sorted(calls) == sorted(kernel.LAMBDA_INDICES * n_slices)
-    else:  # a pair with a straddling q computes its N and q again
-        assert len(calls) > 9 * n_slices
+    else:  # 9 per slice and 2 per pair with a straddling lane: 36 + 576
+        assert len(calls) == 9 * n_slices + again == 612
     singles = [_batch_bounds(RegionPlan("one", (check,)), *lanes) for check in plan.pairs]
     for start in range(0, lanes[0].size, block):
         s = slice(start, start + block)
