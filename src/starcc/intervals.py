@@ -10,11 +10,11 @@ own values, and every route gives the same bits:
 
 * one rounding decision per result (`_rounded`): every operation hands
   the fresh (lo, hi) pair of its result to one helper, which takes
-  min(lo) and max(hi) once; when both ends are finite and of one strict
-  sign on every lane, each array is stepped by one int64 add on its bit
-  pattern, in place, and every other case (0-d values, empty arrays,
-  zeros, infinities, NaN, mixed signs) goes through `_outward` on each
-  end, whose own routes are an in-place step and ``np.nextafter``;
+  min(lo) and max(hi) once and picks one route for both ends: one int64
+  add on each bit pattern, in place, when every end is finite and of one
+  strict sign; the general in-place step (`_step`) when no end is NaN or
+  at the infinity it steps toward; ``np.nextafter`` otherwise (0-d
+  values, empty arrays, NaN, infinite ends);
 * a carried sign: the helper knows the sign of what it rounds, and the
   result keeps it (VInterval.sign, which negation flips), so `_sign`
   reads no lane of a result whose sign is known;
@@ -73,33 +73,16 @@ _MIN = np.minimum.reduce
 _MAX = np.maximum.reduce
 
 
-def _outward(x, toward):
-    """np.nextafter(x, toward) for toward = -inf or +inf, bit for bit.
+def _step(x, up):
+    """Step every lane of x one ulp, in place: np.nextafter(x, +inf) when up,
+    else np.nextafter(x, -inf), bit for bit.
 
-    x must be a result the caller has just computed and owns: a float64
-    lane array is stepped in place.  Among doubles of one sign, the next
-    larger magnitude has the next larger bit pattern (read as int64).  So
-    when every lane is finite and of one strict sign, x.min() and x.max()
-    say so, and the step is one int64 add: +1 to grow the magnitude, -1 to
-    shrink it (5e-324 down is +0, -5e-324 up is -0, DBL_MAX up is inf).
-    Any other finite array takes the general route: the step up adds 1 to
-    the pattern of x >= +0 and subtracts 1 from that of x < 0, after
-    mapping -0 to +0 (x + 0.0), and the step down is -up(-x), with 0.0 - x
-    doing the negation and the zero mapping in one pass.  0-d values,
-    empty arrays and arrays holding a NaN or the infinity the step cannot
-    leave (+inf up, -inf down) go through np.nextafter.
-    """
-    if getattr(x, "ndim", 0) == 0 or x.size == 0:
-        return np.nextafter(x, toward)
-    up = toward > 0.0
-    lo = _MIN(x, None)
-    hi = _MAX(x, None)
-    if 0.0 < lo and hi < _PINF or _NINF < lo and hi < 0.0:  # NaN fails both
-        bits = x.view(np.int64)
-        bits += 1 if (lo > 0.0) == up else -1
-        return x
-    if not (hi < _PINF if up else lo > _NINF):
-        return np.nextafter(x, toward)
+    x is a float64 lane array the caller has just computed and owns, with
+    no NaN and no infinity the step cannot leave (+inf up, -inf down).
+    The step up adds 1 to the bit pattern (read as int64) of x >= +0 and
+    subtracts 1 from that of x < 0, after mapping -0 to +0 (x + 0.0); the
+    step down is -up(-x), with 0.0 - x doing the negation and the zero
+    mapping in one pass."""
     if up:
         x += 0.0
     else:
@@ -110,25 +93,30 @@ def _outward(x, toward):
     bits += step
     if not up:
         np.negative(x, out=x)
-    return x
 
 
 def _rounded(lo, hi) -> "VInterval":
     """The interval [lo, hi] of a result whose endpoints the caller has just
     computed and owns, lo rounded toward -inf and hi toward +inf, each end
-    bit for bit np.nextafter (`_outward`), carrying its sign.
+    bit for bit np.nextafter, carrying its sign.
 
-    One rounding decision serves both ends: lo and hi are lane arrays of
-    one shape with lo <= hi on every lane that holds no NaN, so min(lo) and
-    max(hi) alone tell when every endpoint is finite and of one strict
-    sign (0 < min(lo) and max(hi) < inf, or the mirror), and then each
-    array is stepped in place by one int64 add on its bit pattern, as
-    `_outward` steps it.  The result carries sign +1 when moreover
-    max(hi) < DBL_MAX (so no end steps to inf, and a lo of 5e-324 steps to
-    +0), -1 in the mirror case, and None (not known) otherwise.  Every
-    other case, among them 0-d values, empty arrays, zeros, infinities,
-    NaN and mixed signs, goes through `_outward` on each end and carries
-    None."""
+    lo and hi are arrays of one shape with lo <= hi on every lane that
+    holds no NaN.  m = min(lo) and M = max(hi), read once, pick one route:
+
+    1. every end is finite and of one strict sign (0 < m and M < inf, or
+       the mirror).  Among doubles of one sign, the next larger magnitude
+       has the next larger bit pattern, so each array is stepped in place
+       by one int64 add: +1 to grow the magnitude, -1 to shrink it
+       (5e-324 down is +0, -5e-324 up is -0, DBL_MAX up is inf).  The
+       result carries sign +1 when moreover M < DBL_MAX (so no end steps
+       to inf, and a lo of 5e-324 steps to +0), -1 in the mirror case,
+       and None otherwise;
+    2. otherwise, when -inf < m and M < inf, no end is NaN or at the
+       infinity it steps toward, and each takes `_step`;
+    3. everything else (0-d values, empty arrays, NaN, such an infinite
+       end) goes through np.nextafter on each end.
+
+    Routes 2 and 3 carry None."""
     if getattr(lo, "ndim", 0) and lo.size:
         m = _MIN(lo, None)
         M = _MAX(hi, None)  # NaN fails every test below
@@ -144,7 +132,11 @@ def _rounded(lo, hi) -> "VInterval":
             bits = hi.view(np.int64)
             bits -= 1
             return VInterval(lo, hi, -1 if -_DBL_MAX < m else None)
-    return VInterval(_outward(lo, _NINF), _outward(hi, _PINF))
+        if _NINF < m and M < _PINF:
+            _step(lo, False)
+            _step(hi, True)
+            return VInterval(lo, hi)
+    return VInterval(np.nextafter(lo, _NINF), np.nextafter(hi, _PINF))
 
 
 def _sign(iv) -> int:

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from starcc import kernel
+from starcc import intervals, kernel
 from starcc.kernel import in_domain
 from starcc.forces import lambda_component, residual_vector
 from starcc.geometry import A, B
 from starcc.intervals import (
-    _outward,
     _rounded,
     _sign,
     Box2,
@@ -203,7 +202,8 @@ def test_lambda_with_a_straddling_denominator_raises():
 
 
 # ---------------------------------------------------------------------------
-# The outward step: bit for bit np.nextafter, and no operand is written
+# Special values, and no operation writes to its operands, whichever of
+# _rounded's routes steps its result in place
 
 
 _DBL_MAX = np.finfo(np.float64).max
@@ -213,39 +213,6 @@ SPECIALS = np.array([
     np.nextafter(_DBL_MIN, 0.0), -np.nextafter(_DBL_MIN, 0.0),
     1.0, -1.0, _DBL_MAX, -_DBL_MAX, math.inf, -math.inf, math.nan, -math.nan,
 ])
-
-
-def _assert_steps_like_nextafter(x):
-    x = np.asarray(x, dtype=np.float64)
-    for toward in (-math.inf, math.inf):
-        arg = x.copy() if x.ndim else x[()]  # a fresh lane, or a 0-d value
-        with np.errstate(over="ignore", invalid="ignore"):
-            want = np.nextafter(x, toward)
-            got = _outward(arg, toward)
-        assert np.shape(got) == x.shape
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (x, toward)
-
-
-@pytest.mark.parametrize("value", SPECIALS,
-                         ids=[f"{v:#018x}" for v in SPECIALS.view(np.uint64)])
-def test_outward_step_equals_nextafter_on_special_values(value):
-    _assert_steps_like_nextafter(value)  # 0-d
-    _assert_steps_like_nextafter([value])  # 1 element
-    # odd length, also with the special value among finite lanes
-    _assert_steps_like_nextafter([1.5, value, -0.0, value, 3.0, -7.25, 0.0])
-
-
-def test_outward_step_equals_nextafter_on_random_bit_patterns():
-    rng = np.random.default_rng(20260214)
-    bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max,
-                        size=1_000_003, dtype=np.int64, endpoint=True)
-    x = bits.view(np.float64)
-    finite = x[np.isfinite(x)]  # the in-place route
-    assert finite.size > 10**6 - 10**3
-    _assert_steps_like_nextafter(finite)
-    _assert_steps_like_nextafter(x)  # NaNs included: the np.nextafter route
-    _assert_steps_like_nextafter(np.concatenate([finite[:999], SPECIALS]))
-    _assert_steps_like_nextafter(np.empty(0))
 
 
 def _lanes(*pairs):
@@ -276,6 +243,9 @@ def test_no_operation_writes_to_its_operands():
     lane_k = VInterval(np.broadcast_to(pc.sin[4].lo, (5,)),
                        np.broadcast_to(pc.sin[4].hi, (5,)))  # read-only view
     pos = VInterval(np.abs(x.hi) + 0.5, np.abs(x.hi) + 1.0)
+    # lanes whose results hold NaN or an end at the infinity it steps toward
+    odd = _lanes((1.0, math.inf), (-math.inf, -1.0), (math.nan, math.nan),
+                 (0.5, 0.75), (-0.25, 2.0))
     ops = [
         lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y,
         lambda: x + k, lambda: k - x, lambda: k * x, lambda: x / k,
@@ -284,12 +254,21 @@ def test_no_operation_writes_to_its_operands():
         lambda: 2.0 - x, lambda: -x, lambda: x.sq(), lambda: y.sq(),
         lambda: k.sq(), lambda: pos.sqrt(), lambda: pos.powneg32(),
         lambda: pc.half_a.powneg32(), lambda: pc.sqrt5.sqrt(),
+        lambda: odd + x, lambda: y - odd, lambda: odd * y, lambda: odd / pos,
+        lambda: odd.sq(), lambda: -odd, lambda: odd * k, lambda: lane_k + odd,
     ]
-    operands = [x, y, k, lane_k, pos] + [
+    operands = [x, y, k, lane_k, pos, odd] + [
         pc.sqrt5, pc.a, pc.b, pc.half_a, pc.half_b, *pc.cos, *pc.sin]
     before = [(iv.lo.tobytes(), iv.hi.tobytes()) for iv in operands]
+    routes = {"one sign": 0, "step": 0, "nextafter": 0}  # no end is DBL_MAX
     for op in ops:
         r = op()
+        if r.sign is not None:
+            routes["one sign"] += 1
+        elif r.lo.ndim and np.all(np.isfinite(r.lo) & np.isfinite(r.hi)):
+            routes["step"] += 1
+        else:
+            routes["nextafter"] += 1
         # a result never aliases an operand, so later in-place steps on
         # it cannot reach one either
         for iv in operands:
@@ -297,6 +276,7 @@ def test_no_operation_writes_to_its_operands():
                 assert not np.shares_memory(a, iv.lo)
                 assert not np.shares_memory(a, iv.hi)
     assert [(iv.lo.tobytes(), iv.hi.tobytes()) for iv in operands] == before
+    assert all(routes.values()), routes  # each of _rounded's routes ran
 
 
 # ---------------------------------------------------------------------------
@@ -310,30 +290,6 @@ ONE_SIGN = np.array([
     _DBL_MAX, np.nextafter(_DBL_MAX, 0.0), 1.0, np.nextafter(1.0, 0.0), 0.1, 3.0,
     *_POWERS_OF_TWO,
 ])
-
-
-@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
-def test_outward_step_on_lanes_of_one_sign(sign):
-    x = sign * ONE_SIGN
-    _assert_steps_like_nextafter(x)
-    _assert_steps_like_nextafter(x.reshape(3, -1))
-    for value in x:
-        _assert_steps_like_nextafter([value])
-        _assert_steps_like_nextafter([value, sign * 2.0])
-
-
-def test_outward_step_at_the_ends_of_the_range():
-    def step(values, toward):
-        return _outward(np.array(values), toward)
-
-    down = step([5e-324, 1.0], -math.inf)
-    assert down.tobytes() == np.array([0.0, np.nextafter(1.0, 0.0)]).tobytes()  # +0
-    up = step([-5e-324, -1.0], math.inf)
-    assert up.tobytes() == np.array([-0.0, np.nextafter(-1.0, 0.0)]).tobytes()  # -0
-    assert step([_DBL_MAX, 1.0], math.inf)[0] == math.inf
-    assert step([-_DBL_MAX, -1.0], -math.inf)[0] == -math.inf
-    assert step([_DBL_MIN, 1.0], -math.inf)[0] == np.nextafter(_DBL_MIN, 0.0)
-    assert step([-np.nextafter(_DBL_MIN, 0.0), -1.0], -math.inf)[0] == -_DBL_MIN
 
 
 def _mul_reference(x, y):
@@ -464,8 +420,9 @@ def test_sq_fast_route_equals_the_abs_min_max_square():
 
 
 # ---------------------------------------------------------------------------
-# One rounding decision per result: _rounded steps both ends of a fresh
-# result like np.nextafter and carries the sign _sign computes from lanes
+# One rounding decision per result: _rounded reads min(lo) and max(hi)
+# once, steps both ends of a fresh result like np.nextafter on each of
+# its three routes, and carries the sign _sign computes from lanes
 
 
 def _assert_rounds_like_nextafter(lo, hi):
@@ -511,8 +468,22 @@ def test_rounded_steps_each_end_like_nextafter_on_random_bit_patterns():
         one = sign * ONE_SIGN
         _assert_rounds_like_nextafter(*_ordered(one, one[::-1]))
         _assert_rounds_like_nextafter(*_ordered(one.reshape(3, -1), one[::-1].reshape(3, -1)))
+        _assert_rounds_like_nextafter(one.reshape(3, -1), one.reshape(3, -1))
+        for value in one:
+            for lanes in ([value], [value, sign * 2.0]):
+                _assert_rounds_like_nextafter(lanes, lanes)
     _assert_rounds_like_nextafter(np.empty(0), np.empty(0))
     _assert_rounds_like_nextafter(np.empty((0, 3)), np.empty((0, 3)))
+    # lo = hi = x over 10^6 patterns: finite (the in-place routes), with
+    # NaNs (np.nextafter), and finite with every special value appended
+    bits = np.random.default_rng(20260214).integers(
+        np.iinfo(np.int64).min, np.iinfo(np.int64).max, size=1_000_003,
+        dtype=np.int64, endpoint=True)
+    x = bits.view(np.float64)
+    finite = x[np.isfinite(x)]
+    assert finite.size > 10**6 - 10**3
+    for lanes in (finite, x, np.concatenate([finite[:999], SPECIALS])):
+        _assert_rounds_like_nextafter(lanes, lanes)
 
 
 def test_rounded_carries_a_sign_only_where_no_end_can_leave_it():
@@ -526,10 +497,52 @@ def test_rounded_carries_a_sign_only_where_no_end_can_leave_it():
     high = _assert_rounds_like_nextafter([-3.0, -1.0], [-2.0, -5e-324])
     assert high.hi.tobytes()[8:] == np.float64(-0.0).tobytes()  # -0
     assert high.sign == -1
+    # the lower end steps across the subnormal boundary both ways
+    tiny = _assert_rounds_like_nextafter([_DBL_MIN, 1.0], [_DBL_MIN, 1.0])
+    assert tiny.lo[0] == np.nextafter(_DBL_MIN, 0.0)
+    sub = -np.nextafter(_DBL_MIN, 0.0)  # -(largest subnormal)
+    assert _assert_rounds_like_nextafter([sub, -1.0], [sub, -1.0]).lo[0] == -_DBL_MIN
     for lo, hi in (([0.0, 1.0], [1.0, 2.0]), ([-1.0, 1.0], [1.0, 2.0]),
                    ([1.0, 1.0], [math.inf, 2.0]), ([1.0, math.nan], [2.0, math.nan]),
                    (1.0, 2.0)):
         assert _assert_rounds_like_nextafter(lo, hi).sign is None
+
+
+ROUTE_CASES = {
+    "one sign": ([0.5, 1.0, 3.0], [2.0, 1.0, 4.0]),
+    "-one sign": ([-2.0, -1.0, -4.0], [-0.5, -1.0, -3.0]),
+    "mixed": ([-1.0, 0.5, -0.0], [2.0, 3.0, 0.0]),
+    "nan": ([math.nan, 1.0, -1.0], [math.nan, 2.0, 1.0]),
+    "-inf lo": ([-math.inf, 1.0, 2.0], [2.0, 3.0, 2.0]),
+    "+inf hi": ([1.0, 2.0, 3.0], [3.0, math.inf, 4.0]),
+    "+inf lo": ([math.inf, -1.0, 2.0], [math.inf, 1.0, 3.0]),
+    "DBL_MAX hi": ([1.0, 2.0, 3.0], [3.0, _DBL_MAX, 4.0]),
+    "-DBL_MAX lo": ([-_DBL_MAX, -1.0, 0.5], [-0.5, 2.0, 1.0]),
+    "2-d one sign": ([[0.5, 1.0], [2.0, 3.0]], [[1.0, 2.0], [2.5, 4.0]]),
+    "2-d mixed": ([[-0.5, 1.0], [2.0, -3.0]], [[1.0, 2.0], [2.5, 4.0]]),
+}
+
+
+@pytest.mark.parametrize("case", ROUTE_CASES)
+def test_rounded_reduces_each_end_once(case, monkeypatch):
+    calls = []
+
+    def counted(name, reduce):
+        def wrapper(a, axis):
+            calls.append((name, a))
+            return reduce(a, axis)
+        return wrapper
+
+    monkeypatch.setattr(intervals, "_MIN", counted("min", intervals._MIN))
+    monkeypatch.setattr(intervals, "_MAX", counted("max", intervals._MAX))
+    lo, hi = (np.array(a, dtype=np.float64) for a in ROUTE_CASES[case])
+    fresh = lo.copy(), hi.copy()
+    with np.errstate(over="ignore"):
+        want = np.nextafter(lo, -math.inf), np.nextafter(hi, math.inf)
+        got = _rounded(*fresh)
+    assert [name for name, _ in calls] == ["min", "max"], calls
+    assert calls[0][1] is fresh[0] and calls[1][1] is fresh[1]
+    _assert_same_bits(got, want)
 
 
 def test_every_result_carries_the_sign_of_its_lanes():
