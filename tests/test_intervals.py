@@ -523,8 +523,9 @@ ROUTE_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", ROUTE_CASES)
-def test_rounded_reduces_each_end_once(case, monkeypatch):
+def _count_reductions(monkeypatch):
+    """Wrap intervals._MIN and _MAX; the returned list collects
+    (name, array) for each reduction they make."""
     calls = []
 
     def counted(name, reduce):
@@ -535,6 +536,12 @@ def test_rounded_reduces_each_end_once(case, monkeypatch):
 
     monkeypatch.setattr(intervals, "_MIN", counted("min", intervals._MIN))
     monkeypatch.setattr(intervals, "_MAX", counted("max", intervals._MAX))
+    return calls
+
+
+@pytest.mark.parametrize("case", ROUTE_CASES)
+def test_rounded_reduces_each_end_once(case, monkeypatch):
+    calls = _count_reductions(monkeypatch)
     lo, hi = (np.array(a, dtype=np.float64) for a in ROUTE_CASES[case])
     fresh = lo.copy(), hi.copy()
     with np.errstate(over="ignore"):
@@ -543,6 +550,25 @@ def test_rounded_reduces_each_end_once(case, monkeypatch):
     assert [name for name, _ in calls] == ["min", "max"], calls
     assert calls[0][1] is fresh[0] and calls[1][1] is fresh[1]
     _assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("value", SPECIALS,
+                         ids=[f"{v:#018x}" for v in SPECIALS.view(np.uint64)])
+def test_rounded_reduces_each_end_once_beside_a_special_value(value, monkeypatch):
+    # the value among lanes of either sign and among mixed lanes picks any
+    # of the three routes; a 0-d value is not reduced at all
+    calls = _count_reductions(monkeypatch)
+    for lanes, reductions in ((value, []), ([value, 2.0, 3.0], ["min", "max"]),
+                              ([-3.0, value, -2.0], ["min", "max"]),
+                              ([1.5, value, -0.0], ["min", "max"])):
+        x = np.asarray(lanes, dtype=np.float64)
+        fresh = (x.copy(), x.copy()) if x.ndim else (x[()], x[()])
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.nextafter(x, -math.inf), np.nextafter(x, math.inf)
+            calls.clear()
+            got = _rounded(*fresh)
+        assert [name for name, _ in calls] == reductions, (lanes, calls)
+        _assert_same_bits(got, want)
 
 
 def test_every_result_carries_the_sign_of_its_lanes():
