@@ -28,6 +28,11 @@ def run(argv, capsys):
     return code, captured.out + captured.err
 
 
+def _strict(token):
+    """json's parse_constant: NaN and Infinity are not JSON."""
+    raise ValueError(f"{token} is not JSON")
+
+
 @pytest.fixture(autouse=True)
 def isolated_outdir(tmp_path, monkeypatch):
     # keep every test away from ./certificates and from each other
@@ -94,7 +99,7 @@ def test_eval_unknown_index_exits_2(capsys):
 def test_hessian_passes_at_default_step(capsys):
     code, out = run(["hessian", "--json"], capsys)
     assert code == 0
-    doc = json.loads(out)
+    doc = json.loads(out, parse_constant=_strict)
     assert doc["verdict"] == "PASS"
     assert doc["richardson"] is True
     assert max(doc["relative_error"].values()) < 1e-5
@@ -240,9 +245,10 @@ def test_scan_reports_one_root(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    doc = json.loads(out_file.read_text())
+    doc = json.loads(out_file.read_text(), parse_constant=_strict)
     assert len(doc["roots"]) == 1
     assert doc["roots"][0]["r3"] == pytest.approx(1.0, abs=1e-8)
+    assert doc["roots"][0]["r5"] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_scan_bad_window_exits_2(capsys):
@@ -542,18 +548,24 @@ def test_bundle_names_the_file_of_a_malformed_piece(coarse_bundle, tmp_path,
     assert err.startswith(f"REJECT: {forged / 'J9.json'}: ")
 
 
-def test_both_verdict_lines_name_what_the_verdict_covers(tmp_path, capsys):
-    # a bundle cut at r5 <= 3.1 proves less than one cut at r5 <= 10
+@pytest.mark.parametrize("cut, scope, annulus", [
+    (["--truncate-r5", "3.1"], "r5 <= 3.1, window delta 0.02", 4276),
+    (["--delta", "0.1"], "r5 <= 10, window delta 0.1", 14212),
+], ids=["r5-3.1", "delta-0.1"])
+def test_both_verdict_lines_name_what_the_verdict_covers(tmp_path, capsys, cut,
+                                                         scope, annulus):
+    # a bundle cut at r5 <= 3.1 proves less than one cut at r5 <= 10; the
+    # annulus of the delta 0.1 window holds 3.3 times the default's leaves
     bundle = tmp_path / "cut"
-    code, out = run(["certify", "all", "--width", "0.1", "--truncate-r5", "3.1",
-                     "--output", bundle], capsys)
+    code, out = run(["certify", "all", "--width", "0.1", *cut, "--output", bundle],
+                    capsys)
     assert code == 0
-    assert "verdict: UNIQUE-IN-WINDOW  (r5 <= 3.1, window delta 0.02; " in out
+    assert f"verdict: UNIQUE-IN-WINDOW  ({scope}; " in out
     code, out = run(["verify", bundle], capsys)
     assert code == 0
+    assert re.search(rf"^ACCEPT local: .*, {annulus} annulus leaves$", out, re.M), out
     assert out.splitlines()[-1] == (
-        f"bundle {bundle}: verdict 'UNIQUE-IN-WINDOW' confirmed"
-        " (r5 <= 3.1, window delta 0.02)")
+        f"bundle {bundle}: verdict 'UNIQUE-IN-WINDOW' confirmed ({scope})")
 
 
 @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pool"])
@@ -571,6 +583,24 @@ def test_bundle_rejection_names_the_first_defect_in_region_order(
     code, out = run(["verify", forged], capsys)
     assert code == cli.EXIT_VERIFY
     assert out.startswith("REJECT: J9: leaf 3 at "), out
+
+
+def test_verify_prints_the_same_lines_on_one_cpu_and_on_two(coarse_bundle, capsys,
+                                                            monkeypatch):
+    # the pool verifies the largest file first; the report must not show it.
+    # The annulus keeps the 4276 boxes of the 0.02 window, as pair-set leaves
+    outs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        code = cli.main(["verify", str(coarse_bundle)])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == "", captured.err
+        outs.append(captured.out)
+    assert outs[0] == outs[1]
+    lines = outs[0].splitlines()
+    assert sum(line.startswith("ACCEPT ") for line in lines) == 17
+    local = [line for line in lines if line.startswith("ACCEPT local: ")]
+    assert len(local) == 1 and local[0].endswith(", 4276 annulus leaves"), local
 
 
 @pytest.mark.parametrize("rid", ["J9", "J7"])
