@@ -982,24 +982,28 @@ def _annulus_cover(delta):
                       (1.0 - INNER_DELTA, 1.0 + INNER_DELTA))
 
 
+def _check_contraction(ev: dict) -> None:
+    """The acceptance rule of the Krawczyk evidence ev (_contraction_evidence):
+    the image strictly inside the inner box, a Jacobian determinant
+    enclosure without 0 and a center residual within _POSTERIORI_TOL."""
+    if ev["containment_margin"] <= 0.0:
+        raise ContractionFailure("Krawczyk image not strictly contained"
+                                 f" (margin {ev['containment_margin']:.3e})")
+    dlo, dhi = ev["det_jacobian"]
+    if dlo <= 0.0 <= dhi:
+        raise ContractionFailure(f"Jacobian enclosure det [{dlo}, {dhi}] contains 0")
+    if ev["posteriori_residual"] > _POSTERIORI_TOL:
+        raise ContractionFailure(
+            f"center residual {ev['posteriori_residual']:.3e} > {_POSTERIORI_TOL}")
+
+
 def certify_local_uniqueness(delta: float = DELTA_B0) -> LocalUniquenessCertificate:
     """Certificate that the (1±delta) square holds exactly one zero of
     the two-gap map, and the center is that zero to within
     _POSTERIORI_TOL."""
     _check_window(float(delta))
     ev = _contraction_evidence(INNER_DELTA, SUBDIVISION)
-    if ev["containment_margin"] <= 0.0:
-        raise ContractionFailure(
-            f"Krawczyk image not strictly contained "
-            f"(margin {ev['containment_margin']:.3e})"
-        )
-    dlo, dhi = ev["det_jacobian"]
-    if dlo <= 0.0 <= dhi:
-        raise ContractionFailure(f"Jacobian enclosure det [{dlo}, {dhi}] contains 0")
-    if ev["posteriori_residual"] > _POSTERIORI_TOL:
-        raise ContractionFailure(
-            f"center residual {ev['posteriori_residual']:.3e} > {_POSTERIORI_TOL}"
-        )
+    _check_contraction(ev)
     ann, _ = _branch_and_bound(_ANNULUS_PLAN, _annulus_cover(delta))
     return LocalUniquenessCertificate(
         delta=float(delta),
@@ -1244,8 +1248,8 @@ def verify_local_certificate(cert) -> bool:
     """Require the fixed construction (center, pair_map, inner_delta and
     subdivision exactly) and a window delta in range, recompute the
     contraction evidence and every annulus bound (the pair-set bound of
-    _ANNULUS_PLAN) bit-for-bit, re-check the acceptance conditions
-    (containment, nonsingularity) and replay the annulus cover from the
+    _ANNULUS_PLAN) bit-for-bit, re-check the acceptance rule
+    (_check_contraction) and replay the annulus cover from the
     recorded delta."""
     cert = _require(cert, LocalUniquenessCertificate)
     if cert.fingerprint != build_fingerprint():
@@ -1261,18 +1265,15 @@ def verify_local_certificate(cert) -> bool:
         if got != want:
             raise MalformedCertificate(f"{key} {got!r} is not the fixed {want!r}")
     _check_window(cert.delta, MalformedCertificate)
-    for key, want in _contraction_evidence(INNER_DELTA, SUBDIVISION).items():
+    evidence = _contraction_evidence(INNER_DELTA, SUBDIVISION)
+    for key, want in evidence.items():
         got = getattr(cert, key)
         if not _same_shape(got, want):
             raise MalformedCertificate(
                 f"local certificate field {key} {got!r} is not shaped like {want!r}")
         if got != want:
             raise LeafBoundViolation(f"local certificate field {key} does not recompute")
-    if cert.containment_margin <= 0.0:
-        raise ContractionFailure("stored containment margin is not positive")
-    dlo, dhi = cert.det_jacobian
-    if dlo <= 0.0 <= dhi:
-        raise ContractionFailure("stored Jacobian determinant encloses zero")
+    _check_contraction(evidence)  # which every stored field now equals
 
     _check_leaves(_ANNULUS_PLAN, cert._leaves(), _annulus_cover(cert.delta), None)
     return True

@@ -435,11 +435,8 @@ def _verify_bundle(dirpath: str) -> List[str]:
             raise MalformedCertificate(
                 f"{manifest_path}: {key} {manifest.get(key)!r} is not {want!r}")
     config, regions = manifest.get("config"), manifest.get("regions")
-    if not (isinstance(config, dict) and _is_number(config.get("delta_b0"))
-            and _is_number(config.get("truncation"))):
-        raise MalformedCertificate(
-            f"{manifest_path}: config must give numeric delta_b0 and truncation")
-    if config.keys() != set(_SCOPE) or not _is_number(config["max_box_width"]):
+    if not (isinstance(config, dict) and config.keys() == set(_SCOPE)
+            and all(map(_is_number, config.values()))):
         raise MalformedCertificate(
             f"{manifest_path}: config must hold exactly the numbers"
             f" {', '.join(_SCOPE)}, not {config!r}")

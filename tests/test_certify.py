@@ -795,7 +795,7 @@ def test_local_evidence_that_does_not_contract_is_rejected(local_cert, monkeypat
     evidence = _contraction_evidence(0.02, certify.SUBDIVISION)
     assert evidence["containment_margin"] == pytest.approx(-1.5e-2, rel=0.1)
     bad = _with_evidence(local_cert, monkeypatch, evidence)
-    with pytest.raises(ContractionFailure, match="containment margin is not positive"):
+    with pytest.raises(ContractionFailure, match="image not strictly contained"):
         verify_local_certificate(bad)
 
 
@@ -804,8 +804,23 @@ def test_local_evidence_with_a_singular_jacobian_is_rejected(local_cert, monkeyp
                     det_jacobian=(-1.0, 1.0))
     assert evidence["containment_margin"] > 0.0
     bad = _with_evidence(local_cert, monkeypatch, evidence)
-    with pytest.raises(ContractionFailure, match="determinant encloses zero"):
+    with pytest.raises(ContractionFailure, match=r"det \[-1\.0, 1\.0\] contains 0"):
         verify_local_certificate(bad)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"containment_margin": -1e-3},
+     r"^Krawczyk image not strictly contained \(margin -1\.000e-03\)$"),
+    ({"det_jacobian": (-1.0, 1.0)}, r"^Jacobian enclosure det \[-1\.0, 1\.0\] contains 0$"),
+    ({"posteriori_residual": 2e-10}, r"^center residual 2\.000e-10 > 1e-10$"),
+], ids=["margin", "det", "residual"])
+def test_the_local_certifier_refuses_evidence_that_fails_the_acceptance_rule(
+        monkeypatch, change, message):
+    evidence = dict(_contraction_evidence(certify.INNER_DELTA, certify.SUBDIVISION),
+                    **change)
+    monkeypatch.setattr(certify, "_contraction_evidence", lambda *args: evidence)
+    with pytest.raises(ContractionFailure, match=message):
+        certify_local_uniqueness()
 
 
 def test_local_tampered_margin_is_rejected(local_cert):

@@ -12,12 +12,6 @@ import numpy as np
 import pytest
 
 from starcc import certify, cli, kernel
-from starcc.certify import (
-    certify_inequality,
-    certify_local_uniqueness,
-    verify_certificate,
-    verify_local_certificate,
-)
 from starcc.regions import region_plan
 
 
@@ -386,7 +380,8 @@ def test_bundle_certify_verify_round_trip(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# bundle composition: forgeries whose every file verifies on its own
+# bundle runs: what no row of CONTROLS can check (a run, the pool's order,
+# the verdict lines)
 
 
 @pytest.fixture(scope="module")
@@ -402,97 +397,6 @@ def _copy(bundle, tmp_path):
     forged = tmp_path / "forged"
     shutil.copytree(bundle, forged)
     return forged
-
-
-def test_bundle_rejects_local_certificate_for_a_smaller_window(
-        coarse_bundle, tmp_path, capsys):
-    # leaves 0.005 < |r - 1| < 0.02 proved by nobody
-    forged = _copy(coarse_bundle, tmp_path)
-    local = certify_local_uniqueness(delta=0.005)
-    assert verify_local_certificate(local)
-    (forged / "local.json").write_text(local.to_json())
-    code, out = run(["verify", forged], capsys)
-    assert code == cli.EXIT_VERIFY
-    assert "REJECT" in out and "local.json" in out
-
-
-def test_bundle_rejects_region_truncated_below_the_manifest(
-        coarse_bundle, tmp_path, capsys):
-    # J9 above r5 = 1.5 proved by nobody; the forger keeps the manifest in step
-    forged = _copy(coarse_bundle, tmp_path)
-    manifest = json.loads((forged / "manifest.json").read_text())
-    cfg = manifest["config"]
-    cert = certify_inequality("J9", max_box_width=cfg["max_box_width"],
-                              truncation=1.5, delta=cfg["delta_b0"])
-    assert verify_certificate(cert)
-    (forged / "J9.json").write_text(cert.to_json())
-    manifest["regions"]["J9"]["min_bound"] = cert.min_bound
-    manifest["regions"]["J9"]["leaves"] = cert.n_leaves()
-    (forged / "manifest.json").write_text(json.dumps(manifest))
-    code, out = run(["verify", forged], capsys)
-    assert code == cli.EXIT_VERIFY
-    assert "REJECT" in out and "truncation" in out
-
-
-def test_bundle_rejects_region_file_holding_another_region(
-        coarse_bundle, tmp_path, capsys):
-    # J1 proved by nobody; J2 verified twice
-    forged = _copy(coarse_bundle, tmp_path)
-    shutil.copy(forged / "J2.json", forged / "J1.json")
-    manifest = json.loads((forged / "manifest.json").read_text())
-    manifest["regions"]["J1"] = manifest["regions"]["J2"]
-    (forged / "manifest.json").write_text(json.dumps(manifest))
-    code, out = run(["verify", forged], capsys)
-    assert code == cli.EXIT_VERIFY
-    assert "REJECT" in out and "J1.json" in out
-
-
-def test_bundle_rejects_dropped_narrowest_j16_leaf(coarse_bundle, tmp_path,
-                                                   capsys):
-    # the narrowest J16 leaf; every bound still verifies and the forger
-    # keeps min_bound and the manifest in step
-    forged = _copy(coarse_bundle, tmp_path)
-    doc = json.loads((forged / "J16.json").read_text())
-    rows = doc["leaves"]
-    width = [max(float.fromhex(r[1]) - float.fromhex(r[0]),
-                 float.fromhex(r[3]) - float.fromhex(r[2])) for r in rows]
-    del rows[width.index(min(width))]
-    doc["min_bound"] = min(float.fromhex(r[5]) for r in rows).hex()
-    (forged / "J16.json").write_text(json.dumps(doc))
-    manifest = json.loads((forged / "manifest.json").read_text())
-    manifest["regions"]["J16"]["min_bound"] = float.fromhex(doc["min_bound"])
-    manifest["regions"]["J16"]["leaves"] = len(rows)
-    (forged / "manifest.json").write_text(json.dumps(manifest))
-    code, out = run(["verify", forged], capsys)
-    assert code == cli.EXIT_VERIFY
-    assert "REJECT" in out and "J16" in out and "holds no leaf" in out
-
-
-@pytest.mark.parametrize("verdict", ["SEVERAL-SOLUTIONS", None])
-def test_bundle_rejects_a_verdict_the_certifier_does_not_write(
-        coarse_bundle, tmp_path, capsys, verdict):
-    # every certificate file verifies; only the manifest's claim is forged
-    forged = _copy(coarse_bundle, tmp_path)
-    manifest = json.loads((forged / "manifest.json").read_text())
-    manifest["verdict"] = verdict
-    (forged / "manifest.json").write_text(json.dumps(manifest))
-    code, out = run(["verify", forged], capsys)
-    assert code == cli.EXIT_VERIFY
-    assert "REJECT" in out and "manifest.json" in out and repr(verdict) in out
-    assert "ACCEPT" not in out
-
-
-def test_bundle_rejects_a_manifest_format_the_certifier_does_not_write(
-        coarse_bundle, tmp_path, capsys):
-    # every certificate file verifies; the manifest claims another layout
-    forged = _copy(coarse_bundle, tmp_path)
-    manifest = json.loads((forged / "manifest.json").read_text())
-    manifest["format"] = "starcc-certificate/0"
-    (forged / "manifest.json").write_text(json.dumps(manifest))
-    code, out = run(["verify", forged], capsys)
-    assert code == cli.EXIT_VERIFY
-    assert "REJECT" in out and "manifest.json" in out and "starcc-certificate/0" in out
-    assert "ACCEPT" not in out
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -525,27 +429,6 @@ def test_a_blocked_piece_path_is_a_usage_error_naming_it(tmp_path, capsys,
     assert code == cli.EXIT_DOMAIN
     assert err.startswith("error: ") and str(bundle / "J9.json") in err
     assert not (bundle / "manifest.json").exists()
-
-
-def _seventh_entry_in_row_3(doc):
-    doc["leaves"][3].append(doc["leaves"][3][0])
-
-
-def _no_plan(doc):
-    del doc["plan"]
-
-
-@pytest.mark.parametrize("forge", [_seventh_entry_in_row_3, _no_plan])
-def test_bundle_names_the_file_of_a_malformed_piece(coarse_bundle, tmp_path,
-                                                    capsys, forge):
-    forged = _copy(coarse_bundle, tmp_path)
-    doc = json.loads((forged / "J9.json").read_text())
-    forge(doc)
-    (forged / "J9.json").write_text(json.dumps(doc))
-    code = cli.main(["verify", str(forged)])
-    err = capsys.readouterr().err
-    assert code == cli.EXIT_VERIFY
-    assert err.startswith(f"REJECT: {forged / 'J9.json'}: ")
 
 
 @pytest.mark.parametrize("cut, scope, annulus", [
@@ -637,143 +520,10 @@ def test_bench_forgeries_are_all_rejected(coarse_bundle, tmp_path, capsys):
         assert "REJECT" in out, name
 
 
-@pytest.mark.parametrize("alone", [False, True], ids=["bundle", "file"])
-def test_a_piece_that_is_not_utf8_is_rejected_naming_it(coarse_bundle, tmp_path,
-                                                       capsys, alone):
-    forged = _copy(coarse_bundle, tmp_path)
-    path = forged / "J9.json"
-    with open(path, "ab") as fh:
-        fh.write(b"\xff")
-    code = cli.main(["verify", str(path if alone else forged)])
-    err = capsys.readouterr().err
-    assert code == cli.EXIT_VERIFY
-    assert err.startswith(f"REJECT: {path}: not valid UTF-8 ("), err
-
-
 # ---------------------------------------------------------------------------
-# controls for verifier rejections, each through `starcc verify`: a forgery
-# that only the named check rejects
-
-
-def _verify_forged(bundle, tmp_path, capsys, rid, forge, alone=True):
-    """Exit code and stderr of `verify` on a copy of the bundle whose
-    region rid is forge(payload); the file alone or the whole bundle."""
-    forged = _copy(bundle, tmp_path)
-    path = forged / f"{rid}.json"
-    doc = json.loads(path.read_text())
-    forge(doc)
-    path.write_text(json.dumps(doc))
-    code = cli.main(["verify", str(path if alone else forged)])
-    return code, capsys.readouterr().err
-
-
-@pytest.mark.parametrize("alone", [False, True], ids=["bundle", "file"])
-def test_a_region_file_of_another_format_is_rejected(coarse_bundle, tmp_path,
-                                                    capsys, alone):
-    code, err = _verify_forged(coarse_bundle, tmp_path, capsys, "J9",
-                               lambda doc: doc.update(format="starcc-certificate/2"),
-                               alone)
-    assert code == cli.EXIT_VERIFY
-    assert re.search(r"J9\.json: unsupported format 'starcc-certificate/2'/'inequality'$",
-                     err.strip()), err
-
-
-def test_a_region_file_of_the_local_kind_is_rejected(coarse_bundle, tmp_path, capsys):
-    # alone, the file would be read as what its kind says; in a bundle the
-    # J9 slot is read as a region certificate, and only the kind differs
-    code, err = _verify_forged(coarse_bundle, tmp_path, capsys, "J9",
-                               lambda doc: doc.update(kind="local-uniqueness"),
-                               alone=False)
-    assert code == cli.EXIT_VERIFY
-    assert re.search(
-        r"J9\.json: unsupported format 'starcc-certificate/1'/'local-uniqueness'$",
-        err.strip()), err
-
-
-def test_a_region_file_without_leaves_is_rejected(coarse_bundle, tmp_path, capsys):
-    code, err = _verify_forged(coarse_bundle, tmp_path, capsys, "J9",
-                               lambda doc: doc.update(leaves=[]))
-    assert code == cli.EXIT_VERIFY
-    assert err.strip() == "REJECT: J9: certificate has no leaves", err
-
-
-def test_a_certificate_of_an_unknown_region_is_rejected(coarse_bundle, tmp_path, capsys):
-    code, err = _verify_forged(coarse_bundle, tmp_path, capsys, "J9",
-                               lambda doc: doc.update(region="J17"))
-    assert code == cli.EXIT_VERIFY
-    assert err.strip() == "REJECT: unknown region 'J17'", err
-
-
-def test_a_plan_short_of_a_pair_is_rejected(coarse_bundle, tmp_path, capsys):
-    # J4 stored with its first pair only: the verifier recomputes every
-    # bound from the build's two pairs, so only the plan check sees it
-    def first_pair(doc):
-        assert doc["plan"] == "J4{lambda_11 < lambda_52;lambda_11 < lambda_31}"
-        doc["plan"] = "J4{lambda_11 < lambda_52}"
-
-    code, err = _verify_forged(coarse_bundle, tmp_path, capsys, "J4", first_pair)
-    assert code == cli.EXIT_VERIFY
-    assert err.strip() == "REJECT: plan does not match this build", err
-
-
-def test_a_manifest_file_alone_is_rejected(coarse_bundle, capsys):
-    path = coarse_bundle / "manifest.json"
-    code = cli.main(["verify", str(path)])
-    err = capsys.readouterr().err
-    assert code == cli.EXIT_VERIFY
-    assert err.strip() == (f"REJECT: {path}: manifests are verified as part of"
-                           " their bundle directory"), err
-
-
-def test_a_piece_of_an_unknown_kind_is_rejected(coarse_bundle, tmp_path, capsys):
-    code, err = _verify_forged(coarse_bundle, tmp_path, capsys, "J9",
-                               lambda doc: doc.update(kind="lemma"))
-    assert code == cli.EXIT_VERIFY
-    assert re.search(r"J9\.json: unknown certificate kind 'lemma'$", err.strip()), err
-
-
-@pytest.mark.parametrize("rid, kind, rows, want", [
-    ("J9", "local-uniqueness", "leaves", "annulus"),
-    ("local", "inequality", "annulus", "leaves"),
-])
-def test_a_file_alone_relabelled_to_the_other_kind_names_the_mismatch(
-        coarse_bundle, tmp_path, capsys, rid, kind, rows, want):
-    # alone, the file is read as the kind it names, whose rows key it lacks;
-    # the rejection names the mismatch, not a missing field
-    code, err = _verify_forged(coarse_bundle, tmp_path, capsys, rid,
-                               lambda doc: doc.update(kind=kind))
-    assert code == cli.EXIT_VERIFY
-    assert re.search(
-        rf"{rid}\.json: bad {kind} certificate: kind '{kind}' does not match its"
-        rf" rows key '{rows}' \(a {kind} certificate has '{want}'\)$", err.strip()), err
-    assert "missing field" not in err
-
-
-@pytest.mark.parametrize("where, message", [
-    ("object", "Expecting value: line 1 column 1 (char 0)"),
-    ("key", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
-    ("colon", "Expecting ':' delimiter: line 1 column 10 (char 9)"),
-], ids=["object", "key", "colon"])
-def test_a_stray_character_in_the_object_syntax_is_rejected(coarse_bundle, tmp_path,
-                                                            capsys, where, message):
-    # the chunked reader walks the object's own syntax; one stray character
-    # in place of the opening "{", of a key's opening quote or of a ":" must
-    # send the text to json.loads, which rejects it
-    forged = _copy(coarse_bundle, tmp_path)
-    path = forged / "J9.json"
-    text = path.read_text()
-    assert text.startswith('{"format": ')
-    at = {"object": 0, "key": 1, "colon": 9}[where]
-    path.write_text(text[:at] + "x" + text[at + 1:])
-    code = cli.main(["verify", str(path)])
-    err = capsys.readouterr().err
-    assert code == cli.EXIT_VERIFY
-    assert err.strip() == f"REJECT: {path}: not valid JSON ({message})", err
-
-
-# ---------------------------------------------------------------------------
-# controls for the bundle checker: every file verifies, and only the
-# manifest is forged; each rejection names manifest.json
+# manifests that still verify: what the bundle checker compares without.
+# Every rejection of `verify` is a row of CONTROLS in
+# tests/test_verifier_mutations.py
 
 
 def _verify_manifest_forged(bundle, tmp_path, capsys, forge):
@@ -786,62 +536,7 @@ def _verify_manifest_forged(bundle, tmp_path, capsys, forge):
     path.write_text(json.dumps(manifest, indent=2))
     code = cli.main(["verify", str(forged)])
     captured = capsys.readouterr()
-    return code, captured.out, captured.err.strip(), path
-
-
-_FINGERPRINT = "'f30d235f[0-9a-f]{56}'"
-
-
-def _entry_mismatch(path, piece, said, got, said_fingerprint=_FINGERPRINT):
-    """The message of the manifest entry check, as a regex: the manifest
-    at path says `said` of piece under the fingerprint that
-    said_fingerprint matches, and the piece verifies as `got`."""
-    return (re.escape(f"REJECT: {path}: says {said!r} of {piece}, fingerprint ")
-            + said_fingerprint + re.escape(
-                f"; {path.parent / (piece + '.json')} verifies as {got!r}, fingerprint ")
-            + _FINGERPRINT + "$")
-
-
-@pytest.mark.parametrize("forge", [
-    lambda m: m["config"].pop("delta_b0"),
-    lambda m: m["config"].update(truncation="ten"),
-    lambda m: m.update(config=[0.02, 10.0]),
-], ids=["no-delta", "truncation-text", "config-list"])
-def test_a_manifest_config_without_numeric_cuts_is_rejected(coarse_bundle, tmp_path,
-                                                            capsys, forge):
-    code, out, err, path = _verify_manifest_forged(coarse_bundle, tmp_path, capsys, forge)
-    assert code == cli.EXIT_VERIFY and out == ""
-    assert err == (f"REJECT: {path}: config must give numeric delta_b0"
-                   " and truncation"), err
-
-
-_CONFIG_KEYS = (r"manifest\.json: config must hold exactly the numbers max_box_width,"
-                r" delta_b0, truncation, not \{")
-_WITNESS = r"manifest\.json: solution_witness "
-
-
-@pytest.mark.parametrize("forge, message", [
-    (lambda m: m["config"].update(max_box_width=0.001),
-     r"J1\.json: max_box_width 0\.1 differs from 0\.001 in manifest\.json$"),
-    (lambda m: m["config"].update(delta_b0="0.02"),
-     r"manifest\.json: config must give numeric delta_b0 and truncation$"),
-    (lambda m: m["config"].update(truncation="10"),
-     r"manifest\.json: config must give numeric delta_b0 and truncation$"),
-    (lambda m: m["config"].update(max_box_width=True), _CONFIG_KEYS + r".*: True"),
-    (lambda m: m["config"].update(threads=4), _CONFIG_KEYS + r".*'threads': 4\}$"),
-    (lambda m: m["config"].update(max_depth=48, threads=4), _CONFIG_KEYS + r".*'max_depth'"),
-    (lambda m: m["config"].pop("max_box_width"), _CONFIG_KEYS + r"'delta_b0'"),
-    (lambda m: m["solution_witness"].update(is_solution=False),
-     _WITNESS + r"\{.*'is_solution': False.*\} does not hold the true is_solution, "),
-    (lambda m: m["solution_witness"].pop("y1"), _WITNESS + r"\{.*\} does not hold "),
-    (lambda m: m.pop("solution_witness"), _WITNESS + r"None does not hold "),
-], ids=["width-0.001", "delta-text", "truncation-text", "width-true", "threads",
-        "old-five-key-config", "no-width", "not-a-solution", "witness-without-y1", "no-witness"])
-def test_a_manifest_whose_scope_or_witness_is_not_the_bundles_is_rejected(
-        coarse_bundle, tmp_path, capsys, forge, message):
-    code, out, err, path = _verify_manifest_forged(coarse_bundle, tmp_path, capsys, forge)
-    assert code == cli.EXIT_VERIFY and out == ""
-    assert err.startswith("REJECT: ") and re.search(message, err), err
+    return code, captured.out, captured.err.strip()
 
 
 def test_the_witness_floats_are_informative(coarse_bundle, tmp_path, capsys):
@@ -849,76 +544,9 @@ def test_the_witness_floats_are_informative(coarse_bundle, tmp_path, capsys):
     def forge(m):
         m["solution_witness"].update(pairwise_spread=0.0, y1=1e-300)
 
-    code, out, err, _ = _verify_manifest_forged(coarse_bundle, tmp_path, capsys, forge)
+    code, out, err = _verify_manifest_forged(coarse_bundle, tmp_path, capsys, forge)
     assert code == 0 and err == "", err
     assert sum(line.startswith("ACCEPT ") for line in out.splitlines()) == 17
-
-
-def test_a_manifest_of_another_kind_is_rejected(coarse_bundle, tmp_path, capsys):
-    code, out, err, path = _verify_manifest_forged(
-        coarse_bundle, tmp_path, capsys, lambda m: m.update(kind="inequality"))
-    assert code == cli.EXIT_VERIFY and out == ""
-    assert err == f"REJECT: {path}: kind 'inequality' is not 'manifest'", err
-
-
-@pytest.mark.parametrize("forge", [
-    lambda m: m["regions"].pop("J9"),
-    lambda m: m["regions"].update(J17=m["regions"]["J16"]),
-    lambda m: m.pop("local"),
-    lambda m: m.update(regions=sorted(m["regions"])),
-    lambda m: m["regions"].update(local=m.pop("local")),
-], ids=["J9-missing", "J17-listed", "local-missing", "regions-list", "local-in-regions"])
-def test_a_manifest_that_does_not_list_exactly_the_17_pieces_is_rejected(
-        coarse_bundle, tmp_path, capsys, forge):
-    code, out, err, path = _verify_manifest_forged(coarse_bundle, tmp_path, capsys, forge)
-    assert code == cli.EXIT_VERIFY and out == ""
-    assert err == (f"REJECT: {path}: must list the regions J1..J16 and local,"
-                   " no others"), err
-
-
-def _claims(bundle, piece):
-    """The genuine manifest's entry for piece, without its stats."""
-    manifest = json.loads((bundle / "manifest.json").read_text())
-    entry = manifest["local"] if piece == "local" else manifest["regions"][piece]
-    return {k: v for k, v in entry.items() if k != "stats"}
-
-
-@pytest.mark.parametrize("piece, edit", [
-    ("J9", lambda e: dict(e, min_bound=2.0 * e["min_bound"])),
-    ("J9", lambda e: dict(e, leaves=999)),
-    ("J15", lambda e: dict(e, leaves=e["leaves"] + 1)),
-    ("local", lambda e: dict(e, containment_margin=0.5)),
-    ("local", lambda e: dict(e, containment_margin=2.0 * e["containment_margin"])),
-    ("J3", lambda e: 7),
-], ids=["J9-min_bound", "J9-999-leaves", "J15-one-more-leaf", "local-margin-0.5",
-        "local-margin-doubled", "J3-not-an-object"])
-def test_a_manifest_entry_that_differs_from_its_piece_is_rejected(
-        coarse_bundle, tmp_path, capsys, piece, edit):
-    got = _claims(coarse_bundle, piece)
-    said = edit(got)
-
-    def forge(m):
-        (m if piece == "local" else m["regions"])[piece] = said
-
-    code, out, err, path = _verify_manifest_forged(coarse_bundle, tmp_path, capsys, forge)
-    assert code == cli.EXIT_VERIFY and out == ""
-    assert re.match(_entry_mismatch(path, piece, said, got), err), err
-
-
-@pytest.mark.parametrize("fingerprint", ["0" * 64, None], ids=["other", "missing"])
-def test_a_manifest_of_another_fingerprint_is_rejected(coarse_bundle, tmp_path, capsys,
-                                                       fingerprint):
-    def forge(m):
-        if fingerprint is None:
-            del m["fingerprint"]
-        else:
-            m["fingerprint"] = fingerprint
-
-    got = _claims(coarse_bundle, "J1")
-    code, out, err, path = _verify_manifest_forged(coarse_bundle, tmp_path, capsys, forge)
-    assert code == cli.EXIT_VERIFY and out == ""
-    assert re.match(_entry_mismatch(path, "J1", got, got, re.escape(repr(fingerprint))),
-                    err), err
 
 
 def test_a_manifest_with_other_stats_still_verifies(coarse_bundle, tmp_path, capsys):
@@ -927,6 +555,6 @@ def test_a_manifest_with_other_stats_still_verifies(coarse_bundle, tmp_path, cap
         m["regions"]["J9"]["stats"] = {"evaluations": -1}
         del m["regions"]["J15"]["stats"]
 
-    code, out, err, _ = _verify_manifest_forged(coarse_bundle, tmp_path, capsys, forge)
+    code, out, err = _verify_manifest_forged(coarse_bundle, tmp_path, capsys, forge)
     assert code == 0 and err == "", err
     assert sum(line.startswith("ACCEPT ") for line in out.splitlines()) == 17

@@ -1,16 +1,17 @@
 """Every rejection of the certificate verifiers is load-bearing.
 
-Each `raise` statement of the verifier functions (VERIFIERS) of
-starcc.certify and starcc.cli is blanked, one at a time: the module is
-compiled from its source with that statement turned into `pass` and
-loaded under another name, and a certify copy gets a cli copy that
-imports it.  The negative controls (CONTROLS) then run against the copy
-through its `starcc verify`; each is a forged file or bundle (or a
-missing path) that the genuine code refuses with its own exit code and
-message.  A mutant that every control
-still rejects, each with its own message, survives.  The test fails on a
-survivor that is not on the allowlist SURVIVORS and on an allowlisted
-site that no longer survives.
+CONTROLS is the one home of `starcc verify`'s rejections: each row is a
+negative control, a forged file or bundle (or a missing path) that the
+genuine code refuses with the row's exit code, no stdout and a message
+that the row's pattern matches.  Each `raise` statement of the verifier
+functions (VERIFIERS) of starcc.certify and starcc.cli is blanked, one
+at a time: the module is compiled from its source with that statement
+turned into `pass` and loaded under another name, and a certify copy
+gets a cli copy that imports it.  The controls then run against the copy
+through its `starcc verify`.  A mutant that every control still rejects,
+each with its own message, survives.  The test fails on a survivor that
+is not on the allowlist SURVIVORS and on an allowlisted site that no
+longer survives.
 """
 
 import ast
@@ -36,7 +37,7 @@ SRC = Path(cli.__file__).resolve().parent
 VERIFIERS = {
     "certify": ("_parse_leaf_rows", "_decode", "_require", "_check_leaves",
                 "_check_header", "verify_certificate", "_replay",
-                "verify_local_certificate"),
+                "verify_local_certificate", "_check_contraction"),
     "cli": ("_load_payload", "_scan_payload", "_verify_piece", "_verify_bundle",
             "cmd_verify"),
 }
@@ -111,13 +112,15 @@ def _mutant(site: str):
 # the negative controls: forge(genuine, d) writes a forgery under the empty
 # directory d (a copy of the genuine bundle for a bundle control) and
 # returns the path to verify, or (path, patch) where patch maps names of
-# the certify module the verifier runs to the values they take meanwhile
+# the certify module the verifier runs to the values they take meanwhile.
+# A pattern is a regex, or pattern(genuine) gives it
 
 CONTROLS = []
 
 
-def control(pattern: str, code: int = cli.EXIT_VERIFY, bundle: bool = False):
+def control(pattern, code: int = cli.EXIT_VERIFY, bundle: bool = False):
     def register(forge):
+        assert all(forge.__name__ != row[0] for row in CONTROLS), forge.__name__
         CONTROLS.append((forge.__name__, pattern, code, bundle, forge))
         return forge
     return register
@@ -205,20 +208,20 @@ def no_kind(genuine, d):
     return _piece(genuine, d, "J9", lambda doc: doc.pop("kind"))
 
 
-def _stray(at):
+def _stray(at, message):
+    # one stray character in place of the opening "{", of a key's opening
+    # quote or of a ":": the chunked reader sends the text to json.loads
     def forge(genuine, d):
         text = (genuine / "J9.json").read_text()
         assert text.startswith('{"format": ')
         return _write(d / "J9.json", text[:at] + "x" + text[at + 1:])
     forge.__name__ = f"stray_character_at_{at}"
-    return forge
+    control(rf"^REJECT: \S+/J9\.json: not valid JSON \({re.escape(message)}\)$")(forge)
 
 
-control(r"J9\.json: not valid JSON \(Expecting value: line 1 column 1 \(char 0\)\)$")(
-    _stray(0))
-control(r"J9\.json: not valid JSON \(Expecting property name enclosed in double quotes")(
-    _stray(1))
-control(r"J9\.json: not valid JSON \(Expecting ':' delimiter")(_stray(9))
+_stray(0, "Expecting value: line 1 column 1 (char 0)")
+_stray(1, "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)")
+_stray(9, "Expecting ':' delimiter: line 1 column 10 (char 9)")
 
 
 @control(r"J9\.json: not valid JSON \(Extra data")
@@ -244,6 +247,12 @@ def other_format(genuine, d):
          r" match its rows key 'leaves' \(a local-uniqueness certificate has 'annulus'\)$")
 def region_relabelled_local(genuine, d):
     return _piece(genuine, d, "J9", lambda doc: doc.update(kind="local-uniqueness"))
+
+
+@control(r"local\.json: bad inequality certificate: kind 'inequality' does not match its"
+         r" rows key 'annulus' \(a inequality certificate has 'leaves'\)$")
+def local_relabelled_inequality(genuine, d):
+    return _piece(genuine, d, "local", lambda doc: doc.update(kind="inequality"))
 
 
 @control(r"J9\.json: bad inequality certificate: missing field 'plan'$")
@@ -417,7 +426,7 @@ def local_margin_doubled(genuine, d):
         containment_margin=(2.0 * float.fromhex(doc["containment_margin"])).hex()))
 
 
-@control(r"^REJECT: stored containment margin is not positive$")
+@control(r"^REJECT: Krawczyk image not strictly contained \(margin -1\.\d{3}e-02\)$")
 def local_evidence_that_does_not_contract(genuine, d):
     # the real evidence on an inner box ten times wider
     evidence = certify._contraction_evidence(0.02, certify.SUBDIVISION)
@@ -425,12 +434,20 @@ def local_evidence_that_does_not_contract(genuine, d):
     return _local_with(genuine, d, evidence)
 
 
-@control(r"^REJECT: stored Jacobian determinant encloses zero$")
+def _genuine_evidence(**changes) -> dict:
+    return dict(certify._contraction_evidence(certify.INNER_DELTA, certify.SUBDIVISION),
+                **changes)
+
+
+@control(r"^REJECT: Jacobian enclosure det \[-1\.0, 1\.0\] contains 0$")
 def local_singular_jacobian(genuine, d):
-    evidence = dict(certify._contraction_evidence(certify.INNER_DELTA,
-                                                  certify.SUBDIVISION),
-                    det_jacobian=(-1.0, 1.0))
-    return _local_with(genuine, d, evidence)
+    return _local_with(genuine, d, _genuine_evidence(det_jacobian=(-1.0, 1.0)))
+
+
+@control(r"^REJECT: center residual 2\.000e-10 > 1e-10$")
+def local_residual_above_tolerance(genuine, d):
+    return _local_with(genuine, d, _genuine_evidence(
+        posteriori_residual=2.0 * certify._POSTERIORI_TOL))
 
 
 # -- a piece alone or in its bundle slot (cli._verify_piece, cli.cmd_verify) ----
@@ -451,29 +468,78 @@ def unknown_kind(genuine, d):
     return _piece(genuine, d, "J9", lambda doc: doc.update(kind="lemma"))
 
 
+def _in_bundle(forge, pattern):
+    """The control whose J9.json, made by the file control forge, sits in
+    its slot of the bundle copy."""
+    def in_bundle(genuine, d):
+        forge(genuine, d)
+        return d
+    in_bundle.__name__ = f"{forge.__name__}_in_bundle"
+    control(r"^REJECT: \S+/J9\.json: " + pattern, bundle=True)(in_bundle)
+
+
+_in_bundle(seventh_entry_in_row_3, r"bad inequality certificate: row 3 is not \[r3_lo")
+_in_bundle(no_plan, r"bad inequality certificate: missing field 'plan'$")
+_in_bundle(not_utf8, r"not valid UTF-8 \(")
+_in_bundle(other_format, r"unsupported format 'starcc-certificate/2'/'inequality'$")
+# alone, the file is read as the kind it names; the J9 slot is read as a
+# region certificate, and only the kind differs
+_in_bundle(region_relabelled_local,
+           r"unsupported format 'starcc-certificate/1'/'local-uniqueness'$")
+
+
+def _in_step(d: Path, rid: str) -> Path:
+    """d after its manifest's entry for region rid is made what d/<rid>.json
+    says, as a forger would."""
+    cert = certify.Certificate.from_payload(_load_doc(d / f"{rid}.json"))
+    return _manifest(d, lambda m: m["regions"][rid].update(certify._summary(cert)))
+
+
 @control(r"J1\.json: holds region J2$", bundle=True)
 def region_in_another_slot(genuine, d):
+    # J1 proved by nobody; J2 verified twice
     shutil.copy(d / "J2.json", d / "J1.json")
-    return d
+    return _in_step(d, "J1")
 
 
-@control(r"J9\.json: J9 records \(delta_b0, truncation\) \(0\.02, 1\.5\);", bundle=True)
+@control(r"J9\.json: J9 records \(delta_b0, truncation\) \(0\.02, 1\.5\); the manifest's"
+         r" delta 0\.02 and truncation 10\.0 require \(0\.02, 10\.0\)$", bundle=True)
 def region_truncated_below_the_manifest(genuine, d):
+    # J9 above r5 = 1.5 proved by nobody
     cert = certify.certify_inequality("J9", max_box_width=0.1, truncation=1.5)
+    assert certify.verify_certificate(cert)
     _write(d / "J9.json", cert.to_json())
-    return d
+    return _in_step(d, "J9")
 
 
-@control(r"local\.json: window half-width 0\.005 differs from the manifest's delta_b0",
-         bundle=True)
+@control(r"local\.json: window half-width 0\.005 differs from the manifest's delta_b0"
+         r" 0\.02$", bundle=True)
 def local_window_smaller(genuine, d):
-    _write(d / "local.json", certify.certify_local_uniqueness(delta=0.005).to_json())
+    # leaves 0.005 < |r - 1| < 0.02 proved by nobody; the manifest's entry
+    # (margin and residual) does not depend on the window
+    cert = certify.certify_local_uniqueness(delta=0.005)
+    assert certify.verify_local_certificate(cert)
+    _write(d / "local.json", cert.to_json())
     return d
 
 
 @control(r"J1\.json: max_box_width 0\.1 differs from 0\.001 in manifest\.json$", bundle=True)
 def manifest_box_width_below_the_pieces(genuine, d):
     return _manifest(d, lambda m: m["config"].update(max_box_width=0.001))
+
+
+@control(r"^REJECT: J16: box .* at bisection depth 16 holds no leaf$", bundle=True)
+def j16_narrowest_leaf_dropped(genuine, d):
+    # every bound still verifies; min_bound and the manifest are kept in step
+    def drop(doc):
+        rows = doc["leaves"]
+        width = [max(float.fromhex(r[1]) - float.fromhex(r[0]),
+                     float.fromhex(r[3]) - float.fromhex(r[2])) for r in rows]
+        del rows[width.index(min(width))]
+        doc["min_bound"] = min(float.fromhex(r[5]) for r in rows).hex()
+
+    _piece(genuine, d, "J16", drop)
+    return _in_step(d, "J16")
 
 
 # -- the manifest (cli._verify_bundle) -----------------------------------------
@@ -487,38 +553,107 @@ def no_manifest(genuine, d):
     return bundle
 
 
-@control(r"manifest\.json: kind 'inequality' is not 'manifest'$", bundle=True)
-def manifest_of_another_kind(genuine, d):
-    return _manifest(d, lambda m: m.update(kind="inequality"))
+def _entry(manifest: dict, piece: str):
+    """What manifest says of piece, without the informative stats."""
+    entry = manifest["local"] if piece == "local" else manifest["regions"][piece]
+    if isinstance(entry, dict):
+        entry = {k: v for k, v in entry.items() if k != "stats"}
+    return entry
 
 
-@control(r"manifest\.json: config must give numeric delta_b0 and truncation$",
-         bundle=True)
-def manifest_config_without_delta(genuine, d):
-    return _manifest(d, lambda m: m["config"].pop("delta_b0"))
+def _says(piece: str):
+    """The message of the entry check at piece: the forged manifest's entry
+    and fingerprint, then the genuine ones, which the piece verifies as."""
+    return lambda genuine, forged, d: (
+        f"says {_entry(forged, piece)!r} of {piece}, fingerprint"
+        f" {forged.get('fingerprint')!r}; {d / piece}.json verifies as"
+        f" {_entry(genuine, piece)!r}, fingerprint {genuine['fingerprint']!r}")
 
 
-@control(r"manifest\.json: config must hold exactly the numbers max_box_width, delta_b0,"
-         r" truncation, not \{.*'threads': 2\}$", bundle=True)
-def manifest_config_with_threads(genuine, d):
-    return _manifest(d, lambda m: m["config"].update(threads=2))
+def _witness(genuine, forged, d):
+    return (f"solution_witness {forged.get('solution_witness')!r} does not hold the true"
+            " is_solution, gap_enclosures_contain_zero, y1_enclosure_contains_zero"
+            f" recomputed here: {certify._solution_witness()!r}")
 
 
-@control(r"manifest\.json: solution_witness \{.*'is_solution': False.*\} does not hold"
-         r" the true is_solution, ", bundle=True)
-def manifest_witness_not_a_solution(genuine, d):
-    return _manifest(d, lambda m: m["solution_witness"].update(is_solution=False))
+_CONFIG = "config must hold exactly the numbers max_box_width, delta_b0, truncation, not "
+_LISTING = "must list the regions J1..J16 and local, no others"
 
 
-@control(r"manifest\.json: must list the regions J1\.\.J16 and local, no others$",
-         bundle=True)
-def manifest_listing_j17(genuine, d):
-    return _manifest(d, lambda m: m["regions"].update(J17=m["regions"]["J16"]))
+def _manifest_control(name: str, edit, message):
+    """The bundle control `name` whose manifest.json is the genuine one after
+    edit, rejected with "REJECT: <its path>: " and message, or
+    message(genuine, forged, d) of the two manifests and the bundle d."""
+    def forge(genuine, d):
+        return _manifest(d, edit)
+
+    def pattern(genuine):
+        d, text = genuine.parent / name, message
+        if callable(message):
+            forged = _load_doc(genuine / "manifest.json")
+            edit(forged)
+            text = message(_load_doc(genuine / "manifest.json"), forged, d)
+        return "^" + re.escape(f"REJECT: {d / 'manifest.json'}: {text}") + "$"
+
+    forge.__name__ = name
+    control(pattern, bundle=True)(forge)
 
 
-@control(r"manifest\.json: says \{'min_bound': .*, 'leaves': 999\} of J1,", bundle=True)
-def manifest_leaf_count(genuine, d):
-    return _manifest(d, lambda m: m["regions"]["J1"].update(leaves=999))
+for _name, _edit, _message in (
+    ("manifest_of_another_kind", lambda m: m.update(kind="inequality"),
+     "kind 'inequality' is not 'manifest'"),
+    ("manifest_of_another_format", lambda m: m.update(format="starcc-certificate/0"),
+     "format 'starcc-certificate/0' is not 'starcc-certificate/1'"),
+    ("manifest_verdict_several_solutions", lambda m: m.update(verdict="SEVERAL-SOLUTIONS"),
+     "verdict 'SEVERAL-SOLUTIONS' is not 'UNIQUE-IN-WINDOW'"),
+    ("manifest_verdict_none", lambda m: m.update(verdict=None),
+     "verdict None is not 'UNIQUE-IN-WINDOW'"),
+    ("manifest_config_without_delta", lambda m: m["config"].pop("delta_b0"),
+     _CONFIG + "{'max_box_width': 0.1, 'truncation': 10.0}"),
+    ("manifest_config_without_width", lambda m: m["config"].pop("max_box_width"),
+     _CONFIG + "{'delta_b0': 0.02, 'truncation': 10.0}"),
+    ("manifest_config_with_threads", lambda m: m["config"].update(threads=2),
+     _CONFIG + "{'max_box_width': 0.1, 'delta_b0': 0.02, 'truncation': 10.0, 'threads': 2}"),
+    ("manifest_old_five_key_config", lambda m: m["config"].update(max_depth=48, threads=4),
+     _CONFIG + "{'max_box_width': 0.1, 'delta_b0': 0.02, 'truncation': 10.0,"
+     " 'max_depth': 48, 'threads': 4}"),
+    ("manifest_config_as_a_list", lambda m: m.update(config=[0.02, 10.0]),
+     _CONFIG + "[0.02, 10.0]"),
+    ("manifest_delta_as_text", lambda m: m["config"].update(delta_b0="0.02"),
+     _CONFIG + "{'max_box_width': 0.1, 'delta_b0': '0.02', 'truncation': 10.0}"),
+    ("manifest_truncation_as_text", lambda m: m["config"].update(truncation="10"),
+     _CONFIG + "{'max_box_width': 0.1, 'delta_b0': 0.02, 'truncation': '10'}"),
+    ("manifest_truncation_as_a_word", lambda m: m["config"].update(truncation="ten"),
+     _CONFIG + "{'max_box_width': 0.1, 'delta_b0': 0.02, 'truncation': 'ten'}"),
+    ("manifest_width_true", lambda m: m["config"].update(max_box_width=True),
+     _CONFIG + "{'max_box_width': True, 'delta_b0': 0.02, 'truncation': 10.0}"),
+    ("manifest_witness_not_a_solution",
+     lambda m: m["solution_witness"].update(is_solution=False), _witness),
+    ("manifest_witness_without_y1", lambda m: m["solution_witness"].pop("y1"), _witness),
+    ("manifest_without_witness", lambda m: m.pop("solution_witness"), _witness),
+    ("manifest_listing_j17", lambda m: m["regions"].update(J17=m["regions"]["J16"]),
+     _LISTING),
+    ("manifest_without_j9", lambda m: m["regions"].pop("J9"), _LISTING),
+    ("manifest_without_local", lambda m: m.pop("local"), _LISTING),
+    ("manifest_regions_as_a_list", lambda m: m.update(regions=sorted(m["regions"])),
+     _LISTING),
+    ("manifest_local_among_the_regions",
+     lambda m: m["regions"].update(local=m.pop("local")), _LISTING),
+    ("manifest_leaf_count", lambda m: m["regions"]["J1"].update(leaves=999), _says("J1")),
+    ("manifest_j9_min_bound_doubled", lambda m: m["regions"]["J9"].update(
+        min_bound=2.0 * m["regions"]["J9"]["min_bound"]), _says("J9")),
+    ("manifest_j15_one_more_leaf", lambda m: m["regions"]["J15"].update(
+        leaves=m["regions"]["J15"]["leaves"] + 1), _says("J15")),
+    ("manifest_j3_not_an_object", lambda m: m["regions"].update(J3=7), _says("J3")),
+    ("manifest_local_margin_half", lambda m: m["local"].update(containment_margin=0.5),
+     _says("local")),
+    ("manifest_local_margin_doubled", lambda m: m["local"].update(
+        containment_margin=2.0 * m["local"]["containment_margin"]), _says("local")),
+    ("manifest_of_another_fingerprint", lambda m: m.update(fingerprint="0" * 64),
+     _says("J1")),
+    ("manifest_without_fingerprint", lambda m: m.pop("fingerprint"), _says("J1")),
+):
+    _manifest_control(_name, _edit, _message)
 
 
 # ---------------------------------------------------------------------------
@@ -526,14 +661,14 @@ def manifest_leaf_count(genuine, d):
 
 @pytest.fixture(scope="module")
 def controls(tmp_path_factory):
-    """(name, path, pattern, code, patch) of every control, on one genuine
+    """name: (path, pattern, code, patch) of every control, on one genuine
     bundle at width 0.1."""
     root = tmp_path_factory.mktemp("mutations")
     genuine = root / "genuine"
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["certify", "all", "--width", "0.1", "--threads", "2",
                          "--output", str(genuine)]) == 0
-    built = []
+    built = {}
     for name, pattern, code, bundle, forge in CONTROLS:
         d = root / name
         if bundle:
@@ -542,24 +677,32 @@ def controls(tmp_path_factory):
             d.mkdir()
         made = forge(genuine, d)
         path, patch = made if isinstance(made, tuple) else (made, {})
-        built.append((name, path, pattern, code, patch))
+        built[name] = (path, pattern(genuine) if callable(pattern) else pattern, code, patch)
     return built
 
 
-def _passes(cli_module, control) -> bool:
-    """Whether `verify` of cli_module rejects the control's forgery with its
-    exit code and message."""
-    _, path, pattern, code, patch = control
+def _verify(cli_module, control) -> tuple:
+    """Exit code, stdout and stderr of `verify` of cli_module on the
+    control's forgery."""
+    path, _, _, patch = control
     verifier = sys.modules[cli_module.verify_certificate.__module__]
     saved = {key: getattr(verifier, key) for key in patch}
     vars(verifier).update(patch)
-    err = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             got = cli_module.main(["verify", str(path)])
     finally:
         vars(verifier).update(saved)
-    return got == code and re.search(pattern, err.getvalue().strip()) is not None
+    return got, out.getvalue(), err.getvalue().strip()
+
+
+def _passes(control, outcome) -> bool:
+    """Whether outcome (_verify) is the control's rejection: its exit code,
+    no stdout and its message."""
+    _, pattern, code, _ = control
+    got, out, err = outcome
+    return (got, out) == (code, "") and re.search(pattern, err) is not None
 
 
 @pytest.fixture
@@ -568,9 +711,10 @@ def one_cpu(monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: 1)
 
 
-def test_every_control_is_rejected_with_its_message(controls, one_cpu):
-    failed = [c[0] for c in controls if not _passes(cli, c)]
-    assert not failed, failed
+@pytest.mark.parametrize("name", [row[0] for row in CONTROLS])
+def test_every_control_is_rejected_with_its_message(controls, one_cpu, name):
+    outcome = _verify(cli, controls[name])
+    assert _passes(controls[name], outcome), outcome
 
 
 def test_the_sites_cover_every_verifier_function():
@@ -585,6 +729,6 @@ def test_blanking_any_raise_fails_a_control(controls, one_cpu):
     survivors = []
     for site in _sites():
         with _mutant(site) as mutant:
-            if all(_passes(mutant, c) for c in controls):
+            if all(_passes(c, _verify(mutant, c)) for c in controls.values()):
                 survivors.append(site)
     assert set(survivors) == set(SURVIVORS), survivors
