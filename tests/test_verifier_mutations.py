@@ -190,7 +190,7 @@ def _local_with(genuine: Path, d: Path, evidence: dict):
 # -- reading a file (cli._load_payload, cli._scan_payload) ---------------------
 
 
-@control(r"J9\.json: not valid UTF-8 \(")
+@control(r"^REJECT: \S+/J9\.json: not valid UTF-8 \(")
 def not_utf8(genuine, d):
     path = shutil.copy(genuine / "J9.json", d)
     with open(path, "ab") as fh:
@@ -198,12 +198,12 @@ def not_utf8(genuine, d):
     return path
 
 
-@control(r"J9\.json: not valid JSON \(Unterminated string")
+@control(r"^REJECT: \S+/J9\.json: not valid JSON \(Unterminated string")
 def cut_short(genuine, d):
     return _write(d / "J9.json", (genuine / "J9.json").read_text()[:-20])
 
 
-@control(r"J9\.json: missing 'kind' discriminator$")
+@control(r"^REJECT: \S+/J9\.json: missing 'kind' discriminator$")
 def no_kind(genuine, d):
     return _piece(genuine, d, "J9", lambda doc: doc.pop("kind"))
 
@@ -224,7 +224,7 @@ _stray(1, "Expecting property name enclosed in double quotes: line 1 column 2 (c
 _stray(9, "Expecting ':' delimiter: line 1 column 10 (char 9)")
 
 
-@control(r"J9\.json: not valid JSON \(Extra data")
+@control(r"^REJECT: \S+/J9\.json: not valid JSON \(Extra data")
 def trailing_text(genuine, d):
     return _write(d / "J9.json", (genuine / "J9.json").read_text() + " x")
 
@@ -232,30 +232,31 @@ def trailing_text(genuine, d):
 # -- decoding a piece (certify._decode, certify._parse_leaf_rows) --------------
 
 
-@control(r"J9\.json: bad inequality certificate: row 3 is not \[r3_lo")
+@control(r"^REJECT: \S+/J9\.json: bad inequality certificate: row 3 is not \[r3_lo")
 def seventh_entry_in_row_3(genuine, d):
     return _piece(genuine, d, "J9",
                   lambda doc: doc["leaves"][3].append(doc["leaves"][3][0]))
 
 
-@control(r"J9\.json: unsupported format 'starcc-certificate/2'/'inequality'$")
+@control(r"^REJECT: \S+/J9\.json: unsupported format 'starcc-certificate/2'/'inequality'$")
 def other_format(genuine, d):
     return _piece(genuine, d, "J9", lambda doc: doc.update(format="starcc-certificate/2"))
 
 
-@control(r"J9\.json: bad local-uniqueness certificate: kind 'local-uniqueness' does not"
-         r" match its rows key 'leaves' \(a local-uniqueness certificate has 'annulus'\)$")
+@control(r"^REJECT: \S+/J9\.json: bad local-uniqueness certificate: kind 'local-uniqueness'"
+         r" does not match its rows key 'leaves' \(a local-uniqueness certificate has"
+         r" 'annulus'\)$")
 def region_relabelled_local(genuine, d):
     return _piece(genuine, d, "J9", lambda doc: doc.update(kind="local-uniqueness"))
 
 
-@control(r"local\.json: bad inequality certificate: kind 'inequality' does not match its"
-         r" rows key 'annulus' \(a inequality certificate has 'leaves'\)$")
+@control(r"^REJECT: \S+/local\.json: bad inequality certificate: kind 'inequality' does not"
+         r" match its rows key 'annulus' \(a inequality certificate has 'leaves'\)$")
 def local_relabelled_inequality(genuine, d):
     return _piece(genuine, d, "local", lambda doc: doc.update(kind="inequality"))
 
 
-@control(r"J9\.json: bad inequality certificate: missing field 'plan'$")
+@control(r"^REJECT: \S+/J9\.json: bad inequality certificate: missing field 'plan'$")
 def no_plan(genuine, d):
     return _piece(genuine, d, "J9", lambda doc: doc.pop("plan"))
 
@@ -286,6 +287,12 @@ def width_out_of_range(genuine, d):
 @control(r"^REJECT: J4: records delta_b0 .* but the cut rule records")
 def bounded_region_truncated(genuine, d):
     return _piece(genuine, d, "J4", lambda doc: doc.update(truncation=(10.0).hex()))
+
+
+@control(r"^REJECT: J15: J15: truncation 2\.0 leaves the empty box"
+         r" \(\S+, \S+, \S+, 2\.0\)$")
+def header_truncated_below_the_floor(genuine, d):
+    return _piece(genuine, d, "J15", lambda doc: doc.update(truncation=(2.0).hex()))
 
 
 @control(r"^REJECT: J7: excluded .* is not the square of delta_b0")
@@ -327,7 +334,8 @@ def merged_siblings(genuine, d):
     return _piece(genuine, d, "J7", merge)
 
 
-@control(r"^REJECT: J9: leaf 3 at .* recomputes to")
+@control(r"^REJECT: J9: leaf 3 at r3=\[\S+, \S+\], r5=\[\S+, \S+\]: stored bound \S+"
+         r" recomputes to \S+$")
 def tampered_bound(genuine, d):
     def double(doc):
         row = doc["leaves"][3]
@@ -453,17 +461,18 @@ def local_residual_above_tolerance(genuine, d):
 # -- a piece alone or in its bundle slot (cli._verify_piece, cli.cmd_verify) ----
 
 
-@control(r"^error: no such file or directory: ", code=cli.EXIT_DOMAIN)
+@control(r"^error: no such file or directory: \S+/J9\.json$", code=cli.EXIT_DOMAIN)
 def missing_path(genuine, d):
     return d / "J9.json"
 
 
-@control(r"manifest\.json: manifests are verified as part of their bundle directory$")
+@control(r"^REJECT: \S+/manifest\.json: manifests are verified as part of their bundle"
+         r" directory$")
 def manifest_alone(genuine, d):
     return genuine / "manifest.json"
 
 
-@control(r"J9\.json: unknown certificate kind 'lemma'$")
+@control(r"^REJECT: \S+/J9\.json: unknown certificate kind 'lemma'$")
 def unknown_kind(genuine, d):
     return _piece(genuine, d, "J9", lambda doc: doc.update(kind="lemma"))
 
@@ -495,15 +504,16 @@ def _in_step(d: Path, rid: str) -> Path:
     return _manifest(d, lambda m: m["regions"][rid].update(certify._summary(cert)))
 
 
-@control(r"J1\.json: holds region J2$", bundle=True)
+@control(r"^REJECT: \S+/J1\.json: holds region J2$", bundle=True)
 def region_in_another_slot(genuine, d):
     # J1 proved by nobody; J2 verified twice
     shutil.copy(d / "J2.json", d / "J1.json")
     return _in_step(d, "J1")
 
 
-@control(r"J9\.json: J9 records \(delta_b0, truncation\) \(0\.02, 1\.5\); the manifest's"
-         r" delta 0\.02 and truncation 10\.0 require \(0\.02, 10\.0\)$", bundle=True)
+@control(r"^REJECT: \S+/J9\.json: J9 records \(delta_b0, truncation\) \(0\.02, 1\.5\); the"
+         r" manifest's delta 0\.02 and truncation 10\.0 require \(0\.02, 10\.0\)$",
+         bundle=True)
 def region_truncated_below_the_manifest(genuine, d):
     # J9 above r5 = 1.5 proved by nobody
     cert = certify.certify_inequality("J9", max_box_width=0.1, truncation=1.5)
@@ -512,8 +522,8 @@ def region_truncated_below_the_manifest(genuine, d):
     return _in_step(d, "J9")
 
 
-@control(r"local\.json: window half-width 0\.005 differs from the manifest's delta_b0"
-         r" 0\.02$", bundle=True)
+@control(r"^REJECT: \S+/local\.json: window half-width 0\.005 differs from the manifest's"
+         r" delta_b0 0\.02$", bundle=True)
 def local_window_smaller(genuine, d):
     # leaves 0.005 < |r - 1| < 0.02 proved by nobody; the manifest's entry
     # (margin and residual) does not depend on the window
@@ -523,7 +533,8 @@ def local_window_smaller(genuine, d):
     return d
 
 
-@control(r"J1\.json: max_box_width 0\.1 differs from 0\.001 in manifest\.json$", bundle=True)
+@control(r"^REJECT: \S+/J1\.json: max_box_width 0\.1 differs from 0\.001 in"
+         r" manifest\.json$", bundle=True)
 def manifest_box_width_below_the_pieces(genuine, d):
     return _manifest(d, lambda m: m["config"].update(max_box_width=0.001))
 
@@ -545,7 +556,7 @@ def j16_narrowest_leaf_dropped(genuine, d):
 # -- the manifest (cli._verify_bundle) -----------------------------------------
 
 
-@control(r": no manifest\.json$")
+@control(r"^REJECT: \S+/bundle: no manifest\.json$")
 def no_manifest(genuine, d):
     bundle = d / "bundle"
     bundle.mkdir()
@@ -564,16 +575,19 @@ def _entry(manifest: dict, piece: str):
 def _says(piece: str):
     """The message of the entry check at piece: the forged manifest's entry
     and fingerprint, then the genuine ones, which the piece verifies as."""
-    return lambda genuine, forged, d: (
-        f"says {_entry(forged, piece)!r} of {piece}, fingerprint"
-        f" {forged.get('fingerprint')!r}; {d / piece}.json verifies as"
-        f" {_entry(genuine, piece)!r}, fingerprint {genuine['fingerprint']!r}")
+    return lambda genuine, forged: (
+        re.escape(f"says {_entry(forged, piece)!r} of {piece}, fingerprint"
+                  f" {forged.get('fingerprint')!r}; ")
+        + rf"\S+/{piece}\.json"
+        + re.escape(f" verifies as {_entry(genuine, piece)!r},"
+                    f" fingerprint {genuine['fingerprint']!r}"))
 
 
-def _witness(genuine, forged, d):
-    return (f"solution_witness {forged.get('solution_witness')!r} does not hold the true"
-            " is_solution, gap_enclosures_contain_zero, y1_enclosure_contains_zero"
-            f" recomputed here: {certify._solution_witness()!r}")
+def _witness(genuine, forged):
+    return re.escape(
+        f"solution_witness {forged.get('solution_witness')!r} does not hold the true"
+        " is_solution, gap_enclosures_contain_zero, y1_enclosure_contains_zero"
+        f" recomputed here: {certify._solution_witness()!r}")
 
 
 _CONFIG = "config must hold exactly the numbers max_box_width, delta_b0, truncation, not "
@@ -582,18 +596,19 @@ _LISTING = "must list the regions J1..J16 and local, no others"
 
 def _manifest_control(name: str, edit, message):
     """The bundle control `name` whose manifest.json is the genuine one after
-    edit, rejected with "REJECT: <its path>: " and message, or
-    message(genuine, forged, d) of the two manifests and the bundle d."""
+    edit, rejected with "REJECT: <its path>: " and message: a text, or the
+    regex message(genuine, forged) of the two manifests."""
     def forge(genuine, d):
         return _manifest(d, edit)
 
     def pattern(genuine):
-        d, text = genuine.parent / name, message
-        if callable(message):
-            forged = _load_doc(genuine / "manifest.json")
+        if isinstance(message, str):
+            regex = re.escape(message)
+        else:
+            manifest, forged = (_load_doc(genuine / "manifest.json") for _ in range(2))
             edit(forged)
-            text = message(_load_doc(genuine / "manifest.json"), forged, d)
-        return "^" + re.escape(f"REJECT: {d / 'manifest.json'}: {text}") + "$"
+            regex = message(manifest, forged)
+        return rf"^REJECT: \S+/manifest\.json: {regex}$"
 
     forge.__name__ = name
     control(pattern, bundle=True)(forge)
