@@ -42,9 +42,9 @@ bisection from the cover the header implies to check that the leaves tile
 it exactly (_check_leaves, _replay).  A certificate file is exactly
 json.dumps(to_payload()), whose rows _leaf_rows builds; _write_json
 writes the same bytes to a file without a Python string per endpoint,
-_BLOCK rows at a time, through the numpy float.hex() encoder _hex_bytes
-and the row joiner _leaf_rows_json, and to_json is _write_json into a
-string.
+_WRITE_ROWS rows at a time, through the numpy float.hex() encoder
+_hex_bytes and the row joiner _leaf_rows_json, and to_json is _write_json
+into a string.
 
 Every rule a certificate header obeys is stated once, here, and the
 certifier, the verifier and the CLI all call it:
@@ -394,6 +394,10 @@ def _hex_tables():
 
 
 _HEX_WIDTH = 24  # len("-0x1.fffffffffffffp+1023")
+# rows per block of _write_json: a block's byte matrix, mask and text
+# copies peak at about 420 bytes a row, so a block stays small beside the
+# 127 bytes a row takes in the file
+_WRITE_ROWS = 2048
 
 
 def _hex_bytes(x, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -438,13 +442,13 @@ def _form_codes(forms) -> np.ndarray:
 
 
 def _leaf_rows_json(lo3, hi3, lo5, hi5, forms, bounds) -> str:
-    """json.dumps(_leaf_rows(...)), byte for byte, without building a
-    Python string per endpoint.
+    """json.dumps(_leaf_rows(...)) between its brackets, byte for byte,
+    without building a Python string per endpoint.
 
     Each row is laid out in one byte matrix: '["', the four hex endpoints
-    separated by '", "', the form, '", "', the hex bound and '"], '.  The
-    hex pad bytes are then dropped and the last ', ' becomes the closing
-    ']'.  A label outside _FORMS raises ValueError (_form_codes)."""
+    separated by '", "', the form, '", "', the hex bound and '"], ', with
+    the last row's ', ' left out.  The hex pad bytes are then dropped.  A
+    label outside _FORMS raises ValueError (_form_codes)."""
     labels = _form_codes(forms)
     sep = np.frombuffer(b'", "', dtype=np.uint8)
     rows = np.empty((labels.size, 2 + 5 * (_HEX_WIDTH + 4) + 1 + 4), dtype=np.uint8)
@@ -459,8 +463,8 @@ def _leaf_rows_json(lo3, hi3, lo5, hi5, forms, bounds) -> str:
     at += 5
     _hex_bytes(bounds, rows[:, at : at + _HEX_WIDTH])
     rows[:, at + _HEX_WIDTH :] = np.frombuffer(b'"], ', dtype=np.uint8)
-    body = rows[rows != 0].tobytes().decode("ascii")
-    return "[" + body[:-2] + "]"
+    rows[-1:, -2:] = 0  # the last row ends at its "]"
+    return rows[rows != 0].tobytes().decode("ascii")
 
 
 def _json_with(payload: dict, key: str, text: str) -> str:
@@ -475,16 +479,16 @@ def _json_with(payload: dict, key: str, text: str) -> str:
 def _write_json(fh, cert) -> None:
     """Write json.dumps(cert.to_payload()), byte for byte, to the text file
     fh: the header from _json_with around the rows key cert._ROWS, and the
-    rows in blocks of _BLOCK (_leaf_rows_json of each block, joined by
+    rows in blocks of _WRITE_ROWS (_leaf_rows_json of each block, joined by
     ", "), so that no text of the whole certificate is built."""
     # json.dumps escapes every control character, so the one NUL is the rows'
     head, tail = _json_with(cert._payload(None), cert._ROWS, "\0").split("\0")
     leaves = cert._leaves()
     fh.write(head + "[")
-    for start in range(0, len(leaves[0]), _BLOCK):
+    for start in range(0, len(leaves[0]), _WRITE_ROWS):
         if start:
             fh.write(", ")
-        fh.write(_leaf_rows_json(*(a[start : start + _BLOCK] for a in leaves))[1:-1])
+        fh.write(_leaf_rows_json(*(a[start : start + _WRITE_ROWS] for a in leaves)))
     fh.write("]" + tail)
 
 
@@ -1081,9 +1085,12 @@ def _check_header(c: Certificate) -> None:
     w = c.max_box_width
     try:
         _check_cuts(w, c.delta_b0, c.truncation)
-        cells = _grid_cells(c.region, w, c.truncation)
     except (TypeError, ValueError) as exc:
         raise MalformedCertificate(f"{c.region}: {exc}") from exc
+    try:
+        cells = _grid_cells(c.region, w, c.truncation)
+    except ValueError as exc:  # Region.bbox names the region
+        raise MalformedCertificate(str(exc)) from exc
     want = recorded_cuts(c.region, c.delta_b0, c.truncation)
     if want != (c.delta_b0, c.truncation):
         raise MalformedCertificate(

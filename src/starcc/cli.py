@@ -58,7 +58,6 @@ from .forces import (
     residual_vector,
 )
 from .geometry import GRID_CAP, DomainError, _check_tolerance
-from .kernel import _BLOCK
 from .pool import _fan_out
 from .regions import REGION_IDS, TRUNCATION_R5, region_def, region_plan
 from .solver import grid_scan
@@ -246,86 +245,166 @@ def cmd_certify(args) -> int:
 _scan_once = json.JSONDecoder().scan_once
 _ws = json.decoder.WHITESPACE.match
 # the top-level arrays of leaf rows (under certify._ROWS_KEYS), read in
-# chunks of about _CHUNK_ROWS rows: the lists and strings json.loads makes
-# of a row take about 480 bytes, so a chunk takes less than the whole
-# text, which reading the file held twice (bytes and str) already
-_CHUNK_ROWS = _BLOCK // 2
+# chunks of about _CHUNK_ROWS rows: a row as written takes 127 bytes of
+# text, and json.loads makes about 470 bytes of lists and strings of it,
+# so a chunk's text and lists stay small beside the 44 bytes of leaf
+# arrays that each row of the file is read into
+_CHUNK_ROWS = 512
+# the reader takes text from the file _READ_CHARS characters at a time,
+# and more at once only where the next chunk of rows reaches further
+_READ_CHARS = 1 << 16
 
 
-def _scan_rows(text: str, at: int):
-    """_parse_leaf_rows of the JSON array that opens at text[at], and the
-    index just past it.
+class _Text:
+    """The text of an open file, read as far as a search or a scan needs.
+
+    text holds what has been read and not yet let go of (a reader lets
+    go of a prefix by slicing text); every index is into text.  A search
+    reads as far as it must look, and then, like a scan, as much again as
+    it has looked at each time, so a long value costs O(its length)."""
+
+    def __init__(self, fh):
+        self.fh, self.text, self.eof = fh, "", False
+
+    def more(self, n: int) -> bool:
+        """Read max(n, _READ_CHARS) more characters, or the rest of the
+        file; False once nothing is left."""
+        block = self.fh.read(max(n, _READ_CHARS))
+        self.text += block
+        self.eof = not block
+        return not self.eof
+
+    def find(self, sub: str, start: int) -> int:
+        """text.find(sub, start), with text read as far as the first such
+        sub, or to the end of the file (-1)."""
+        at = start
+        while (found := self.text.find(sub, at)) < 0:
+            at = max(start, len(self.text) - len(sub) + 1)
+            short = start + len(sub) - len(self.text)
+            if not self.more(short if short > 0 else len(self.text) - start):
+                return -1
+        return found
+
+    def ws(self, at: int) -> int:
+        """The end of the JSON whitespace at text[at:], read as far as it
+        goes."""
+        start = at
+        while (at := _ws(self.text, at).end()) == len(self.text) \
+                and self.more(at - start):
+            pass
+        return at
+
+    def scan(self, scan, at: int):
+        """scan(text, at) of a (value, end) scanner of the value at
+        text[at], with text read as far as the value goes: while the scan
+        raises, or ends within two characters of the end of the text, it
+        runs again on more text, until the file ends.  A number can go on
+        after such an end: "1." and "1e+" end at "1" until "5" follows."""
+        while True:
+            try:
+                value, end = scan(self.text, at)
+                if end + 2 < len(self.text) or self.eof:
+                    return value, end
+            except (ValueError, StopIteration):  # not JSON, or no value
+                if self.eof:
+                    raise
+            self.more(len(self.text) - at)
+
+
+def _scan_rest(text: str, at: int):
+    """_scan_once("[" + text[at:]): the array whose rows (after its "[" or
+    a cut) begin at text[at], and the index just past it in text."""
+    rows, end = _scan_once("[" + text[at:], 0)
+    return rows, at - 1 + end
+
+
+def _joined(parts: list) -> tuple:
+    """The arrays of parts (_parse_leaf_rows tuples), each joined across
+    them.  parts is emptied, and each array's pieces go once it is joined,
+    so the rows are held about once, not twice."""
+    columns = list(zip(*parts))
+    parts.clear()
+    return tuple(np.concatenate(columns.pop(0)) for _ in range(len(columns)))
+
+
+def _scan_rows(t: _Text, at: int):
+    """_parse_leaf_rows of the JSON array that opens at t.text[at], and the
+    index in t.text just past it.
 
     The array is cut after a row's "]" wherever "], [" follows, about
     every _CHUNK_ROWS rows (as wide as the first), and each piece goes
-    through json.loads("[" + piece + "]") and _parse_leaf_rows at once;
-    the rest goes through _scan_once("[" + rest), which also finds where
-    the array ends.  A piece that is not JSON ends the cutting, and the
-    rest starts where it did: a piece that runs past the array's end holds
-    the next member's '"key":', so it never parses, and one that parses
-    lies inside the array.  When every piece is an array, joining the
-    pieces with the cut commas gives the whole array, by the JSON grammar,
-    so the arrays are those of _parse_leaf_rows(json.loads(array)).
+    through json.loads("[" + piece + "]") and _parse_leaf_rows at once, and
+    its text is let go of; the rest goes through _scan_rest, which also finds
+    where the array ends.  A piece that is not JSON ends the cutting, and
+    the rest starts where it did: a piece that runs past the array's end
+    holds the next member's '"key":', so it never parses, and one that
+    parses lies inside the array.  When every piece is an array, joining
+    the pieces with the cut commas gives the whole array, by the JSON
+    grammar, so the arrays are those of _parse_leaf_rows(json.loads(array)).
     Raises what _parse_leaf_rows or the rest raises."""
     pos = at + 1
-    first = text.find("], [", pos)
+    first = t.find("], [", pos)
     stride = max((_CHUNK_ROWS - 1) * (first + 3 - pos), 0)
     parts = []
-    while (cut := text.find("], [", pos + stride)) >= 0:
+    while (cut := t.find("], [", pos + stride)) >= 0:
         try:  # only json.loads raises JSONDecodeError
-            parts.append(_parse_leaf_rows(json.loads("[" + text[pos : cut + 1] + "]")))
+            parts.append(_parse_leaf_rows(json.loads("[" + t.text[pos : cut + 1] + "]")))
         except json.JSONDecodeError:
             break
-        pos = cut + 2
-    rows, end = _scan_once("[" + text[pos:], 0)
+        t.text, pos = t.text[cut + 2 :], 0
+    rows, end = t.scan(_scan_rest, pos)
     parts.append(_parse_leaf_rows(rows))
-    return tuple(map(np.concatenate, zip(*parts))), pos - 1 + end
+    return _joined(parts), end
 
 
-def _scan_payload(text: str) -> dict:
-    """json.loads(text) for a JSON object with at least one key, the arrays
-    under its top-level _ROWS_KEYS read by _scan_rows.  The object is
-    walked as json.decoder.JSONObject walks it (of two equal keys the last
-    wins, in the first one's place); anything else raises, including every
-    text that json.loads rejects."""
-    end = _ws(text, 0).end()
-    if text[end : end + 1] != "{":
+def _scan_payload(t: _Text) -> dict:
+    """json.loads of the whole file for a JSON object with at least one
+    key, the arrays under its top-level _ROWS_KEYS read by _scan_rows.  The
+    object is walked as json.decoder.JSONObject walks it (of two equal
+    keys the last wins, in the first one's place); anything else raises,
+    including every text that json.loads rejects."""
+    end = t.ws(0)
+    if t.text[end : end + 1] != "{":
         raise ValueError("not an object")
     payload: dict = {}
     sep = ","
     while sep == ",":
-        end = _ws(text, end + 1).end()
-        if text[end : end + 1] != '"':
+        end = t.ws(end + 1)
+        if t.text[end : end + 1] != '"':
             raise ValueError("expected a key")
-        key, end = json.decoder.scanstring(text, end + 1)
-        end = _ws(text, end).end()
-        if text[end : end + 1] != ":":
+        key, end = t.scan(json.decoder.scanstring, end + 1)
+        end = t.ws(end)
+        if t.text[end : end + 1] != ":":
             raise ValueError("expected ':'")
-        end = _ws(text, end + 1).end()
-        if key in _ROWS_KEYS and text[end : end + 1] == "[":
-            payload[key], end = _scan_rows(text, end)
+        end = t.ws(end + 1)
+        if key in _ROWS_KEYS and t.text[end : end + 1] == "[":
+            payload[key], end = _scan_rows(t, end)
         else:
-            payload[key], end = _scan_once(text, end)
-        end = _ws(text, end).end()
-        sep = text[end : end + 1]
-    if sep != "}" or _ws(text, end + 1).end() != len(text):
+            payload[key], end = t.scan(_scan_once, end)
+        end = t.ws(end)
+        sep = t.text[end : end + 1]
+    if sep != "}" or t.ws(end + 1) != len(t.text):
         raise ValueError("expected ',' or '}' and nothing after it")
     return payload
 
 
 def _load_payload(path: str) -> dict:
-    """The JSON object in the file at path, its top-level leaf rows already
-    parsed when _scan_payload reads it; on any error in that reader,
-    json.loads(text) with the rows left as lists, so that every rejection
-    keeps the plain path's message."""
+    """The JSON object in the file at path, read by _scan_payload a block at
+    a time, its top-level leaf rows already parsed; on any error in that
+    reader, json.loads of the whole text with the rows left as lists, so
+    that every rejection keeps the plain path's message (a byte that is
+    not UTF-8 is named at its place in the file)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise MalformedCertificate(f"{path}: not valid UTF-8 ({exc})") from exc
-    try:
-        payload = _scan_payload(text)
+            payload = _scan_payload(_Text(fh))
     except Exception:  # the plain path below names the defect
+        payload = None
+    if payload is None:  # out of the handler, whose traceback holds the reader
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise MalformedCertificate(f"{path}: not valid UTF-8 ({exc})") from exc
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -253,7 +253,8 @@ class Region:
         r3lo, r3hi, r5lo, r5hi = self.edges
         if r5hi == _CUT:
             if truncation is None:
-                raise TruncationRequired("unbounded region: pass a truncation r5 bound")
+                raise TruncationRequired(
+                    f"{self.id}: unbounded region: pass a truncation r5 bound")
             r5hi = float(truncation)
         if r3hi == _SLANT:
             r3hi = float((_GOLDEN["2/a"][1] * r5hi + _IV1).hi)
@@ -264,7 +265,8 @@ class Region:
 
         Raises TruncationRequired for an unbounded region without a
         truncation, and ValueError when the hull is empty or inverted, as
-        it is for an unbounded region truncated at or below its r5 floor."""
+        it is for an unbounded region truncated at or below its r5 floor;
+        both messages begin with the region id."""
         box = self._hull(truncation)
         if not (box[0] < box[1] and box[2] < box[3]):
             raise ValueError(

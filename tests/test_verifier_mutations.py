@@ -289,10 +289,15 @@ def bounded_region_truncated(genuine, d):
     return _piece(genuine, d, "J4", lambda doc: doc.update(truncation=(10.0).hex()))
 
 
-@control(r"^REJECT: J15: J15: truncation 2\.0 leaves the empty box"
+@control(r"^REJECT: J15: truncation 2\.0 leaves the empty box"
          r" \(\S+, \S+, \S+, 2\.0\)$")
 def header_truncated_below_the_floor(genuine, d):
     return _piece(genuine, d, "J15", lambda doc: doc.update(truncation=(2.0).hex()))
+
+
+@control(r"^REJECT: J15: unbounded region: pass a truncation r5 bound$")
+def header_without_truncation(genuine, d):
+    return _piece(genuine, d, "J15", lambda doc: doc.update(truncation=None))
 
 
 @control(r"^REJECT: J7: excluded .* is not the square of delta_b0")
