@@ -71,6 +71,7 @@ import hashlib
 import io
 import json
 import math
+import mmap
 import os
 import time
 from contextlib import closing, nullcontext, suppress
@@ -1350,8 +1351,9 @@ def _certify_piece(piece: str, cfg: RunConfig, spool: Optional[str] = None):
     built).  Given a spool directory, it saves the six arrays of
     cert._leaves() one after another with np.save to <spool>/<piece>.npy
     and returns the certificate with those six fields None, which
-    _unspool fills again; so no JSON text and no leaf array crosses the
-    pool."""
+    _unspool fills again with views of a copy-on-write map of that file;
+    so no JSON text and no leaf array crosses the pool, and the caller
+    reads no leaf until it is used."""
     if piece == "local":
         cert = certify_local_uniqueness(delta=cfg.delta_b0)
     else:
@@ -1375,11 +1377,29 @@ def _certify_piece(piece: str, cfg: RunConfig, spool: Optional[str] = None):
 
 def _unspool(spool: str, piece: str, cert):
     """cert, returned by _certify_piece(piece, cfg, spool), with its leaf
-    arrays read back from <spool>/<piece>.npy as plain writeable arrays
-    of the dtypes they were saved with; the file is deleted."""
+    arrays mapped from <spool>/<piece>.npy: one private (copy-on-write)
+    mmap per file, and each array a writeable np.frombuffer view of it
+    with the dtype and bytes it was saved with.  Only the np.save headers
+    are read here; a leaf page is read in when something reads it, so
+    counting leaves (n_leaves, .size) reads none.  An array that follows
+    an odd number of "<U1" forms starts at 4 mod 8 and is not aligned,
+    which numpy reads all the same.  The file is deleted; its pages stay
+    allocated until the last of the six arrays is freed, and on
+    Python < 3.13 the map holds a duplicate descriptor of the deleted
+    file until then."""
     path = os.path.join(spool, f"{piece}.npy")
+    leaves = []
     with open(path, "rb") as fh:
-        leaves = [np.load(fh) for _ in cert._LEAVES]
+        buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+        for _ in cert._LEAVES:
+            version = np.lib.format.read_magic(fh)
+            read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                           else np.lib.format.read_array_header_2_0)
+            shape, fortran_order, dtype = read_header(fh)
+            count = math.prod(shape)
+            leaves.append(np.frombuffer(buf, dtype, count, fh.tell()).reshape(
+                shape, order="F" if fortran_order else "C"))
+            fh.seek(count * dtype.itemsize, os.SEEK_CUR)
     os.remove(path)
     return replace(cert, **dict(zip(cert._LEAVES, leaves)))
 
@@ -1400,11 +1420,16 @@ def certify_all(config: Optional[RunConfig] = None) -> CertificationManifest:
 
     When the run forks (pool._forks), each job saves its leaf arrays to a
     spool directory that tempfile makes (prefix "starcc-", under TMPDIR
-    when that is writable), and they are read back here in job order
-    (_unspool), so no JSON text and no leaf array crosses the pool.  The
-    directory is removed once the pool has closed, after a failure too.
-    A spool that cannot be made raises tempfile's OSError, which names the
-    path.  In process no spool is made.
+    when that is writable), and each file is mapped copy-on-write here in
+    job order and deleted (_unspool), so no JSON text and no leaf array
+    crosses the pool, and no leaf page is read until something reads it:
+    counting leaves reads none.  A deleted file's pages stay allocated
+    (on a tmpfs TMPDIR, as memory) until the manifest's arrays are freed,
+    and on Python < 3.13 each map holds a duplicate descriptor of its
+    file until then, 17 for a live manifest.  The directory is removed
+    once the pool has closed, after a failure too.  A spool that cannot
+    be made raises tempfile's OSError, which names the path.  In process
+    no spool is made.
 
     Given cfg.output_dir, the job that certifies a piece writes it there,
     and any manifest.json there is removed before the first job starts, so

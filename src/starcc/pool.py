@@ -71,8 +71,9 @@ def _fan_out(fn: Callable, jobs: Sequence[tuple], workers: int,
     Three callers share the pool, and none of their results depends on
     the worker count: certify_all (one job per region and one for the
     local certificate, each writing its own file when given a directory
-    and its leaf arrays to certify_all's spool directory, so that no JSON
-    text and no leaf array crosses the pool), the CLI's bundle verifier
+    and its leaf arrays to certify_all's spool directory, which the caller
+    maps copy-on-write and reads no leaf of until it is used, so that no
+    JSON text and no leaf array crosses the pool), the CLI's bundle verifier
     (one job per file) and grid_scan (one contiguous chunk of Newton
     lanes per worker).  A pool still costs about 0.1 s to start and
     join, so the scan gives each worker at least kernel._BLOCK lanes

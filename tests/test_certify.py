@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import math
+import mmap
 import os
 import re
 import signal
@@ -8,6 +10,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from contextlib import suppress
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -891,6 +894,49 @@ def test_a_forked_run_hands_back_the_leaf_arrays_of_the_in_process_run(
             assert got.tobytes() == want.tobytes(), piece
     assert [a.dtype.str for a in two["J1"]._leaves()] == ["<f8"] * 4 + ["<U1", "<f8"]
     assert two["local"].ann_form.dtype.str == "<U1"
+    # each piece's six arrays are views of one copy-on-write map of its file
+    for piece, cert in two.items():
+        maps = [_map_of(a) for a in cert._leaves()]
+        assert isinstance(maps[0], mmap.mmap) and all(m is maps[0] for m in maps), piece
+    got, want = two["J15"].bounds, one["J15"].bounds
+    saved, first = want.tobytes(), got[0]
+    try:
+        got[0] = -first
+        assert got[0] == -first and want.tobytes() == saved
+    finally:
+        got[0] = first
+
+
+def _map_of(array):
+    """The object at the end of array's chain of bases."""
+    while isinstance(array, np.ndarray):
+        array = array.base
+    return array.obj if isinstance(array, memoryview) else array
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_forked_manifest_holds_one_descriptor_per_piece_until_freed(monkeypatch, spools):
+    # a map keeps a duplicate descriptor of its deleted spool file
+    def descriptors():
+        out = []
+        for fd in os.listdir("/proc/self/fd"):
+            with suppress(FileNotFoundError):  # listdir's own descriptor
+                out.append(os.readlink(f"/proc/self/fd/{fd}"))
+        return out
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    before = descriptors()
+    manifest = certify_all(RunConfig(max_box_width=0.1, threads=2))
+    [spool] = [os.path.realpath(p) for p in spools if Path(p).name.startswith("starcc-")]
+    during = descriptors()
+    held = sorted(t for t in during if t.startswith(spool))
+    assert held == sorted(f"{os.path.join(spool, p)}.npy (deleted)"
+                          for p in ("local",) + regions.REGION_IDS)
+    assert len(during) == len(before) + len(held)
+    del manifest
+    gc.collect()
+    after = descriptors()
+    assert len(after) == len(before) and not any(t.startswith(spool) for t in after)
 
 
 def _without_wall_time(cert) -> dict:
@@ -917,6 +963,24 @@ def test_a_job_given_a_spool_saves_its_leaf_arrays_and_returns_none_for_them(
     back = certify._unspool(str(tmp_path), piece, got)
     assert _without_wall_time(back) == _without_wall_time(want)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_unspool_maps_every_array_np_save_writes(tmp_path):
+    # the dtypes the pieces save, a 2-D array in Fortran order, a version
+    # 2.0 header, and an empty last array, whose offset is the map's end
+    arrays = [np.arange(3.0), np.array(list("ab+-"), dtype="<U1"),
+              np.asfortranarray(np.arange(6.0).reshape(2, 3)), np.array(-0.0),
+              np.array([], dtype="<U1"), np.array([], dtype="<f8")]
+    cert = certify._certify_piece("J4", RunConfig(max_box_width=0.1), str(tmp_path))
+    with open(tmp_path / "J4.npy", "wb") as fh:
+        for i, a in enumerate(arrays):
+            np.lib.format.write_array(fh, a, version=(2, 0) if i == 3 else (1, 0))
+    back = certify._unspool(str(tmp_path), "J4", cert)
+    assert list(tmp_path.iterdir()) == []
+    for want, got in zip(arrays, back._leaves()):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes() and got.flags.writeable
+    assert isinstance(_map_of(back.lo3), mmap.mmap) and _map_of(back.bounds) is _map_of(back.lo3)
 
 
 @pytest.fixture
