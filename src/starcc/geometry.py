@@ -31,8 +31,6 @@ from __future__ import annotations
 import math
 import numbers
 
-import numpy as np
-
 SQRT5 = math.sqrt(5.0)
 A = SQRT5 + 1.0
 B = SQRT5 - 1.0
@@ -72,7 +70,6 @@ def nz() -> float:
 # (1/rho, 1/rho^2) are the increments of the R2 sequence, the 2-D Kronecker
 # sequence with the best known uniformity.
 PLASTIC = 1.32471795724474602596
-_R2_STEP = np.array([1.0 / PLASTIC, 1.0 / PLASTIC**2])
 
 
 # Most points or cells one array may hold: quasi-random points, plot grids
@@ -88,12 +85,15 @@ def quasi_points(n: int, seed: int) -> np.ndarray:
     points depend only on (k, seed), so a longer run extends a shorter one.
     Scan starts and the partition audit draw from here.  Raises
     DomainError (a ValueError) unless n and seed are integers >= 0 (not
-    bools, _check_count) and n <= GRID_CAP.
+    bools, _check_count) and n <= GRID_CAP.  numpy is imported here, the
+    one user in this module, so that geometry and kernel load without it.
     """
+    import numpy as np
+
     _check_count("point count", n)
     _check_count("seed", seed)
     if n > GRID_CAP:
         raise DomainError(f"{n} quasi-random points asked for; at most {GRID_CAP}")
     shift = np.random.default_rng(seed).random(2)
     k = np.arange(1, int(n) + 1, dtype=float)[:, None]
-    return (shift + k * _R2_STEP) % 1.0
+    return (shift + k * np.array([1.0 / PLASTIC, 1.0 / PLASTIC**2])) % 1.0

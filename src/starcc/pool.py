@@ -14,8 +14,12 @@ from typing import Callable, Iterator, Sequence
 # (trim, mmap) thresholds of glibc's malloc in the process collecting a
 # pool's results.  glibc raises its mmap threshold to the size of each
 # large block freed; _COLLECT (its initial values) maps each result array
-# the caller unpickles on its own, which keeps the scan benchmark's peak
-# RSS at 47.6-47.8 MB, not 48.8-49.5 MB (10 pairs, 2 vCPUs).  It is set
+# the caller unpickles on its own.  Of the three callers only grid_scan
+# gets arrays back: certify_all's jobs return certificates without their
+# leaf arrays (they come as maps of the spool files) and the bundle
+# verifier's jobs return none, so around their pools the thresholds act
+# on nothing.  They stay for the scan, whose benchmark peak RSS they keep
+# at 47.6-47.8 MB, not 48.8-49.5 MB (10 pairs, 2 vCPUs).  _COLLECT is set
 # after the workers fork, as it makes their numpy kernel 2.5 times
 # slower.  _COMPUTE (the ceiling of the sliding values on a 64-bit build)
 # is set when the pool ends.

@@ -25,15 +25,12 @@ from starcc.certify import (
     CertificationRefuted,
     ContractionFailure,
     CoverageGap,
-    LeafBoundViolation,
     LocalUniquenessCertificate,
     MalformedCertificate,
     RunConfig,
     _batch_bounds,
-    _bisect,
     _contraction_evidence,
     _hex_bytes,
-    _replay,
     build_fingerprint,
     certify_all,
     certify_inequality,
@@ -104,25 +101,6 @@ def test_leaves_are_sorted_canonically(j4_cert):
     assert np.array_equal(order, np.arange(j4_cert.n_leaves()))
 
 
-def test_tampered_bound_is_rejected(j4_cert):
-    payload = json.loads(j4_cert.to_json())
-    row = payload["leaves"][3]
-    row[5] = (float.fromhex(row[5]) * 1.5).hex()
-    bad = Certificate.from_payload(payload)
-    with pytest.raises((LeafBoundViolation, ValueError)):
-        verify_certificate(bad)
-
-
-def test_dropped_leaf_breaks_coverage(j9_cert):
-    payload = json.loads(j9_cert.to_json())
-    del payload["leaves"][10]
-    # min_bound might still match, so recompute it honestly
-    payload["min_bound"] = min(float.fromhex(r[5]) for r in payload["leaves"]).hex()
-    bad = Certificate.from_payload(payload)
-    with pytest.raises(CoverageGap):
-        verify_certificate(bad)
-
-
 def test_verifiers_take_only_their_certificate_class(j4_cert, local_cert):
     # a payload dict or its JSON text is refused: callers parse it with
     # from_payload first
@@ -132,56 +110,6 @@ def test_verifiers_take_only_their_certificate_class(j4_cert, local_cert):
         for raw in (text, json.loads(text), other):
             with pytest.raises(MalformedCertificate, match="cannot interpret"):
                 verify(raw)
-
-
-def test_wrong_fingerprint_is_rejected(j4_cert):
-    payload = json.loads(j4_cert.to_json())
-    payload["fingerprint"] = "0" * 64
-    bad = Certificate.from_payload(payload)
-    with pytest.raises(ValueError):
-        verify_certificate(bad)
-
-
-def test_local_certificate_with_another_fingerprint_is_rejected(local_cert):
-    payload = json.loads(local_cert.to_json())
-    payload["fingerprint"] = "0" * 64
-    bad = LocalUniquenessCertificate.from_payload(payload)
-    with pytest.raises(MalformedCertificate, match="fingerprint does not match"):
-        verify_local_certificate(bad)
-
-
-def test_min_bound_one_ulp_above_the_leaf_minimum_is_rejected(j4_cert):
-    payload = json.loads(j4_cert.to_json())
-    payload["min_bound"] = math.nextafter(j4_cert.min_bound, math.inf).hex()
-    bad = Certificate.from_payload(payload)
-    with pytest.raises(LeafBoundViolation, match="min_bound does not equal the leaf minimum"):
-        verify_certificate(bad)
-
-
-def test_two_sibling_leaves_merged_into_their_parent_are_rejected():
-    # J7's first two leaves are the halves of one box; that box, stored as
-    # a leaf with its true (negative) bound, recomputes bit for bit and
-    # tiles the cover, so only the sign of the stored bound is wrong
-    cert = certify_inequality("J7", max_box_width=0.1)
-    payload = json.loads(cert.to_json())
-    first, second = payload["leaves"][:2]
-    parent = [float.fromhex(v) for v in first[:2] + [first[2], second[3]]]
-    halves = _bisect(*(np.array([v]) for v in parent))
-    assert [h.tolist() for h in halves] == [
-        [float.fromhex(row[k]) for row in (first, second)] for k in range(4)]
-    lo, _, form, _ = _batch_bounds(region_plan("J7"), *(np.array([v]) for v in parent))
-    assert -0.31 < lo[0] < -0.30
-    payload["leaves"][:2] = [[v.hex() for v in parent] + [str(form[0]), lo[0].hex()]]
-    payload["min_bound"] = min(float.fromhex(r[5]) for r in payload["leaves"]).hex()
-    with pytest.raises(LeafBoundViolation, match="finite and positive"):
-        verify_certificate(Certificate.from_payload(payload))
-
-
-def test_truncated_payload_is_malformed(j4_cert):
-    payload = json.loads(j4_cert.to_json())
-    del payload["leaves"]
-    with pytest.raises(MalformedCertificate):
-        Certificate.from_payload(payload)
 
 
 def test_reversed_orientation_refutes():
@@ -326,15 +254,6 @@ def test_j16_single_pair_certifies_with_margin(j16_cert):
     assert j16_cert.stats["max_depth"] <= 16
     assert j16_cert.min_bound > 1e-7
     assert verify_certificate(j16_cert)
-
-
-def test_leaf_with_a_y1_form_is_rejected(j16_cert):
-    # a |y1| statement is not a form any plan certifies; the reader refuses
-    # it before the verifier recomputes a bound
-    payload = json.loads(j16_cert.to_json())
-    payload["leaves"][0][4] = "y+"
-    with pytest.raises(MalformedCertificate, match="row 0"):
-        Certificate.from_payload(payload)
 
 
 @pytest.mark.parametrize("edit", [
@@ -538,12 +457,6 @@ def test_every_single_leaf_deletion_is_a_coverage_gap(j5_cert):
             verify_certificate(bad)
 
 
-def test_duplicated_leaf_is_a_coverage_gap(j5_cert):
-    bad = _with_rows(j5_cert, lambda rows: rows[:4] + [rows[3]] + rows[4:])
-    with pytest.raises(CoverageGap, match="shares its terminal box"):
-        verify_certificate(bad)
-
-
 @pytest.mark.parametrize("edge", [0, 1, 2, 3])
 def test_leaf_edge_moved_by_one_ulp_is_a_coverage_gap(j5_cert, edge):
     def nudge(rows):
@@ -564,141 +477,9 @@ def test_leaf_edge_moved_by_one_ulp_is_a_coverage_gap(j5_cert, edge):
         verify_certificate(bad)
 
 
-def _resigned(cert, edit):
-    """Certificate whose leaf rows are edit(rows), with every bound and form
-    recomputed and positive, so that the bound check passes and only the
-    coverage replay can object."""
-    bad = _with_rows(cert, edit)
-    lo, _, form, _ = _batch_bounds(region_plan(cert.region), *bad._leaves()[:4])
-    assert np.all(lo > 0.0)
-    bad.bounds, bad.forms, bad.min_bound = lo, form, float(lo.min())
-    return bad
-
-
-def _cells_of(cert):
-    """Per leaf, the four edges of the initial cover cell it nests in."""
-    cover = np.array(cover_arrays(cert.region, cert.max_box_width, cert.truncation,
-                                  cert.delta_b0))
-    leaves = np.array(cert._leaves()[:4])
-    inside = ((leaves[0][:, None] >= cover[0]) & (leaves[1][:, None] <= cover[1])
-              & (leaves[2][:, None] >= cover[2]) & (leaves[3][:, None] <= cover[3]))
-    assert np.all(inside.sum(axis=1) == 1)
-    return cover[:, inside.argmax(axis=1)]
-
-
-def _grow(row, edge):
-    """Move one edge of a leaf row outward by one ulp."""
-    toward = -math.inf if edge % 2 == 0 else math.inf
-    row[edge] = math.nextafter(float.fromhex(row[edge]), toward).hex()
-
-
-def test_flat_leaf_is_a_coverage_gap(j5_cert):
-    def flatten(rows):
-        rows[7][1] = rows[7][0]  # r3 = [lo, lo]
-        return rows
-
-    with pytest.raises(CoverageGap, match="leaf 7 .* has an empty interior"):
-        verify_certificate(_resigned(j5_cert, flatten))
-
-
-def test_leaf_in_no_cover_cell_is_a_coverage_gap(j5_cert):
-    # a leaf whose right edge is its cell's, grown by one ulp, reaches into
-    # the next column, so no cell holds it
-    j = int(np.flatnonzero(j5_cert.hi3 == _cells_of(j5_cert)[1])[0])
-
-    def grow(rows):
-        _grow(rows[j], 1)
-        return rows
-
-    with pytest.raises(CoverageGap, match=f"leaf {j} .* lies in no box of the initial cover"):
-        verify_certificate(_resigned(j5_cert, grow))
-
-
-def test_leaf_across_its_split_line_is_a_coverage_gap(j5_cert):
-    # an edge inside the leaf's cell is the line a bisection split an
-    # ancestor along; grown by one ulp, the leaf nests in neither child
-    cells = _cells_of(j5_cert)
-    leaves = j5_cert._leaves()[:4]
-    interior = [leaves[e] != cells[e] for e in range(4)]
-    j, edge = next((j, e) for j in range(j5_cert.n_leaves()) for e in range(4)
-                   if interior[e][j])
-
-    def grow(rows):
-        _grow(rows[j], edge)
-        return rows
-
-    with pytest.raises(CoverageGap, match=f"leaf {j} .* straddles the split of its box"):
-        verify_certificate(_resigned(j5_cert, grow))
-
-
-def test_extra_leaf_outside_the_closure_is_a_coverage_gap(j4_cert):
-    # J4's slanted edge makes the bisection drop some children of the
-    # uncertified initial cells; a leaf on one of them is a stray
-    reg = region_def("J4")
-    cover = cover_arrays("J4", 0.05, None, None)
-    leaves = (j4_cert.lo3, j4_cert.hi3, j4_cert.lo5, j4_cert.hi5)
-    cells = set(zip(*leaves))
-    split = np.array([cell not in cells for cell in zip(*cover)])
-    children = _bisect(*(a[split] for a in cover))
-    dropped = reg.boxes_outside_closure(*children)
-    assert dropped.any()
-    j = int(np.flatnonzero(dropped)[0])
-    _replay(cover, leaves, reg.boxes_outside_closure, "J4")
-    extra = tuple(np.append(a, c[j]) for a, c in zip(leaves, children))
-    with pytest.raises(CoverageGap, match="drops as outside"):
-        _replay(cover, extra, reg.boxes_outside_closure, "J4")
-
-
 def test_editing_a_payload_leaves_the_certificate_alone(j4_cert):
     j4_cert.to_payload()["stats"].pop("wall_seconds")
     assert "wall_seconds" in j4_cert.stats
-
-
-@pytest.mark.parametrize("field, value", [
-    ("max_box_width", (1e-6).hex()),  # a grid far larger than the leaf set
-    ("truncation", (10.0).hex()),     # J4 is bounded
-    ("excluded", [(0.9).hex(), (1.1).hex(), (0.9).hex(), (1.1).hex()]),
-])
-def test_header_that_the_certifier_cannot_write_is_malformed(j4_cert, field, value):
-    payload = json.loads(j4_cert.to_json())
-    payload[field] = value
-    with pytest.raises(MalformedCertificate, match=field):
-        verify_certificate(Certificate.from_payload(payload))
-
-
-@pytest.mark.parametrize("field, value", [
-    ("inner_delta", (0.03).hex()),  # wider than the window
-    ("subdivision", 10**6),         # 10^12 Jacobian lanes
-    ("inner_delta", (0.001).hex()),  # the construction is fixed
-    ("subdivision", 4),
-    ("delta", (0.002).hex()),       # no annulus left
-])
-def test_local_header_out_of_range_is_malformed(local_cert, field, value):
-    payload = json.loads(local_cert.to_json())
-    payload[field] = value
-    with pytest.raises(MalformedCertificate, match=field):
-        verify_local_certificate(LocalUniquenessCertificate.from_payload(payload))
-
-
-@pytest.mark.parametrize("field, pad", [
-    ("center", lambda v: v + ["garbage"]),
-    ("f_center", lambda v: [row + ["garbage"] for row in v]),
-    ("det_jacobian", lambda v: v + [v[-1]]),
-], ids=["center", "f_center", "det_jacobian"])
-def test_padded_local_header_is_malformed(local_cert, field, pad):
-    # every interval entry is exactly a [lo, hi] pair of hex floats
-    payload = json.loads(local_cert.to_json())
-    payload[field] = pad(payload[field])
-    with pytest.raises(MalformedCertificate):
-        verify_local_certificate(LocalUniquenessCertificate.from_payload(payload))
-
-
-def test_dropped_annulus_leaf_is_a_coverage_gap(local_cert):
-    payload = json.loads(local_cert.to_json())
-    del payload["annulus"][1234]
-    bad = LocalUniquenessCertificate.from_payload(payload)
-    with pytest.raises(CoverageGap, match="annulus"):
-        verify_local_certificate(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -726,16 +507,6 @@ def test_local_certificate_round_trip(local_cert):
     back = LocalUniquenessCertificate.from_payload(payload)
     assert back.to_json() == local_cert.to_json()
     assert verify_local_certificate(back)
-
-
-def test_local_tampered_annulus_is_rejected(local_cert):
-    payload = json.loads(local_cert.to_json())
-    row = payload["annulus"][100]
-    assert row[4] == "q"
-    row[4] = "c"
-    bad = LocalUniquenessCertificate.from_payload(payload)
-    with pytest.raises(LeafBoundViolation, match="annulus: leaf 100 .* recomputes to"):
-        verify_local_certificate(bad)
 
 
 def _annulus_pair_bounds(cert):
@@ -793,14 +564,6 @@ def test_the_local_certifier_refuses_evidence_that_fails_the_acceptance_rule(mon
     monkeypatch.setattr(certify, "_contraction_evidence", lambda *args: evidence)
     with pytest.raises(ContractionFailure, match=r"^center residual 2\.000e-10 > 1e-10$"):
         certify_local_uniqueness()
-
-
-def test_local_forged_pair_map_is_rejected(local_cert):
-    payload = json.loads(local_cert.to_json())
-    payload["pair_map"] = ["lambda_11 - lambda_31", "lambda_11 - lambda_22"]
-    bad = LocalUniquenessCertificate.from_payload(payload)
-    with pytest.raises(MalformedCertificate, match="pair_map"):
-        verify_local_certificate(bad)
 
 
 def test_lane_jacobian_equals_hull_of_scalar_jets(local_cert):
@@ -907,6 +670,15 @@ def test_a_forked_run_hands_back_the_leaf_arrays_of_the_in_process_run(
         got[0] = first
 
 
+def test_every_forked_leaf_array_is_aligned(manifest_two_threads):
+    # an odd count of 4-byte forms ends 4 bytes past a multiple of 8; the
+    # spool pads it, so the next array's data is aligned all the same
+    pieces = _pieces(manifest_two_threads)
+    assert any(cert.forms.size % 2 for cert in pieces.values())
+    for piece, cert in pieces.items():
+        assert all(a.flags.aligned for a in cert._leaves()), piece
+
+
 def _map_of(array):
     """The object at the end of array's chain of bases."""
     while isinstance(array, np.ndarray):
@@ -957,6 +729,7 @@ def test_a_job_given_a_spool_saves_its_leaf_arrays_and_returns_none_for_them(
     assert [p.name for p in tmp_path.iterdir()] == [f"{piece}.npy"]
     with open(tmp_path / f"{piece}.npy", "rb") as fh:
         for leaves in want._leaves():
+            assert fh.read(-fh.tell() % certify._SPOOL_ALIGN).strip(b"\0") == b""
             saved = np.load(fh)
             assert saved.dtype == leaves.dtype and saved.tobytes() == leaves.tobytes()
         assert fh.read() == b""
@@ -967,19 +740,21 @@ def test_a_job_given_a_spool_saves_its_leaf_arrays_and_returns_none_for_them(
 
 def test_unspool_maps_every_array_np_save_writes(tmp_path):
     # the dtypes the pieces save, a 2-D array in Fortran order, a version
-    # 2.0 header, and an empty last array, whose offset is the map's end
-    arrays = [np.arange(3.0), np.array(list("ab+-"), dtype="<U1"),
+    # 2.0 header, and an empty last array, whose offset is the map's end;
+    # each header padded to a multiple of _SPOOL_ALIGN, as the pieces are
+    arrays = [np.arange(3.0), np.array(list("abc"), dtype="<U1"),
               np.asfortranarray(np.arange(6.0).reshape(2, 3)), np.array(-0.0),
               np.array([], dtype="<U1"), np.array([], dtype="<f8")]
     cert = certify._certify_piece("J4", RunConfig(max_box_width=0.1), str(tmp_path))
     with open(tmp_path / "J4.npy", "wb") as fh:
         for i, a in enumerate(arrays):
+            fh.write(bytes(-fh.tell() % certify._SPOOL_ALIGN))
             np.lib.format.write_array(fh, a, version=(2, 0) if i == 3 else (1, 0))
     back = certify._unspool(str(tmp_path), "J4", cert)
     assert list(tmp_path.iterdir()) == []
     for want, got in zip(arrays, back._leaves()):
         assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes() and got.flags.writeable
+        assert got.tobytes() == want.tobytes() and got.flags.writeable and got.flags.aligned
     assert isinstance(_map_of(back.lo3), mmap.mmap) and _map_of(back.bounds) is _map_of(back.lo3)
 
 

@@ -201,9 +201,9 @@ def test_pipeline_loads_no_scipy():
 # so a module's import closure is its own dependency graph.
 _IMPORT_CLOSURES = {
     "starcc": ({"starcc"}, {"numpy"}),
-    "geometry": ({"starcc", "starcc.geometry"}, set()),
+    "geometry": ({"starcc", "starcc.geometry"}, {"numpy"}),
     "intervals": ({"starcc", "starcc.intervals"}, set()),
-    "kernel": ({"starcc", "starcc.geometry", "starcc.kernel"}, set()),
+    "kernel": ({"starcc", "starcc.geometry", "starcc.kernel"}, {"numpy"}),
     "forces": (None, set()),
     "regions": (None, set()),
     "pool": (None, set()),

@@ -8,10 +8,12 @@ functions (VERIFIERS) of starcc.certify and starcc.cli is blanked, one
 at a time: the module is compiled from its source with that statement
 turned into `pass` and loaded under another name, and a certify copy
 gets a cli copy that imports it.  The controls then run against the copy
-through its `starcc verify`.  A mutant that every control still rejects,
-each with its own message, survives.  The test fails on a survivor that
-is not on the allowlist SURVIVORS and on an allowlisted site that no
-longer survives.
+through its `starcc verify`, first the controls whose rejection by the
+genuine code passes that raise (_reached).  A mutant that every control
+still rejects, each with its own message, survives.  The test fails on a
+survivor that is not on the allowlist SURVIVORS and on an allowlisted
+site that no longer survives.  The controls pin messages; the exception
+classes the verifiers raise are pinned on a few of their files.
 """
 
 import ast
@@ -19,9 +21,11 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import shutil
 import sys
+import traceback
 import types
 from pathlib import Path
 
@@ -37,7 +41,7 @@ SRC = Path(cli.__file__).resolve().parent
 VERIFIERS = {
     "certify": ("_parse_leaf_rows", "_decode", "_require", "_check_leaves",
                 "_check_header", "verify_certificate", "_replay",
-                "verify_local_certificate", "_check_contraction"),
+                "verify_local_certificate", "_check_window", "_check_contraction"),
     "cli": ("_load_payload", "_scan_payload", "_verify_piece", "_verify_bundle",
             "cmd_verify"),
 }
@@ -65,10 +69,12 @@ def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
                 if isinstance(n, ast.FunctionDef) and n.name == name)
 
 
-def _sites() -> list:
+def _sites() -> dict:
+    """Each raise site: the (module name, line) of its raise statement."""
     trees = _trees()
-    return [f"{m}.{name}#{k}" for m, names in VERIFIERS.items() for name in names
-            for k in range(len(_raises(_function(trees[m], name))))]
+    return {f"{m}.{name}#{k}": (f"starcc.{m}", node.lineno)
+            for m, names in VERIFIERS.items() for name in names
+            for k, node in enumerate(_raises(_function(trees[m], name)))}
 
 
 class _Blank(ast.NodeTransformer):
@@ -427,6 +433,29 @@ def local_center(genuine, d):
                   lambda doc: doc.update(center=[(1.5).hex(), (0.5).hex()]))
 
 
+@control(r"^REJECT: pair_map \('lambda_11 - lambda_31', 'lambda_11 - lambda_22'\) is not"
+         r" the fixed \('lambda_11 - lambda_31', 'lambda_11 - lambda_51'\)$")
+def local_pair_map(genuine, d):
+    return _piece(genuine, d, "local", lambda doc: doc.update(
+        pair_map=["lambda_11 - lambda_31", "lambda_11 - lambda_22"]))
+
+
+@control(r"^REJECT: inner_delta 0\.001 is not the fixed 0\.002$")
+def local_inner_delta(genuine, d):
+    return _piece(genuine, d, "local", lambda doc: doc.update(inner_delta=(0.001).hex()))
+
+
+@control(r"^REJECT: subdivision 4 is not the fixed 8$")
+def local_subdivision(genuine, d):
+    return _piece(genuine, d, "local", lambda doc: doc.update(subdivision=4))
+
+
+@control(r"^REJECT: window half-width delta 0\.002 outside \(0\.002, 0\.5\)$")
+def local_window_at_the_inner_box(genuine, d):
+    # no annulus left around the inner box
+    return _piece(genuine, d, "local", lambda doc: doc.update(delta=(0.002).hex()))
+
+
 @control(r"^REJECT: local certificate field f_center .* is not shaped like")
 def local_padded_f_center(genuine, d):
     return _piece(genuine, d, "local", lambda doc: doc.update(
@@ -461,6 +490,25 @@ def local_singular_jacobian(genuine, d):
 def local_residual_above_tolerance(genuine, d):
     return _local_with(genuine, d, _genuine_evidence(
         posteriori_residual=2.0 * certify._POSTERIORI_TOL))
+
+
+# -- the annulus (verify_local_certificate's _check_leaves) --------------------
+
+
+@control(r"^REJECT: annulus: leaf 100 at r3=\[\S+, \S+\], r5=\[\S+, \S+\]: stored bound"
+         r" \S+/c recomputes to \S+/q$")
+def annulus_form_flipped(genuine, d):
+    def flip(doc):
+        row = doc["annulus"][100]
+        assert row[4] == "q"
+        row[4] = "c"
+
+    return _piece(genuine, d, "local", flip)
+
+
+@control(r"^REJECT: annulus: box .* at bisection depth \d+ holds no leaf$")
+def annulus_leaf_dropped(genuine, d):
+    return _piece(genuine, d, "local", lambda doc: doc["annulus"].pop(1234))
 
 
 # -- a piece alone or in its bundle slot (cli._verify_piece, cli.cmd_verify) ----
@@ -701,20 +749,48 @@ def controls(tmp_path_factory):
     return built
 
 
+@contextlib.contextmanager
+def _patched(cli_module, patch: dict):
+    """The control's patch applied to the certify module cli_module runs."""
+    verifier = sys.modules[cli_module.verify_certificate.__module__]
+    saved = {key: getattr(verifier, key) for key in patch}
+    vars(verifier).update(patch)
+    try:
+        yield
+    finally:
+        vars(verifier).update(saved)
+
+
 def _verify(cli_module, control) -> tuple:
     """Exit code, stdout and stderr of `verify` of cli_module on the
     control's forgery."""
     path, _, _, patch = control
-    verifier = sys.modules[cli_module.verify_certificate.__module__]
-    saved = {key: getattr(verifier, key) for key in patch}
-    vars(verifier).update(patch)
     out, err = io.StringIO(), io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            got = cli_module.main(["verify", str(path)])
-    finally:
-        vars(verifier).update(saved)
+    with _patched(cli_module, patch), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        got = cli_module.main(["verify", str(path)])
     return got, out.getvalue(), err.getvalue().strip()
+
+
+def _reached(control, sites: dict) -> set:
+    """The raise sites of the genuine verifier that the control's rejection
+    passes: every frame of each exception on its __cause__ chain whose
+    line is a raise statement of sites (_sites)."""
+    path, _, _, patch = control
+    verify = cli._verify_bundle if os.path.isdir(path) else cli._verify_piece
+    where = {line: site for site, line in sites.items()}
+    error = None
+    with _patched(cli, patch):
+        try:
+            verify(str(path))  # as cmd_verify calls it
+        except Exception as exc:
+            error = exc
+    reached = set()
+    while error is not None:
+        reached.update(where.get((frame.f_globals["__name__"], line))
+                       for frame, line in traceback.walk_tb(error.__traceback__))
+        error = error.__cause__
+    return reached - {None}
 
 
 def _passes(control, outcome) -> bool:
@@ -746,9 +822,33 @@ def test_the_sites_cover_every_verifier_function():
 
 
 def test_blanking_any_raise_fails_a_control(controls, one_cpu):
+    # a mutant first meets the controls whose genuine rejection passes its
+    # site; a survivor must pass every control, so the order changes no verdict
+    sites = _sites()
+    reached = {name: _reached(c, sites) for name, c in controls.items()}
     survivors = []
-    for site in _sites():
+    for site in sites:
+        order = sorted(controls, key=lambda name: site not in reached[name])
         with _mutant(site) as mutant:
-            if all(_passes(c, _verify(mutant, c)) for c in controls.values()):
+            if all(_passes(controls[n], _verify(mutant, controls[n])) for n in order):
                 survivors.append(site)
     assert set(survivors) == set(SURVIVORS), survivors
+
+
+@pytest.mark.parametrize("name, error", [
+    ("tampered_bound", certify.LeafBoundViolation),
+    ("dropped_leaf", certify.CoverageGap),
+    ("region_fingerprint", certify.MalformedCertificate),
+    ("annulus_form_flipped", certify.LeafBoundViolation),
+    ("annulus_leaf_dropped", certify.CoverageGap),
+    ("local_pair_map", certify.MalformedCertificate),
+])
+def test_the_verifiers_raise_the_class_of_their_check(controls, name, error):
+    # the controls pin exit codes and messages; a caller of the verifiers
+    # tells a rejection's kind by its class
+    payload = cli._load_payload(str(controls[name][0]))
+    cls, verify = ((certify.Certificate, certify.verify_certificate)
+                   if payload["kind"] == "inequality" else
+                   (certify.LocalUniquenessCertificate, certify.verify_local_certificate))
+    with pytest.raises(error):
+        verify(cls.from_payload(payload))
