@@ -13,7 +13,7 @@ genuine code passes that raise (_reached).  A mutant that every control
 still rejects, each with its own message, survives.  The test fails on a
 survivor that is not on the allowlist SURVIVORS and on an allowlisted
 site that no longer survives.  The controls pin messages; the exception
-classes the verifiers raise are pinned on a few of their files.
+classes the verifiers raise are pinned on the files of 24 single-file rows.
 """
 
 import ast
@@ -837,10 +837,28 @@ def test_blanking_any_raise_fails_a_control(controls, one_cpu):
 
 @pytest.mark.parametrize("name, error", [
     ("tampered_bound", certify.LeafBoundViolation),
-    ("dropped_leaf", certify.CoverageGap),
-    ("region_fingerprint", certify.MalformedCertificate),
+    ("min_bound_one_ulp_up", certify.LeafBoundViolation),
+    ("merged_siblings", certify.LeafBoundViolation),
     ("annulus_form_flipped", certify.LeafBoundViolation),
+    ("dropped_leaf", certify.CoverageGap),
+    ("duplicated_leaf", certify.CoverageGap),
+    ("flat_leaf", certify.CoverageGap),
+    ("leaf_in_no_cell", certify.CoverageGap),
+    ("leaf_across_its_split", certify.CoverageGap),
+    ("leaf_outside_the_closure", certify.CoverageGap),
     ("annulus_leaf_dropped", certify.CoverageGap),
+    ("region_fingerprint", certify.MalformedCertificate),
+    ("no_plan", certify.MalformedCertificate),
+    ("seventh_entry_in_row_3", certify.MalformedCertificate),
+    ("grid_dwarfing_the_leaves", certify.MalformedCertificate),
+    ("bounded_region_truncated", certify.MalformedCertificate),
+    ("other_excluded_square", certify.MalformedCertificate),
+    ("local_fingerprint", certify.MalformedCertificate),
+    ("local_center", certify.MalformedCertificate),
+    ("local_padded_f_center", certify.MalformedCertificate),
+    ("local_inner_delta", certify.MalformedCertificate),
+    ("local_subdivision", certify.MalformedCertificate),
+    ("local_window_at_the_inner_box", certify.MalformedCertificate),
     ("local_pair_map", certify.MalformedCertificate),
 ])
 def test_the_verifiers_raise_the_class_of_their_check(controls, name, error):
