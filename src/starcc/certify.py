@@ -1343,20 +1343,14 @@ def _solution_witness() -> Dict[str, object]:
     }
 
 
-# np.save starts an array's data a multiple of 64 bytes after its header's
-# start, so a header at a multiple of 8 gives every leaf dtype aligned data.
-_SPOOL_ALIGN = 8
-
-
 def _certify_piece(piece: str, cfg: RunConfig, spool: Optional[str] = None):
     """The job for one piece of the bundle: the certificate of region
     `piece`, or the local certificate for piece "local".  Given
     cfg.output_dir, the job also writes the certificate's JSON to
     <output_dir>/<piece>.json (_write_json, so no text of the whole file is
     built).  Given a spool directory, it saves the six arrays of
-    cert._leaves() one after another with np.save to <spool>/<piece>.npy,
-    each from an offset that is a multiple of _SPOOL_ALIGN (zero bytes pad
-    the gap), and returns the certificate with those six fields None, which
+    cert._leaves() one after another with np.save to <spool>/<piece>.npy
+    and returns the certificate with those six fields None, which
     _unspool fills again with views of a copy-on-write map of that file;
     so no JSON text and no leaf array crosses the pool, and the caller
     reads no leaf until it is used."""
@@ -1377,7 +1371,6 @@ def _certify_piece(piece: str, cfg: RunConfig, spool: Optional[str] = None):
         return cert
     with open(os.path.join(spool, f"{piece}.npy"), "wb") as fh:
         for leaves in cert._leaves():
-            fh.write(bytes(-fh.tell() % _SPOOL_ALIGN))
             np.save(fh, leaves)
     return replace(cert, **dict.fromkeys(cert._LEAVES))
 
@@ -1388,9 +1381,9 @@ def _unspool(spool: str, piece: str, cert):
     mmap per file, and each array a writeable np.frombuffer view of it
     with the dtype and bytes it was saved with.  Only the np.save headers
     are read here; a leaf page is read in when something reads it, so
-    counting leaves (n_leaves, .size) reads none.  Each header starts
-    after the pad to the next multiple of _SPOOL_ALIGN that _certify_piece
-    wrote, so every array is aligned.  The file is deleted; its pages stay
+    counting leaves (n_leaves, .size) reads none.  An array that follows
+    an odd number of "<U1" forms starts at 4 mod 8 and is not aligned,
+    which numpy reads all the same.  The file is deleted; its pages stay
     allocated until the last of the six arrays is freed, and on
     Python < 3.13 the map holds a duplicate descriptor of the deleted
     file until then."""
@@ -1399,7 +1392,6 @@ def _unspool(spool: str, piece: str, cert):
     with open(path, "rb") as fh:
         buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
         for _ in cert._LEAVES:
-            fh.seek(-fh.tell() % _SPOOL_ALIGN, os.SEEK_CUR)
             version = np.lib.format.read_magic(fh)
             read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
                            else np.lib.format.read_array_header_2_0)

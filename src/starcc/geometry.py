@@ -30,6 +30,10 @@ from __future__ import annotations
 
 import math
 import numbers
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # quasi_points imports numpy when it runs
+    import numpy as np
 
 SQRT5 = math.sqrt(5.0)
 A = SQRT5 + 1.0

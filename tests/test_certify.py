@@ -670,15 +670,6 @@ def test_a_forked_run_hands_back_the_leaf_arrays_of_the_in_process_run(
         got[0] = first
 
 
-def test_every_forked_leaf_array_is_aligned(manifest_two_threads):
-    # an odd count of 4-byte forms ends 4 bytes past a multiple of 8; the
-    # spool pads it, so the next array's data is aligned all the same
-    pieces = _pieces(manifest_two_threads)
-    assert any(cert.forms.size % 2 for cert in pieces.values())
-    for piece, cert in pieces.items():
-        assert all(a.flags.aligned for a in cert._leaves()), piece
-
-
 def _map_of(array):
     """The object at the end of array's chain of bases."""
     while isinstance(array, np.ndarray):
@@ -729,7 +720,6 @@ def test_a_job_given_a_spool_saves_its_leaf_arrays_and_returns_none_for_them(
     assert [p.name for p in tmp_path.iterdir()] == [f"{piece}.npy"]
     with open(tmp_path / f"{piece}.npy", "rb") as fh:
         for leaves in want._leaves():
-            assert fh.read(-fh.tell() % certify._SPOOL_ALIGN).strip(b"\0") == b""
             saved = np.load(fh)
             assert saved.dtype == leaves.dtype and saved.tobytes() == leaves.tobytes()
         assert fh.read() == b""
@@ -740,21 +730,19 @@ def test_a_job_given_a_spool_saves_its_leaf_arrays_and_returns_none_for_them(
 
 def test_unspool_maps_every_array_np_save_writes(tmp_path):
     # the dtypes the pieces save, a 2-D array in Fortran order, a version
-    # 2.0 header, and an empty last array, whose offset is the map's end;
-    # each header padded to a multiple of _SPOOL_ALIGN, as the pieces are
-    arrays = [np.arange(3.0), np.array(list("abc"), dtype="<U1"),
+    # 2.0 header, and an empty last array, whose offset is the map's end
+    arrays = [np.arange(3.0), np.array(list("ab+-"), dtype="<U1"),
               np.asfortranarray(np.arange(6.0).reshape(2, 3)), np.array(-0.0),
               np.array([], dtype="<U1"), np.array([], dtype="<f8")]
     cert = certify._certify_piece("J4", RunConfig(max_box_width=0.1), str(tmp_path))
     with open(tmp_path / "J4.npy", "wb") as fh:
         for i, a in enumerate(arrays):
-            fh.write(bytes(-fh.tell() % certify._SPOOL_ALIGN))
             np.lib.format.write_array(fh, a, version=(2, 0) if i == 3 else (1, 0))
     back = certify._unspool(str(tmp_path), "J4", cert)
     assert list(tmp_path.iterdir()) == []
     for want, got in zip(arrays, back._leaves()):
         assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes() and got.flags.writeable and got.flags.aligned
+        assert got.tobytes() == want.tobytes() and got.flags.writeable
     assert isinstance(_map_of(back.lo3), mmap.mmap) and _map_of(back.bounds) is _map_of(back.lo3)
 
 

@@ -13,7 +13,7 @@ genuine code passes that raise (_reached).  A mutant that every control
 still rejects, each with its own message, survives.  The test fails on a
 survivor that is not on the allowlist SURVIVORS and on an allowlisted
 site that no longer survives.  The controls pin messages; the exception
-classes the verifiers raise are pinned on the files of 24 single-file rows.
+classes the verifiers raise are pinned on the files of 25 single-file rows.
 """
 
 import ast
@@ -431,6 +431,12 @@ def local_fingerprint(genuine, d):
 def local_center(genuine, d):
     return _piece(genuine, d, "local",
                   lambda doc: doc.update(center=[(1.5).hex(), (0.5).hex()]))
+
+
+@control(r"^REJECT: \S+/local\.json: bad local-uniqueness certificate: invalid hexadecimal")
+def local_center_not_hex(genuine, d):
+    # the reader refuses an entry that is no hex float before any shape check
+    return _piece(genuine, d, "local", lambda doc: doc["center"].append("garbage"))
 
 
 @control(r"^REJECT: pair_map \('lambda_11 - lambda_31', 'lambda_11 - lambda_22'\) is not"
@@ -855,6 +861,7 @@ def test_blanking_any_raise_fails_a_control(controls, one_cpu):
     ("other_excluded_square", certify.MalformedCertificate),
     ("local_fingerprint", certify.MalformedCertificate),
     ("local_center", certify.MalformedCertificate),
+    ("local_center_not_hex", certify.MalformedCertificate),
     ("local_padded_f_center", certify.MalformedCertificate),
     ("local_inner_delta", certify.MalformedCertificate),
     ("local_subdivision", certify.MalformedCertificate),
