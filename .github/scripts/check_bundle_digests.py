@@ -12,41 +12,41 @@ import hashlib, json, pathlib, sys
 
 PINS = {
     "0.02": {
-        "J1": "bcc49732496d8732fdc45e42a25a63118c5c58e37b1ab584a4ade589aba8e6cb",
-        "J2": "d8dca6994760f2a104a60d9ac87838eac7b5cd78fcfc97da92272347428a5009",
-        "J3": "8d63b7f9659dfc48bd91d6aa2e5951fa50aa1285388a2294997db34749223bbd",
-        "J4": "6b42b293d6b2f1111b84ce9adb6d1326be4eeb0ee3643babf0d86bdc99824b01",
-        "J5": "12335a8e9ba478e82f1182a9ce7ce063eb0a4dab9c43139790914c6b8e12d28e",
-        "J6": "0ba27b53b4f805d583612e40bc7f535b150d8267e93d0f87ecb56b5c0f9a8e71",
-        "J7": "00366aecf89ffa569d927983e7695d2989ca4645c6e47ff884ea6a837a6f5725",
-        "J8": "703cd45764e6e5f34616fcd55579adf70fff9fc3223e51007bbf08160907c5c9",
-        "J9": "670fcbebb0be5d709b0822bdacdafc76403036f7b801920985b0847813d386c2",
-        "J10": "587a506f8c5ec0eedb0dc03f5a8740bd7247cb9aa549c745cd669c7e740b4fcf",
-        "J11": "8d09eac661039f402e2972bf65d3caec8059ba5ae57076206f3d80ed2503fc81",
-        "J12": "b0be37b79fb1d7d638ddd5f4f15eba77b26d175c0068a99fea1d970ec0c5b2bc",
-        "J13": "fc4a549f8f2f2228caaf5be8fd3b485b1d77cbb2eec562d623899af683712e8d",
-        "J14": "41903dc779ec6ccc988b6c72cef8f7033111942b7274dbf122b29428a8763955",
-        "J15": "29ecf83931e2ac6e1d3fe1cbbc249c8c792d001c5bddc0de796f9f4f50fc5ea2",
-        "J16": "0ed1718d40bc3061bac1369db9b8dcf4609fc037b82f0b80f6563399db94a0f1",
+        "J1": "75970726228ac1e3dea7423edd495cd44107d638823dd1f38ee467bd623cb54c",
+        "J2": "816217dda092206a7a1befe17a91af358451a8dfbee563570c522469f8930c33",
+        "J3": "57613b15302d5855e183a41c938b0c3e17c711fef37a67a884e75c437a2f717c",
+        "J4": "8c4257b29cbcef8d27bb5f023b30230e1d790137e3e78b29704f9da446687440",
+        "J5": "0ab0ad60e6753866569e9f525547762031c49d92fc7b0be633f4afe919fd8b85",
+        "J6": "590aa5ae9747220314026154e81d2a037c8f79179d25bb0d2061e6e03770ebf8",
+        "J7": "2cecc559baf83ac7ab453c27e659ea17d673efb3314e34e0c1b22ae175a2756d",
+        "J8": "1b89adedfd18142446d736defd4843b2324112538862c9078c4cae6ef4ef0d4a",
+        "J9": "7cd4af7e2caf4fb54732a6121351e98543780936febf5a8f53301ac432a8a179",
+        "J10": "e4ef2d5eb5e0b39f612b5b877bf06fc7538da3525922d5a9533cfef70ee68074",
+        "J11": "ae156b5ff2668676c8124390f1440b06257db3049b53eec73a40c20398ad6b3e",
+        "J12": "e87253fce6536e73d1474434870a65945e0c124b98f4a37be774fcee3e7bb471",
+        "J13": "7d0bbd07675504010baa8d9e9dacb6f6475ea009059fb3a98d9d3c93f00a9cb9",
+        "J14": "66df110677c8dc3ee177a2b64a74ea895616641d02009bb5d59f881065010358",
+        "J15": "82b64b1ee04820e1c15e7ad9ec0a5cd4c6c6ca10d3eebbc8827e280916b1c363",
+        "J16": "211f46a79e20b3709a8d37251c81e07f9ac88fdc5efdbf3a094e00375c31d6d3",
         "local": "4cfebdbc2b4ff9d99e6266ab8f694f1b088660d99e8dbb7d59ea5fcfb34aa718",
     },
     "0.01": {
-        "J1": "c95d2e6fc55fcd32825b0b381dcc2349785294e277fa5bb3f3896164c80f43a8",
-        "J2": "efd557861bf7eb6281a62105c69c249958de5af6dad1e96bf93de6df4d632d57",
-        "J3": "ae3fcde29f9d3ee0e2f95592c6806d62625358d0b2905df4b05000256ea5af85",
-        "J4": "aff1b0f7ad8ae48dce0eb88400ad9deab5ed25bf942406b532c6009b78c4de54",
-        "J5": "deb36c61ac2f3e3d709a91693f90498a7ac0a2fba7426a2d2d1c344dc97bca23",
-        "J6": "e20d38c1add39bc134dddca03671e3b1e2c278951944ca346a73151f8ddf9724",
-        "J7": "a60d56bfb8a003f8299ecf28bf56e0063d9b432ffa981e7fbf777934255ff940",
-        "J8": "976f5279147661d186ae3e99e3615287385200928f2fd3443eb00baed2f4f85a",
-        "J9": "7e5ebf4409feb3b081db5eea048de9c0ece96631e2d48c18218339fe2b3386c5",
-        "J10": "dab12c1cb0d5f26cb299365c97a180db83fdb1ccadde72fab21875724af4e96d",
-        "J11": "c17a67270dba1a1c3a5eb83cb63ab56155f609aa5007508ac13fee756e997d94",
-        "J12": "b3e91c4c4640490d8df36a01870af883e240b7d4b221c1698115dfb2ec5f9ccb",
-        "J13": "292d90eab79856ea2be9452dbe9be72cd381e504253929c0b612823dddfe8ede",
-        "J14": "9407f70acdb50f733f2f6736fe294784bcd2faccfb968c189b09629e9a671c39",
-        "J15": "69cc737363043d1a2101dd2285d0a194c6f04862d68e8c0676bff697db7c381a",
-        "J16": "ad80226aafb34fb92bc562d4ae02fbfc40949bda04b4750c265443c9db10da54",
+        "J1": "40ef05ecfe14f192edde19e877b7a9949490c8e718a4d5c9b0fbddd6f04f96e0",
+        "J2": "d1951336e8c43d3675a1ce424195588058b9d4aef45ee2a32618eaf4722b673d",
+        "J3": "536d6d4ad3a780c3dac55221a23476c4566cb0d60e52c06bf5f36e1b5374fb4e",
+        "J4": "58e45eae22b60cebd542c0664798bd8b48886bcd3242157e802482c1b9ad822f",
+        "J5": "18226fb004232e3b1c3067d01fe614bf5cbd9fe44e732552641a2dbd816375bf",
+        "J6": "cf297da3dc7d716af219223af4a33ebe11a0b06b282513e16ba6230ef5c75c23",
+        "J7": "1b98ac5de3baa3446f9ecac2b571731c3990e388c853c954776ecd2a43af919d",
+        "J8": "6bcf2a87bea59de764a3457cee11d70617922a0a0019dab498f319bb3e9f0353",
+        "J9": "aa3c17c6b48295bca01e0a321874bd273178b1f6f73a3ebcf2ee496adc447c42",
+        "J10": "fb50dcca4587f3310f7f974aebba5c3827f6d7dffd9ceb193a8c63f6ae4403aa",
+        "J11": "4a9807a2aebe0832fb5cca73af688237c6a2bfe8d66f53484a13bdba5cb6f4e8",
+        "J12": "8bc738bc66d44b74783305a8f1c3217b11b0535ba9359746677adfb85c4ba85d",
+        "J13": "c846db0a63d30970367d4fc7ac35e34f793d08cae75bd58a47f4aa8a5f7d09b1",
+        "J14": "cdc532ab995645a908e9546d55df428e5a4c18d2727b4ab46213d6ab6fd49853",
+        "J15": "847a4a9bf007229e1cbf5a41549b75197c7f58eeba86438b7b28cbbb2ffc3350",
+        "J16": "fb623a812a509a3e67e27943b0c6919f29335fbebc9fedd2437375596dae9258",
         "local": "4cfebdbc2b4ff9d99e6266ab8f694f1b088660d99e8dbb7d59ea5fcfb34aa718",
     },
 }

@@ -49,14 +49,16 @@ into a string.
 Every rule a certificate header obeys is stated once, here, and the
 certifier, the verifier and the CLI all call it:
 
-* the cut rule, recorded_cuts: which delta_b0 and truncation a region
-  records under a run's delta and truncation (and _excluded, the square
-  a recorded delta_b0 excludes);
+* the scope, _SCOPE: every region certificate records the run's
+  max_box_width, delta_b0 and truncation, and a bundle's manifest records
+  them once; a region's cover reads the truncation only when the region
+  is unbounded and delta_b0 only when its closure may meet the excised
+  square (regions.cover_arrays);
 * the range rule, _check_cuts: the widths, deltas and truncations a run
-  may take and a header may hold; RunConfig.validate and
-  certify_inequality refuse what _check_header rejects;
+  may take and a header must hold, all three numbers; RunConfig.validate
+  and certify_inequality refuse what _check_header rejects;
 * the header codec, _hex/_unhex: floats as float.hex() strings, tuples
-  as lists, None as null;
+  as lists; a null reads as None, which the range rule refuses;
 * the local construction: the center (1, 1), kernel.LOCAL_PAIRS,
   INNER_DELTA and SUBDIVISION are constants the verifier requires
   exactly; only the window half-width delta varies, within
@@ -103,7 +105,6 @@ from .regions import (
     cover_arrays,
     grid_cover,
     region_def,
-    region_excises_b0,
     region_plan,
 )
 from .pool import _fan_out, _forks
@@ -177,46 +178,25 @@ class RunConfig:
         return self
 
 
-def _check_cuts(max_box_width: float, delta_b0: Optional[float] = None,
-                truncation: Optional[float] = None) -> None:
-    """The range rule for the cuts of a run and of a certificate header
-    (None: not recorded): 0 < max_box_width <= 0.5, 0 <= delta_b0 < 0.5
-    and 1 + max_box_width < truncation < inf.  delta_b0 = 0 is allowed on
+def _check_cuts(max_box_width: float, delta_b0: float, truncation: float) -> None:
+    """The range rule for the scope of a run and of a certificate header:
+    three numbers with 0 < max_box_width <= 0.5, 0 <= delta_b0 < 0.5 and
+    1 + max_box_width < truncation < inf.  delta_b0 = 0 is allowed on
     purpose: it disables the B0 excision, which shows that certification
     must then fail next to the solution at (1, 1).  Raises ValueError
     naming the field."""
+    for key, v in zip(_SCOPE, (max_box_width, delta_b0, truncation)):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"{key} {v!r} is not a number")
     w = max_box_width
     if not (0.0 < w <= 0.5):
         raise ValueError(f"max_box_width {w!r} outside (0, 0.5]")
-    if delta_b0 is not None and not (0.0 <= delta_b0 < 0.5):
+    if not (0.0 <= delta_b0 < 0.5):
         raise ValueError(f"delta_b0 {delta_b0!r} outside [0, 0.5)")
-    if truncation is not None and not (1.0 + w < truncation < math.inf):
+    if not (1.0 + w < truncation < math.inf):
         raise ValueError(
             f"truncation {truncation!r} must be finite and above"
             f" 1 + max_box_width")
-
-
-def recorded_cuts(region_id: str, delta: Optional[float],
-                  truncation: Optional[float]):
-    """The cut rule: the (delta_b0, truncation) that a certificate of the
-    region records under a run's delta and truncation.
-
-    delta_b0 is delta when the region's closure may meet the square
-    [1-delta, 1+delta]^2 (region_excises_b0), and truncation is kept for
-    the unbounded regions; otherwise each is None, which excises or cuts
-    nothing."""
-    return (
-        float(delta)
-        if delta is not None and region_excises_b0(region_id, delta) else None,
-        float(truncation)
-        if truncation is not None and region_def(region_id).unbounded else None,
-    )
-
-
-def _excluded(delta_b0: Optional[float]):
-    """The square (lo3, hi3, lo5, hi5) a header with this delta_b0 excludes."""
-    d = delta_b0
-    return None if d is None else (1.0 - d, 1.0 + d, 1.0 - d, 1.0 + d)
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +498,7 @@ def _parse_leaf_rows(rows):
 
 def _hex(v):
     """The header codec: a float as its float.hex() string, a tuple as the
-    list of its encoded items, None as None (JSON null)."""
-    if v is None:
-        return None
+    list of its encoded items."""
     if isinstance(v, (tuple, list)):
         return [_hex(x) for x in v]
     return float(v).hex()
@@ -583,9 +561,8 @@ class Certificate:
     region: str
     plan: str
     max_box_width: float
-    delta_b0: Optional[float]
-    truncation: Optional[float]
-    excluded: Optional[Tuple[float, float, float, float]]
+    delta_b0: float
+    truncation: float
     lo3: np.ndarray
     hi3: np.ndarray
     lo5: np.ndarray
@@ -596,7 +573,7 @@ class Certificate:
     stats: Dict[str, float] = field(default_factory=dict)
     fingerprint: str = ""
 
-    _HEXED = ("max_box_width", "delta_b0", "truncation", "excluded", "min_bound")
+    _HEXED = ("max_box_width", "delta_b0", "truncation", "min_bound")
     _LEAVES = ("lo3", "hi3", "lo5", "hi5", "forms", "bounds")
     _ROWS = "leaves"
 
@@ -642,7 +619,7 @@ class Certificate:
 _BOX_CAP = GRID_CAP
 
 
-def _grid_cells(rid: str, width: float, truncation: Optional[float]) -> float:
+def _grid_cells(rid: str, width: float, truncation: float) -> float:
     """Upper bound on the cells of the region's initial grid (snap lines
     add at most a few edges per axis); a bounded region ignores the
     truncation.  Raises ValueError on an empty truncated bbox."""
@@ -754,32 +731,32 @@ def _branch_and_bound(plan: RegionPlan, boxes, region: Optional[Region] = None):
 def certify_inequality(
     region_id: str,
     max_box_width: float = 0.02,
-    truncation: Optional[float] = None,
+    truncation: float = TRUNCATION_R5,
     delta: float = DELTA_B0,
     plan: Optional[RegionPlan] = None,
 ) -> Certificate:
     """Certify the region's plan over its whole cover.
 
-    delta and truncation are the run's cuts; the region records and uses
-    what recorded_cuts gives for them.  Raises ValueError, before any grid
-    is built, for a header _check_header would reject,
+    max_box_width, delta and truncation are the run's scope, which the
+    certificate records; the cover reads what the region needs of them
+    (cover_arrays).  Raises ValueError, before any grid is built, for a
+    header _check_header would reject,
     CertificationRefuted if a box inside the region has a certified
     negative gap, BudgetExhausted if the grid exceeds _BOX_CAP cells or
     boxes remain unresolved after MAX_DEPTH bisection generations.
     """
     t0 = time.perf_counter()
     reg = region_def(region_id)
-    delta_b0, cut = recorded_cuts(region_id, delta, truncation)
-    _check_cuts(max_box_width, delta_b0, cut)
-    cells = _grid_cells(region_id, max_box_width, cut)
+    _check_cuts(max_box_width, delta, truncation)
+    cells = _grid_cells(region_id, max_box_width, truncation)
     if cells > _BOX_CAP:
         raise BudgetExhausted(
             f"{region_id}: width {max_box_width!r} and truncation"
-            f" {cut!r} imply a grid of {cells:.3g} cells")
+            f" {truncation!r} imply a grid of {cells:.3g} cells")
     the_plan = plan if plan is not None else region_plan(region_id)
     (lo3, hi3, lo5, hi5, forms, leaf_bounds), stats = _branch_and_bound(
         the_plan,
-        cover_arrays(region_id, max_box_width, cut, delta_b0),
+        cover_arrays(region_id, max_box_width, truncation, delta),
         reg,
     )
     stats["wall_seconds"] = round(time.perf_counter() - t0, 3)
@@ -787,9 +764,8 @@ def certify_inequality(
         region=region_id,
         plan=plan_signature(the_plan),
         max_box_width=float(max_box_width),
-        delta_b0=delta_b0,
-        truncation=cut,
-        excluded=_excluded(delta_b0),
+        delta_b0=float(delta),
+        truncation=float(truncation),
         lo3=lo3,
         hi3=hi3,
         lo5=lo5,
@@ -1080,29 +1056,17 @@ def _check_leaves(plan: RegionPlan, leaves, cover, outside) -> None:
 
 def _check_header(c: Certificate) -> None:
     """The header fields that define the cover must be ones the certifier
-    can have written: cuts within the range rule (_check_cuts), a fixed
-    point of the cut rule (recorded_cuts), `excluded` the square of
-    delta_b0, and a cover of sane size."""
+    can have written: a scope within the range rule (_check_cuts) and a
+    cover of sane size."""
     w = c.max_box_width
     try:
         _check_cuts(w, c.delta_b0, c.truncation)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise MalformedCertificate(f"{c.region}: {exc}") from exc
     try:
         cells = _grid_cells(c.region, w, c.truncation)
     except ValueError as exc:  # Region.bbox names the region
         raise MalformedCertificate(str(exc)) from exc
-    want = recorded_cuts(c.region, c.delta_b0, c.truncation)
-    if want != (c.delta_b0, c.truncation):
-        raise MalformedCertificate(
-            f"{c.region}: records delta_b0 {c.delta_b0!r} and truncation"
-            f" {c.truncation!r}, but the cut rule records {want!r} for them"
-        )
-    if c.excluded != _excluded(c.delta_b0):
-        raise MalformedCertificate(
-            f"{c.region}: excluded {c.excluded!r} is not the square of"
-            f" delta_b0 {c.delta_b0!r}"
-        )
     # every kept cell of the cover holds a leaf, so a header whose grid
     # dwarfs the leaf count cannot verify; refuse it before building it
     if cells > 16 * c.n_leaves() + 65536:

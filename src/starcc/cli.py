@@ -46,7 +46,6 @@ from .certify import (
     _solution_witness,
     _summary,
     certify_all,
-    recorded_cuts,
     verify_certificate,
     verify_local_certificate,
 )
@@ -231,7 +230,7 @@ def cmd_certify(args) -> int:
 
     cert = _certify_piece(target, cfg)
     _print_region_row(cert)
-    if cert.truncation is not None:
+    if region_def(target).unbounded:
         print(f"  truncated at r5 <= {cert.truncation:g} (recorded in the certificate)")
     print(f"certificate written to {os.path.join(outdir, target + '.json')}")
     return 0
@@ -423,11 +422,9 @@ def _verify_piece(path: str, piece: Optional[str] = None,
     `piece` of a bundle (a region id or "local"), the slot fixes the kind,
     and config is the manifest's scope (_SCOPE), which every piece must
     share, or the pieces prove different claims: before the verifier runs,
-    a region file must hold region `piece`, record the cuts that
-    recorded_cuts gives for delta_b0 and truncation (verify_certificate
-    ties `excluded` to delta_b0) and record max_box_width, and the local
-    window must be delta_b0.  No leaf array is returned, so none crosses
-    the pool."""
+    a region file must hold region `piece` and record the scope, and the
+    local window must be delta_b0.  No leaf array is returned, so none
+    crosses the pool."""
     payload = _load_payload(path)
     # looked up at each call, so that a wrapped verifier is the one that runs
     kinds = {"inequality": (Certificate, verify_certificate),
@@ -451,17 +448,11 @@ def _verify_piece(path: str, piece: Optional[str] = None,
     if piece not in (None, "local"):
         if cert.region != piece:
             raise MalformedCertificate(f"{path}: holds region {cert.region}")
-        cuts = config["delta_b0"], config["truncation"]
-        want, got = recorded_cuts(piece, *cuts), (cert.delta_b0, cert.truncation)
-        if got != want:
+        scope = {k: getattr(cert, k) for k in _SCOPE}
+        if scope != config:
             raise MalformedCertificate(
-                f"{path}: {piece} records (delta_b0, truncation) {got!r};"
-                f" the manifest's delta {cuts[0]!r} and truncation {cuts[1]!r}"
-                f" require {want!r}")
-        if cert.max_box_width != config["max_box_width"]:
-            raise MalformedCertificate(
-                f"{path}: max_box_width {cert.max_box_width!r} differs from"
-                f" {config['max_box_width']!r} in manifest.json")
+                f"{path}: {piece} records the scope {scope!r}, not the"
+                f" {config!r} of manifest.json")
     verify(cert)
     if kind == "inequality":
         gap = f"min_gap {cert.min_bound:.6e}"

@@ -65,11 +65,6 @@ def _check_tolerance(tol) -> None:
         raise DomainError(f"tolerance {tol} must be finite and > 0")
 
 
-def nz() -> float:
-    """The distinguished zeta value 4(b-1)/(2-b); algebraically equal to b."""
-    return 4.0 * (B - 1.0) / (2.0 - B)
-
-
 # The plastic number, the real root of x^3 = x + 1.  Its reciprocal powers
 # (1/rho, 1/rho^2) are the increments of the R2 sequence, the 2-D Kronecker
 # sequence with the best known uniformity.

@@ -19,9 +19,10 @@ import; `region_def` and `region_plan` look rows up.  A row holds:
   for edges that the run fixes: an r5 top of `_CUT` is the run's
   truncation, and a region is unbounded exactly when its r5 top is the
   cut; an r3 top of `_SLANT` lies on the slant r4 = 0 at the r5 top.
-  The edges are stated rather than derived from the constraints, since
-  derived ones differ in the last bits on J4, J5 and J6, which would
-  change those covers;
+  Region.bbox and cover_arrays are given the truncation for every
+  region, and a bounded one ignores it.  The edges are stated rather
+  than derived from the constraints, since derived ones differ in the
+  last bits on J4, J5 and J6, which would change those covers;
 * the plan: the pairs the region certifies.
 
 Two documented deviations from the paper's printed tables:
@@ -59,7 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -76,11 +77,6 @@ REGION_IDS = tuple(f"J{n}" for n in range(1, 17))
 # edge markers: the r5 top is the run's cut; the r3 top is on the slant r4 = 0
 _CUT = "cut"
 _SLANT = "slant"
-
-
-class TruncationRequired(ValueError):
-    """The bbox (and so the cover) of an unbounded region needs a
-    truncation bound."""
 
 
 _IV1 = VInterval(1.0, 1.0)
@@ -247,26 +243,23 @@ class Region:
             out |= c.certainly_outside_closure(r3_iv, r5_iv)
         return out
 
-    def _hull(self, truncation: Optional[float] = None):
+    def _hull(self, truncation: float):
         """The edges with the cut at the truncation and the slant r3 top
         at the r5 top, rounded outward; not checked for emptiness."""
         r3lo, r3hi, r5lo, r5hi = self.edges
         if r5hi == _CUT:
-            if truncation is None:
-                raise TruncationRequired(
-                    f"{self.id}: unbounded region: pass a truncation r5 bound")
             r5hi = float(truncation)
         if r3hi == _SLANT:
             r3hi = float((_GOLDEN["2/a"][1] * r5hi + _IV1).hi)
         return r3lo, r3hi, r5lo, r5hi
 
-    def bbox(self, truncation: Optional[float] = None):
-        """(r3lo, r3hi, r5lo, r5hi) hull of the (truncated) region.
+    def bbox(self, truncation: float):
+        """(r3lo, r3hi, r5lo, r5hi) hull of the region truncated at r5 <=
+        truncation, which a bounded region ignores.
 
-        Raises TruncationRequired for an unbounded region without a
-        truncation, and ValueError when the hull is empty or inverted, as
-        it is for an unbounded region truncated at or below its r5 floor;
-        both messages begin with the region id."""
+        Raises ValueError, its message beginning with the region id, when
+        the hull is empty or inverted, as it is for an unbounded region
+        truncated at or below its r5 floor."""
         box = self._hull(truncation)
         if not (box[0] < box[1] and box[2] < box[3]):
             raise ValueError(
@@ -380,10 +373,6 @@ def _snap_edges(lo: float, hi: float, width: float, snaps=()):
     return np.asarray(edges)
 
 
-def _excises(rid: str, delta: Optional[float]) -> bool:
-    return delta is not None and region_excises_b0(rid, delta)
-
-
 def grid_cover(bbox, width: float, square=None, outside=None):
     """The cells of a grid of width <= width on bbox = (r3lo, r3hi, r5lo,
     r5hi), as (lo3, hi3, lo5, hi5) arrays, r3-major.
@@ -415,22 +404,21 @@ def grid_cover(bbox, width: float, square=None, outside=None):
 def cover_arrays(
     rid: str,
     max_box_width: float,
-    truncation: Optional[float] = None,
-    delta: Optional[float] = DELTA_B0,
+    truncation: float,
+    delta: float = DELTA_B0,
 ):
     """Boxes covering closure(region) minus the open excised square.
 
     Returns (lo3, hi3, lo5, hi5) arrays, r3-major.  Boxes are kept unless
     they certainly miss the region closure (conservative interval test),
     so the union always covers the region; boxes may overhang a slanted
-    boundary by less than one cell.  delta=None excises nothing, which is
-    what a certificate recording no delta_b0 claims.  An unbounded region
-    needs a truncation (TruncationRequired otherwise); a bounded one
-    ignores it.  The grid is grid_cover's, with the closure test and the
-    excised square.
+    boundary by less than one cell.  The square [1-delta, 1+delta]^2 is
+    excised only from a region whose closure may meet it
+    (region_excises_b0), and a bounded region ignores the truncation.  The
+    grid is grid_cover's, with the closure test and the excised square.
     """
     reg = region_def(rid)
-    square = (1.0 - delta, 1.0 + delta) if _excises(rid, delta) else None
+    square = (1.0 - delta, 1.0 + delta) if region_excises_b0(rid, delta) else None
     return grid_cover(reg.bbox(truncation), max_box_width, square,
                       reg.boxes_outside_closure)
 

@@ -29,7 +29,7 @@ from starcc.forces import (
     lambda_component,
     residual_vector,
 )
-from starcc.geometry import B, nz
+from starcc.geometry import B
 from starcc.intervals import Box2, VectorBackend, VInterval
 from starcc.kernel import LAMBDA_INDICES, FloatBackend, derived_radii, in_domain, lambda_quot
 from starcc.regions import PairCheck, RegionPlan, partition_audit, region_plan
@@ -67,7 +67,8 @@ SPOT_VALUES = (
     ((3, 1), (B_HALF, B_HALF), 2.70464),
     ((1, 1), (B, 1.0), 1.84995),
     ((5, 2), (1.0, B_HALF), 4.4042),
-    ((5, 2), (B_HALF, B / (2.0 + nz())), 5.76142),
+    # r5 = b/(2 + z) at the distinguished zeta value z = 4(b-1)/(2-b)
+    ((5, 2), (B_HALF, B / (2.0 + 4.0 * (B - 1.0) / (2.0 - B))), 5.76142),
     ((4, 1), (2.0 / B, 1.0 + B), 0.360157),
 )
 

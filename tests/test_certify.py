@@ -41,7 +41,16 @@ from starcc.certify import (
 from starcc.geometry import DomainError
 from starcc.intervals import Box2, Dual, DualBackend, VectorBackend, VInterval, dual_vars
 from starcc import certify, cli, kernel, pool, regions
-from starcc.regions import PairCheck, RegionPlan, cover_arrays, region_def, region_plan
+from starcc.regions import (
+    DELTA_B0,
+    TRUNCATION_R5,
+    PairCheck,
+    RegionPlan,
+    cover_arrays,
+    grid_cover,
+    region_def,
+    region_plan,
+)
 
 
 @pytest.fixture(scope="module")
@@ -65,13 +74,13 @@ def test_j4_certificate_shape(j4_cert):
     assert j4_cert.min_bound == pytest.approx(0.27766476908678767, rel=1e-12)
     assert np.all(j4_cert.bounds > 0.0)
     assert j4_cert.min_bound == j4_cert.bounds.min()
-    assert j4_cert.truncation is None
-    assert j4_cert.excluded is None  # J4 does not touch B0
+    # every region records the run's scope, though J4 is bounded and does
+    # not touch B0
+    assert (j4_cert.delta_b0, j4_cert.truncation) == (DELTA_B0, TRUNCATION_R5)
 
 
 def test_truncation_recorded(j9_cert):
-    assert j9_cert.truncation == 10.0
-    assert j9_cert.excluded == (0.98, 1.02, 0.98, 1.02)
+    assert (j9_cert.delta_b0, j9_cert.truncation) == (0.02, 10.0)
     assert np.all(j9_cert.bounds > 0.0)
 
 
@@ -130,7 +139,7 @@ def test_the_second_pair_carries_the_collision_corner():
     # bodies 3 and 5 collide at (0, 0): J1's first pair reads r_35 and is
     # NaN on the cover box at that corner, and its second pair certifies it
     plan = region_plan("J1")
-    cover = cover_arrays("J1", 0.02)
+    cover = cover_arrays("J1", 0.02, TRUNCATION_R5)
     corner = (cover[0] == 0.0) & (cover[2] == 0.0)
     assert corner.sum() == 1
     lo, hi, form, pair = _batch_bounds(plan, *cover)
@@ -142,7 +151,7 @@ def test_the_second_pair_carries_the_collision_corner():
 @pytest.mark.parametrize("rid", ["J1", "J4"])
 def test_the_pair_set_bound_is_the_best_pair_on_every_box(rid):
     plan = region_plan(rid)
-    cover = cover_arrays(rid, 0.02)
+    cover = cover_arrays(rid, 0.02, TRUNCATION_R5)
     lo, hi, form, pair = _batch_bounds(plan, *cover)
     per_pair = [_alone(c, *cover) for c in plan.pairs]
     lane = np.arange(lo.size)
@@ -163,7 +172,7 @@ def test_a_negative_pair_next_to_an_undecided_pair_is_bisected(monkeypatch):
     # still hold on its children; with the reversed pair alone it refutes
     first, second = region_plan("J1").pairs
     reversed_second = PairCheck(low=second.high, high=second.low)
-    cover = cover_arrays("J1", 0.02)
+    cover = cover_arrays("J1", 0.02, TRUNCATION_R5)
     corner = [a[(cover[0] == 0.0) & (cover[2] == 0.0)] for a in cover]
     lo, hi, _, pair = _batch_bounds(RegionPlan("J1", (first, reversed_second)), *corner)
     assert pair == [1] and lo < 0.0 and np.isnan(hi)
@@ -205,7 +214,9 @@ def test_truncation_at_or_below_the_floor_is_refused():
     {"max_box_width": -1.0},
     {"max_box_width": 0.7},
     {"delta": 0.6},
-], ids=["width-negative", "width-0.7", "delta-0.6"])
+    {"delta": None},
+    {"truncation": None},
+], ids=["width-negative", "width-0.7", "delta-0.6", "delta-None", "truncation-None"])
 def test_certifier_refuses_a_header_the_verifier_rejects(monkeypatch, kwargs):
     # verify_certificate rejects each of these headers as malformed, so
     # the certifier must refuse them before it builds a grid
@@ -306,7 +317,7 @@ def test_certificate_bytes_are_pinned(j4_cert, local_cert):
     payload = j4_cert.to_payload()
     del payload["stats"]  # wall time varies
     assert _sha256(payload) == (
-        "6b9c208c3b2869984cd11beb815d5d2b0fe339d95c25a9fbb860a7ab2911193c"
+        "0576e7f428501efca0f292d266471ef81128edde1670b41802d9feb2713558ba"
     )
     rows = local_cert.to_payload()["annulus"]
     assert _sha256(rows) == (
@@ -800,24 +811,25 @@ def test_an_in_process_run_makes_no_spool(monkeypatch, tmp_path, spools, threads
 # sha256 of each piece of the width-0.1 bundle (a region's payload without
 # stats.wall_seconds, and local.to_json()), taken when the plans became
 # pair sets (apart from J1 and J4, only the fingerprint moved them); local
-# was taken again when the annulus became a pair-set plan
+# was taken again when the annulus became a pair-set plan, and the regions
+# when each came to record the run's whole scope (no leaf row moved)
 BUNDLE_PINS = {
-    "J1": "075c8659913dc629d59fbe59fba1b1fb64cc9c1436dd461042d6ed1d7607bb3a",
-    "J2": "f7d61fd05085581fa3380f4810eeedb1de3f728ed598ef42269339649a3c5241",
-    "J3": "7d3fa3098a71252f833ab27b1dd368214796db2825a2a8b95697a8abb58b621d",
-    "J4": "ada84142658915071933d354c3c3c51c29d0ef41eb8d189e63f024d7f4e69c13",
-    "J5": "e6b2891a99c5e5da165981ffd6463253f1110642a95665600b52f81bd078c989",
-    "J6": "e21462c313a4c5f501835b0706b9bbf25ffdbe573ce7438fe7a4911728c1aaa3",
-    "J7": "3dfe4c77f001bbf55a2820c5eac44eafb7941bd6857117a859b6c60bdbbdcc38",
-    "J8": "2444940eaaed0701083c402e663edf5be9c3cc95a772ef54df0e97632494bd38",
-    "J9": "80b5b33005ffc66af2e0078b66188f14d61da52d28d63572ed76d9e2c3f6cfbf",
-    "J10": "e0bbef25023f8c01b917b45454e30876fc92c90643a2577c55b72ff592de6114",
-    "J11": "3ddaf32e856e9b9d64133c55cd67e5d98641e4dedcb7b57ded46cb74707eb9a1",
-    "J12": "c6c7cddfb85752487003931a967e48e6e3a08ef35d4a72a1a01868e41f466a18",
-    "J13": "156f70847df82acedc03855863c631b85186dd156ee641b289b813a10ff64223",
-    "J14": "59e19dd19734ca9c765a6bb53e2932209430e82551c710141bdd64c8f4da5e48",
-    "J15": "5d15cb795fc6b8471d1c6234f2362ebeb6b3ee4832911ddf1faebf87214c8ee4",
-    "J16": "950b88b05e05e694601063707d73afd575b9e72ecefd54276716abbefe217e50",
+    "J1": "9c7b35db0a2dae6ddaa8e1c409c5e76daf8cde996c4f294bfc5e7fee95a559a4",
+    "J2": "5de63f55d959d69cc3abe7a46fb768a345d68640b816ae1d3b0d89e3c80c0dd6",
+    "J3": "27362fb631bfc4b7cbe74066ff2fe5a5ee548ba1036e58585c07ea87fe8634fc",
+    "J4": "13241fe1c6aac96ecc6420bb3dd2db60c5663531c676a4427b83da6b8341ef6b",
+    "J5": "24cbbc647c8960cb029534fae0064322edbc4963f5475fa88ec133e8088df5ed",
+    "J6": "0c1e67c55c8f1a1dde233478c60ba9fbabc1cd784aaab4452e120420e98384d2",
+    "J7": "ec65ac36f16a08bcb165a6b1179175e582926ebebb5294c9d2ba9bf595b08058",
+    "J8": "e659fbb136bfce18aed37322deee4454c4ac021479b85260490445dcec24389b",
+    "J9": "e53fe161d5a3b550809d1deee67fca47a6ebf9a1980b9b400e60fc94f6ec9e9a",
+    "J10": "92dcda2c90fa19268e06cb43fe9790dedba4496c00c907dd1ed53fcab14ea11c",
+    "J11": "1a37022ab1e14613321ec9e852c3d0d3faaaf0114c8fb5d6b7e9d31cc06c29a6",
+    "J12": "010d768f93528d481632b8f260123c093701240dbf432fee1fdd2782e0daa698",
+    "J13": "883d1f5bc0c1a605f00ccd7b207257eee7d69a965c74486e4b445394c6c0a42e",
+    "J14": "26ffaf4f4b520c0143cbbbd3a8787190412a48670fcc64f6f3e956d5746b49ce",
+    "J15": "22c3114013589a372770978ca7055d31848a171b38fa7f3bbea3bab8a9ab784c",
+    "J16": "f0e159dc28621fd8448825f1333451c591ab3ea5678fea6ce9800579f49c62aa",
     "local": "4cfebdbc2b4ff9d99e6266ab8f694f1b088660d99e8dbb7d59ea5fcfb34aa718",
 }
 
@@ -1004,6 +1016,14 @@ def _unblocked_bounds(plan, lo3, hi3, lo5, hi5):
     return lo, highs.max(axis=0), forms[pair, np.arange(lo.size)], pair
 
 
+def _unexcised_cover(rid, width):
+    """rid's grid at width, truncated at r5 <= 10, with only the cells that
+    certainly miss its closure left out: no square is excised, so the
+    covers of J7, J8, J9 and J16 keep the boxes around (1, 1)."""
+    reg = region_def(rid)
+    return grid_cover(reg.bbox(TRUNCATION_R5), width, None, reg.boxes_outside_closure)
+
+
 @pytest.mark.parametrize("rid", ["J15", "J1", "annulus-0.02", "annulus-0.1"])
 @pytest.mark.parametrize("size", [
     certify._BLOCK - 1, certify._BLOCK, certify._BLOCK + 1, 3 * certify._BLOCK + 7,
@@ -1017,7 +1037,7 @@ def test_blocked_bounds_equal_one_kernel_call(rid, size):
         cover = certify._annulus_cover(float(rid.split("-")[1]))
     else:
         plan = region_plan(rid)
-        cover = cover_arrays(rid, 0.02, 10.0, None)
+        cover = _unexcised_cover(rid, 0.02)
     pick = np.resize(np.arange(cover[0].size), size)
     if rid == "J1":
         # J1's second pair carries the boxes at its collision corner: put
@@ -1060,10 +1080,10 @@ def test_a_shared_kernel_cache_changes_no_bit(backend):
     if backend == "masked":
         # J1's cover without an excision reaches the collision corner
         # (0, 0), where r_35 touches zero; J4's reaches (b/2, 0)
-        lanes = [np.concatenate(a) for a in zip(cover_arrays("J1", 0.05, None, None),
-                                                cover_arrays("J4", 0.05, None, None))]
+        lanes = [np.concatenate(a) for a in zip(_unexcised_cover("J1", 0.05),
+                                                _unexcised_cover("J4", 0.05))]
     else:
-        lanes = cover_arrays("J16", 0.05, None, None)
+        lanes = _unexcised_cover("J16", 0.05)
     box = Box2(VInterval(lanes[0], lanes[1]), VInterval(lanes[2], lanes[3]))
     n = lanes[0].size
     make = {
@@ -1103,8 +1123,7 @@ _MIXED_FORM_REGIONS = ("J1", "J2", "J4", "J8")
 def _cover_pair_bounds(rid, keep=None):
     """_pair_bounds of every pair of rid's plan on its width-0.05 cover
     (the lanes keep of it), one evaluation and cache shared by the pairs."""
-    reg = region_def(rid)
-    lanes = cover_arrays(rid, 0.05, 10.0 if reg.unbounded else None, None)
+    lanes = _unexcised_cover(rid, 0.05)
     keep = slice(None) if keep is None else keep
     eng, cache = certify._MaskedBackend(), {}
     r3, r5 = (VInterval(lanes[k][keep], lanes[k + 1][keep]) for k in (0, 2))
@@ -1147,7 +1166,7 @@ def test_a_straddling_denominator_masks_its_quotient_per_lane(boxes):
     # J1's cover reaches the r3 = 0 edge and the (0, 0) corner; the mixed
     # slice puts every 16th seeded box on the r3 = 0 edge
     if boxes == "J1":
-        lanes = cover_arrays("J1", 0.05, None, None)
+        lanes = _unexcised_cover("J1", 0.05)
     else:
         lanes = [a.copy() for a in _seeded_boxes()]
         lanes[0][5::16] = 0.0

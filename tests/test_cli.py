@@ -143,6 +143,16 @@ def test_certify_single_region_writes_file(tmp_path, capsys):
     assert "ACCEPT" in out
 
 
+@pytest.mark.parametrize("rid, unbounded", [("J4", False), ("J9", True)])
+def test_certify_one_region_says_it_is_truncated_only_if_unbounded(rid, unbounded,
+                                                                   capsys):
+    # every region records the run's truncation, but only an unbounded
+    # region's cover is cut by it
+    code, out = run(["certify", rid, "--width", "0.1", "--truncate-r5", "12"], capsys)
+    assert code == 0
+    assert ("truncated at r5 <= 12 (recorded in the certificate)" in out) is unbounded
+
+
 def test_certify_unknown_region_exits_2(capsys):
     code, _ = run(["certify", "J99"], capsys)
     assert code == cli.EXIT_DOMAIN

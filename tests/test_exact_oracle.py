@@ -19,7 +19,7 @@ import pytest
 from starcc import kernel
 from starcc.certify import INNER_DELTA, _batch_bounds, _contraction_evidence, certify_inequality
 from starcc.intervals import VInterval, pentagon_constants
-from starcc.regions import REGION_IDS, TRUNCATION_R5, region_def, region_plan
+from starcc.regions import REGION_IDS, TRUNCATION_R5, region_plan
 
 _BITS = 200
 _GRID = 1 << _BITS
@@ -184,8 +184,7 @@ def _exact_bound(check, box, form):
 
 @pytest.mark.parametrize("rid", REGION_IDS)
 def test_tightest_leaf_bound_holds_in_exact_arithmetic(rid):
-    trunc = TRUNCATION_R5 if region_def(rid).unbounded else None
-    cert = certify_inequality(rid, max_box_width=0.1, truncation=trunc)
+    cert = certify_inequality(rid, max_box_width=0.1, truncation=TRUNCATION_R5)
     j = int(np.argmin(cert.bounds))
     box = tuple(float(a[j]) for a in (cert.lo3, cert.hi3, cert.lo5, cert.hi5))
     plan = region_plan(rid)

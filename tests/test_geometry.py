@@ -10,7 +10,15 @@ from hypothesis import given, strategies as st
 from starcc import geometry
 from starcc.forces import NearZeroDenominator, residual_vector
 from starcc.geometry import A, B, DomainError, quasi_points
-from starcc.kernel import FloatBackend, coordinate, derived_radii, dist2, in_domain
+from starcc.kernel import (
+    FloatBackend,
+    coordinate,
+    derived_radii,
+    dist2,
+    in_domain,
+    lambda_quot,
+    local_gaps,
+)
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -213,21 +221,40 @@ _IMPORT_CLOSURES = {
 }
 
 
-@pytest.mark.parametrize("module", sorted(_IMPORT_CLOSURES))
-def test_each_module_imports_in_a_fresh_process(module):
-    # an in-process test imports starcc once for the whole session, which
-    # can hide an import cycle that a first import of one module trips
+def _fresh(code: str):
+    """Run code in a fresh interpreter that imports this starcc; return
+    its stdout."""
     src = os.path.dirname(os.path.dirname(geometry.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    name = module if module == "starcc" else f"starcc.{module}"
-    done = subprocess.run(
-        [sys.executable, "-c", f"import sys, {name}; print(*sorted(sys.modules))"],
-        env=env, capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    loaded = set(done.stdout.split())
+    return done.stdout
+
+
+@pytest.mark.parametrize("module", sorted(_IMPORT_CLOSURES))
+def test_each_module_imports_in_a_fresh_process(module):
+    # an in-process test imports starcc once for the whole session, which
+    # can hide an import cycle that a first import of one module trips
+    name = module if module == "starcc" else f"starcc.{module}"
+    out = _fresh(f"import sys, {name}; print(*sorted(sys.modules))")
+    loaded = set(out.split())
     exactly, never = _IMPORT_CLOSURES[module]
     if exactly is not None:
         assert {m for m in loaded if m.split(".")[0] == "starcc"} == exactly
     assert not loaded & never, sorted(loaded & never)
+
+
+def test_the_kernel_evaluates_with_numpy_blocked():
+    # the trusted base of a stdlib checker: with every import of numpy
+    # failing, the kernel evaluates F at the pentagon and one lambda on
+    # plain floats, to the bits this process gets; _IMPORT_CLOSURES checks
+    # imports only, so a lazy `import numpy` in a kernel function fails here
+    out = _fresh('import sys; sys.modules["numpy"] = None\n'
+                 "from starcc.kernel import FloatBackend, lambda_quot, local_gaps\n"
+                 "print(*(x.hex() for x in (*local_gaps(FloatBackend, 1.0, 1.0),"
+                 " lambda_quot(FloatBackend, 0.7, 1.3, 3, 1))))")
+    want = (*local_gaps(FloatBackend, 1.0, 1.0), lambda_quot(FloatBackend, 0.7, 1.3, 3, 1))
+    assert out.split() == [x.hex() for x in want]

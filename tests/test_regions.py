@@ -11,9 +11,9 @@ from starcc.regions import (
     DELTA_B0,
     REGION_IDS,
     TRUNCATION_R5,
-    TruncationRequired,
     _membership_matrix,
     cover_arrays,
+    grid_cover,
     partition_audit,
     region_def,
     region_excises_b0,
@@ -73,20 +73,12 @@ def test_excision_needs_no_sample_in_the_square():
     assert not region_excises_b0("J15", 0.4)
 
 
-def test_unbounded_regions_require_truncation():
-    for rid in ("J9", "J10", "J15"):
-        assert region_def(rid).unbounded
-        with pytest.raises(TruncationRequired):
-            cover_arrays(rid, 0.1)
-
-
 def test_cover_counts_are_stable():
     # Deterministic covers at width 0.05 (unbounded regions truncated at 10).
     expected = {"J1": 169, "J9": 3800, "J16": 62}
     total = 0
     for rid in REGION_IDS:
-        tr = 10.0 if region_def(rid).unbounded else None
-        lo3, hi3, lo5, hi5 = cover_arrays(rid, 0.05, truncation=tr)
+        lo3, hi3, lo5, hi5 = cover_arrays(rid, 0.05, 10.0)
         assert np.all(hi3 - lo3 <= 0.05 + 1e-12)
         assert np.all(hi5 - lo5 <= 0.05 + 1e-12)
         total += lo3.size
@@ -98,14 +90,14 @@ def test_cover_counts_are_stable():
 def test_cover_boxes_meet_their_region():
     # No cover box may be certainly outside the closed region.
     for rid in ("J3", "J6", "J12"):
-        boxes = cover_arrays(rid, 0.1)
+        boxes = cover_arrays(rid, 0.1, TRUNCATION_R5)
         assert boxes[0].size
         assert not np.any(region_def(rid).boxes_outside_closure(*boxes))
 
 
 def test_cover_excises_b0_where_applicable():
     for rid in ("J7", "J16"):
-        lo3, hi3, lo5, hi5 = cover_arrays(rid, 0.02)
+        lo3, hi3, lo5, hi5 = cover_arrays(rid, 0.02, TRUNCATION_R5)
         assert lo3.size
         inside_b0 = ((lo3 >= 1.0 - DELTA_B0) & (hi3 <= 1.0 + DELTA_B0)
                      & (lo5 >= 1.0 - DELTA_B0) & (hi5 <= 1.0 + DELTA_B0))
@@ -117,14 +109,14 @@ def _per_cell_cover(rid, max_box_width, truncation, delta):
     every cell of the bounding-box grid on its own, in meshgrid order."""
     reg = region_def(rid)
     r3lo, r3hi, r5lo, r5hi = reg.bbox(truncation)
-    snaps = [1.0 - delta, 1.0 + delta] if regions._excises(rid, delta) else []
+    snaps = [1.0 - delta, 1.0 + delta] if region_excises_b0(rid, delta) else []
     e3 = regions._snap_edges(r3lo, r3hi, max_box_width, snaps)
     e5 = regions._snap_edges(r5lo, r5hi, max_box_width, snaps)
     lo3, lo5 = np.meshgrid(e3[:-1], e5[:-1], indexing="ij")
     hi3, hi5 = np.meshgrid(e3[1:], e5[1:], indexing="ij")
     lo3, hi3, lo5, hi5 = (a.ravel() for a in (lo3, hi3, lo5, hi5))
     keep = ~reg.boxes_outside_closure(lo3, hi3, lo5, hi5)
-    if regions._excises(rid, delta):
+    if region_excises_b0(rid, delta):
         inside_b0 = (
             (lo3 >= 1.0 - delta) & (hi3 <= 1.0 + delta)
             & (lo5 >= 1.0 - delta) & (hi5 <= 1.0 + delta)
@@ -135,7 +127,7 @@ def _per_cell_cover(rid, max_box_width, truncation, delta):
 
 @pytest.mark.parametrize("width", [0.1, 0.05])
 @pytest.mark.parametrize("truncation", [10.0, 40.0])
-@pytest.mark.parametrize("delta", [DELTA_B0, None])
+@pytest.mark.parametrize("delta", [DELTA_B0, 0.0, 0.4])
 def test_edge_vector_cover_equals_the_per_cell_cover(width, truncation, delta):
     for rid in REGION_IDS:
         got = cover_arrays(rid, width, truncation, delta)
@@ -207,8 +199,7 @@ def test_bbox_edges_are_rounded_outward():
     # every lower edge at or below, every upper edge at or above the exact
     # value, and each within a few ulps of it
     for rid, exact in _exact_bboxes(TRUNCATION_R5).items():
-        tr = TRUNCATION_R5 if region_def(rid).unbounded else None
-        got = region_def(rid).bbox(tr)
+        got = region_def(rid).bbox(TRUNCATION_R5)
         for k, (edge, ref) in enumerate(zip(got, exact)):
             e = Decimal(edge)
             assert (e <= ref) if k % 2 == 0 else (e >= ref), (rid, k, edge)
@@ -230,8 +221,9 @@ def _table_digest():
         h.update(plan_signature(region_plan(rid)).encode())
         for c in reg.constraints:  # as build_fingerprint hashes them
             h.update(f"{rid}:{c.a.hex()},{c.b.hex()},{c.c.hex()},{c.op};".encode())
+        # the cover with its excised square, and the grid without it
         for boxes in (cover_arrays(rid, 0.05, 10.0),
-                      cover_arrays(rid, 0.05, 10.0, delta=None)):
+                      grid_cover(reg.bbox(10.0), 0.05, None, reg.boxes_outside_closure)):
             for arr in boxes:
                 h.update(arr.tobytes())
     return h.hexdigest()
