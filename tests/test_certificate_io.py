@@ -276,13 +276,16 @@ def test_a_block_may_end_inside_a_number(texts, tmp_path, chars):
         _check_reader(path, Certificate)
 
 
-@pytest.mark.parametrize("rid, indent", [("J16", None), ("J15", 1)],
-                         ids=["J16-as-written", "J15-indented"])
-def test_chunked_reader_cuts_a_real_file_into_chunks(tmp_path, rid, indent):
+@pytest.mark.parametrize("width, rid, indent", [
+    (0.1, "J16", None), (0.1, "J15", 1), (0.02, "J15", 1),
+], ids=["J16-as-written", "J15-indented", "w0.02-J15-indented"])
+def test_chunked_reader_cuts_a_real_file_into_chunks(certified, tmp_path, width, rid,
+                                                     indent):
     # the rows come back as arrays equal to the plain path's, and the
     # certificate round-trips: as written, from several pieces; indented,
-    # with no "], [" between its rows, from one
-    cert = certify_inequality(rid, max_box_width=0.1, truncation=10.0)
+    # with no "], [" between its rows, from one, even as the 12 MB that the
+    # width-0.02 J15, the largest piece of the benchmark's bundle, takes
+    cert = certified(width).certificates[rid]
     text = json.dumps(cert.to_payload(), indent=indent)
     path = tmp_path / f"{rid}.json"
     path.write_text(text, encoding="utf-8")
@@ -300,20 +303,29 @@ def test_chunked_reader_cuts_a_real_file_into_chunks(tmp_path, rid, indent):
     assert Certificate.from_payload(payload).to_json() == cert.to_json()
 
 
-@pytest.mark.parametrize("where", [0.25, 0.75, 1.0])
-def test_a_late_byte_that_is_not_utf8_is_named_at_its_place(texts, tmp_path, where):
+@pytest.mark.parametrize("rid, where, chars", [
+    ("J16", 0.25, 64), ("J16", 0.75, 64), ("J16", 1.0, 64),
+    ("J15", 1.0, cli._READ_CHARS),
+], ids=["0.25", "0.75", "1.0", "w0.02-J15-1.0"])
+def test_a_late_byte_that_is_not_utf8_is_named_at_its_place(texts, certified, tmp_path,
+                                                            rid, where, chars):
     # past the first block of the reader, and past TextIOWrapper's first
     # 8 KiB of bytes; the message is a whole-file read's, with the byte's
-    # place in the file
-    data = texts["J16"][0].encode("ascii")
+    # place in the file.  After the 7.6 MB width-0.02 J15, the byte is
+    # met after the reader's last chunk of rows
+    if rid == "J16":
+        text = texts["J16"][0]
+    else:
+        text = certified(0.02).certificates[rid].to_json()
+    data = text.encode("ascii")
     at = int(len(data) * where)
     assert at > 8192
     data = data[:at] + b"\xff" + data[at:]
-    path = tmp_path / "J16.json"
+    path = tmp_path / f"{rid}.json"
     path.write_bytes(data)
     with pytest.raises(UnicodeDecodeError) as plain:
         data.decode("utf-8")
-    with mock.patch.object(cli, "_READ_CHARS", 64), \
+    with mock.patch.object(cli, "_READ_CHARS", chars), \
             pytest.raises(MalformedCertificate) as err:
         cli._load_payload(path)
     assert str(err.value) == f"{path}: not valid UTF-8 ({plain.value})"

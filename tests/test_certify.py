@@ -110,6 +110,34 @@ def test_leaves_are_sorted_canonically(j4_cert):
     assert np.array_equal(order, np.arange(j4_cert.n_leaves()))
 
 
+def _key_arrays(seed=39):
+    """Four key arrays of 0, 1 and 2, so that every key ties often: empty,
+    one row, seeded draws of 2 to 17 rows, each also sorted, sorted with one
+    adjacent pair swapped, and reversed."""
+    rng = np.random.default_rng(seed)
+    yield np.empty((4, 0))
+    yield rng.integers(0, 3, (4, 1)).astype(float)
+    for n in (2, 3, 5, 17):
+        for _ in range(40):
+            keys = rng.integers(0, 3, (4, n)).astype(float)
+            ordered = keys[:, np.lexsort(keys[::-1])]
+            swapped = ordered.copy()
+            j = rng.integers(n - 1)
+            swapped[:, [j, j + 1]] = swapped[:, [j + 1, j]]
+            yield from (keys, ordered, swapped, ordered[:, ::-1])
+
+
+def test_lex_ordered_is_true_exactly_when_lexsort_keeps_every_row():
+    # _branch_and_bound skips its np.lexsort when _lex_ordered says the
+    # leaves are already in its order; the skip must change no byte
+    seen = set()
+    for keys in _key_arrays():
+        want = np.array_equal(np.lexsort(keys[::-1]), np.arange(keys.shape[1]))
+        assert certify._lex_ordered(tuple(keys)) is want, keys
+        seen.add(want)
+    assert seen == {True, False}
+
+
 def test_verifiers_take_only_their_certificate_class(j4_cert, local_cert):
     # a payload dict or its JSON text is refused: callers parse it with
     # from_payload first
@@ -267,22 +295,33 @@ def test_j16_single_pair_certifies_with_margin(j16_cert):
     assert verify_certificate(j16_cert)
 
 
-@pytest.mark.parametrize("edit", [
-    lambda row: row[:5],
-    lambda row: row + [row[5]],
-    lambda row: row[:4] + ["q\x00", row[5]],
-    lambda row: row[:4] + ["qzz", row[5]],
-], ids=["5-entries", "7-entries", "q-nul", "qzz"])
-def test_reader_refuses_a_leaf_row_it_cannot_hold(j4_cert, tmp_path, edit):
+def _seventh_entry(row):
+    return row + [row[5]]
+
+
+@pytest.mark.parametrize("width, rid, row, edit", [
+    (0.1, "J4", 3, lambda row: row[:5]),
+    (0.1, "J4", 3, _seventh_entry),
+    (0.1, "J4", 3, lambda row: row[:4] + ["q\x00", row[5]]),
+    (0.1, "J4", 3, lambda row: row[:4] + ["qzz", row[5]]),
+    (0.02, "J15", 59980, _seventh_entry),
+], ids=["5-entries", "7-entries", "q-nul", "qzz", "w0.02-J15-last-row-7-entries"])
+def test_reader_refuses_a_leaf_row_it_cannot_hold(certified, tmp_path, capsys,
+                                                  width, rid, row, edit):
     # a seventh entry used to be dropped and "q\x00" read as "q" (the <U2
-    # cast), so the edited file verified; "qzz" was read as "qz"
-    payload = json.loads(j4_cert.to_json())
-    payload["leaves"][3] = edit(payload["leaves"][3])
-    with pytest.raises(MalformedCertificate, match="row 3"):
+    # cast), so the edited file verified; "qzz" was read as "qz".  No chunk
+    # of the reader holds the last row of the width-0.02 J15 with a seventh
+    # entry, so the file goes to json.loads of its whole text, and the
+    # rejection still names the row
+    payload = json.loads(certified(width).certificates[rid].to_json())
+    payload["leaves"][row] = edit(payload["leaves"][row])
+    with pytest.raises(MalformedCertificate, match=rf"row {row} is not \[r3_lo, "):
         Certificate.from_payload(payload)
-    path = tmp_path / "J4.json"
+    path = tmp_path / f"{rid}.json"
     path.write_text(json.dumps(payload))
     assert cli.main(["verify", str(path)]) == cli.EXIT_VERIFY
+    assert capsys.readouterr().err.startswith(
+        f"REJECT: {path}: bad inequality certificate: row {row} is not [r3_lo, ")
 
 
 @pytest.mark.parametrize("edit", [
@@ -607,11 +646,8 @@ def test_local_rejects_out_of_range_delta():
 
 
 @pytest.fixture(scope="module")
-def manifest_two_threads():
-    # two CPUs, so that the two workers run on a process pool on any machine
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(os, "cpu_count", lambda: 2)
-        return certify_all(RunConfig(max_box_width=0.1, threads=2))
+def manifest_two_threads(certified):
+    return certified(0.1)
 
 
 @pytest.fixture(scope="module")
@@ -808,40 +844,85 @@ def test_an_in_process_run_makes_no_spool(monkeypatch, tmp_path, spools, threads
     assert spools == [] and list(tmp_path.iterdir()) == []
 
 
-# sha256 of each piece of the width-0.1 bundle (a region's payload without
-# stats.wall_seconds, and local.to_json()), taken when the plans became
-# pair sets (apart from J1 and J4, only the fingerprint moved them); local
-# was taken again when the annulus became a pair-set plan, and the regions
-# when each came to record the run's whole scope (no leaf row moved)
+# sha256 of json.dumps of each piece's payload without stats.wall_seconds,
+# in the bundles certified at three box widths, truncated at r5 <= 10 on two
+# workers: 0.1 is the bundle of the tests above, 0.02 and 0.01 are the
+# bundles that perfbench's bundle and certify-fine workloads certify
 BUNDLE_PINS = {
-    "J1": "9c7b35db0a2dae6ddaa8e1c409c5e76daf8cde996c4f294bfc5e7fee95a559a4",
-    "J2": "5de63f55d959d69cc3abe7a46fb768a345d68640b816ae1d3b0d89e3c80c0dd6",
-    "J3": "27362fb631bfc4b7cbe74066ff2fe5a5ee548ba1036e58585c07ea87fe8634fc",
-    "J4": "13241fe1c6aac96ecc6420bb3dd2db60c5663531c676a4427b83da6b8341ef6b",
-    "J5": "24cbbc647c8960cb029534fae0064322edbc4963f5475fa88ec133e8088df5ed",
-    "J6": "0c1e67c55c8f1a1dde233478c60ba9fbabc1cd784aaab4452e120420e98384d2",
-    "J7": "ec65ac36f16a08bcb165a6b1179175e582926ebebb5294c9d2ba9bf595b08058",
-    "J8": "e659fbb136bfce18aed37322deee4454c4ac021479b85260490445dcec24389b",
-    "J9": "e53fe161d5a3b550809d1deee67fca47a6ebf9a1980b9b400e60fc94f6ec9e9a",
-    "J10": "92dcda2c90fa19268e06cb43fe9790dedba4496c00c907dd1ed53fcab14ea11c",
-    "J11": "1a37022ab1e14613321ec9e852c3d0d3faaaf0114c8fb5d6b7e9d31cc06c29a6",
-    "J12": "010d768f93528d481632b8f260123c093701240dbf432fee1fdd2782e0daa698",
-    "J13": "883d1f5bc0c1a605f00ccd7b207257eee7d69a965c74486e4b445394c6c0a42e",
-    "J14": "26ffaf4f4b520c0143cbbbd3a8787190412a48670fcc64f6f3e956d5746b49ce",
-    "J15": "22c3114013589a372770978ca7055d31848a171b38fa7f3bbea3bab8a9ab784c",
-    "J16": "f0e159dc28621fd8448825f1333451c591ab3ea5678fea6ce9800579f49c62aa",
-    "local": "4cfebdbc2b4ff9d99e6266ab8f694f1b088660d99e8dbb7d59ea5fcfb34aa718",
+    0.1: {
+        "J1": "9c7b35db0a2dae6ddaa8e1c409c5e76daf8cde996c4f294bfc5e7fee95a559a4",
+        "J2": "5de63f55d959d69cc3abe7a46fb768a345d68640b816ae1d3b0d89e3c80c0dd6",
+        "J3": "27362fb631bfc4b7cbe74066ff2fe5a5ee548ba1036e58585c07ea87fe8634fc",
+        "J4": "13241fe1c6aac96ecc6420bb3dd2db60c5663531c676a4427b83da6b8341ef6b",
+        "J5": "24cbbc647c8960cb029534fae0064322edbc4963f5475fa88ec133e8088df5ed",
+        "J6": "0c1e67c55c8f1a1dde233478c60ba9fbabc1cd784aaab4452e120420e98384d2",
+        "J7": "ec65ac36f16a08bcb165a6b1179175e582926ebebb5294c9d2ba9bf595b08058",
+        "J8": "e659fbb136bfce18aed37322deee4454c4ac021479b85260490445dcec24389b",
+        "J9": "e53fe161d5a3b550809d1deee67fca47a6ebf9a1980b9b400e60fc94f6ec9e9a",
+        "J10": "92dcda2c90fa19268e06cb43fe9790dedba4496c00c907dd1ed53fcab14ea11c",
+        "J11": "1a37022ab1e14613321ec9e852c3d0d3faaaf0114c8fb5d6b7e9d31cc06c29a6",
+        "J12": "010d768f93528d481632b8f260123c093701240dbf432fee1fdd2782e0daa698",
+        "J13": "883d1f5bc0c1a605f00ccd7b207257eee7d69a965c74486e4b445394c6c0a42e",
+        "J14": "26ffaf4f4b520c0143cbbbd3a8787190412a48670fcc64f6f3e956d5746b49ce",
+        "J15": "22c3114013589a372770978ca7055d31848a171b38fa7f3bbea3bab8a9ab784c",
+        "J16": "f0e159dc28621fd8448825f1333451c591ab3ea5678fea6ce9800579f49c62aa",
+        "local": "4cfebdbc2b4ff9d99e6266ab8f694f1b088660d99e8dbb7d59ea5fcfb34aa718",
+    },
+    0.02: {
+        "J1": "75970726228ac1e3dea7423edd495cd44107d638823dd1f38ee467bd623cb54c",
+        "J2": "816217dda092206a7a1befe17a91af358451a8dfbee563570c522469f8930c33",
+        "J3": "57613b15302d5855e183a41c938b0c3e17c711fef37a67a884e75c437a2f717c",
+        "J4": "8c4257b29cbcef8d27bb5f023b30230e1d790137e3e78b29704f9da446687440",
+        "J5": "0ab0ad60e6753866569e9f525547762031c49d92fc7b0be633f4afe919fd8b85",
+        "J6": "590aa5ae9747220314026154e81d2a037c8f79179d25bb0d2061e6e03770ebf8",
+        "J7": "2cecc559baf83ac7ab453c27e659ea17d673efb3314e34e0c1b22ae175a2756d",
+        "J8": "1b89adedfd18142446d736defd4843b2324112538862c9078c4cae6ef4ef0d4a",
+        "J9": "7cd4af7e2caf4fb54732a6121351e98543780936febf5a8f53301ac432a8a179",
+        "J10": "e4ef2d5eb5e0b39f612b5b877bf06fc7538da3525922d5a9533cfef70ee68074",
+        "J11": "ae156b5ff2668676c8124390f1440b06257db3049b53eec73a40c20398ad6b3e",
+        "J12": "e87253fce6536e73d1474434870a65945e0c124b98f4a37be774fcee3e7bb471",
+        "J13": "7d0bbd07675504010baa8d9e9dacb6f6475ea009059fb3a98d9d3c93f00a9cb9",
+        "J14": "66df110677c8dc3ee177a2b64a74ea895616641d02009bb5d59f881065010358",
+        "J15": "82b64b1ee04820e1c15e7ad9ec0a5cd4c6c6ca10d3eebbc8827e280916b1c363",
+        "J16": "211f46a79e20b3709a8d37251c81e07f9ac88fdc5efdbf3a094e00375c31d6d3",
+        "local": "4cfebdbc2b4ff9d99e6266ab8f694f1b088660d99e8dbb7d59ea5fcfb34aa718",
+    },
+    0.01: {
+        "J1": "40ef05ecfe14f192edde19e877b7a9949490c8e718a4d5c9b0fbddd6f04f96e0",
+        "J2": "d1951336e8c43d3675a1ce424195588058b9d4aef45ee2a32618eaf4722b673d",
+        "J3": "536d6d4ad3a780c3dac55221a23476c4566cb0d60e52c06bf5f36e1b5374fb4e",
+        "J4": "58e45eae22b60cebd542c0664798bd8b48886bcd3242157e802482c1b9ad822f",
+        "J5": "18226fb004232e3b1c3067d01fe614bf5cbd9fe44e732552641a2dbd816375bf",
+        "J6": "cf297da3dc7d716af219223af4a33ebe11a0b06b282513e16ba6230ef5c75c23",
+        "J7": "1b98ac5de3baa3446f9ecac2b571731c3990e388c853c954776ecd2a43af919d",
+        "J8": "6bcf2a87bea59de764a3457cee11d70617922a0a0019dab498f319bb3e9f0353",
+        "J9": "aa3c17c6b48295bca01e0a321874bd273178b1f6f73a3ebcf2ee496adc447c42",
+        "J10": "fb50dcca4587f3310f7f974aebba5c3827f6d7dffd9ceb193a8c63f6ae4403aa",
+        "J11": "4a9807a2aebe0832fb5cca73af688237c6a2bfe8d66f53484a13bdba5cb6f4e8",
+        "J12": "8bc738bc66d44b74783305a8f1c3217b11b0535ba9359746677adfb85c4ba85d",
+        "J13": "c846db0a63d30970367d4fc7ac35e34f793d08cae75bd58a47f4aa8a5f7d09b1",
+        "J14": "cdc532ab995645a908e9546d55df428e5a4c18d2727b4ab46213d6ab6fd49853",
+        "J15": "847a4a9bf007229e1cbf5a41549b75197c7f58eeba86438b7b28cbbb2ffc3350",
+        "J16": "fb623a812a509a3e67e27943b0c6919f29335fbebc9fedd2437375596dae9258",
+        "local": "4cfebdbc2b4ff9d99e6266ab8f694f1b088660d99e8dbb7d59ea5fcfb34aa718",
+    },
 }
 
 
-def test_every_piece_of_the_bundle_is_pinned(manifest_two_threads):
-    got = {}
-    for rid, cert in manifest_two_threads.certificates.items():
-        payload = cert.to_payload()
-        payload["stats"].pop("wall_seconds")
-        got[rid] = _sha256(payload)
-    got["local"] = hashlib.sha256(manifest_two_threads.local.to_json().encode()).hexdigest()
-    assert got == BUNDLE_PINS
+def _digest(cert) -> str:
+    """The pin of a piece: its to_json() without the wall time, which is
+    faster than json.dumps of to_payload() and gives the same text."""
+    if isinstance(cert, Certificate):  # a local certificate records no time
+        cert = replace(cert, stats={k: v for k, v in cert.stats.items()
+                                    if k != "wall_seconds"})
+    return hashlib.sha256(cert.to_json().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("width", BUNDLE_PINS)
+def test_every_piece_of_the_bundle_is_pinned(certified, width):
+    manifest = certified(width)
+    got = {piece: _digest(cert) for piece, cert in _pieces(manifest).items()}
+    assert got == BUNDLE_PINS[width]
 
 
 @pytest.mark.parametrize("field, value", [
@@ -898,19 +979,24 @@ def test_budget_exhausted_in_a_worker_matches_the_in_process_run(monkeypatch):
     assert seen[0][1].startswith("annulus: ")
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("width, threads", [(0.1, 1), (0.1, 2), (0.02, 2)],
+                         ids=["1", "2", "w0.02"])
 def test_each_piece_a_job_writes_is_to_json_of_the_returned_certificate(
-        monkeypatch, tmp_path, threads):
+        monkeypatch, tmp_path, width, threads):
     # the pool's jobs write the pieces; the manifest they return must hold
-    # the very certificates whose bytes are on disk
+    # the very certificates whose bytes are on disk, and each file is the
+    # json.dumps text of what it holds (at width 0.02 too, where J15's
+    # 59 981 rows are written in 30 blocks)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    manifest = certify_all(RunConfig(max_box_width=0.1, threads=threads,
+    manifest = certify_all(RunConfig(max_box_width=width, threads=threads,
                                      output_dir=str(tmp_path)))
-    pieces = dict(manifest.certificates, local=manifest.local)
+    pieces = _pieces(manifest)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         f"{piece}.json" for piece in pieces)
     for piece, cert in pieces.items():
-        assert (tmp_path / f"{piece}.json").read_text(encoding="utf-8") == cert.to_json()
+        text = (tmp_path / f"{piece}.json").read_text(encoding="utf-8")
+        assert text == cert.to_json(), piece
+        assert text == json.dumps(json.loads(text)), piece
 
 
 @pytest.mark.parametrize("threads", [1, 2])

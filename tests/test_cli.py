@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -151,6 +152,36 @@ def test_certify_one_region_says_it_is_truncated_only_if_unbounded(rid, unbounde
     code, out = run(["certify", rid, "--width", "0.1", "--truncate-r5", "12"], capsys)
     assert code == 0
     assert ("truncated at r5 <= 12 (recorded in the certificate)" in out) is unbounded
+
+
+# sha256 of json.dumps of the width-0.05 J15 cut at r5 <= 40 without
+# stats.wall_seconds, the digest of tests/test_certify.py's BUNDLE_PINS
+J15_R5_40_PIN = "ebb8419c61fcd93aaa647eba19ec825c0a91b7aa063a7b777c9a94d1c05f7615"
+
+
+def test_the_largest_truncated_cover_verifies_and_a_copy_one_leaf_short_does_not(
+        tmp_path, capsys):
+    # J15 up to r5 = 40 (188 639 leaves, a 24 MB file) goes through the
+    # edge-vector closure test in the certifier and again in the verifier's
+    # replay; the forged copy keeps min_bound in step, as the forger does
+    code, _ = run(["certify", "J15", "--width", "0.05", "--truncate-r5", "40",
+                   "--output", tmp_path / "j15"], capsys)
+    assert code == 0
+    path = tmp_path / "j15" / "J15.json"
+    code, out = run(["verify", path], capsys)
+    assert code == 0 and out.startswith("ACCEPT "), out
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    del doc["stats"]["wall_seconds"]
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == J15_R5_40_PIN
+    leaves = doc["leaves"]
+    assert len(leaves) == 188639
+    del leaves[len(leaves) // 2]
+    doc["min_bound"] = min(float.fromhex(r[5]) for r in leaves).hex()
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run(["verify", path], capsys)
+    assert code == cli.EXIT_VERIFY
+    assert re.fullmatch(r"REJECT: J15: box r3=\[.*\] at bisection depth 0 holds no leaf\n",
+                        out), out
 
 
 def test_certify_unknown_region_exits_2(capsys):
