@@ -283,7 +283,7 @@ def test_chunked_reader_cuts_a_real_file_into_chunks(certified, tmp_path, width,
                                                      indent):
     # the rows come back as arrays equal to the plain path's, and the
     # certificate round-trips: as written, from several pieces; indented,
-    # with no "], [" between its rows, from one, even as the 12 MB that the
+    # with no "], [" between its rows, from one, even as the 9 MB that the
     # width-0.02 J15, the largest piece of the benchmark's bundle, takes
     cert = certified(width).certificates[rid]
     text = json.dumps(cert.to_payload(), indent=indent)
