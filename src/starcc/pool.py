@@ -13,16 +13,19 @@ from typing import Callable, Iterator, Sequence
 
 # (trim, mmap) thresholds of glibc's malloc in the process collecting a
 # pool's results.  glibc raises its mmap threshold to the size of each
-# large block freed; _COLLECT (its initial values) maps each result array
-# the caller unpickles on its own.  Of the three callers only grid_scan
-# gets arrays back: certify_all's jobs return certificates without their
-# leaf arrays (they come as maps of the spool files) and the bundle
-# verifier's jobs return none, so around their pools the thresholds act
-# on nothing.  They stay for the scan, whose benchmark peak RSS they keep
-# at 47.6-47.8 MB, not 48.8-49.5 MB (10 pairs, 2 vCPUs).  _COLLECT is set
-# after the workers fork, as it makes their numpy kernel 2.5 times
-# slower.  _COMPUTE (the ceiling of the sliding values on a 64-bit build)
-# is set when the pool ends.
+# large block freed; _COLLECT (its initial values) maps each block of
+# 128 KiB or more that the caller allocates while the pool runs on its
+# own.  Of the three callers only grid_scan allocates such blocks: the
+# pickled chunks of starts it sends, the pickled counts and converged
+# lanes each chunk hands back, and those lanes joined.  certify_all's
+# jobs return certificates without their leaf arrays (they come as maps
+# of the spool files) and the bundle verifier's jobs return none, so
+# around their pools the thresholds act on nothing.  They stay for the
+# scan, whose benchmark peak RSS they keep at 38.7-39.2 MB, not
+# 39.4-40.0 MB (10 pairs, 2 vCPUs).  _COLLECT is set after the workers
+# fork, as it makes their numpy kernel 2.5 times slower.  _COMPUTE (the
+# ceiling of the sliding values on a 64-bit build) is set when the pool
+# ends.
 _COLLECT = (128 << 10, 128 << 10)
 _COMPUTE = (64 << 20, 32 << 20)
 
@@ -79,9 +82,11 @@ def _fan_out(fn: Callable, jobs: Sequence[tuple], workers: int,
     maps copy-on-write and reads no leaf of until it is used, so that no
     JSON text and no leaf array crosses the pool), the CLI's bundle verifier
     (one job per file) and grid_scan (one contiguous chunk of Newton
-    lanes per worker).  A pool still costs about 0.1 s to start and
-    join, so the scan gives each worker at least kernel._BLOCK lanes
-    (solver._LANES_PER_WORKER) and runs a smaller scan in process."""
+    lanes per worker, which hands back its status counts, its count of
+    lanes that converged outside the window and the r3, r5 and merit of
+    those that converged inside it).  A pool still costs about 0.1 s to
+    start and join, so the scan gives each worker at least kernel._BLOCK
+    lanes (solver._LANES_PER_WORKER) and runs a smaller scan in process."""
     if not _forks(workers, len(jobs)):
         for job in jobs:
             yield fn(*job)

@@ -34,10 +34,13 @@ the lanes one at a time, one halving per call.  So grid_scan, the third
 user of the shared process pool (pool._fan_out) after certify_all and the
 bundle verifier, runs its lanes in contiguous chunks, one per worker, with
 at least _LANES_PER_WORKER (= _BLOCK) lanes per worker and no more workers
-than CPUs, and joins them in order (_lockstep_on_pool).  A smaller scan, or
-one on one CPU, forks nothing; the report does not depend on the CPU
-count.  grid_scan is the module's one entry point; every lane gets the
-fixed budget of MAX_ITER Newton iterations.
+than CPUs, and joins them in order (_scan_on_pool).  A chunk (_scan_chunk)
+hands back only what the report reads: its lanes' count per status, its
+count of converged lanes outside the window, and r3, r5 and the merit of
+its converged lanes inside it.  A smaller scan, or one on one CPU, runs
+the same chunk in process and forks nothing; the report does not depend
+on the CPU count.  grid_scan is the module's one entry point; every lane
+gets the fixed budget of MAX_ITER Newton iterations.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ _DECREASE = 1e-4  # sufficient-decrease slope for the backtracking test
 # and join: on a 2-vCPU VM two workers only break even at 12 500 lanes
 # (20 000 starts over [0.2, 3]^2) and save a quarter at 31 000.
 _LANES_PER_WORKER = _BLOCK
+_DEDUPE_ROWS = 1024  # sorted converged lanes _dedupe reads per tolist()
 
 # Lane status codes used by the lockstep core.
 _RUNNING, _CONVERGED, _DIVERGED, _LEFT_DOMAIN, _MAX_ITER = 0, 1, 2, 3, 4
@@ -199,18 +203,37 @@ def _newton_lockstep(r3, r5, tol, max_iter):
     return r3, r5, status, iterations, merit
 
 
-def _lockstep_on_pool(r3, r5, tol):
-    """_newton_lockstep's (r3, r5, status, iterations, merit) for the lanes
-    r3, r5, computed in contiguous chunks on the shared pool.
+def _scan_chunk(r3, r5, tol, window):
+    """What grid_scan reads of _newton_lockstep over the lanes r3, r5 (a
+    budget of MAX_ITER iterations): the lanes' count per status code, the
+    count of converged lanes outside window, and r3, r5 and merit of the
+    converged lanes inside it, in lane order: all that a pool job pickles
+    back to the scan's process."""
+    (lo3, hi3), (lo5, hi5) = window
+    r3, r5, status, _, merit = _newton_lockstep(r3, r5, tol, MAX_ITER)
+    # Only roots inside the window belong in the report.  This also drops
+    # lanes that flee toward infinity, where all forces flatten and the
+    # residual (and even the full system) degenerates to zero.
+    converged = status == _CONVERGED
+    inside = (r3 >= lo3) & (r3 <= hi3) & (r5 >= lo5) & (r5 <= hi5)
+    ok = converged & inside
+    return (np.bincount(status, minlength=_MAX_ITER + 1),
+            int(np.count_nonzero(converged & ~inside)), r3[ok], r5[ok], merit[ok])
+
+
+def _scan_on_pool(r3, r5, tol, window):
+    """_scan_chunk(r3, r5, tol, window), computed in contiguous chunks on
+    the shared pool.
 
     One chunk per worker: min(CPUs, lanes // _LANES_PER_WORKER) of them,
-    and with one the lanes run in this process.  The chunks are joined in
-    order; the lanes are independent, so the bits equal one call's."""
+    and with one the lanes run in this process.  The counts are summed and
+    the converged lanes joined in chunk order; the lanes are independent,
+    so the bits equal one call's."""
     n = _worker_count(os.cpu_count() or 1, r3.size // _LANES_PER_WORKER)
-    jobs = [(a, b, tol, MAX_ITER)
+    jobs = [(a, b, tol, window)
             for a, b in zip(np.array_split(r3, n), np.array_split(r5, n))]
-    parts = list(_fan_out(_newton_lockstep, jobs, n, lambda job: job[0].size))
-    return tuple(np.concatenate(col) for col in zip(*parts))
+    counts, escaped, *lanes = zip(*_fan_out(_scan_chunk, jobs, n, lambda job: job[0].size))
+    return (sum(counts), sum(escaped), *(np.concatenate(col) for col in lanes))
 
 
 @dataclass(frozen=True)
@@ -262,23 +285,38 @@ def _dedupe(r3, r5, sq) -> List[Tuple[float, float, float, int]]:
     """Greedy lexicographic clustering with the merge radius.
 
     Returns (r3, r5, best square residual, member count) per cluster; the
-    representative is the member with the smallest square residual.
+    representative is the member with the smallest square residual.  The
+    sorted members are read as Python floats, _DEDUPE_ROWS per tolist():
+    a float() per member takes twice as long, and lists over all members
+    would raise the scan's peak RSS by about 2.5 MB.
     """
     order = np.lexsort((r5, r3))
     clusters: List[List[float]] = []
-    for idx in order:
-        x, y, q = float(r3[idx]), float(r5[idx]), float(sq[idx])
-        placed = False
-        for c in clusters:
-            if (x - c[0]) ** 2 + (y - c[1]) ** 2 <= MERGE_RADIUS**2:
-                c[3] += 1
-                if q < c[2]:
-                    c[0], c[1], c[2] = x, y, q
-                placed = True
-                break
-        if not placed:
-            clusters.append([x, y, q, 1])
-    return [(c[0], c[1], c[2], int(c[3])) for c in clusters]
+    for lo in range(0, order.size, _DEDUPE_ROWS):
+        rows = order[lo:lo + _DEDUPE_ROWS]
+        for x, y, q in zip(r3[rows].tolist(), r5[rows].tolist(), sq[rows].tolist()):
+            for c in clusters:
+                if (x - c[0]) ** 2 + (y - c[1]) ** 2 <= MERGE_RADIUS**2:
+                    c[3] += 1
+                    if q < c[2]:
+                        c[0], c[1], c[2] = x, y, q
+                    break
+            else:
+                clusters.append([x, y, q, 1])
+    return [(c[0], c[1], c[2], c[3]) for c in clusters]
+
+
+def _starts(window, n_starts, seed):
+    """The in-domain starts (r3, r5) of a scan: the first n_starts seeded
+    R2 points scaled into window, those outside S dropped.  The points,
+    the unfiltered starts and the domain mask die on return, before the
+    Newton lanes run."""
+    (lo3, hi3), (lo5, hi5) = window
+    pts = quasi_points(n_starts, seed)
+    s3 = lo3 + pts[:, 0] * (hi3 - lo3)
+    s5 = lo5 + pts[:, 1] * (hi5 - lo5)
+    keep = in_domain((s3, s5))
+    return s3[keep], s5[keep]
 
 
 def grid_scan(window, n_starts: int, tol: float = 1e-10, seed: int = 0) -> RootReport:
@@ -303,41 +341,28 @@ def grid_scan(window, n_starts: int, tol: float = 1e-10, seed: int = 0) -> RootR
         raise DomainError(f"scan window {window} is not finite")
     _check_tolerance(tol)
     t0 = time.perf_counter()
-    pts = quasi_points(n_starts, seed)
+    bounds = ((lo3, hi3), (lo5, hi5))
+    s3, s5 = _starts(bounds, n_starts, seed)
     n_starts, seed = int(n_starts), int(seed)
     stats: Dict[str, float] = {
-        "starts": n_starts, "in_domain": 0, "converged": 0, "diverged": 0,
+        "starts": n_starts, "in_domain": int(s3.size), "converged": 0, "diverged": 0,
         "left_domain": 0, "max_iterations": 0, "escaped_window": 0,
         "rejected_full_gate": 0,
     }
     if n_starts == 0:
         stats["wall_seconds"] = round(time.perf_counter() - t0, 6)
-        return RootReport(((lo3, hi3), (lo5, hi5)), 0, tol, seed, (), stats)
-
-    s3 = lo3 + pts[:, 0] * (hi3 - lo3)
-    s5 = lo5 + pts[:, 1] * (hi5 - lo5)
-    keep = in_domain((s3, s5))
-    if not keep.any():
+        return RootReport(bounds, 0, tol, seed, (), stats)
+    if s3.size == 0:
         raise DomainError(f"window {window} does not intersect the domain")
-    s3, s5 = s3[keep], s5[keep]
-    stats["in_domain"] = int(s3.size)
 
-    r3, r5, status, _, merit = _lockstep_on_pool(s3, s5, tol)
-    stats["converged"] = int(np.count_nonzero(status == _CONVERGED))
-    stats["diverged"] = int(np.count_nonzero(status == _DIVERGED))
-    stats["left_domain"] = int(np.count_nonzero(status == _LEFT_DOMAIN))
-    stats["max_iterations"] = int(np.count_nonzero(status == _MAX_ITER))
+    counts, stats["escaped_window"], r3, r5, merit = _scan_on_pool(s3, s5, tol, bounds)
+    for key, code in (("converged", _CONVERGED), ("diverged", _DIVERGED),
+                      ("left_domain", _LEFT_DOMAIN), ("max_iterations", _MAX_ITER)):
+        stats[key] = int(counts[code])
 
-    # Only roots inside the window belong in the report.  This also drops
-    # lanes that flee toward infinity, where all forces flatten and the
-    # residual (and even the full system) degenerates to zero.
-    converged = status == _CONVERGED
-    inside = (r3 >= lo3) & (r3 <= hi3) & (r5 >= lo5) & (r5 <= hi5)
-    ok = converged & inside
-    stats["escaped_window"] = int(np.count_nonzero(converged & ~inside))
     accepted: List[ScanRoot] = []
     gate = 10.0 * tol
-    for x, y, q, count in _dedupe(r3[ok], r5[ok], merit[ok]):
+    for x, y, q, count in _dedupe(r3, r5, merit):
         full = residual_vector((x, y))
         if full.pairwise_spread < gate and abs(full.y1) < gate:
             accepted.append(ScanRoot(x, y, full.pairwise_spread, full.y1, count))
@@ -345,7 +370,7 @@ def grid_scan(window, n_starts: int, tol: float = 1e-10, seed: int = 0) -> RootR
             stats["rejected_full_gate"] += count
     stats["wall_seconds"] = round(time.perf_counter() - t0, 6)
     return RootReport(
-        window=((lo3, hi3), (lo5, hi5)),
+        window=bounds,
         n_starts=n_starts,
         tol=tol,
         seed=seed,

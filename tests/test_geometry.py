@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -167,6 +168,35 @@ def test_quasi_points_longer_run_extends_shorter():
         assert np.array_equal(quasi_points(800, seed)[:200], quasi_points(200, seed))
 
 
+# seeds whose entropy is wider than one 32-bit word
+_WIDE_SEEDS = (2**32, 2**64 + 5, 2**100 + 3)
+
+
+def test_seed_shift_is_default_rngs_draw_bit_for_bit():
+    # numpy.random is the oracle of the stdlib shift; no starcc path loads it
+    for seed in (*range(1000), *_WIDE_SEEDS):
+        assert geometry._seed_shift(seed) == np.random.default_rng(seed).random(2).tolist(), seed
+    for seed in (np.int64(0), np.int64(7), np.int64(2**62 + 1)):
+        assert geometry._seed_shift(int(seed)) == np.random.default_rng(seed).random(2).tolist()
+        assert quasi_points(3, seed).tobytes() == quasi_points(3, int(seed)).tobytes()
+
+
+# SHA-256 of quasi_points(100_000, seed).tobytes(), taken when the shift was
+# drawn from np.random.default_rng and the points built as one expression
+_QUASI_PINS = {
+    0: "dd85542604264ffe89f8995ce7d943445f6536e889c6372550cc4a30fd23e172",
+    1: "f89d75b60906747f3edf1d039c2c1dbf34633ff19eb8a6396e084422f0480cd0",
+    3: "a5288569c36504c9bc2d4d7a892ef8176fe9f56082e901ff0bbc9e663a8b6afc",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_QUASI_PINS))
+def test_quasi_points_bits_are_pinned(seed):
+    pts = quasi_points(100_000, seed)
+    assert pts.flags.c_contiguous
+    assert hashlib.sha256(pts.tobytes()).hexdigest() == _QUASI_PINS[seed]
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_quasi_points_fill_a_grid_evenly(seed):
     pts = quasi_points(4096, seed)
@@ -258,3 +288,14 @@ def test_the_kernel_evaluates_with_numpy_blocked():
                  " lambda_quot(FloatBackend, 0.7, 1.3, 3, 1))))")
     want = (*local_gaps(FloatBackend, 1.0, 1.0), lambda_quot(FloatBackend, 0.7, 1.3, 3, 1))
     assert out.split() == [x.hex() for x in want]
+
+
+def test_scan_and_audit_load_no_numpy_random():
+    # numpy.random costs a fresh process about 5.6 MB and 12 ms to import
+    out = _fresh("import sys\n"
+                 "from starcc.regions import partition_audit\n"
+                 "from starcc.solver import grid_scan\n"
+                 "grid_scan(((0.2, 3.0), (0.2, 3.0)), 2000)\n"
+                 "partition_audit(1000)\n"
+                 "print(*sorted(m for m in sys.modules if m.startswith('numpy.random')))")
+    assert out.split() == []
